@@ -27,6 +27,7 @@ from blowlab.config import (
     emit_sweep,
     emit_trace,
     parse_config,
+    spec_from_dict,
 )
 from blowlab.experiments import regime_verdict
 from blowlab.experiments import sweep as run_sweep
@@ -40,14 +41,7 @@ from blowlab.solvers import (
 
 def _spec_from_args(args) -> cg.CrossSectionSpec:
     if args.spec_json:
-        raw = json.loads(args.spec_json)
-        return cg.CrossSectionSpec(
-            kind=raw["kind"],
-            dim=raw["N"],
-            omega=raw.get("omega"),
-            theta0=raw.get("theta0"),
-            k=raw.get("k"),
-        )
+        return spec_from_dict(cg.CrossSectionSpec, json.loads(args.spec_json), "spec")
     if args.kind is None or args.dim is None:
         raise ValueError("eigen needs --kind and --N (or --spec-json)")
     return cg.CrossSectionSpec(

@@ -347,17 +347,6 @@ def phi_eval(w: WeightPhi, x) -> float:
     return r**dom.gamma * ang
 
 
-def weight_on_points(w: WeightPhi, pts: np.ndarray) -> np.ndarray:
-    """Vectorized weight evaluation on an (..., N) array of cone points."""
-    dom = w.domain
-    pts = np.asarray(pts, dtype=float)
-    r = np.linalg.norm(pts, axis=-1)
-    safe = np.where(r > 0, r, 1.0)
-    ang = dom.eigenfunction(pts / safe[..., None])
-    vals = safe**dom.gamma * ang
-    return np.where(r > 0, vals, 0.0 if dom.gamma > 0 else 1.0)
-
-
 def harmonic_residual(w: WeightPhi, x, h: float) -> tuple[float, float]:
     """Centered-difference residuals of harmonicity and the Euler identity.
 

@@ -1,9 +1,11 @@
 """JSON run configurations and CSV/JSON emission.
 
-A config file is a single JSON object; unknown keys anywhere are rejected
-and validation reports every violation (with its field path), not just the
-first.  CSV output uses shortest round-trip decimals, LF line endings and a
-header row, so identical data always re-emits byte-identically.
+A config file is a single JSON object whose sections are the solver
+dataclasses.  Parsing is derived from their fields: unknown keys are
+rejected, each value is type-checked against its annotation, and every rule
+a dataclass's ``__post_init__`` breaks is reported with its field path, not
+just the first.  CSV output uses shortest round-trip decimals, LF line
+endings and a header row, so identical data always re-emits byte-identically.
 """
 
 from __future__ import annotations
@@ -11,19 +13,21 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from blowlab.cone_geometry import CrossSectionSpec
 from blowlab.experiments import SweepResult
 from blowlab.lifespan_bounds import FunctionalTrace
 from blowlab.solvers import (
+    RECORD_THRESHOLDS,
     BlowupRecord,
     CoefficientSpec,
     EvolutionProblem,
-    GridSpec,
-    InitialDataSpec,
     RunControls,
+    SpecError,
 )
 
 
@@ -38,262 +42,137 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     problem: EvolutionProblem
-    controls: RunControls
-    sweep_epsilons: tuple | None
-    slope_tolerance: float
-    trace_radii: tuple | None
-    seed: int
-    out_dir: str | None
+    controls: RunControls = RunControls()
+    sweep_epsilons: tuple[float, ...] | None = None
+    slope_tolerance: float = 0.15
+    trace_radii: tuple[float, ...] | None = None
+    seed: int = 0  # kept with the config; simulate and sweep do not read it
+    out_dir: str | None = None
+
+    def __post_init__(self):
+        bad = []
+        eps = self.sweep_epsilons
+        if eps is not None and (len(eps) < 2 or not all(e > 0 for e in eps)):
+            bad.append(("sweep_epsilons", "expected at least 2 positive numbers"))
+        if not self.slope_tolerance > 0:
+            bad.append(("slope_tolerance", "must be positive"))
+        if self.trace_radii is not None and not all(r > 0 for r in self.trace_radii):
+            bad.append(("trace_radii", "entries must be positive"))
+        if bad:
+            raise SpecError(bad)
 
 
-_PROBLEM_KEYS = {"tau", "p", "lambda", "a_phase", "a0", "alpha", "v0", "grid", "initial"}
-_GRID_KEYS = {"geometry", "extent", "num_points", "dim", "omega", "num_angles", "include_origin"}
-_INITIAL_KEYS = {"center", "width", "epsilon", "amplitude", "g_amplitude"}
-_CONTROL_KEYS = {
-    "threshold",
-    "thresholds",
-    "t_max",
-    "dt_init",
-    "dt_min",
-    "snapshot_dt",
-    "growth_limit",
-    "max_steps",
+# JSON name of each field whose name differs.  A dotted name nests the value
+# one object down; None puts a nested spec's fields inline in its parent.
+_JSON_NAMES = {
+    RunConfig: {"sweep_epsilons": "sweep.epsilons", "slope_tolerance": "sweep.slope_tolerance"},
+    EvolutionProblem: {"coeff": None, "init": "initial"},
+    CoefficientSpec: {"lam": "lambda"},
+    CrossSectionSpec: {"dim": "N"},
 }
-_SWEEP_KEYS = {"epsilons", "slope_tolerance"}
-_TOP_KEYS = {"problem", "controls", "sweep", "trace_radii", "seed", "out_dir"}
+
+_EXPECTED = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    complex: "a number or [re, im] pair",
+    tuple: "a list of numbers",
+    str: "a string",
+}
 
 
-def _complex_from(value, path, errors):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
-        return complex(value[0], value[1])
-    errors.append(f"{path}: expected a number or [re, im] pair")
-    return complex(0.0)
+def _join(path: str, name: str | None) -> str:
+    return ".".join(part for part in (path, name) if part)
 
 
-def _number(obj, key, path, errors, required=True, default=None):
-    if key not in obj:
-        if required:
-            errors.append(f"{path}.{key}: missing")
-        return default
-    v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        errors.append(f"{path}.{key}: expected a number")
-        return default
-    return float(v)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_keys(obj, allowed, path, errors):
-    for k in obj:
-        if k not in allowed:
-            errors.append(f"{path}.{k}: unknown key")
+def _from_json(hint, value, path: str, errors: list):
+    """``value`` converted to the annotated type ``hint``."""
+    if type(None) in get_args(hint):
+        if value is None:
+            return None
+        (hint,) = (a for a in get_args(hint) if a is not type(None))
+    kind = get_origin(hint) or hint
+    if kind in (bool, str) and isinstance(value, kind):
+        return value
+    if kind is int and isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if kind in (float, complex) and _is_number(value):
+        return kind(value)
+    if kind in (complex, tuple) and isinstance(value, list) and all(map(_is_number, value)):
+        if kind is tuple:
+            return tuple(float(v) for v in value)
+        if len(value) == 2:
+            return complex(*value)
+    errors.append(f"{path}: expected {_EXPECTED[kind]}")
+    return None
+
+
+def _build(cls, obj: dict, path: str, errors: list):
+    """Construct ``cls`` from the JSON object ``obj``, popping the keys it uses."""
+    names = _JSON_NAMES.get(cls, {})
+    hints = get_type_hints(cls)
+    start = len(errors)
+    kwargs = {}
+    for f in fields(cls):
+        name = names.get(f.name, f.name)
+        hint = hints[f.name]
+        if name is None:
+            kwargs[f.name] = _build(hint, obj, path, errors)
+        elif name in obj:
+            value = obj.pop(name)
+            where = _join(path, name)
+            if is_dataclass(hint):
+                kwargs[f.name] = _section(hint, value, where, errors)
+            else:
+                kwargs[f.name] = _from_json(hint, value, where, errors)
+        elif f.default is MISSING:
+            errors.append(f"{_join(path, name)}: missing")
+    if len(errors) > start:
+        return None
+    try:
+        return cls(**kwargs)
+    except SpecError as exc:
+        errors.extend(f"{_join(path, names.get(n, n))}: {msg}" for n, msg in exc.violations)
+        return None
+
+
+def _section(cls, value, path: str, errors: list):
+    """Build ``cls`` from one JSON object and reject the keys it does not use."""
+    if not isinstance(value, dict):
+        errors.append(f"{path or 'top level'}: expected a JSON object")
+        return None
+    obj = dict(value)
+    for group in {n.split(".")[0] for n in _JSON_NAMES.get(cls, {}).values() if n and "." in n}:
+        if group in obj:
+            nested = obj.pop(group)
+            if isinstance(nested, dict):
+                obj.update({f"{group}.{k}": v for k, v in nested.items()})
+            else:
+                errors.append(f"{_join(path, group)}: expected a JSON object")
+    spec = _build(cls, obj, path, errors)
+    errors.extend(f"{_join(path, key)}: unknown key" for key in obj)
+    return spec
+
+
+def spec_from_dict(cls, raw, path: str = ""):
+    """Build the dataclass ``cls`` from parsed JSON, collecting every violation.
+
+    ``path`` prefixes the field paths in the error messages.
+    """
+    errors: list[str] = []
+    spec = _section(cls, raw, path, errors)
+    if errors:
+        raise ConfigError(errors)
+    return spec
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     """Validate a parsed JSON object, collecting every violation."""
-    errors: list[str] = []
-    if not isinstance(raw, dict):
-        raise ConfigError(["top level: expected a JSON object"])
-    _check_keys(raw, _TOP_KEYS, "config", errors)
-
-    prob = raw.get("problem")
-    if not isinstance(prob, dict):
-        errors.append("config.problem: missing or not an object")
-        raise ConfigError(errors)
-    _check_keys(prob, _PROBLEM_KEYS, "problem", errors)
-
-    tau = prob.get("tau")
-    if tau not in (0, 1):
-        errors.append("problem.tau: must be 0 or 1")
-        tau = 0
-    p = _number(prob, "p", "problem", errors, default=2.0)
-    if p is not None and p <= 1.0:
-        errors.append("problem.p: must exceed 1")
-    lam = _complex_from(prob.get("lambda", 1.0), "problem.lambda", errors)
-    a_phase = _number(prob, "a_phase", "problem", errors, required=False)
-    a0 = _number(prob, "a0", "problem", errors, required=False)
-    alpha = _number(prob, "alpha", "problem", errors, required=False, default=0.0) or 0.0
-    v0 = _number(prob, "v0", "problem", errors, required=False)
-    if not 0.0 <= alpha <= 1.0:
-        errors.append("problem.alpha: alpha must lie in [0,1]")
-    if tau == 0:
-        if a_phase is None:
-            errors.append("problem.a_phase: required for tau=0")
-        elif not -math.pi / 2 <= a_phase <= math.pi / 2:
-            errors.append("problem.a_phase: must lie in [-pi/2, pi/2]")
-        if a0 is not None or v0 is not None:
-            errors.append("problem: tau=0 takes only the phase coefficient form")
-    else:
-        if a_phase is not None:
-            errors.append("problem.a_phase: not allowed for tau=1")
-        if (a0 is None) == (v0 is None):
-            errors.append("problem: tau=1 needs exactly one of a0 or v0")
-
-    grid_raw = prob.get("grid")
-    grid = None
-    if not isinstance(grid_raw, dict):
-        errors.append("problem.grid: missing or not an object")
-    else:
-        _check_keys(grid_raw, _GRID_KEYS, "problem.grid", errors)
-        geometry = grid_raw.get("geometry")
-        extent = _number(grid_raw, "extent", "problem.grid", errors, default=1.0)
-        num_points = grid_raw.get("num_points")
-        if not isinstance(num_points, int) or num_points < 8:
-            errors.append("problem.grid.num_points: integer >= 8 required")
-            num_points = 8
-        dim = grid_raw.get("dim", 1)
-        if not isinstance(dim, int) or dim < 1:
-            errors.append("problem.grid.dim: positive integer required")
-            dim = 1
-        omega = _number(grid_raw, "omega", "problem.grid", errors, required=False)
-        num_angles = grid_raw.get("num_angles", 0)
-        include_origin = grid_raw.get("include_origin", True)
-        if not isinstance(include_origin, bool):
-            errors.append("problem.grid.include_origin: boolean required")
-            include_origin = True
-        try:
-            grid = GridSpec(
-                geometry=geometry,
-                extent=extent,
-                num_points=num_points,
-                dim=dim,
-                omega=omega,
-                num_angles=num_angles,
-                include_origin=include_origin,
-            )
-        except (ValueError, TypeError) as exc:
-            errors.append(f"problem.grid: {exc}")
-
-    init_raw = prob.get("initial")
-    init = None
-    if not isinstance(init_raw, dict):
-        errors.append("problem.initial: missing or not an object")
-    else:
-        _check_keys(init_raw, _INITIAL_KEYS, "problem.initial", errors)
-        center = _number(init_raw, "center", "problem.initial", errors, default=0.0)
-        width = _number(init_raw, "width", "problem.initial", errors, default=1.0)
-        epsilon = _number(init_raw, "epsilon", "problem.initial", errors, default=1.0)
-        amplitude = _complex_from(
-            init_raw.get("amplitude", 1.0), "problem.initial.amplitude", errors
-        )
-        g_amplitude = _complex_from(
-            init_raw.get("g_amplitude", 0.0), "problem.initial.g_amplitude", errors
-        )
-        try:
-            init = InitialDataSpec(
-                center=center,
-                width=width,
-                epsilon=epsilon,
-                amplitude=amplitude,
-                g_amplitude=g_amplitude,
-            )
-        except ValueError as exc:
-            errors.append(f"problem.initial: {exc}")
-
-    coeff = None
-    if not errors:
-        try:
-            coeff = CoefficientSpec(
-                tau=tau, p=p, lam=lam, a_phase=a_phase, a0=a0, alpha=alpha, v0=v0
-            )
-        except ValueError as exc:
-            errors.append(f"problem: {exc}")
-
-    controls_raw = raw.get("controls", {})
-    controls = None
-    if not isinstance(controls_raw, dict):
-        errors.append("config.controls: expected an object")
-    else:
-        _check_keys(controls_raw, _CONTROL_KEYS, "controls", errors)
-        kwargs = {}
-        for key in ("threshold", "t_max", "dt_init", "dt_min", "snapshot_dt", "growth_limit"):
-            if key in controls_raw:
-                val = _number(controls_raw, key, "controls", errors, required=False)
-                if val is not None:
-                    kwargs[key] = val
-        if "thresholds" in controls_raw:
-            ths = controls_raw["thresholds"]
-            if not isinstance(ths, list) or not all(
-                isinstance(v, (int, float)) for v in ths
-            ):
-                errors.append("controls.thresholds: expected a list of numbers")
-            else:
-                kwargs["thresholds"] = tuple(float(v) for v in ths)
-        if "max_steps" in controls_raw:
-            ms = controls_raw["max_steps"]
-            if not isinstance(ms, int) or ms <= 0:
-                errors.append("controls.max_steps: positive integer required")
-            else:
-                kwargs["max_steps"] = ms
-        try:
-            controls = RunControls(**kwargs)
-        except ValueError as exc:
-            errors.append(f"controls: {exc}")
-
-    sweep_raw = raw.get("sweep")
-    sweep_eps = None
-    slope_tol = 0.15
-    if sweep_raw is not None:
-        if not isinstance(sweep_raw, dict):
-            errors.append("config.sweep: expected an object")
-        else:
-            _check_keys(sweep_raw, _SWEEP_KEYS, "sweep", errors)
-            eps = sweep_raw.get("epsilons")
-            if not isinstance(eps, list) or len(eps) < 2:
-                errors.append("sweep.epsilons: expected a list of at least 2 numbers")
-            elif not all(isinstance(v, (int, float)) and v > 0 for v in eps):
-                errors.append("sweep.epsilons: all entries must be positive numbers")
-            else:
-                sweep_eps = tuple(float(v) for v in eps)
-            if "slope_tolerance" in sweep_raw:
-                st = _number(sweep_raw, "slope_tolerance", "sweep", errors, required=False)
-                if st is not None:
-                    if st <= 0:
-                        errors.append("sweep.slope_tolerance: must be positive")
-                    else:
-                        slope_tol = st
-
-    trace_radii = None
-    if "trace_radii" in raw:
-        tr = raw["trace_radii"]
-        if not isinstance(tr, list) or not all(
-            isinstance(v, (int, float)) and v > 0 for v in tr
-        ):
-            errors.append("config.trace_radii: expected a list of positive numbers")
-        else:
-            trace_radii = tuple(float(v) for v in tr)
-
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        errors.append("config.seed: integer required")
-        seed = 0
-    out_dir = raw.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        errors.append("config.out_dir: string required")
-        out_dir = None
-
-    problem = None
-    if not errors and coeff is not None and grid is not None and init is not None:
-        try:
-            problem = EvolutionProblem(coeff=coeff, grid=grid, init=init)
-        except ValueError as exc:
-            errors.append(f"problem: {exc}")
-    if errors:
-        raise ConfigError(errors)
-    return RunConfig(
-        problem=problem,
-        controls=controls,
-        sweep_epsilons=sweep_eps,
-        slope_tolerance=slope_tol,
-        trace_radii=trace_radii,
-        seed=seed,
-        out_dir=out_dir,
-    )
+    return spec_from_dict(RunConfig, raw)
 
 
 def parse_config(path: str) -> RunConfig:
@@ -307,66 +186,27 @@ def parse_config(path: str) -> RunConfig:
     return config_from_dict(raw)
 
 
-def _complex_out(z: complex):
-    z = complex(z)
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    coeff, grid, init = cfg.problem.coeff, cfg.problem.grid, cfg.problem.init
-    prob: dict = {"tau": coeff.tau, "p": coeff.p, "lambda": _complex_out(coeff.lam)}
-    if coeff.a_phase is not None:
-        prob["a_phase"] = coeff.a_phase
-    if coeff.a0 is not None:
-        prob["a0"] = coeff.a0
-        prob["alpha"] = coeff.alpha
-    if coeff.v0 is not None:
-        prob["v0"] = coeff.v0
-    grid_d: dict = {
-        "geometry": grid.geometry,
-        "extent": grid.extent,
-        "num_points": grid.num_points,
-        "dim": grid.dim,
-    }
-    if grid.omega is not None:
-        grid_d["omega"] = grid.omega
-    if grid.num_angles:
-        grid_d["num_angles"] = grid.num_angles
-    if not grid.include_origin:
-        grid_d["include_origin"] = False
-    prob["grid"] = grid_d
-    prob["initial"] = {
-        "center": init.center,
-        "width": init.width,
-        "epsilon": init.epsilon,
-        "amplitude": _complex_out(init.amplitude),
-        "g_amplitude": _complex_out(init.g_amplitude),
-    }
-    ctl = cfg.controls
-    controls = {
-        "threshold": ctl.threshold,
-        "thresholds": list(ctl.thresholds),
-        "t_max": ctl.t_max,
-        "snapshot_dt": ctl.snapshot_dt,
-        "growth_limit": ctl.growth_limit,
-        "max_steps": ctl.max_steps,
-    }
-    if ctl.dt_init is not None:
-        controls["dt_init"] = ctl.dt_init
-    if ctl.dt_min is not None:
-        controls["dt_min"] = ctl.dt_min
-    out: dict = {"problem": prob, "controls": controls, "seed": cfg.seed}
-    if cfg.sweep_epsilons is not None:
-        out["sweep"] = {
-            "epsilons": list(cfg.sweep_epsilons),
-            "slope_tolerance": cfg.slope_tolerance,
-        }
-    if cfg.trace_radii is not None:
-        out["trace_radii"] = list(cfg.trace_radii)
-    if cfg.out_dir is not None:
-        out["out_dir"] = cfg.out_dir
+def config_to_dict(spec) -> dict:
+    """The JSON object of a config or one of its sections: the required fields
+    and the fields that differ from their default."""
+    names = _JSON_NAMES.get(type(spec), {})
+    out: dict = {}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        name = names.get(f.name, f.name)
+        if name is None:
+            out.update(config_to_dict(value))
+            continue
+        if f.default is not MISSING and value == f.default:
+            continue
+        if is_dataclass(value):
+            value = config_to_dict(value)
+        elif isinstance(value, complex):
+            value = value.real if value.imag == 0.0 else [value.real, value.imag]
+        elif isinstance(value, tuple):
+            value = list(value)
+        group, _, key = name.rpartition(".")
+        (out.setdefault(group, {}) if group else out)[key] = value
     return out
 
 
@@ -416,10 +256,7 @@ def _record_row(rec: BlowupRecord) -> list:
         rec.alpha,
         rec.zeta,
         rec.status,
-        lookup.get(1e3, math.nan),
-        lookup.get(1e4, math.nan),
-        lookup.get(1e5, math.nan),
-        lookup.get(1e6, math.nan),
+        *(lookup.get(m, math.nan) for m in RECORD_THRESHOLDS),
         rec.t_extrapolated,
         rec.dt_final,
         rec.h,

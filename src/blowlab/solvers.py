@@ -34,6 +34,15 @@ from blowlab.cutoffs import CutoffFamily, psi_of_s, psi_star_of_s
 from blowlab.lifespan_bounds import FunctionalTrace
 
 GEOMETRIES = ("line", "half-line", "radial", "polar-sector")
+RECORD_THRESHOLDS = (1e3, 1e4, 1e5, 1e6)  # the T_at_* columns of a blowup record
+
+
+class SpecError(ValueError):
+    """Every rule a spec breaks, as ``(field, message)`` pairs."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("; ".join(f"{name}: {msg}" for name, msg in self.violations))
 
 
 @dataclass(frozen=True)
@@ -54,29 +63,31 @@ class CoefficientSpec:
     v0: float | None = None
 
     def __post_init__(self):
+        bad = []
         if self.tau not in (0, 1):
-            raise ValueError("tau must be 0 or 1")
-        if self.p <= 1.0:
-            raise ValueError("exponent p must exceed 1")
+            bad.append(("tau", "must be 0 or 1"))
+        if not self.p > 1.0:
+            bad.append(("p", "must exceed 1"))
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0,1]")
+            bad.append(("alpha", "alpha must lie in [0,1]"))
         if self.tau == 0:
             if self.a_phase is None:
-                raise ValueError("tau=0 needs the phase form a = exp(i*zeta)")
-            if not -math.pi / 2 <= self.a_phase <= math.pi / 2:
-                raise ValueError("phase must lie in [-pi/2, pi/2]")
+                bad.append(("a_phase", "required for tau=0 (a = exp(i*zeta))"))
+            elif not -math.pi / 2 <= self.a_phase <= math.pi / 2:
+                bad.append(("a_phase", "must lie in [-pi/2, pi/2]"))
             if self.a0 is not None or self.v0 is not None:
-                raise ValueError("tau=0 admits only the phase form of the damping")
-        else:
-            forms = (self.a0 is not None) + (self.v0 is not None)
-            if forms != 1:
-                raise ValueError("tau=1 needs exactly one of the profile or singular forms")
+                bad.append(("a0", "tau=0 takes only the phase form of the damping"))
+        elif self.tau == 1:
+            if (self.a0 is None) == (self.v0 is None):
+                bad.append(("a0", "tau=1 needs exactly one of a0 or v0"))
             if self.a_phase is not None:
-                raise ValueError("tau=1 does not take a phase coefficient")
+                bad.append(("a_phase", "not allowed for tau=1"))
             if self.a0 is not None and self.a0 < 0:
-                raise ValueError("a0 must be nonnegative")
+                bad.append(("a0", "must be nonnegative"))
             if self.v0 is not None and self.v0 < 0:
-                raise ValueError("v0 must be nonnegative")
+                bad.append(("v0", "must be nonnegative"))
+        if bad:
+            raise SpecError(bad)
 
     @property
     def zeta(self) -> float:
@@ -113,21 +124,24 @@ class GridSpec:
     include_origin: bool = True
 
     def __post_init__(self):
+        bad = []
         if self.geometry not in GEOMETRIES:
-            raise ValueError(f"unknown geometry {self.geometry!r}")
-        if self.extent <= 0:
-            raise ValueError("extent must be positive")
+            bad.append(("geometry", f"unknown geometry {self.geometry!r}"))
+        if not self.extent > 0:
+            bad.append(("extent", "must be positive"))
         if self.num_points < 8:
-            raise ValueError("need at least 8 nodes")
-        if self.geometry in ("line", "half-line") and self.dim != 1:
-            raise ValueError(f"{self.geometry} is one-dimensional")
-        if self.geometry == "radial" and self.dim < 1:
-            raise ValueError("radial geometry needs dim >= 1")
+            bad.append(("num_points", "need at least 8 nodes"))
+        if self.dim < 1:
+            bad.append(("dim", "must be a positive integer"))
+        elif self.geometry in ("line", "half-line") and self.dim != 1:
+            bad.append(("dim", f"{self.geometry} is one-dimensional"))
         if self.geometry == "polar-sector":
             if self.omega is None or not 0.0 < self.omega <= 2.0 * math.pi:
-                raise ValueError("polar sector needs an opening angle in (0, 2*pi]")
+                bad.append(("omega", "polar sector needs an opening angle in (0, 2*pi]"))
             if self.num_angles < 6:
-                raise ValueError("polar sector needs at least 6 angular nodes")
+                bad.append(("num_angles", "polar sector needs at least 6 angular nodes"))
+        if bad:
+            raise SpecError(bad)
 
 
 class _GridData:
@@ -390,10 +404,13 @@ class InitialDataSpec:
     g_amplitude: complex = 0.0 + 0.0j
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("width must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        bad = []
+        if not self.width > 0:
+            bad.append(("width", "must be positive"))
+        if not self.epsilon > 0:
+            bad.append(("epsilon", "must be positive"))
+        if bad:
+            raise SpecError(bad)
 
     def support_radius(self) -> float:
         return abs(self.center) + self.width
@@ -436,16 +453,19 @@ class EvolutionProblem:
     init: InitialDataSpec
 
     def __post_init__(self):
+        bad = []
         g = self.grid.geometry
         half_extent = self.grid.extent / 2 if g == "line" else self.grid.extent
         if self.init.support_radius() >= half_extent:
-            raise ValueError("initial data support must lie strictly inside the domain")
+            bad.append(("init", "initial data support must lie strictly inside the domain"))
         origin_wall = g == "half-line" or (g == "radial" and not self.grid.include_origin)
         if g == "polar-sector" or origin_wall:
             if self.init.center - self.init.width <= 0.0:
-                raise ValueError("initial data support must stay off the origin wall")
+                bad.append(("init", "initial data support must stay off the origin wall"))
         if self.coeff.v0 is not None and (g != "radial" or self.grid.include_origin):
-            raise ValueError("singular damping needs a radial grid with the origin excluded")
+            bad.append(("grid", "singular damping needs a radial grid with the origin excluded"))
+        if bad:
+            raise SpecError(bad)
 
 
 @dataclass
@@ -562,10 +582,15 @@ def wave_energy(state: FieldState) -> float:
 
 @dataclass(frozen=True)
 class RunControls:
-    """Blowup-run policy: thresholds, horizons and the step-halving rule."""
+    """Blowup-run policy: thresholds, horizons and the step-halving rule.
+
+    Every threshold must be one of ``RECORD_THRESHOLDS``, the crossings that
+    the blowup record has a column for.  ``max_steps`` bounds the accepted
+    steps; rejected (halved) attempts do not count against it.
+    """
 
     threshold: float = 1e6
-    thresholds: tuple = (1e3, 1e4, 1e5, 1e6)
+    thresholds: tuple[float, ...] = RECORD_THRESHOLDS
     t_max: float = 1e3
     dt_init: float | None = None
     dt_min: float | None = None  # default: 1e-3 * threshold^(1-p), the step the
@@ -575,10 +600,20 @@ class RunControls:
     max_steps: int = 50_000_000
 
     def __post_init__(self):
-        if self.threshold < 1e3:
-            raise ValueError("blowup threshold must be at least 1e3")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
+        bad = []
+        if self.threshold not in RECORD_THRESHOLDS:
+            bad.append(("threshold", "must be one of 1e3, 1e4, 1e5, 1e6"))
+        if not set(self.thresholds) <= set(RECORD_THRESHOLDS):
+            bad.append(("thresholds", "entries must be among 1e3, 1e4, 1e5, 1e6"))
+        if not self.t_max > 0:
+            bad.append(("t_max", "must be positive"))
+        for name in ("dt_init", "dt_min"):
+            if getattr(self, name) is not None and not getattr(self, name) > 0:
+                bad.append((name, "must be positive"))
+        if not self.max_steps > 0:
+            bad.append(("max_steps", "must be positive"))
+        if bad:
+            raise SpecError(bad)
 
     def dt_floor(self, p: float) -> float:
         if self.dt_min is not None:
@@ -660,14 +695,12 @@ def run_until_blowup(problem: EvolutionProblem, controls: RunControls) -> RunRes
     dt_floor = controls.dt_floor(coeff.p)
     m_prev = max_abs(state.u)
     steps = 0
-    attempts = 0
     status = None
     while True:
         if state.t >= controls.t_max:
             status = "survived"
             break
-        attempts += 1
-        if attempts > controls.max_steps:
+        if steps >= controls.max_steps:
             raise RuntimeError("step budget exhausted before a verdict was reached")
         trial = stepper(state, coeff, min(state.dt, controls.t_max - state.t + 1e-15))
         m_new = max_abs(trial.u)

@@ -83,6 +83,66 @@ def test_config_rejects_unknown_keys_and_collects_all_errors():
     assert len(msgs) >= 3
 
 
+def _polar_config():
+    raw = _heat_config()
+    raw["problem"]["grid"] = {
+        "geometry": "polar-sector",
+        "extent": 10.0,
+        "num_points": 64,
+        "omega": 1.0,
+        "num_angles": 64,
+    }
+    raw["problem"]["initial"]["center"] = 4.0
+    return raw
+
+
+@pytest.mark.parametrize(
+    "make, where, value",
+    [
+        (_heat_config, "problem.tau", 0.0),
+        (_heat_config, "problem.grid.dim", True),
+        (_heat_config, "controls.max_steps", True),
+        (_heat_config, "controls.thresholds", [True]),
+        (_heat_config, "sweep.epsilons", [True, 2]),
+        (_heat_config, "problem.lambda", True),
+        (_heat_config, "seed", True),
+        (_polar_config, "problem.grid.num_angles", 10.5),
+        (_polar_config, "problem.grid.num_angles", "64"),
+    ],
+)
+def test_config_rejects_mistyped_values(make, where, value):
+    raw = make()
+    config_from_dict(raw)  # valid before the edit
+    *sections, key = where.split(".")
+    target = raw
+    for name in sections:
+        target = target.setdefault(name, {})
+    target[key] = value
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert any(e.startswith(where + ":") for e in err.value.errors)
+
+
+def test_config_reports_every_rule_a_section_breaks():
+    raw = _heat_config()
+    del raw["problem"]["a_phase"]
+    raw["problem"].update(tau=1, a0=1.0, p=1.0, alpha=1.5)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert "problem.p: must exceed 1" in err.value.errors
+    assert "problem.alpha: alpha must lie in [0,1]" in err.value.errors
+
+
+def test_thresholds_must_have_a_record_column():
+    raw = _heat_config()
+    raw["controls"]["thresholds"] = [5e3, 1e7]
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert any(e.startswith("controls.thresholds:") for e in err.value.errors)
+    with pytest.raises(ValueError):
+        RunControls(threshold=5e5)
+
+
 def test_config_missing_file():
     with pytest.raises(ConfigError):
         parse_config("/nonexistent/path.json")
@@ -148,6 +208,17 @@ def test_cli_eigen_and_bound_exit_codes(capsys):
     # invalid inputs exit 1
     assert main(["eigen", "--kind", "planar-sector", "--N", "3", "--omega", "1.0"]) == 1
     assert main(["bound", "--delta", "-1", "--c0", "1", "--r1", "1", "--theta", "0", "--p", "2"]) == 1
+
+
+def test_cli_eigen_spec_json_names_bad_fields(capsys):
+    sector = '{"kind": "planar-sector", "N": 2, "omega": 0.7853981633974483}'
+    assert main(["eigen", "--spec-json", sector]) == 0
+    assert "lambda_sigma: 16.0" in capsys.readouterr().out
+    assert main(["eigen", "--spec-json", '{"N": 2}']) == 1
+    assert "spec.kind: missing" in capsys.readouterr().err
+    misspelled = '{"kind": "planar-sector", "N": 2, "omgea": 0.7853981633974483}'
+    assert main(["eigen", "--spec-json", misspelled]) == 1
+    assert "spec.omgea: unknown key" in capsys.readouterr().err
 
 
 def test_cli_simulate_and_sweep(tmp_path, capsys):

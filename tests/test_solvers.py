@@ -161,6 +161,22 @@ def test_parabolic_heat_ode_regime_blowup_time():
     assert rec.t_extrapolated == pytest.approx(0.5, rel=0.10)
 
 
+def test_max_steps_counts_accepted_steps_only():
+    # the ODE-regime heat run halves dt near blowup; a budget of exactly its
+    # accepted steps must still reach the verdict
+    grid = GridSpec("line", extent=60.0, num_points=1201)
+    problem = EvolutionProblem(HEAT, grid, InitialDataSpec(center=0.0, width=8.0, epsilon=2.0))
+    free = run_until_blowup(problem, RunControls(threshold=1e6, t_max=5.0, dt_init=1e-3))
+    assert free.record.status == "blowup"
+    assert free.record.dt_final < 1e-3  # some attempts were rejected
+    budget = free.record.steps
+    capped = RunControls(threshold=1e6, t_max=5.0, dt_init=1e-3, max_steps=budget)
+    assert run_until_blowup(problem, capped).record == free.record
+    short = RunControls(threshold=1e6, t_max=5.0, dt_init=1e-3, max_steps=budget - 1)
+    with pytest.raises(RuntimeError):
+        run_until_blowup(problem, short)
+
+
 def test_wave_staggered_energy_invariant():
     grid = GridSpec("line", extent=20.0, num_points=401)
     init = InitialDataSpec(center=0.0, width=2.0, epsilon=1.0, g_amplitude=0.5)
