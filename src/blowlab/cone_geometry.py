@@ -29,6 +29,15 @@ VALID_KINDS = (
     "spherical-cap",
     "half-space-product",
 )
+FIXED_DIM = {"half-line": 1, "full-line": 1, "planar-sector": 2, "spherical-cap": 3}
+
+
+class SpecError(ValueError):
+    """Every rule a spec breaks, as ``(field, message)`` pairs."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("; ".join(f"{name}: {msg}" for name, msg in self.violations))
 
 
 @dataclass(frozen=True)
@@ -47,28 +56,28 @@ class CrossSectionSpec:
     theta0: float | None = None
     k: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        bad = []
         if self.kind not in VALID_KINDS:
-            raise ValueError(f"unknown cross-section kind {self.kind!r}")
+            bad.append(("kind", f"unknown cross-section kind {self.kind!r}"))
         if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.kind in ("half-line", "full-line") and self.dim != 1:
-            raise ValueError(f"{self.kind} requires N=1")
-        if self.kind == "full-sphere" and self.dim < 2:
-            raise ValueError("full-sphere requires N>=2 (use full-line for N=1)")
-        if self.kind == "planar-sector":
-            if self.dim != 2:
-                raise ValueError("planar-sector requires N=2")
-            if self.omega is None or not 0.0 < self.omega <= 2.0 * math.pi:
-                raise ValueError("planar-sector needs opening angle in (0, 2*pi]")
-        if self.kind == "spherical-cap":
-            if self.dim != 3:
-                raise ValueError("spherical-cap requires N=3")
-            if self.theta0 is None or not 0.0 < self.theta0 <= math.pi:
-                raise ValueError("spherical-cap needs polar angle in (0, pi]")
-        if self.kind == "half-space-product":
-            if self.k is None or not 0 <= self.k <= self.dim:
-                raise ValueError("half-space-product needs integer k with 0 <= k <= N")
+            bad.append(("dim", "dimension must be >= 1"))
+        elif self.kind in FIXED_DIM and self.dim != FIXED_DIM[self.kind]:
+            bad.append(("dim", f"{self.kind} requires N={FIXED_DIM[self.kind]}"))
+        elif self.kind == "full-sphere" and self.dim < 2:
+            bad.append(("dim", "full-sphere requires N>=2 (use full-line for N=1)"))
+        if self.kind == "planar-sector" and (
+            self.omega is None or not 0.0 < self.omega <= 2.0 * math.pi
+        ):
+            bad.append(("omega", "planar-sector needs opening angle in (0, 2*pi]"))
+        if self.kind == "spherical-cap" and (
+            self.theta0 is None or not 0.0 < self.theta0 <= math.pi
+        ):
+            bad.append(("theta0", "spherical-cap needs polar angle in (0, pi]"))
+        if self.kind == "half-space-product" and (self.k is None or not 0 <= self.k <= self.dim):
+            bad.append(("k", "half-space-product needs integer k with 0 <= k <= N"))
+        if bad:
+            raise SpecError(bad)
 
 
 # Angular eigenfunction profiles.  Plain classes (not closures) so that
@@ -302,7 +311,6 @@ def make_domain(spec: CrossSectionSpec) -> ConeDomain:
     Closed forms are used where they exist (sphere, sector, half-space
     product); the spherical cap falls back to the shooting solver.
     """
-    spec.validate()
     kind, dim = spec.kind, spec.dim
     if kind == "full-line":
         return ConeDomain(spec, 0.0, 0.0, LineProfile(half=False))

@@ -18,8 +18,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from blowlab.cone_geometry import CrossSectionSpec
-from blowlab.experiments import SweepResult
+from blowlab.cone_geometry import CrossSectionSpec, SpecError
+from blowlab.experiments import SweepResult, epsilon_violations
 from blowlab.lifespan_bounds import FunctionalTrace
 from blowlab.solvers import (
     RECORD_THRESHOLDS,
@@ -27,7 +27,6 @@ from blowlab.solvers import (
     CoefficientSpec,
     EvolutionProblem,
     RunControls,
-    SpecError,
 )
 
 
@@ -51,9 +50,8 @@ class RunConfig:
 
     def __post_init__(self):
         bad = []
-        eps = self.sweep_epsilons
-        if eps is not None and (len(eps) < 2 or not all(e > 0 for e in eps)):
-            bad.append(("sweep_epsilons", "expected at least 2 positive numbers"))
+        if self.sweep_epsilons is not None:
+            bad.extend(("sweep_epsilons", msg) for msg in epsilon_violations(self.sweep_epsilons))
         if not self.slope_tolerance > 0:
             bad.append(("slope_tolerance", "must be positive"))
         if self.trace_radii is not None and not all(r > 0 for r in self.trace_radii):

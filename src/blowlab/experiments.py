@@ -74,6 +74,19 @@ def fit_exponential_law(epsilons, lifespans, p: float) -> FitResult:
     return _least_squares(eps ** (-(p - 1.0)), np.log(t))
 
 
+def epsilon_violations(epsilons) -> list[str]:
+    """Every rule a sweep's epsilon list breaks: at least two, all positive, distinct."""
+    eps = [float(e) for e in epsilons]
+    bad = []
+    if len(eps) < 2:
+        bad.append("a sweep needs at least two epsilon values")
+    if not all(e > 0 for e in eps):
+        bad.append("epsilon values must be positive")
+    if len(set(eps)) != len(eps):
+        bad.append("epsilon values must be distinct")
+    return bad
+
+
 def _run_one(args) -> BlowupRecord:
     problem, controls = args
     return run_until_blowup(problem, controls).record
@@ -93,11 +106,10 @@ def sweep(
     Fits require at least 5 blowup rows; otherwise they are skipped with an
     explicit status.
     """
+    bad = epsilon_violations(epsilons)
+    if bad:
+        raise ValueError("; ".join(bad))
     eps_sorted = sorted(float(e) for e in epsilons)
-    if len(eps_sorted) < 2:
-        raise ValueError("a sweep needs at least two epsilon values")
-    if len(set(eps_sorted)) != len(eps_sorted):
-        raise ValueError("epsilon values must be distinct")
     span = eps_sorted[-1] / eps_sorted[0]
     span_ok = len(eps_sorted) >= 5 and span >= 3.0
 

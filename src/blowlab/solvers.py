@@ -25,24 +25,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import get_lapack_funcs
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import splu
 
-from blowlab.cone_geometry import ConeDomain, CrossSectionSpec, make_domain
+from blowlab.cone_geometry import ConeDomain, CrossSectionSpec, SpecError, make_domain
 from blowlab.cutoffs import CutoffFamily, psi_of_s, psi_star_of_s
 from blowlab.lifespan_bounds import FunctionalTrace
 
 GEOMETRIES = ("line", "half-line", "radial", "polar-sector")
 RECORD_THRESHOLDS = (1e3, 1e4, 1e5, 1e6)  # the T_at_* columns of a blowup record
-
-
-class SpecError(ValueError):
-    """Every rule a spec breaks, as ``(field, message)`` pairs."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(f"{name}: {msg}" for name, msg in self.violations))
 
 
 @dataclass(frozen=True)
@@ -193,11 +185,11 @@ class _GridData:
             self.radius = rr
             self.vol = rr * self.h * self.h_theta
             self.shape = (nr, na)
-            self.evolved = None
+            self.evolved = np.s_[:-1, 1:-1]  # row-major, the unknown order of the sparse solve
             self.adjacent = None
         self._banded = None
         self._sparse = None
-        self._lu_cache: dict = {}
+        self._factor = None  # (key, factors) of the current implicit matrix only
 
     # -- Laplacian -----------------------------------------------------
 
@@ -307,42 +299,132 @@ class _GridData:
                     cols.append(idx[i, jj])
                     vals.append(1.0 / (ht2 * r * r))
         m = len(evolved)
-        self._sparse = (csr_matrix((vals, (rows, cols)), shape=(m, m)), evolved)
+        self._sparse = csr_matrix((vals, (rows, cols)), shape=(m, m))
         return self._sparse
 
     def solve_implicit(self, factor: complex, dt: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - (dt/2) * factor * Lap) x = rhs on evolved nodes.
 
         ``rhs`` and the result live on the full grid; boundary entries are
-        pinned to zero.
+        pinned to zero.  Only the factorization of the latest ``(dt, factor)``
+        is kept: a run only ever halves its step.
         """
-        spec = self.spec
-        coef = 0.5 * dt * factor
-        if spec.geometry != "polar-sector":
-            lower, diag, upper = self._banded_diagonals()
-            m = diag.size
-            dtype = complex if (np.iscomplexobj(rhs) or isinstance(factor, complex)) else float
-            ab = np.zeros((3, m), dtype=dtype)
-            ab[0, 1:] = -coef * upper[:-1]
-            ab[1, :] = 1.0 - coef * diag
-            ab[2, :-1] = -coef * lower[1:]
-            out = np.zeros_like(rhs)
-            out[self.evolved] = solve_banded((1, 1), ab, rhs[self.evolved])
-            return out
-        lap, evolved = self._sparse_laplacian()
-        key = (dt, complex(factor))
-        lu = self._lu_cache.get(key)
-        if lu is None:
-            mat = identity(lap.shape[0], dtype=complex, format="csr") - coef * lap
-            lu = splu(mat.tocsc())
-            if len(self._lu_cache) > 8:
-                self._lu_cache.clear()
-            self._lu_cache[key] = lu
-        flat_idx = np.array([i * spec.num_angles + j for (i, j) in evolved])
-        sol = lu.solve(rhs.reshape(-1)[flat_idx].astype(complex))
-        out = np.zeros(rhs.size, dtype=complex)
-        out[flat_idx] = sol
-        return out.reshape(rhs.shape)
+        polar = self.spec.geometry == "polar-sector"
+        is_complex = polar or np.iscomplexobj(rhs) or isinstance(factor, complex)
+        dtype = complex if is_complex else float
+        key = (dt, factor, dtype)
+        if self._factor is None or self._factor[0] != key:
+            self._factor = None  # release the old factors before building the new ones
+            coef = 0.5 * dt * factor
+            if polar:
+                lap = self._sparse_laplacian()
+                mat = identity(lap.shape[0], dtype=complex, format="csr") - coef * lap
+                self._factor = (key, splu(mat.tocsc()))
+            else:
+                self._factor = (key, _TridiagonalLU(*self._banded_diagonals(), coef, dtype))
+        out = np.zeros(rhs.shape, dtype=dtype)
+        if polar:
+            b = rhs[self.evolved].astype(dtype)
+            out[self.evolved] = self._factor[1].solve(b.reshape(-1)).reshape(b.shape)
+        else:
+            self._factor[1].solve(rhs[self.evolved], out[self.evolved])
+        return out
+
+
+_NEGLIGIBLE = 1e-300  # solution components below this are zero: they would decay into subnormals
+_WINDOW_MARGIN = 16  # extra nodes on each side of the provable window
+
+
+class _TridiagonalLU:
+    """LAPACK ``?gttrf`` factors of ``I - coef * Lap`` on a 1-d grid.
+
+    ``solve`` runs ``?gttrs`` only on the index window outside which the
+    exact solution is provably below ``_NEGLIGIBLE``; sweeping the far field
+    instead decays into subnormal numbers, which the CPU handles slowly.
+    Without pivoting the factors are L (unit lower, multipliers l_i) and U
+    (diagonal d_i, superdiagonal u_i).  For the unit vector e_j the forward
+    sweep is zero before j and decays by rho_l = max|l_i| per node after it;
+    the backward sweep decays by rho_u = max|u_i/d_i| per node.  So
+    |x_i| <= gain * rho^|i-j| with rho the larger rate and
+    gain = max(1/|d_i|) / (1 - rho_l * rho_u), and by linearity
+    |x_i| <= gain * m * max_j |b_j| * rho^|i-j| for m unknowns.  Inside the
+    window the arithmetic is that of the full solve (``solve_banded`` with
+    (1, 1) bands gives the same bits).  When ``gttrf`` pivoted or rho >= 1
+    the bound does not hold and the full range is solved.
+    """
+
+    def __init__(self, lower, diag, upper, coef, dtype):
+        gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.dtype(dtype))
+        dl, d, du, du2, ipiv, info = gttrf(
+            (-coef * lower[1:]).astype(dtype),
+            (1.0 - coef * diag).astype(dtype),
+            (-coef * upper[:-1]).astype(dtype),
+        )
+        if info > 0:
+            raise np.linalg.LinAlgError("singular implicit matrix")
+        self.factors = (dl, d, du, du2, ipiv)
+        m = d.size
+        self.pivoted = bool(np.any(ipiv != np.arange(1, m + 1)))
+        rho_l = float(np.max(np.abs(dl)))
+        rho_u = float(np.max(np.abs(du / d[:-1])))
+        rho = max(rho_l, rho_u, _NEGLIGIBLE)
+        self.decay = None  # no decay bound: solve the full range
+        if not self.pivoted and rho < 1.0:
+            self.decay = -math.log(rho)  # e-folds per node
+            gain = float(np.max(1.0 / np.abs(d))) / (1.0 - rho_l * rho_u)
+            self.log_scale = math.log(gain * m / _NEGLIGIBLE)
+            self.nodes = np.arange(m)
+
+    def _reach(self, mag):
+        """Nodes beyond which a right-hand side entry of magnitude ``mag``
+        contributes below ``_NEGLIGIBLE / m``; -inf for zero entries."""
+        # mag < 2**e, so e * ln 2 bounds log(mag); frexp is cheaper than log
+        _, e = np.frexp(mag)
+        return np.where(mag > 0.0, (e * math.log(2.0) + self.log_scale) / self.decay, -math.inf)
+
+    def window(self, b: np.ndarray) -> tuple[int, int]:
+        """The index range [start, stop) outside which the solution is negligible."""
+        m = b.size
+        if self.decay is None or (b[0] != 0.0 and b[-1] != 0.0):
+            return 0, m  # no bound, or the right-hand side already spans the grid
+        mag = np.abs(b)
+        peak = float(np.max(mag))
+        if peak == 0.0:
+            return 0, 0
+        if not math.isfinite(peak):
+            return 0, m
+        nonzero = mag > 0.0
+        lo = int(np.argmax(nonzero))
+        hi = m - 1 - int(np.argmax(nonzero[::-1]))
+        # no entry reaches farther than the peak, so a node more than that
+        # reach inside the outermost nonzero entries cannot pass beyond them
+        span = max(math.ceil(float(self._reach(peak))), 0)
+        head = slice(lo, min(lo + span, hi) + 1)
+        tail = slice(max(hi - span, lo), hi + 1)
+        start = min(float(np.min(self.nodes[head] - self._reach(mag[head]))), lo)
+        stop = max(float(np.max(self.nodes[tail] + self._reach(mag[tail]))), hi)
+        return (
+            max(math.floor(start) - _WINDOW_MARGIN, 0),
+            min(math.ceil(stop) + 1 + _WINDOW_MARGIN, m),
+        )
+
+    def solve(self, b: np.ndarray, out: np.ndarray) -> None:
+        """Write the solution for ``b`` into ``out``, which must hold zeros."""
+        start, stop = self.window(b)
+        if stop - start < 3:  # gttrs needs du2 of length stop - start - 2 >= 1
+            start, stop = 0, b.size
+        dl, d, du, du2, ipiv = self.factors
+        x, _ = self._gttrs(
+            dl[start : stop - 1],
+            d[start:stop],
+            du[start : stop - 1],
+            du2[start : stop - 2],
+            ipiv[start:stop] - start,
+            b[start:stop],
+        )
+        parts = x.view(np.float64)
+        parts[np.abs(parts) < _NEGLIGIBLE] = 0.0
+        out[start:stop] = x
 
 
 @lru_cache(maxsize=64)
@@ -798,8 +880,9 @@ def functional_trace(
     """Space-time cutoff masses of w = |u|^p * Phi along the run snapshots.
 
     Trapezoid in time over the stored snapshots, grid quadrature in space.
-    A half-density recomputation must agree to ``refine_tol`` relative on the
-    final masses, otherwise the snapshots undersample the run.
+    The trapezoid rule over every other snapshot must agree to
+    ``refine_tol`` relative on the final masses, otherwise the snapshots
+    undersample the run.
     """
     radii = np.asarray(radii, dtype=float)
     times = np.asarray(result.snapshot_times)
@@ -814,21 +897,22 @@ def functional_trace(
     bp = (1.0 + data.radius**2) ** ((2.0 - fam.alpha) / 2.0)
     wvol = phi * data.vol
 
+    y_rows = np.empty((len(radii), len(times)))
+    m_rows = np.empty_like(y_rows)
+    for k, (t, u) in enumerate(zip(times, result.snapshots)):
+        w = abs_power(u, p) * wvol
+        for i, radius in enumerate(radii):
+            s = (bp + t) / radius
+            y_rows[i, k] = float(np.sum(w * psi_star_of_s(fam, s)))
+            m_rows[i, k] = float(np.sum(w * psi_of_s(fam, s)))
+
     def masses(stride: int):
         idxs = list(range(0, len(times), stride))
         if idxs[-1] != len(times) - 1:
             idxs.append(len(times) - 1)
-        ts_used = times[idxs]
-        dens = [abs_power(result.snapshots[i], p) * wvol for i in idxs]
-        y_rows = np.empty((len(radii), len(idxs)))
-        m_rows = np.empty_like(y_rows)
-        for i, radius in enumerate(radii):
-            for k, (t, w) in enumerate(zip(ts_used, dens)):
-                s = (bp + t) / radius
-                y_rows[i, k] = float(np.sum(w * psi_star_of_s(fam, s)))
-                m_rows[i, k] = float(np.sum(w * psi_of_s(fam, s)))
-        y = np.trapezoid(y_rows, ts_used, axis=1)
-        m = np.trapezoid(m_rows, ts_used, axis=1)
+        # contiguous copies: trapezoid sums a fancy-indexed view in another order
+        y = np.trapezoid(np.ascontiguousarray(y_rows[:, idxs]), times[idxs], axis=1)
+        m = np.trapezoid(np.ascontiguousarray(m_rows[:, idxs]), times[idxs], axis=1)
         return y, m
 
     y_full, m_full = masses(1)

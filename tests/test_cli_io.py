@@ -219,6 +219,9 @@ def test_cli_eigen_spec_json_names_bad_fields(capsys):
     misspelled = '{"kind": "planar-sector", "N": 2, "omgea": 0.7853981633974483}'
     assert main(["eigen", "--spec-json", misspelled]) == 1
     assert "spec.omgea: unknown key" in capsys.readouterr().err
+    wrong_dim = '{"kind": "planar-sector", "N": 3, "omega": 1}'
+    assert main(["eigen", "--spec-json", wrong_dim]) == 1
+    assert "spec.N: planar-sector requires N=2" in capsys.readouterr().err
 
 
 def test_cli_simulate_and_sweep(tmp_path, capsys):
@@ -257,6 +260,15 @@ def test_cli_sweep_determinism_across_workers(tmp_path):
         assert code == 0
         outs.append((out_dir / "sweep.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_cli_sweep_rejects_repeated_epsilons(tmp_path, capsys):
+    raw = _heat_config()
+    raw["sweep"] = {"epsilons": [0.5, 0.5]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    assert "sweep.epsilons: epsilon values must be distinct" in capsys.readouterr().err
 
 
 def test_cli_missing_config_is_validation_failure(capsys):

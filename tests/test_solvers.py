@@ -1,8 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+from blowlab.config import parse_config
 from blowlab.cutoffs import CutoffFamily
 from blowlab.lifespan_bounds import integrate_shell_masses
 from blowlab.solvers import (
@@ -28,12 +31,13 @@ from blowlab.solvers import (
     weight_values,
     weighted_initial_mass,
 )
-from blowlab.solvers import _grid_data
+from blowlab.solvers import _grid_data, _GridData
 
 
 HEAT = CoefficientSpec(tau=0, p=2.0, lam=1.0, a_phase=0.0)
 FREE_HEAT = CoefficientSpec(tau=0, p=2.0, lam=0.0, a_phase=0.0)
 FREE_SCHROD = CoefficientSpec(tau=0, p=2.0, lam=0.0, a_phase=math.pi / 2)
+NLS = CoefficientSpec(tau=0, p=2.0, lam=-1.0, a_phase=-math.pi / 2)
 WAVE = CoefficientSpec(tau=1, p=2.0, lam=0.0, a0=0.0)
 DAMPED = CoefficientSpec(tau=1, p=2.0, lam=1.0, a0=1.0, alpha=0.0)
 
@@ -411,3 +415,92 @@ def test_polar_sector_smoke_steps():
     for _ in range(20):
         statew = step_hyperbolic(statew, coeffw, statew.dt)
     assert np.all(np.isfinite(statew.u))
+
+
+def _banded_reference(data, factor, dt, rhs):
+    """The implicit solve through ``solve_banded`` over every evolved node."""
+    lower, diag, upper = data._banded_diagonals()
+    coef = 0.5 * dt * factor
+    ab = np.zeros((3, diag.size), dtype=complex if isinstance(factor, complex) else rhs.dtype)
+    ab[0, 1:] = -coef * upper[:-1]
+    ab[1, :] = 1.0 - coef * diag
+    ab[2, :-1] = -coef * lower[1:]
+    out = np.zeros(rhs.shape, dtype=ab.dtype)
+    out[data.evolved] = solve_banded((1, 1), ab, rhs[data.evolved])
+    return out
+
+
+def _subnormal_parts(u):
+    parts = np.abs(np.asarray(u).view(np.float64))
+    return int(np.count_nonzero((parts > 0.0) & (parts < np.finfo(np.float64).tiny)))
+
+
+@pytest.mark.parametrize("coeff", [HEAT, NLS], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GridSpec("line", extent=200.0, num_points=4001),
+        GridSpec("half-line", extent=200.0, num_points=4001),
+        GridSpec("radial", extent=200.0, num_points=4001, dim=3),
+        GridSpec("radial", extent=200.0, num_points=4001, dim=3, include_origin=False),
+    ],
+    ids=["line", "half-line", "radial", "radial-no-origin"],
+)
+def test_windowed_solve_matches_banded_reference(grid, coeff):
+    data = _GridData(grid)
+    amp = 0.8 if coeff is HEAT else 0.3 - 0.47j
+    u = amp * bump_profile((data.coords - 50.0) / 1.0)
+    state = FieldState(grid=grid, u=u, v=None, t=0.0, dt=0.01)
+    factor = complex(np.exp(-1j * coeff.zeta)) if coeff is NLS else 1.0  # as step_parabolic
+    for step in range(6):
+        rhs = state.u
+        got = data.solve_implicit(factor, state.dt, rhs)
+        ref = _banded_reference(data, factor, state.dt, rhs)
+        big = np.abs(ref) > 1e-250
+        assert np.array_equal(got[big], ref[big])
+        assert np.max(np.abs(got - ref)) < 1e-249
+        assert _subnormal_parts(got) == 0
+        start, stop = data._factor[1].window(rhs[data.evolved])
+        outside = np.abs(ref[data.evolved])
+        outside[start:stop] = 0.0
+        assert np.all(outside < 1e-300)
+        if step == 0 and grid.geometry != "radial":
+            # the window leaves out most of the grid; on radial grids the rows
+            # next to the origin decay slowly and the bound spans the grid
+            assert stop - start < 0.8 * rhs.size
+        state = step_parabolic(state, coeff, state.dt)
+
+
+def test_pivoting_factor_solves_the_full_range():
+    # backward diffusion with dt/(2h^2) = 0.6: |diagonal| < |subdiagonal|, so gttrf pivots
+    grid = GridSpec("line", extent=10.0, num_points=201)
+    data = _GridData(grid)
+    dt = 1.2 * data.h**2
+    rhs = bump_profile((data.coords - 1.0) / 0.5)
+    got = data.solve_implicit(-1.0, dt, rhs)
+    lu = data._factor[1]
+    assert lu.pivoted
+    assert lu.window(rhs[data.evolved]) == (0, rhs.size - 2)
+    ref = _banded_reference(data, -1.0, dt, rhs)
+    big = np.abs(ref) > 1e-250
+    assert np.array_equal(got[big], ref[big])
+
+
+def test_implicit_solve_keeps_one_factorization():
+    grid = GridSpec("line", extent=60.0, num_points=1201)
+    data = _GridData(grid)
+    rhs = bump_profile(data.coords)
+    for k in range(4):  # the halvings of a run
+        data.solve_implicit(1.0, 0.01 / 2**k, rhs)
+    key, lu = data._factor
+    assert key == (0.01 / 8, 1.0, float)
+    data.solve_implicit(1.0, 0.01 / 8, rhs)
+    assert data._factor[1] is lu
+
+
+def test_nls_run_leaves_no_subnormal_field():
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs", "schrodinger_blowup.json"))
+    controls = RunControls(threshold=1e6, t_max=0.5, dt_init=0.01)
+    res = run_until_blowup(cfg.problem, controls)
+    assert res.record.status == "survived"
+    assert _subnormal_parts(res.snapshots[-1]) == 0
