@@ -10,7 +10,9 @@ Subcommands: ``eigen`` (cross-section eigenvalue queries), ``bound``
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import math
 import os
 import sys
@@ -269,6 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     parser = argparse.ArgumentParser(prog="blowlab", description=__doc__)
+    parser.add_argument(
+        "-v", "--verbose", action="store_true", help="log each run's step control to stderr"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     eig = sub.add_parser("eigen", parents=[common], help="cross-section eigenvalue queries")
@@ -304,9 +309,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _run_log(enabled: bool):
+    """Route the package's DEBUG log to stderr while the command runs."""
+    if not enabled:
+        yield
+        return
+    log = logging.getLogger("blowlab")
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(logging.NOTSET)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    with _run_log(args.verbose):
+        return _dispatch(args)
+
+
+def _dispatch(args) -> int:
     try:
         if args.command == "verify":
             runner = {

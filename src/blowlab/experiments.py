@@ -89,7 +89,7 @@ def epsilon_violations(epsilons) -> list[str]:
 
 def _run_one(args) -> BlowupRecord:
     problem, controls = args
-    return run_until_blowup(problem, controls).record
+    return run_until_blowup(problem, controls, keep_snapshots=False).record
 
 
 def sweep(

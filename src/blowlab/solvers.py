@@ -13,13 +13,20 @@ Geometries: the full line, the half line, radially symmetric N-dimensional
 space (optionally with the origin excluded for Dirichlet cones or the
 singular damping a = V0/|x|), and a planar sector in polar coordinates.
 
-Blowup runs record threshold crossing times T_M for M = 1e3..1e6 and
-extrapolate the lifespan through T_M = T_inf - c * M^{-(p-1)}, which is exact
-for the comparison equation u' = u^p and removes the dominant threshold bias.
+Blowup runs step on the dyadic ladder dt_init * 2^k: a step that grows
+max|u| by more than the growth limit is halved, and a step-doubling probe
+(one step of 2*dt against two of dt) lets the quiet phase climb the ladder
+under the CFL, snapshot and horizon caps.  The implicit solve keeps two
+factorizations, the current one and the one used before it, so a probe
+costs no refactoring.  Runs record threshold crossing times T_M for
+M = 1e3..1e6 and extrapolate the lifespan through
+T_M = T_inf - c * M^{-(p-1)}, which is exact for the comparison equation
+u' = u^p and removes the dominant threshold bias.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,6 +42,8 @@ from blowlab.lifespan_bounds import FunctionalTrace
 
 GEOMETRIES = ("line", "half-line", "radial", "polar-sector")
 RECORD_THRESHOLDS = (1e3, 1e4, 1e5, 1e6)  # the T_at_* columns of a blowup record
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -189,7 +198,8 @@ class _GridData:
             self.adjacent = None
         self._banded = None
         self._sparse = None
-        self._factor = None  # (key, factors) of the current implicit matrix only
+        self._factor = None  # (key, factors) of the current implicit matrix
+        self._spare = None  # (key, factors) of the one used before it
 
     # -- Laplacian -----------------------------------------------------
 
@@ -306,15 +316,20 @@ class _GridData:
         """Solve (I - (dt/2) * factor * Lap) x = rhs on evolved nodes.
 
         ``rhs`` and the result live on the full grid; boundary entries are
-        pinned to zero.  Only the factorization of the latest ``(dt, factor)``
-        is kept: a run only ever halves its step.
+        pinned to zero.  Two factorizations are kept, the current
+        ``(dt, factor)`` and the one used before it: a run's step moves on a
+        dyadic ladder, and its step-doubling probe alternates between dt and
+        2*dt, which then swaps the two entries instead of refactoring.
         """
         polar = self.spec.geometry == "polar-sector"
         is_complex = polar or np.iscomplexobj(rhs) or isinstance(factor, complex)
         dtype = complex if is_complex else float
         key = (dt, factor, dtype)
-        if self._factor is None or self._factor[0] != key:
-            self._factor = None  # release the old factors before building the new ones
+        if self._spare is not None and self._spare[0] == key:
+            self._factor, self._spare = self._spare, self._factor
+        elif self._factor is None or self._factor[0] != key:
+            # the old spare is released before the new factors are built
+            self._factor, self._spare = None, self._factor
             coef = 0.5 * dt * factor
             if polar:
                 lap = self._sparse_laplacian()
@@ -664,11 +679,15 @@ def wave_energy(state: FieldState) -> float:
 
 @dataclass(frozen=True)
 class RunControls:
-    """Blowup-run policy: thresholds, horizons and the step-halving rule.
+    """Blowup-run policy: thresholds, horizons and the step control.
 
     Every threshold must be one of ``RECORD_THRESHOLDS``, the crossings that
-    the blowup record has a column for.  ``max_steps`` bounds the accepted
-    steps; rejected (halved) attempts do not count against it.
+    the blowup record has a column for.  The step takes only the values
+    ``dt_init * 2^k``: it halves when a step grows max|u| by more than
+    ``growth_limit`` or turns non-finite, and doubles when a step-doubling
+    probe finds the local error within ``rtol`` relative to max|u|.
+    ``max_steps`` bounds the accepted steps; rejected (halved) attempts and
+    probes do not count against it.
     """
 
     threshold: float = 1e6
@@ -680,6 +699,7 @@ class RunControls:
     snapshot_dt: float = 0.0
     growth_limit: float = 0.2
     max_steps: int = 50_000_000
+    rtol: float = 1e-5
 
     def __post_init__(self):
         bad = []
@@ -694,6 +714,8 @@ class RunControls:
                 bad.append((name, "must be positive"))
         if not self.max_steps > 0:
             bad.append(("max_steps", "must be positive"))
+        if not self.rtol > 0:
+            bad.append(("rtol", "must be positive"))
         if bad:
             raise SpecError(bad)
 
@@ -751,20 +773,38 @@ def extrapolate_lifespan(thresholds, crossings, p: float) -> float:
     return float(sol[0])
 
 
-def run_until_blowup(problem: EvolutionProblem, controls: RunControls) -> RunResult:
+def run_until_blowup(
+    problem: EvolutionProblem, controls: RunControls, keep_snapshots: bool = True
+) -> RunResult:
     """Integrate until max|u| crosses the blowup threshold, the horizon is
     reached, or the adaptive step collapses.
 
-    The step is halved whenever one step would grow max|u| by more than the
-    growth limit (20% by default) or produce non-finite values; crossing
-    times of the intermediate thresholds are recorded by log-linear
-    interpolation and extrapolated to the lifespan estimate.
+    The step moves on the dyadic ladder ``dt_init * 2^k``.  It is halved
+    whenever one step would grow max|u| by more than the growth limit (20%
+    by default) or produce non-finite values.  Once two steps have been
+    accepted at the current dt, a probe takes one step of 2*dt from the
+    state two steps back; if it lands within ``rtol * max|u|`` of the state
+    the two steps reached, later steps use 2*dt, otherwise the wait before
+    the next probe doubles, up to 32 steps.  The probe result is discarded,
+    so the trajectory is made of ordinary steps only.  No probe passes the
+    cap min(0.9*h for tau=1, snapshot_dt when positive, t_max), and a
+    halving lowers the cap to the halved step: from then on the growth
+    limit, not the local error, bounds dt.  Crossing times of the
+    intermediate thresholds are recorded by log-linear interpolation and
+    extrapolated to the lifespan estimate.
+
+    Without ``keep_snapshots`` only the first and last fields are stored;
+    ``snapshot_dt`` still caps the step, so the record is the same.
     """
     coeff = problem.coeff
     dt0 = controls.dt_init if controls.dt_init is not None else _default_dt(problem)
     data = _grid_data(problem.grid)
+    dt_cap = controls.t_max
     if coeff.tau == 1:
         dt0 = min(dt0, 0.9 * data.h)
+        dt_cap = min(dt_cap, 0.9 * data.h)
+    if controls.snapshot_dt > 0:
+        dt_cap = min(dt_cap, controls.snapshot_dt)
     state = initial_state(problem, dt0)
     stepper = step_hyperbolic if coeff.tau == 1 else step_parabolic
 
@@ -776,7 +816,11 @@ def run_until_blowup(problem: EvolutionProblem, controls: RunControls) -> RunRes
 
     dt_floor = controls.dt_floor(coeff.p)
     m_prev = max_abs(state.u)
-    steps = 0
+    steps = halvings = passed = failed = 0
+    dt_lo = dt_hi = dt0
+    back2 = back1 = None  # the accepted states two and one steps back
+    run = 0  # accepted steps since the last probe
+    wait = 2  # accepted steps before the next probe
     status = None
     while True:
         if state.t >= controls.t_max:
@@ -784,15 +828,19 @@ def run_until_blowup(problem: EvolutionProblem, controls: RunControls) -> RunRes
             break
         if steps >= controls.max_steps:
             raise RuntimeError("step budget exhausted before a verdict was reached")
-        trial = stepper(state, coeff, min(state.dt, controls.t_max - state.t + 1e-15))
+        dt = state.dt
+        trial = stepper(state, coeff, min(dt, controls.t_max - state.t + 1e-15))
         m_new = max_abs(trial.u)
         if not math.isfinite(m_new) or (
             m_prev > 0 and m_new > (1.0 + controls.growth_limit) * m_prev
         ):
-            if state.dt / 2.0 < dt_floor:
+            if dt / 2.0 < dt_floor:
                 status = "stalled"
                 break
-            state.dt /= 2.0
+            # the growth limit now bounds the step: no probe climbs back
+            dt_cap = state.dt = dt / 2.0
+            dt_lo = min(dt_lo, state.dt)
+            halvings += 1
             continue
         steps += 1
         for i, mth in enumerate(thresholds):
@@ -805,16 +853,36 @@ def run_until_blowup(problem: EvolutionProblem, controls: RunControls) -> RunRes
                 else:
                     frac = 1.0
                 crossings[i] = state.t + frac * (trial.t - state.t)
-        state = trial
+        back2, back1, state = back1, state, trial
         m_prev = m_new
         if state.t >= next_snap:
-            snap_times.append(state.t)
-            snaps.append(state.u.copy())
+            if keep_snapshots:
+                snap_times.append(state.t)
+                snaps.append(state.u.copy())
             next_snap += controls.snapshot_dt
         if m_new >= controls.threshold:
             status = "blowup"
             break
+        run += 1
+        # a step shortened to land on t_max ends the run: it is not probed
+        if run >= wait and trial.dt == dt and 2.0 * dt <= dt_cap:
+            big = stepper(back2, coeff, 2.0 * dt)
+            err = max_abs(big.u - state.u)
+            run = 0
+            if err <= controls.rtol * m_new:  # False for a non-finite probe
+                state.dt = 2.0 * dt
+                dt_hi = max(dt_hi, state.dt)
+                passed += 1
+                wait = 2
+            else:
+                failed += 1
+                wait = min(2 * wait, 32)
 
+    logger.debug(
+        "eps %r: %s at t %r; %d steps accepted, %d halvings, probes %d passed / %d failed, "
+        "dt %r..%r",
+        problem.init.epsilon, status, state.t, steps, halvings, passed, failed, dt_lo, dt_hi,
+    )
     if snap_times[-1] != state.t:
         snap_times.append(state.t)
         snaps.append(state.u.copy())

@@ -143,6 +143,17 @@ def test_thresholds_must_have_a_record_column():
         RunControls(threshold=5e5)
 
 
+def test_rtol_is_read_and_must_be_positive():
+    raw = _heat_config()
+    assert config_from_dict(raw).controls.rtol == 1e-5
+    raw["controls"]["rtol"] = 2e-6
+    assert config_from_dict(raw).controls.rtol == 2e-6
+    raw["controls"]["rtol"] = 0.0
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert "controls.rtol: must be positive" in err.value.errors
+
+
 def test_config_missing_file():
     with pytest.raises(ConfigError):
         parse_config("/nonexistent/path.json")
@@ -244,6 +255,20 @@ def test_cli_simulate_and_sweep(tmp_path, capsys):
     assert summary["slope"] < 0
     assert (out_dir / "sweep.csv").exists()
     assert (out_dir / "sweep.dat").exists()
+
+
+def test_cli_verbose_logs_one_line_per_run(tmp_path, capsys):
+    raw = _heat_config()
+    raw["sweep"] = {"epsilons": [0.9, 1.1]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "a")]) == 0
+    assert "blowlab.solvers" not in capsys.readouterr().err
+    assert main(["-v", "sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "b")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert all(ln.startswith("blowlab.solvers: eps ") and "steps accepted" in ln for ln in lines)
+    assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
 
 
 def test_cli_sweep_determinism_across_workers(tmp_path):

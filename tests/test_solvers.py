@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from blowlab import solvers
 from blowlab.config import parse_config
 from blowlab.cutoffs import CutoffFamily
 from blowlab.lifespan_bounds import integrate_shell_masses
@@ -504,3 +505,122 @@ def test_nls_run_leaves_no_subnormal_field():
     res = run_until_blowup(cfg.problem, controls)
     assert res.record.status == "survived"
     assert _subnormal_parts(res.snapshots[-1]) == 0
+
+
+# -- step control: the dyadic ladder and its step-doubling probe --------------
+
+
+def _recording(monkeypatch, name):
+    """Replace the stepper ``name`` with one that logs (state, dt) per call."""
+    calls = []
+    original = getattr(solvers, name)
+
+    def step(state, coeff, dt):
+        calls.append((state, dt))
+        return original(state, coeff, dt)
+
+    monkeypatch.setattr(solvers, name, step)
+    return calls
+
+
+def _on_ladder(dt, dt0):
+    return math.frexp(dt / dt0)[0] == 0.5  # dt / dt0 is an exact power of two
+
+
+def test_halving_rtol_moves_lifespan_under_1_percent():
+    # the critical-heat acceptance configuration at its slowest epsilon
+    coeff = CoefficientSpec(tau=0, p=3.0, lam=1.0, a_phase=0.0)
+    grid = GridSpec("line", extent=300.0, num_points=7501)
+    problem = EvolutionProblem(coeff, grid, InitialDataSpec(0.0, 1.0, 0.6, amplitude=1.6))
+    records = [
+        run_until_blowup(problem, RunControls(threshold=1e6, t_max=400.0, dt_init=4e-3, rtol=rtol)).record
+        for rtol in (1e-5, 5e-6)
+    ]
+    assert all(r.status == "blowup" for r in records)
+    assert records[1].steps > records[0].steps  # the tolerance is what limits the step
+    t_coarse, t_fine = (r.t_extrapolated for r in records)
+    assert abs(t_coarse - t_fine) <= 0.01 * t_fine
+
+
+def test_step_stays_on_the_ladder_under_its_caps(monkeypatch):
+    calls = _recording(monkeypatch, "step_parabolic")
+    grid = GridSpec("line", extent=80.0, num_points=2001)
+    init = InitialDataSpec(center=0.0, width=1.0, epsilon=0.5)
+    controls = RunControls(threshold=1e6, t_max=60.0, dt_init=2e-3, snapshot_dt=0.05)
+    res = run_until_blowup(EvolutionProblem(HEAT, grid, init), controls)
+    assert res.record.status == "blowup"
+    dts = [dt for _, dt in calls]
+    assert all(_on_ladder(dt, 2e-3) and dt <= 0.05 for dt in dts)
+    assert max(dts) == 0.032  # the quiet phase climbs to the last rung under snapshot_dt
+    # no snapshot interval is skipped
+    assert np.all(np.diff(res.snapshot_times) <= 0.05 + 0.032)
+
+    calls = _recording(monkeypatch, "step_hyperbolic")
+    grid = GridSpec("line", extent=60.0, num_points=1501)  # 0.9*h = 0.036
+    init = InitialDataSpec(center=0.0, width=0.8, epsilon=3.0, g_amplitude=1.0)
+    dt0 = 0.036 / 8
+    res = run_until_blowup(
+        EvolutionProblem(DAMPED, grid, init), RunControls(threshold=1e6, t_max=50.0, dt_init=dt0)
+    )
+    assert res.record.status == "blowup"
+    dts = [dt for _, dt in calls]
+    assert all(_on_ladder(dt, dt0) and dt <= 0.9 * 0.04 for dt in dts)
+
+
+def test_no_probe_when_dt_init_sits_at_the_cfl_cap(monkeypatch):
+    calls = _recording(monkeypatch, "step_hyperbolic")
+    grid = GridSpec("line", extent=60.0, num_points=1501)
+    init = InitialDataSpec(center=0.0, width=0.8, epsilon=3.0, g_amplitude=1.0)
+    controls = RunControls(threshold=1e6, t_max=50.0, dt_init=0.9 * 0.04)
+    res = run_until_blowup(EvolutionProblem(DAMPED, grid, init), controls)
+    assert res.record.status == "blowup"
+    dts = [dt for _, dt in calls]
+    halved = sum(b < a for a, b in zip(dts, dts[1:]))
+    assert halved > 0
+    assert len(calls) == res.record.steps + halved
+    # every call starts from the last accepted state: the one before or its retry
+    for (prev_state, _), (state, _) in zip(calls, calls[1:]):
+        assert state is prev_state or state.t > prev_state.t
+
+
+def test_probe_alternation_builds_two_factorizations(monkeypatch):
+    built = []
+
+    class Counting(solvers._TridiagonalLU):
+        def __init__(self, *args):
+            built.append(args[3])
+            super().__init__(*args)
+
+    monkeypatch.setattr(solvers, "_TridiagonalLU", Counting)
+    data = _GridData(GridSpec("line", extent=60.0, num_points=1201))
+    rhs = bump_profile(data.coords)
+    first = [data.solve_implicit(1.0, dt, rhs) for dt in (0.01, 0.02)]
+    again = [data.solve_implicit(1.0, dt, rhs) for dt in (0.01, 0.02)]
+    assert len(built) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert data._factor[0] == (0.02, 1.0, float)
+
+
+def test_sweep_path_holds_no_snapshots_and_keeps_the_record():
+    grid = GridSpec("line", extent=80.0, num_points=2001)
+    init = InitialDataSpec(center=0.0, width=1.0, epsilon=0.5)
+    controls = RunControls(threshold=1e6, t_max=60.0, dt_init=2e-3, snapshot_dt=0.05)
+    problem = EvolutionProblem(HEAT, grid, init)
+    full = run_until_blowup(problem, controls)
+    lean = run_until_blowup(problem, controls, keep_snapshots=False)
+    assert lean.record == full.record
+    assert lean.snapshot_times == [0.0, full.snapshot_times[-1]]
+    assert np.array_equal(lean.snapshots[-1], full.snapshots[-1])
+    assert len(full.snapshots) > 100
+
+
+def test_run_logs_its_step_control(caplog):
+    grid = GridSpec("line", extent=80.0, num_points=2001)
+    init = InitialDataSpec(center=0.0, width=1.0, epsilon=0.5)
+    controls = RunControls(threshold=1e6, t_max=60.0, dt_init=2e-3, snapshot_dt=0.05)
+    with caplog.at_level("DEBUG", logger="blowlab.solvers"):
+        res = run_until_blowup(EvolutionProblem(HEAT, grid, init), controls)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "blowlab.solvers"]
+    assert f"{res.record.steps} steps accepted" in line
+    assert "halvings" in line and "passed" in line and "failed" in line
+    assert "dt 1.220703125e-07..0.032" in line
