@@ -16,9 +16,9 @@ singular damping a = V0/|x|), and a planar sector in polar coordinates.
 Blowup runs step on the dyadic ladder dt_init * 2^k: a step that grows
 max|u| by more than the growth limit is halved, and a step-doubling probe
 (one step of 2*dt against two of dt) lets the quiet phase climb the ladder
-under the CFL, snapshot and horizon caps.  The implicit solve keeps two
-factorizations, the current one and the one used before it, so a probe
-costs no refactoring.  Runs record threshold crossing times T_M for
+under the CFL, snapshot and horizon caps.  The implicit solve keeps the
+factorization of the current step, so a probe and the step after a failed
+probe each factor once more.  Runs record threshold crossing times T_M for
 M = 1e3..1e6 and extrapolate the lifespan through
 T_M = T_inf - c * M^{-(p-1)}, which is exact for the comparison equation
 u' = u^p and removes the dominant threshold bias.
@@ -42,6 +42,7 @@ from blowlab.lifespan_bounds import FunctionalTrace
 
 GEOMETRIES = ("line", "half-line", "radial", "polar-sector")
 RECORD_THRESHOLDS = (1e3, 1e4, 1e5, 1e6)  # the T_at_* columns of a blowup record
+_RTOL = 1e-5  # step-doubling tolerance, relative to max|u| (and max|v| for tau=1)
 
 logger = logging.getLogger(__name__)
 
@@ -199,7 +200,6 @@ class _GridData:
         self._banded = None
         self._sparse = None
         self._factor = None  # (key, factors) of the current implicit matrix
-        self._spare = None  # (key, factors) of the one used before it
 
     # -- Laplacian -----------------------------------------------------
 
@@ -316,20 +316,17 @@ class _GridData:
         """Solve (I - (dt/2) * factor * Lap) x = rhs on evolved nodes.
 
         ``rhs`` and the result live on the full grid; boundary entries are
-        pinned to zero.  Two factorizations are kept, the current
-        ``(dt, factor)`` and the one used before it: a run's step moves on a
-        dyadic ladder, and its step-doubling probe alternates between dt and
-        2*dt, which then swaps the two entries instead of refactoring.
+        pinned to zero.  Only the factorization of the current
+        ``(dt, factor)`` is kept: a run's step moves on a dyadic ladder and
+        stays on each rung for many steps, so its step-doubling probe (one
+        step of 2*dt) simply factors again, as does the step after it.
         """
         polar = self.spec.geometry == "polar-sector"
         is_complex = polar or np.iscomplexobj(rhs) or isinstance(factor, complex)
         dtype = complex if is_complex else float
         key = (dt, factor, dtype)
-        if self._spare is not None and self._spare[0] == key:
-            self._factor, self._spare = self._spare, self._factor
-        elif self._factor is None or self._factor[0] != key:
-            # the old spare is released before the new factors are built
-            self._factor, self._spare = None, self._factor
+        if self._factor is None or self._factor[0] != key:
+            self._factor = None  # released before the new factors are built
             coef = 0.5 * dt * factor
             if polar:
                 lap = self._sparse_laplacian()
@@ -685,7 +682,7 @@ class RunControls:
     the blowup record has a column for.  The step takes only the values
     ``dt_init * 2^k``: it halves when a step grows max|u| by more than
     ``growth_limit`` or turns non-finite, and doubles when a step-doubling
-    probe finds the local error within ``rtol`` relative to max|u|.
+    probe finds the local error within 1e-5 relative to max|u|.
     ``max_steps`` bounds the accepted steps; rejected (halved) attempts and
     probes do not count against it.
     """
@@ -699,7 +696,6 @@ class RunControls:
     snapshot_dt: float = 0.0
     growth_limit: float = 0.2
     max_steps: int = 50_000_000
-    rtol: float = 1e-5
 
     def __post_init__(self):
         bad = []
@@ -714,8 +710,6 @@ class RunControls:
                 bad.append((name, "must be positive"))
         if not self.max_steps > 0:
             bad.append(("max_steps", "must be positive"))
-        if not self.rtol > 0:
-            bad.append(("rtol", "must be positive"))
         if bad:
             raise SpecError(bad)
 
@@ -783,13 +777,15 @@ def run_until_blowup(
     whenever one step would grow max|u| by more than the growth limit (20%
     by default) or produce non-finite values.  Once two steps have been
     accepted at the current dt, a probe takes one step of 2*dt from the
-    state two steps back; if it lands within ``rtol * max|u|`` of the state
-    the two steps reached, later steps use 2*dt, otherwise the wait before
+    state two steps back; if it lands within ``_RTOL * max|u|`` of the state
+    the two steps reached (and, for tau=1, its velocity within
+    ``_RTOL * max|v|``), later steps use 2*dt, otherwise the wait before
     the next probe doubles, up to 32 steps.  The probe result is discarded,
     so the trajectory is made of ordinary steps only.  No probe passes the
     cap min(0.9*h for tau=1, snapshot_dt when positive, t_max), and a
     halving lowers the cap to the halved step: from then on the growth
-    limit, not the local error, bounds dt.  Crossing times of the
+    limit, not the local error, bounds dt, so a run whose first halving
+    comes early keeps the halved step through any later quiet phase.  Crossing times of the
     intermediate thresholds are recorded by log-linear interpolation and
     extrapolated to the lifespan estimate.
 
@@ -867,9 +863,12 @@ def run_until_blowup(
         # a step shortened to land on t_max ends the run: it is not probed
         if run >= wait and trial.dt == dt and 2.0 * dt <= dt_cap:
             big = stepper(back2, coeff, 2.0 * dt)
-            err = max_abs(big.u - state.u)
+            # each comparison is False for a non-finite probe
+            ok = max_abs(big.u - state.u) <= _RTOL * m_new
+            if ok and state.v is not None:
+                ok = max_abs(big.v - state.v) <= _RTOL * max_abs(state.v)
             run = 0
-            if err <= controls.rtol * m_new:  # False for a non-finite probe
+            if ok:
                 state.dt = 2.0 * dt
                 dt_hi = max(dt_hi, state.dt)
                 passed += 1

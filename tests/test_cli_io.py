@@ -143,17 +143,6 @@ def test_thresholds_must_have_a_record_column():
         RunControls(threshold=5e5)
 
 
-def test_rtol_is_read_and_must_be_positive():
-    raw = _heat_config()
-    assert config_from_dict(raw).controls.rtol == 1e-5
-    raw["controls"]["rtol"] = 2e-6
-    assert config_from_dict(raw).controls.rtol == 2e-6
-    raw["controls"]["rtol"] = 0.0
-    with pytest.raises(ConfigError) as err:
-        config_from_dict(raw)
-    assert "controls.rtol: must be positive" in err.value.errors
-
-
 def test_config_missing_file():
     with pytest.raises(ConfigError):
         parse_config("/nonexistent/path.json")

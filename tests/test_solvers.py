@@ -527,15 +527,16 @@ def _on_ladder(dt, dt0):
     return math.frexp(dt / dt0)[0] == 0.5  # dt / dt0 is an exact power of two
 
 
-def test_halving_rtol_moves_lifespan_under_1_percent():
+def test_halving_rtol_moves_lifespan_under_1_percent(monkeypatch):
     # the critical-heat acceptance configuration at its slowest epsilon
     coeff = CoefficientSpec(tau=0, p=3.0, lam=1.0, a_phase=0.0)
     grid = GridSpec("line", extent=300.0, num_points=7501)
     problem = EvolutionProblem(coeff, grid, InitialDataSpec(0.0, 1.0, 0.6, amplitude=1.6))
-    records = [
-        run_until_blowup(problem, RunControls(threshold=1e6, t_max=400.0, dt_init=4e-3, rtol=rtol)).record
-        for rtol in (1e-5, 5e-6)
-    ]
+    controls = RunControls(threshold=1e6, t_max=400.0, dt_init=4e-3)
+    records = []
+    for rtol in (solvers._RTOL, solvers._RTOL / 2):
+        monkeypatch.setattr(solvers, "_RTOL", rtol)
+        records.append(run_until_blowup(problem, controls).record)
     assert all(r.status == "blowup" for r in records)
     assert records[1].steps > records[0].steps  # the tolerance is what limits the step
     t_coarse, t_fine = (r.t_extrapolated for r in records)
@@ -565,6 +566,8 @@ def test_step_stays_on_the_ladder_under_its_caps(monkeypatch):
     assert res.record.status == "blowup"
     dts = [dt for _, dt in calls]
     assert all(_on_ladder(dt, dt0) and dt <= 0.9 * 0.04 for dt in dts)
+    # u alone passes one probe here; the velocity's local error does not
+    assert max(dts) == 2 * dt0  # probes at 2*dt0 fail, so none at 4*dt0 is made
 
 
 def test_no_probe_when_dt_init_sits_at_the_cfl_cap(monkeypatch):
@@ -583,7 +586,7 @@ def test_no_probe_when_dt_init_sits_at_the_cfl_cap(monkeypatch):
         assert state is prev_state or state.t > prev_state.t
 
 
-def test_probe_alternation_builds_two_factorizations(monkeypatch):
+def test_probe_refactoring_repeats_the_solves(monkeypatch):
     built = []
 
     class Counting(solvers._TridiagonalLU):
@@ -596,7 +599,7 @@ def test_probe_alternation_builds_two_factorizations(monkeypatch):
     rhs = bump_profile(data.coords)
     first = [data.solve_implicit(1.0, dt, rhs) for dt in (0.01, 0.02)]
     again = [data.solve_implicit(1.0, dt, rhs) for dt in (0.01, 0.02)]
-    assert len(built) == 2
+    assert len(built) == 4  # one cached factorization: each change of dt factors again
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
     assert data._factor[0] == (0.02, 1.0, float)
 
