@@ -348,6 +348,8 @@ def emit_sweep(result: SweepResult, out_dir: str, stem: str = "sweep") -> dict:
         "r2_exp": result.exponential_fit.r_squared if result.exponential_fit else None,
         "verdict": result.verdict,
     }
+    if result.faults:
+        summary["faults"] = [{"epsilon": r.epsilon, "reason": r.reason} for r in result.faults]
     with open(os.path.join(out_dir, f"{stem}_summary.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

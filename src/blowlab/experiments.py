@@ -13,13 +13,22 @@ or the functional form via model selection (critical regime).
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from blowlab.lifespan_bounds import RegimeBound
-from blowlab.solvers import BlowupRecord, EvolutionProblem, RunControls, run_until_blowup
+from blowlab.solvers import (
+    BlowupRecord,
+    EvolutionProblem,
+    RunControls,
+    fault_record,
+    run_until_blowup,
+)
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -42,6 +51,10 @@ class SweepResult:
     @property
     def blowup_rows(self) -> list:
         return [r for r in self.records if r.status == "blowup"]
+
+    @property
+    def faults(self) -> list:
+        return [r for r in self.records if r.status == "fault"]
 
 
 def _least_squares(x: np.ndarray, y: np.ndarray) -> FitResult:
@@ -89,7 +102,10 @@ def epsilon_violations(epsilons) -> list[str]:
 
 def _run_one(args) -> BlowupRecord:
     problem, controls = args
-    return run_until_blowup(problem, controls, keep_snapshots=False).record
+    try:
+        return run_until_blowup(problem, controls, keep_snapshots=False).record
+    except RuntimeError as exc:  # e.g. the step budget: this epsilon alone fails
+        return fault_record(problem, str(exc))
 
 
 def sweep(
@@ -103,8 +119,10 @@ def sweep(
 
     Items run in separate processes when ``jobs`` exceeds 1; results are
     reduced in epsilon order so the output is identical at any worker count.
-    Fits require at least 5 blowup rows; otherwise they are skipped with an
-    explicit status.
+    A ``RuntimeError`` in one run (such as an exhausted step budget) does
+    not stop the sweep: that epsilon becomes a ``fault`` row, logged at
+    WARNING with its reason, and stays out of the fits.  Fits require at
+    least 5 blowup rows; otherwise they are skipped with an explicit status.
     """
     bad = epsilon_violations(epsilons)
     if bad:
@@ -122,6 +140,9 @@ def sweep(
             records = list(pool.map(_run_one, tasks))
     else:
         records = [_run_one(t) for t in tasks]
+    for rec in records:
+        if rec.status == "fault":
+            logger.warning("eps %r: fault: %s", rec.epsilon, rec.reason)
 
     blowups = [r for r in records if r.status == "blowup"]
     power = exponential = None

@@ -200,6 +200,7 @@ class _GridData:
         self._banded = None
         self._sparse = None
         self._factor = None  # (key, factors) of the current implicit matrix
+        self._damp = None  # (key, denominator) of the current damped-wave step
 
     # -- Laplacian -----------------------------------------------------
 
@@ -209,25 +210,23 @@ class _GridData:
         g = spec.geometry
         out = np.zeros_like(u)
         h2 = self.h * self.h
-        if g in ("line", "half-line"):
-            out[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h2
-            return out
-        if g == "radial":
+        if g != "polar-sector":
+            # (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h2 in place, operation for operation
+            inner = out[1:-1]
+            np.multiply(u[1:-1], 2.0, out=inner)
+            np.subtract(u[:-2], inner, out=inner)
+            inner += u[2:]
+            inner /= h2
+            if g != "radial":
+                return out
             r = self.radius
-            n = u.shape[0]
+            inner += ((spec.dim - 1) / r[1:-1]) * (u[2:] - u[:-2]) / (2.0 * self.h)
             if spec.include_origin:
                 out[0] = 2.0 * spec.dim * (u[1] - u[0]) / h2
-                out[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h2 + (
-                    (spec.dim - 1) / r[1:-1]
-                ) * (u[2:] - u[:-2]) / (2.0 * self.h)
             else:
                 out[0] = (-2.0 * u[0] + u[1]) / h2 + ((spec.dim - 1) / r[0]) * u[1] / (
                     2.0 * self.h
                 )
-                out[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h2 + (
-                    (spec.dim - 1) / r[1:-1]
-                ) * (u[2:] - u[:-2]) / (2.0 * self.h)
-            out[n - 1] = 0.0
             return out
         # polar sector: u_rr + u_r/r + u_tt/r^2, Dirichlet rays/arc, origin ghost 0
         r = self.r_nodes[:, None]
@@ -244,6 +243,21 @@ class _GridData:
         out[:, 0] = 0.0
         out[:, -1] = 0.0
         return out
+
+    def damping_denominator(self, coeff: CoefficientSpec, dt: float):
+        """1 + (dt/2) * a(x), the divisor of the damped-wave step.
+
+        Only the current ``(coeff, dt)`` entry is kept, as for the implicit
+        factorization.  A damping profile that is the same at every node
+        gives a scalar, which divides the field to the same bits.
+        """
+        key = (coeff, dt)
+        if self._damp is None or self._damp[0] != key:
+            denom = 1.0 + 0.5 * dt * coeff.damping(self.radius)
+            if np.all(denom == denom.flat[0]):
+                denom = float(denom.flat[0])
+            self._damp = (key, denom)
+        return self._damp[1]
 
     # -- implicit machinery for the parabolic step ----------------------
 
@@ -535,9 +549,10 @@ def abs_power(u: np.ndarray, p: float) -> np.ndarray:
 
 
 def max_abs(u: np.ndarray) -> float:
+    """max|u|; non-finite when u holds a NaN or an infinity."""
     if np.iscomplexobj(u):
         return math.sqrt(float(np.max(u.real * u.real + u.imag * u.imag)))
-    return float(np.max(np.abs(u)))
+    return float(max(u.max(), -u.min()))  # no |u| temporary; NaN propagates through both
 
 
 @dataclass(frozen=True)
@@ -564,11 +579,20 @@ class EvolutionProblem:
 
 @dataclass
 class FieldState:
+    """The field at time t, with the step dt that continues it.
+
+    ``acc`` caches Lap u + lambda |u|^p (boundary rows zeroed) for a tau=1
+    state; ``step_hyperbolic`` fills it in when it is None and sets it on
+    the states it returns.  It depends on u and the coefficients alone, so
+    code that changes ``u`` in place must reset it to None.
+    """
+
     grid: GridSpec
     u: np.ndarray
     v: np.ndarray | None
     t: float
     dt: float
+    acc: np.ndarray | None = None
 
 
 def initial_state(problem: EvolutionProblem, dt: float) -> FieldState:
@@ -628,28 +652,39 @@ def step_hyperbolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> Fie
     """One velocity-Verlet step of u_tt = Lap u + lambda |u|^p - a(x) u_t.
 
     The damping enters through the time-centered average, solved pointwise;
-    the wave part requires dt <= 0.9 h.
+    the wave part requires dt <= 0.9 h.  The acceleration Lap u + lambda |u|^p
+    depends on u and not on dt, so the returned state carries it in ``acc``,
+    and the next step, a retry at half the step or a step-doubling probe
+    from that state reuses it: one Laplacian and one nonlinearity per step.
+    A state without ``acc`` (the initial one) gets it filled in here.
     """
     if coeff.tau != 1:
         raise ValueError("hyperbolic step requires tau=1")
     data = _grid_data(state.grid)
     if dt > 0.9 * data.h:
         raise ValueError(f"CFL violation: dt={dt} exceeds 0.9*h={0.9 * data.h}")
-    a_vals = coeff.damping(data.radius)
     lam = coeff.lam if np.iscomplexobj(state.u) else coeff.lam.real
-    u, v = state.u, state.v
-    damp = 1.0 + 0.5 * dt * a_vals
-
-    acc = data.laplacian(u) + lam * abs_power(u, coeff.p)
-    _zero_boundary(data, acc)
-    v_half = (v + 0.5 * dt * acc) / damp
-    u_new = u + dt * v_half
+    damp = data.damping_denominator(coeff, dt)
+    if state.acc is None:
+        state.acc = _acceleration(data, state.u, lam, coeff.p)
+    half_dt = 0.5 * dt
+    v_half = state.v + half_dt * state.acc
+    v_half /= damp
+    u_new = state.u + dt * v_half
     _zero_boundary(data, u_new)
-    acc_new = data.laplacian(u_new) + lam * abs_power(u_new, coeff.p)
-    _zero_boundary(data, acc_new)
-    v_new = (v_half + 0.5 * dt * acc_new) / damp
+    acc_new = _acceleration(data, u_new, lam, coeff.p)
+    v_new = v_half + half_dt * acc_new
+    v_new /= damp
     _zero_boundary(data, v_new)
-    return FieldState(grid=state.grid, u=u_new, v=v_new, t=state.t + dt, dt=dt)
+    return FieldState(grid=state.grid, u=u_new, v=v_new, t=state.t + dt, dt=dt, acc=acc_new)
+
+
+def _acceleration(data: _GridData, u: np.ndarray, lam, p: float) -> np.ndarray:
+    """Lap u + lam * |u|^p with the boundary rows zeroed."""
+    acc = data.laplacian(u)
+    acc += lam * abs_power(u, p)
+    _zero_boundary(data, acc)
+    return acc
 
 
 def _zero_boundary(data: _GridData, arr: np.ndarray) -> None:
@@ -726,15 +761,39 @@ class BlowupRecord:
     tau: int
     alpha: float
     zeta: float
-    status: str  # blowup | survived | stalled
+    status: str  # blowup | survived | stalled | fault
     thresholds: tuple
     t_at_thresholds: tuple
     t_extrapolated: float
     dt_final: float
     h: float
-    steps: int
+    steps: int  # NaN in a fault row
     t_final: float
     boundary_max: float
+    reason: str | None = None  # why a fault row has no result; not a CSV column
+
+
+def fault_record(problem: EvolutionProblem, reason: str) -> BlowupRecord:
+    """The record of a run that raised ``RuntimeError``: status ``fault``,
+    no crossings and NaN in every run result."""
+    coeff = problem.coeff
+    return BlowupRecord(
+        epsilon=problem.init.epsilon,
+        p=coeff.p,
+        tau=coeff.tau,
+        alpha=coeff.alpha,
+        zeta=coeff.zeta,
+        status="fault",
+        thresholds=(),
+        t_at_thresholds=(),
+        t_extrapolated=math.nan,
+        dt_final=math.nan,
+        h=_grid_data(problem.grid).h,
+        steps=math.nan,
+        t_final=math.nan,
+        boundary_max=math.nan,
+        reason=reason,
+    )
 
 
 @dataclass

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from blowlab.config import emit_sweep
 from blowlab.experiments import (
     SweepResult,
     fit_exponential_law,
@@ -178,3 +180,30 @@ def test_sweep_validates_epsilons():
         sweep(_small_problem(), (0.5,), controls)
     with pytest.raises(ValueError):
         sweep(_small_problem(), (0.5, 0.5), controls)
+
+
+def test_runtime_fault_becomes_a_fault_row(caplog, tmp_path):
+    # 0.8 and 1.2 need 325 and 287 accepted steps, the others at most 272
+    controls = RunControls(threshold=1e6, t_max=20.0, dt_init=2.5e-3, max_steps=280)
+    eps = (0.8, 1.0, 1.2, 1.5, 1.9)
+    with caplog.at_level("WARNING", logger="blowlab.experiments"):
+        serial = sweep(_small_problem(), eps, controls, jobs=1)
+    warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    parallel = sweep(_small_problem(), eps, controls, jobs=2)
+    assert [r.status for r in serial.records] == ["fault", "blowup", "fault", "blowup", "blowup"]
+    assert [repr(r) for r in serial.records] == [repr(r) for r in parallel.records]  # NaN != NaN
+    fault = serial.records[0]
+    assert fault.reason == "step budget exhausted before a verdict was reached"
+    assert math.isnan(fault.t_extrapolated) and fault.t_at_thresholds == ()
+    assert warned == [f"eps {e!r}: fault: {fault.reason}" for e in (0.8, 1.2)]
+    assert serial.fit_status == "skipped: only 3 blowup rows (need 5)"
+
+    summary = emit_sweep(serial, str(tmp_path))
+    assert summary["faults"] == [{"epsilon": e, "reason": fault.reason} for e in (0.8, 1.2)]
+    assert json.loads((tmp_path / "sweep_summary.json").read_text())["faults"] == summary["faults"]
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert rows[1] == "0.8,2.0,0,0.0,0.0,fault,nan,nan,nan,nan,nan,nan,0.05,nan"
+    assert len((tmp_path / "sweep.dat").read_text().splitlines()) == 3
+
+    whole = sweep(_small_problem(), eps, RunControls(threshold=1e6, t_max=20.0, dt_init=2.5e-3))
+    assert "faults" not in emit_sweep(whole, str(tmp_path))

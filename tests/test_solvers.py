@@ -25,6 +25,7 @@ from blowlab.solvers import (
     functional_trace,
     grid_coordinates,
     initial_state,
+    max_abs,
     run_until_blowup,
     step_hyperbolic,
     step_parabolic,
@@ -391,6 +392,24 @@ def test_abs_power_matches_generic():
         assert np.allclose(abs_power(z, p), np.abs(z) ** p, rtol=1e-13)
 
 
+def test_max_abs_reads_non_finite_fields_as_non_finite():
+    rng = np.random.default_rng(1)
+    real = rng.normal(size=64)
+    cplx = real + 1j * rng.normal(size=64)
+    assert max_abs(real) == float(np.max(np.abs(real)))
+    assert max_abs(-np.abs(real)) == float(np.max(np.abs(real)))  # the peak may be negative
+    assert max_abs(cplx) == pytest.approx(float(np.max(np.abs(cplx))), rel=1e-15)
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in (real, cplx):
+            for where in (0, 17, 63):
+                u = field.copy()
+                u[where] = bad
+                assert not math.isfinite(max_abs(u))
+        u = cplx.copy()
+        u[17] = complex(0.5, bad)  # a non-finite imaginary part alone
+        assert not math.isfinite(max_abs(u))
+
+
 def test_domain_for_grid():
     assert domain_for_grid(GridSpec("line", 10.0, 101)).spec.kind == "full-line"
     assert domain_for_grid(GridSpec("half-line", 10.0, 101)).spec.kind == "half-line"
@@ -627,3 +646,82 @@ def test_run_logs_its_step_control(caplog):
     assert f"{res.record.steps} steps accepted" in line
     assert "halvings" in line and "passed" in line and "failed" in line
     assert "dt 1.220703125e-07..0.032" in line
+
+
+# -- velocity-Verlet carries the acceleration -----------------------------------
+
+
+def _bitwise_equal(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+@pytest.mark.parametrize(
+    "coeff, grid, init, dt",
+    [
+        (DAMPED, GridSpec("line", 40.0, 801), InitialDataSpec(0.0, 2.0, 0.8, g_amplitude=1.0), 0.02),
+        (
+            CoefficientSpec(tau=1, p=2.0, lam=1.0, v0=1.0),
+            GridSpec("radial", 30.0, 601, dim=3, include_origin=False),
+            InitialDataSpec(3.0, 1.0, 0.5, g_amplitude=1.0),
+            0.02,
+        ),
+        (
+            CoefficientSpec(tau=1, p=3.0, lam=1.0, a0=1.0, alpha=0.5),
+            GridSpec("polar-sector", 6.0, 60, omega=2.0, num_angles=40),
+            InitialDataSpec(2.0, 1.0, 0.6, g_amplitude=1.0),
+            0.002,
+        ),
+    ],
+    ids=["line", "radial-v0", "polar-sector"],
+)
+def test_carried_acceleration_gives_the_same_bits(coeff, grid, init, dt):
+    state = initial_state(EvolutionProblem(coeff, grid, init), dt=dt)
+    for k in range(40):
+        state = step_hyperbolic(state, coeff, dt if k % 3 else dt / 2)
+    assert state.acc is not None and max_abs(state.acc) > 0.0
+    fresh = FieldState(grid=grid, u=state.u, v=state.v, t=state.t, dt=dt)
+    for step_dt in (dt, dt / 2):
+        carried = step_hyperbolic(state, coeff, step_dt)
+        recomputed = step_hyperbolic(fresh, coeff, step_dt)
+        for name in ("u", "v", "acc"):
+            assert _bitwise_equal(getattr(carried, name), getattr(recomputed, name))
+    assert _bitwise_equal(fresh.acc, state.acc)  # filled in from u alone
+
+
+def test_damped_wave_run_evaluates_one_laplacian_per_step(monkeypatch):
+    counts = {"laplacian": 0, "abs_power": 0}
+    laplacian, power = _GridData.laplacian, solvers.abs_power
+
+    def counting_laplacian(self, u):
+        counts["laplacian"] += 1
+        return laplacian(self, u)
+
+    def counting_power(u, p):
+        counts["abs_power"] += 1
+        return power(u, p)
+
+    monkeypatch.setattr(_GridData, "laplacian", counting_laplacian)
+    monkeypatch.setattr(solvers, "abs_power", counting_power)
+    calls = []
+    original = solvers.step_hyperbolic
+
+    def step(state, coeff, dt):
+        calls.append((state, state.acc))
+        return original(state, coeff, dt)
+
+    monkeypatch.setattr(solvers, "step_hyperbolic", step)
+    # started below the CFL cap, so the run both probes and halves
+    grid = GridSpec("line", extent=60.0, num_points=1501)
+    init = InitialDataSpec(center=0.0, width=0.8, epsilon=3.0, g_amplitude=1.0)
+    controls = RunControls(threshold=1e6, t_max=50.0, dt_init=0.036 / 8)
+    res = run_until_blowup(EvolutionProblem(DAMPED, grid, init), controls)
+    assert res.record.status == "blowup"
+    assert len(calls) > res.record.steps  # halvings and probes ran
+    # one evaluation per stepper call, plus one for the initial state
+    assert counts == {"laplacian": len(calls) + 1, "abs_power": len(calls) + 1}
+    # every call after the first starts from a state that carries its acceleration
+    assert calls[0][1] is None and all(acc is not None for _, acc in calls[1:])
+    retries = [(a, b) for a, b in zip(calls, calls[1:]) if b[0] is a[0]]
+    assert retries
+    # a retry after a halving reuses the array the first attempt filled in
+    assert all(b[1] is a[0].acc for a, b in retries)
