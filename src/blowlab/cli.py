@@ -120,16 +120,10 @@ def _cmd_sweep(args) -> int:
         jobs=args.jobs,
         problem_id=os.path.basename(args.config),
     )
-    grid, coeff = cfg.problem.grid, cfg.problem.coeff
-    dom = domain_for_grid(grid)
+    coeff = cfg.problem.coeff
+    dom = domain_for_grid(cfg.problem.grid)
     try:
-        predicted = lb.regime_bound(
-            2 if grid.geometry == "polar-sector" else grid.dim,
-            dom.gamma,
-            coeff.alpha,
-            coeff.p,
-            cfg.sweep_epsilons[0],
-        )
+        predicted = lb.regime_bound(dom.dim, dom.gamma, coeff.alpha, coeff.p, cfg.sweep_epsilons[0])
         regime_verdict(result, predicted, slope_tolerance=cfg.slope_tolerance)
     except ValueError:
         result.verdict = "no prediction: exponent above the blowup threshold"

@@ -12,6 +12,11 @@ limit dt <= 0.9 h.
 Geometries: the full line, the half line, radially symmetric N-dimensional
 space (optionally with the origin excluded for Dirichlet cones or the
 singular damping a = V0/|x|), and a planar sector in polar coordinates.
+Each grid is one geometry record (``_GridData``), the only code that reads
+``GridSpec.geometry``; the operators, the initial data, the weight Phi and
+``boundary_max`` read its fields.  One coefficient routine gives the radial
+(or line) axis of the implicit Laplacian, which the polar sector extends
+with kron products; the explicit stencil is written out separately.
 
 Blowup runs step on the dyadic ladder dt_init * 2^k: a step that grows
 max|u| by more than the growth limit is halved, and a step-doubling probe
@@ -33,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import splu
 
 from blowlab.cone_geometry import ConeDomain, CrossSectionSpec, SpecError, make_domain
@@ -147,86 +152,124 @@ class GridSpec:
 
 
 class _GridData:
-    """Precomputed mesh arrays and operators for one grid spec."""
+    """The geometry record of one grid spec: mesh arrays, walls and operators.
+
+    The constructor is the one place that reads ``spec.geometry``; the
+    operators, the initial data, the weight and the run read these fields:
+
+    - ``h``, ``coords``, ``radius``, ``vol`` and ``shape`` (plus ``r_nodes``
+      and ``h_theta`` on the polar sector);
+    - ``evolved``, the index of the unknowns (row-major on the polar sector,
+      the unknown order of the sparse solve);
+    - ``walls``, the indices of the Dirichlet walls, and
+      ``truncation_adjacent``, the nodes next to the wall that truncates the
+      domain (both ends of the line, the outer radius, the outer arc);
+    - ``origin_wall``, whether the origin is a Dirichlet wall (a wall node on
+      the half line, a ghost node off the radial and polar grids), and
+      ``support_limit``, the distance from the centre within which the
+      initial data must lie;
+    - ``axis_radius``, the radii of the evolved nodes along the radial axis
+      (None on the line and half line, which have no first-order term);
+    - ``signed_radius`` and ``angular``: the initial bump is
+      B((signed_radius - center) / width) * angular**2 and the harmonic
+      weight is radius**gamma * angular, where ``angular`` is the
+      cross-section profile (1.0 on the one-dimensional grids);
+    - ``cross_section``, the :class:`CrossSectionSpec` of the cone.
+    """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
-        g = spec.geometry
-        if g == "line":
-            self.h = spec.extent / (spec.num_points - 1)
-            self.coords = np.linspace(-spec.extent / 2, spec.extent / 2, spec.num_points)
-            self.radius = np.abs(self.coords)
-            self.vol = np.full(spec.num_points, self.h)
-            self.shape = (spec.num_points,)
-            self.evolved = slice(1, -1)
-            self.adjacent = np.array([1, spec.num_points - 2])
-        elif g == "half-line":
-            self.h = spec.extent / (spec.num_points - 1)
-            self.coords = np.linspace(0.0, spec.extent, spec.num_points)
-            self.radius = self.coords.copy()
-            self.vol = np.full(spec.num_points, self.h)
-            self.shape = (spec.num_points,)
-            self.evolved = slice(1, -1)
-            self.adjacent = np.array([1, spec.num_points - 2])
-        elif g == "radial":
-            n = spec.num_points
+        self._factor = None  # (key, factors) of the current implicit matrix
+        self._damp = None  # (key, denominator) of the current damped-wave step
+        g, n = spec.geometry, spec.num_points
+        if g == "polar-sector":
+            na = spec.num_angles
+            self.h = spec.extent / n
+            self.h_theta = spec.omega / (na - 1)
+            self.r_nodes = self.h * np.arange(1, n + 1)
+            rr, th = np.meshgrid(self.r_nodes, self.h_theta * np.arange(na), indexing="ij")
+            self.coords = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=-1)
+            self.radius = self.signed_radius = rr
+            self.vol = rr * self.h * self.h_theta
+            self.shape = (n, na)
+            self.evolved = np.s_[:-1, 1:-1]
+            self.walls = (-1, np.s_[:, 0], np.s_[:, -1])  # the arc and the two rays
+            self.truncation_adjacent = -2  # the row next to the arc
+            self.origin_wall = True
+            self.support_limit = spec.extent
+            self.axis_radius = self.r_nodes[:-1]
+            theta = np.arctan2(self.coords[..., 1], self.coords[..., 0]) % (2 * math.pi)
+            self.angular = np.sin(math.pi * theta / spec.omega)
+            self.angular[:, 0] = self.angular[:, -1] = 0.0
+            self.cross_section = CrossSectionSpec("planar-sector", 2, omega=spec.omega)
+            return
+        # one-dimensional grids: the branches below override these defaults
+        self.shape = (n,)
+        self.angular = 1.0
+        self.support_limit = spec.extent
+        self.axis_radius = None
+        if g == "radial":
+            self.origin_wall = not spec.include_origin
             if spec.include_origin:
                 self.h = spec.extent / (n - 1)
                 self.coords = np.linspace(0.0, spec.extent, n)
-                self.evolved = slice(0, -1)
-                self.adjacent = np.array([n - 2])
             else:
                 self.h = spec.extent / n
                 self.coords = self.h * np.arange(1, n + 1)
-                self.evolved = slice(0, -1)
-                self.adjacent = np.array([0, n - 2])
             self.radius = self.coords.copy()
+            self.axis_radius = self.radius[:-1]
             area = 2.0 * math.pi ** (spec.dim / 2.0) / math.gamma(spec.dim / 2.0)
             self.vol = area * self.radius ** (spec.dim - 1) * self.h
-            self.shape = (n,)
-        else:  # polar-sector
-            nr, na = spec.num_points, spec.num_angles
-            self.h = spec.extent / nr
-            self.h_theta = spec.omega / (na - 1)
-            self.r_nodes = self.h * np.arange(1, nr + 1)
-            self.theta_nodes = self.h_theta * np.arange(na)
-            rr, th = np.meshgrid(self.r_nodes, self.theta_nodes, indexing="ij")
-            self.coords = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=-1)
-            self.radius = rr
-            self.vol = rr * self.h * self.h_theta
-            self.shape = (nr, na)
-            self.evolved = np.s_[:-1, 1:-1]  # row-major, the unknown order of the sparse solve
-            self.adjacent = None
-        self._banded = None
-        self._sparse = None
-        self._factor = None  # (key, factors) of the current implicit matrix
-        self._damp = None  # (key, denominator) of the current damped-wave step
+            self.evolved = slice(0, -1)
+            self.walls = (-1,)
+            self.truncation_adjacent = -2
+            if spec.dim > 1:
+                kind = "full-sphere"
+            else:
+                kind = "half-line" if self.origin_wall else "full-line"
+            self.cross_section = CrossSectionSpec(kind, spec.dim)
+        else:  # the line and the half line: walls at both ends
+            self.h = spec.extent / (n - 1)
+            self.evolved = slice(1, -1)
+            self.walls = (0, -1)
+            self.vol = np.full(n, self.h)
+            if g == "line":
+                self.origin_wall = False
+                self.support_limit = spec.extent / 2
+                self.coords = np.linspace(-spec.extent / 2, spec.extent / 2, n)
+                self.radius = np.abs(self.coords)
+                self.truncation_adjacent = np.array([1, n - 2])
+                self.cross_section = CrossSectionSpec("full-line", 1)
+            else:
+                self.origin_wall = True
+                self.coords = np.linspace(0.0, spec.extent, n)
+                self.radius = self.coords.copy()
+                self.truncation_adjacent = -2
+                self.cross_section = CrossSectionSpec("half-line", 1)
+        self.signed_radius = self.coords
 
     # -- Laplacian -----------------------------------------------------
 
     def laplacian(self, u: np.ndarray) -> np.ndarray:
         """Second-order Laplacian with Dirichlet walls; boundary rows are 0."""
-        spec = self.spec
-        g = spec.geometry
-        out = np.zeros_like(u)
         h2 = self.h * self.h
-        if g != "polar-sector":
+        if u.ndim == 1:
+            out = np.zeros_like(u)
             # (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h2 in place, operation for operation
             inner = out[1:-1]
             np.multiply(u[1:-1], 2.0, out=inner)
             np.subtract(u[:-2], inner, out=inner)
             inner += u[2:]
             inner /= h2
-            if g != "radial":
+            r = self.axis_radius
+            if r is None:
                 return out
-            r = self.radius
-            inner += ((spec.dim - 1) / r[1:-1]) * (u[2:] - u[:-2]) / (2.0 * self.h)
-            if spec.include_origin:
-                out[0] = 2.0 * spec.dim * (u[1] - u[0]) / h2
-            else:
-                out[0] = (-2.0 * u[0] + u[1]) / h2 + ((spec.dim - 1) / r[0]) * u[1] / (
-                    2.0 * self.h
-                )
+            dim = self.cross_section.dim
+            inner += ((dim - 1) / r[1:]) * (u[2:] - u[:-2]) / (2.0 * self.h)
+            if self.origin_wall:
+                out[0] = (-2.0 * u[0] + u[1]) / h2 + ((dim - 1) / r[0]) * u[1] / (2.0 * self.h)
+            else:  # the origin node, where symmetry gives u_r = 0
+                out[0] = 2.0 * dim * (u[1] - u[0]) / h2
             return out
         # polar sector: u_rr + u_r/r + u_tt/r^2, Dirichlet rays/arc, origin ghost 0
         r = self.r_nodes[:, None]
@@ -239,9 +282,7 @@ class _GridData:
         ang = np.zeros_like(u)
         ang[:, 1:-1] = (u[:, :-2] - 2.0 * u[:, 1:-1] + u[:, 2:]) / ht2
         out = inner + ang / (r * r)
-        out[-1, :] = 0.0
-        out[:, 0] = 0.0
-        out[:, -1] = 0.0
+        _zero_boundary(self, out)
         return out
 
     def damping_denominator(self, coeff: CoefficientSpec, dt: float):
@@ -262,69 +303,41 @@ class _GridData:
     # -- implicit machinery for the parabolic step ----------------------
 
     def _banded_diagonals(self):
-        """(lower, diag, upper) of the Laplacian on evolved nodes (1-d)."""
-        if self._banded is not None:
-            return self._banded
-        spec = self.spec
+        """(lower, diag, upper) of the Laplacian along the radial (or line)
+        axis, per evolved node: u'' + ((N-1)/r) u', with the symmetric row
+        2N (u_1 - u_0) / h^2 at an origin node.  ``lower[0]`` and
+        ``upper[-1]`` couple to a wall or the origin and enter no matrix.
+        The 1-d solve factors these bands; the polar sector adds its angular
+        part to them."""
         h2 = self.h * self.h
-        if spec.geometry in ("line", "half-line"):
-            m = spec.num_points - 2
-            diag = np.full(m, -2.0 / h2)
-            lower = np.full(m, 1.0 / h2)
-            upper = np.full(m, 1.0 / h2)
-        else:  # radial
-            r = self.radius
-            m = spec.num_points - 1
-            diag = np.full(m, -2.0 / h2)
-            lower = np.zeros(m)
-            upper = np.zeros(m)
-            fac = (spec.dim - 1) / (2.0 * self.h)
-            if spec.include_origin:
-                diag[0] = -2.0 * spec.dim / h2
-                upper[0] = 2.0 * spec.dim / h2
-                lower[1:] = 1.0 / h2 - fac / r[1:m]
-                upper[1:] = 1.0 / h2 + fac / r[1:m]
-            else:
-                upper[0] = 1.0 / h2 + fac / r[0]
-                lower[1:] = 1.0 / h2 - fac / r[1:m]
-                upper[1:] = 1.0 / h2 + fac / r[1:m]
-        self._banded = (lower, diag, upper)
-        return self._banded
+        r = self.axis_radius
+        if r is None:
+            m = self.spec.num_points - 2
+            return np.full(m, 1.0 / h2), np.full(m, -2.0 / h2), np.full(m, 1.0 / h2)
+        dim = self.cross_section.dim
+        fac = (dim - 1) / (2.0 * self.h)
+        diag = np.full(r.size, -2.0 / h2)
+        lower = np.zeros(r.size)
+        upper = np.zeros(r.size)
+        lower[1:] = 1.0 / h2 - fac / r[1:]
+        upper[1:] = 1.0 / h2 + fac / r[1:]
+        if self.origin_wall:
+            upper[0] = 1.0 / h2 + fac / r[0]
+        else:
+            diag[0] = -2.0 * dim / h2
+            upper[0] = 2.0 * dim / h2
+        return lower, diag, upper
 
-    def _sparse_laplacian(self):
-        """CSR Laplacian over evolved polar nodes."""
-        if self._sparse is not None:
-            return self._sparse
-        spec = self.spec
-        nr, na = spec.num_points, spec.num_angles
-        h2 = self.h * self.h
+    def _polar_laplacian(self):
+        """CSR Laplacian over the evolved polar nodes, in row-major order:
+        kron(D_r, I) + kron(diag(1/r^2), D_theta)."""
+        lower, diag, upper = self._banded_diagonals()
+        na = self.spec.num_angles - 2
         ht2 = self.h_theta * self.h_theta
-        idx = -np.ones((nr, na), dtype=int)
-        evolved = [(i, j) for i in range(nr - 1) for j in range(1, na - 1)]
-        for k, (i, j) in enumerate(evolved):
-            idx[i, j] = k
-        rows, cols, vals = [], [], []
-        for k, (i, j) in enumerate(evolved):
-            r = self.r_nodes[i]
-            rows.append(k)
-            cols.append(k)
-            vals.append(-2.0 / h2 - 2.0 / (ht2 * r * r))
-            for di, w in ((-1, 1.0 / h2 - 1.0 / (2.0 * self.h * r)), (1, 1.0 / h2 + 1.0 / (2.0 * self.h * r))):
-                ii = i + di
-                if 0 <= ii < nr - 1:
-                    if idx[ii, j] >= 0:
-                        rows.append(k)
-                        cols.append(idx[ii, j])
-                        vals.append(w)
-            for dj in (-1, 1):
-                jj = j + dj
-                if idx[i, jj] >= 0:
-                    rows.append(k)
-                    cols.append(idx[i, jj])
-                    vals.append(1.0 / (ht2 * r * r))
-        m = len(evolved)
-        self._sparse = csr_matrix((vals, (rows, cols)), shape=(m, m))
-        return self._sparse
+        d_r = diags([lower[1:], diag, upper[:-1]], [-1, 0, 1])
+        d_theta = diags([1.0 / ht2, -2.0 / ht2, 1.0 / ht2], [-1, 0, 1], shape=(na, na))
+        lap = kron(d_r, identity(na)) + kron(diags(1.0 / self.axis_radius**2), d_theta)
+        return lap.tocsr()
 
     def solve_implicit(self, factor: complex, dt: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - (dt/2) * factor * Lap) x = rhs on evolved nodes.
@@ -335,21 +348,21 @@ class _GridData:
         stays on each rung for many steps, so its step-doubling probe (one
         step of 2*dt) simply factors again, as does the step after it.
         """
-        polar = self.spec.geometry == "polar-sector"
-        is_complex = polar or np.iscomplexobj(rhs) or isinstance(factor, complex)
+        sparse = rhs.ndim == 2  # the polar sector, the one 2-d grid
+        is_complex = sparse or np.iscomplexobj(rhs) or isinstance(factor, complex)
         dtype = complex if is_complex else float
         key = (dt, factor, dtype)
         if self._factor is None or self._factor[0] != key:
             self._factor = None  # released before the new factors are built
             coef = 0.5 * dt * factor
-            if polar:
-                lap = self._sparse_laplacian()
+            if sparse:
+                lap = self._polar_laplacian()
                 mat = identity(lap.shape[0], dtype=complex, format="csr") - coef * lap
                 self._factor = (key, splu(mat.tocsc()))
             else:
                 self._factor = (key, _TridiagonalLU(*self._banded_diagonals(), coef, dtype))
         out = np.zeros(rhs.shape, dtype=dtype)
-        if polar:
+        if sparse:
             b = rhs[self.evolved].astype(dtype)
             out[self.evolved] = self._factor[1].solve(b.reshape(-1)).reshape(b.shape)
         else:
@@ -464,36 +477,13 @@ def grid_coordinates(spec: GridSpec) -> np.ndarray:
 
 def domain_for_grid(spec: GridSpec) -> ConeDomain:
     """The cone-like domain a grid geometry discretizes."""
-    if spec.geometry == "line":
-        return make_domain(CrossSectionSpec("full-line", 1))
-    if spec.geometry == "half-line":
-        return make_domain(CrossSectionSpec("half-line", 1))
-    if spec.geometry == "radial":
-        if spec.dim == 1:
-            return make_domain(CrossSectionSpec("half-line" if not spec.include_origin else "full-line", 1))
-        return make_domain(CrossSectionSpec("full-sphere", spec.dim))
-    return make_domain(CrossSectionSpec("planar-sector", 2, omega=spec.omega))
+    return make_domain(_grid_data(spec).cross_section)
 
 
 def weight_values(spec: GridSpec) -> np.ndarray:
-    """Harmonic weight sampled on the grid nodes."""
-    dom = domain_for_grid(spec)
-    g = spec.geometry
+    """Harmonic weight Phi = radius**gamma * cross-section profile on the grid nodes."""
     data = _grid_data(spec)
-    if g == "line":
-        return np.ones(data.shape)
-    if g == "half-line":
-        return data.coords.copy()
-    if g == "radial":
-        if dom.gamma == 0.0:
-            return np.ones(data.shape)
-        return data.radius**dom.gamma
-    rr = data.radius
-    th = np.arctan2(data.coords[..., 1], data.coords[..., 0]) % (2 * math.pi)
-    vals = rr**dom.gamma * np.sin(math.pi * th / spec.omega)
-    vals[:, 0] = 0.0
-    vals[:, -1] = 0.0
-    return vals
+    return data.radius ** domain_for_grid(spec).gamma * data.angular
 
 
 @dataclass(frozen=True)
@@ -563,16 +553,14 @@ class EvolutionProblem:
 
     def __post_init__(self):
         bad = []
-        g = self.grid.geometry
-        half_extent = self.grid.extent / 2 if g == "line" else self.grid.extent
-        if self.init.support_radius() >= half_extent:
+        data = _grid_data(self.grid)
+        if self.init.support_radius() >= data.support_limit:
             bad.append(("init", "initial data support must lie strictly inside the domain"))
-        origin_wall = g == "half-line" or (g == "radial" and not self.grid.include_origin)
-        if g == "polar-sector" or origin_wall:
-            if self.init.center - self.init.width <= 0.0:
-                bad.append(("init", "initial data support must stay off the origin wall"))
-        if self.coeff.v0 is not None and (g != "radial" or self.grid.include_origin):
-            bad.append(("grid", "singular damping needs a radial grid with the origin excluded"))
+        if data.origin_wall and self.init.center - self.init.width <= 0.0:
+            bad.append(("init", "initial data support must stay off the origin wall"))
+        # v0/|x| needs the origin to be a Dirichlet ghost off the grid (radial, polar)
+        if self.coeff.v0 is not None and not (data.origin_wall and data.radius.min() > 0.0):
+            bad.append(("grid", "singular damping needs a grid that excludes the origin"))
         if bad:
             raise SpecError(bad)
 
@@ -595,18 +583,14 @@ class FieldState:
     acc: np.ndarray | None = None
 
 
+def _bump(data: _GridData, init: InitialDataSpec) -> np.ndarray:
+    """f, the initial bump before its amplitude and epsilon, on the grid nodes."""
+    return bump_profile((data.signed_radius - init.center) / init.width) * data.angular**2
+
+
 def initial_state(problem: EvolutionProblem, dt: float) -> FieldState:
     grid, init, coeff = problem.grid, problem.init, problem.coeff
-    data = _grid_data(grid)
-    if grid.geometry == "polar-sector":
-        rr = data.radius
-        prof = bump_profile((rr - init.center) / init.width)
-        prof[:, 0] = 0.0
-        prof[:, -1] = 0.0
-        th = np.arctan2(data.coords[..., 1], data.coords[..., 0])
-        prof = prof * np.sin(math.pi * th / grid.omega) ** 2
-    else:
-        prof = bump_profile((data.coords - init.center) / init.width)
+    prof = _bump(_grid_data(grid), init)
     real = coeff.is_real() and init.amplitude.imag == 0 and init.g_amplitude.imag == 0
     dtype = float if real else complex
     amp = init.amplitude.real if real else init.amplitude
@@ -688,16 +672,8 @@ def _acceleration(data: _GridData, u: np.ndarray, lam, p: float) -> np.ndarray:
 
 
 def _zero_boundary(data: _GridData, arr: np.ndarray) -> None:
-    spec = data.spec
-    if spec.geometry == "polar-sector":
-        arr[-1, :] = 0.0
-        arr[:, 0] = 0.0
-        arr[:, -1] = 0.0
-    elif spec.geometry == "radial":
-        arr[-1] = 0.0
-    else:
-        arr[0] = 0.0
-        arr[-1] = 0.0
+    for wall in data.walls:
+        arr[wall] = 0.0
 
 
 def wave_energy(state: FieldState) -> float:
@@ -945,10 +921,7 @@ def run_until_blowup(
         snap_times.append(state.t)
         snaps.append(state.u.copy())
 
-    if state.u.ndim == 1:
-        boundary = float(np.max(np.abs(state.u[data.adjacent])))
-    else:
-        boundary = float(np.max(np.abs(state.u[-2, :])))  # row next to the truncated arc
+    boundary = float(np.max(np.abs(state.u[data.truncation_adjacent])))
     t_ext = math.nan
     if status == "blowup":
         t_ext = extrapolate_lifespan(thresholds, crossings, coeff.p)
@@ -980,9 +953,7 @@ def weighted_initial_mass(problem: EvolutionProblem) -> float:
     grid, init, coeff = problem.grid, problem.init, problem.coeff
     data = _grid_data(grid)
     phi = weight_values(grid)
-    prof = bump_profile((data.coords - init.center) / init.width) if grid.geometry != "polar-sector" else None
-    if prof is None:
-        raise ValueError("initial mass helper supports one-dimensional geometries")
+    prof = _bump(data, init)
     f_int = complex(np.sum(init.amplitude * prof * phi * data.vol))
     if coeff.tau == 0:
         return init.epsilon * abs(f_int / coeff.lam)

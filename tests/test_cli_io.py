@@ -316,11 +316,14 @@ def test_shipped_configs_validate():
 
 
 def test_console_entry_point_runs():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "blowlab", "bound", "--delta", "1", "--c0", "1",
          "--r1", "1", "--theta", "1", "--p", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "1.693147" in proc.stdout

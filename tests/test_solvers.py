@@ -246,6 +246,12 @@ def test_singular_damping_radial_run():
     assert res.record.status == "blowup"
     with pytest.raises(ValueError):
         EvolutionProblem(coeff, GridSpec("radial", 30.0, 1501, dim=3), init)
+    with pytest.raises(ValueError):  # the origin is a wall node there
+        EvolutionProblem(coeff, GridSpec("half-line", 30.0, 1501), init)
+    # the polar sector excludes the origin too: one step stays finite
+    polar = GridSpec("polar-sector", 6.0, 60, omega=2.0, num_angles=40)
+    state = initial_state(EvolutionProblem(coeff, polar, InitialDataSpec(2.0, 1.0, 0.5)), dt=2e-3)
+    assert np.all(np.isfinite(step_hyperbolic(state, coeff, state.dt).u))
 
 
 def test_linear_heat_survives():
@@ -318,6 +324,33 @@ def test_weighted_initial_mass_line_and_halfline():
     assert massh == pytest.approx(directh, rel=1e-12)
 
 
+def test_weighted_initial_mass_polar_sector():
+    omega = 2.0
+    grid = GridSpec("polar-sector", extent=6.0, num_points=60, omega=omega, num_angles=40)
+    init = InitialDataSpec(center=2.0, width=1.0, epsilon=0.5, g_amplitude=0.3)
+    h, h_theta = 6.0 / 60, omega / 39
+    r = (h * np.arange(1, 61))[:, None]
+    ang = np.sin(math.pi * (h_theta * np.arange(40)) / omega)
+    ang[[0, -1]] = 0.0
+    f = bump_profile((r - 2.0) / 1.0) * ang**2
+    phi = r ** (math.pi / omega) * ang  # gamma = pi/omega on a planar sector
+    vol = r * h * h_theta
+    mass = weighted_initial_mass(EvolutionProblem(HEAT, grid, init))
+    assert mass == pytest.approx(0.5 * float(np.sum(f * phi * vol)), rel=1e-12)
+    damped = CoefficientSpec(tau=1, p=2.0, lam=1.0, a0=1.0, alpha=0.5)
+    a = (1.0 + r**2) ** -0.25
+    direct = 0.5 * float(np.sum((0.3 * f + a * f) * phi * vol))
+    assert weighted_initial_mass(EvolutionProblem(damped, grid, init)) == pytest.approx(direct, rel=1e-12)
+
+
+def test_polar_bump_is_symmetric_about_the_bisector():
+    # the angular factor sin^2(pi*theta/omega) on a sector wider than pi
+    for omega in (2.0, 1.5 * math.pi, 2.0 * math.pi):
+        grid = GridSpec("polar-sector", extent=6.0, num_points=60, omega=omega, num_angles=41)
+        u = initial_state(EvolutionProblem(HEAT, grid, InitialDataSpec(2.0, 1.0, 1.0)), dt=1e-3).u
+        assert np.max(np.abs(u - u[:, ::-1])) <= 1e-13 * np.max(np.abs(u))
+
+
 def test_first_admissible_radius():
     init = InitialDataSpec(center=0.0, width=1.0, epsilon=1.0)
     assert first_admissible_radius(init, 0.0) == pytest.approx(4.0)
@@ -380,6 +413,19 @@ def test_functional_trace_flags_sparse_snapshots(heat_blowup_run):
         functional_trace(res2, fam, np.geomspace(4.0, 12.0, 5))
 
 
+def test_boundary_max_reads_only_the_truncation_wall():
+    # the node next to the half line's origin wall holds heat on a correct run
+    grid = GridSpec("half-line", extent=200.0, num_points=5001)
+    init = InitialDataSpec(center=3.0, width=1.0, epsilon=0.3)
+    controls = RunControls(t_max=400.0, dt_init=2e-3)
+    res = run_until_blowup(EvolutionProblem(HEAT, grid, init), controls, keep_snapshots=False)
+    u = res.snapshots[-1]
+    assert res.record.status == "blowup"
+    assert abs(u[1]) > 1e-4
+    assert res.record.boundary_max == abs(u[-2])
+    assert res.record.boundary_max < 1e-8
+
+
 def test_boundary_hygiene_on_blowup_run(heat_blowup_run):
     assert heat_blowup_run.record.status == "blowup"
     assert heat_blowup_run.record.boundary_max < 1e-8
@@ -435,6 +481,35 @@ def test_polar_sector_smoke_steps():
     for _ in range(20):
         statew = step_hyperbolic(statew, coeffw, statew.dt)
     assert np.all(np.isfinite(statew.u))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GridSpec("line", 20.0, 201),
+        GridSpec("half-line", 20.0, 201),
+        GridSpec("radial", 20.0, 201, dim=1),
+        GridSpec("radial", 20.0, 201, dim=3),
+        GridSpec("radial", 20.0, 201, dim=1, include_origin=False),
+        GridSpec("radial", 20.0, 201, dim=3, include_origin=False),
+        GridSpec("polar-sector", 6.0, 40, omega=2.0, num_angles=30),
+    ],
+    ids=["line", "half-line", "radial-1", "radial-3", "radial-1-no-origin", "radial-3-no-origin", "polar"],
+)
+def test_implicit_operator_matches_the_explicit_laplacian(grid):
+    data = _GridData(grid)
+    u = np.random.default_rng(7).normal(size=data.shape)
+    solvers._zero_boundary(data, u)
+    want = data.laplacian(u)[data.evolved]
+    ue = u[data.evolved]
+    if ue.ndim == 2:
+        got = (data._polar_laplacian() @ ue.reshape(-1)).reshape(ue.shape)
+    else:
+        lower, diag, upper = data._banded_diagonals()
+        got = diag * ue
+        got[1:] += lower[1:] * ue[:-1]
+        got[:-1] += upper[:-1] * ue[1:]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _banded_reference(data, factor, dt, rhs):
