@@ -292,8 +292,8 @@ def cap_eigenvalue(theta0: float, tol: float = 1e-10) -> float:
     return nu * (nu + 1.0)
 
 
-def _cap_profile(theta0: float) -> CapProfile:
-    lam = cap_eigenvalue(theta0)
+def _cap_profile(theta0: float, lam: float) -> CapProfile:
+    """The cap's first mode, shot at its eigenvalue ``lam``."""
     nu = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * lam))
     sol = _cap_shoot(nu, theta0, dense=True)
     head = np.linspace(0.0, sol.t[0], 8, endpoint=False)
@@ -309,7 +309,9 @@ def make_domain(spec: CrossSectionSpec) -> ConeDomain:
     """Build the domain with its eigenvalue, exponent and angular profile.
 
     Closed forms are used where they exist (sphere, sector, half-space
-    product); the spherical cap falls back to the shooting solver.
+    product); the spherical cap falls back to the shooting solver.  The
+    spherical cap is shot once: its eigenvalue is solved once, and its
+    profile is shot at that eigenvalue.
     """
     kind, dim = spec.kind, spec.dim
     if kind == "full-line":
@@ -323,7 +325,7 @@ def make_domain(spec: CrossSectionSpec) -> ConeDomain:
         return ConeDomain(spec, lam, gamma_root(dim, lam), SectorProfile(spec.omega))
     if kind == "spherical-cap":
         lam = cap_eigenvalue(spec.theta0)
-        return ConeDomain(spec, lam, gamma_root(dim, lam), _cap_profile(spec.theta0))
+        return ConeDomain(spec, lam, gamma_root(dim, lam), _cap_profile(spec.theta0, lam))
     if kind == "half-space-product":
         k = spec.k
         if dim == 1:

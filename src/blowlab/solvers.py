@@ -349,15 +349,14 @@ class _GridData:
         step of 2*dt) simply factors again, as does the step after it.
         """
         sparse = rhs.ndim == 2  # the polar sector, the one 2-d grid
-        is_complex = sparse or np.iscomplexobj(rhs) or isinstance(factor, complex)
-        dtype = complex if is_complex else float
+        dtype = complex if np.iscomplexobj(rhs) or isinstance(factor, complex) else float
         key = (dt, factor, dtype)
         if self._factor is None or self._factor[0] != key:
             self._factor = None  # released before the new factors are built
             coef = 0.5 * dt * factor
             if sparse:
                 lap = self._polar_laplacian()
-                mat = identity(lap.shape[0], dtype=complex, format="csr") - coef * lap
+                mat = identity(lap.shape[0], dtype=dtype, format="csr") - coef * lap
                 self._factor = (key, splu(mat.tocsc()))
             else:
                 self._factor = (key, _TridiagonalLU(*self._banded_diagonals(), coef, dtype))

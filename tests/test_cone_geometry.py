@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import jn_zeros
 
+from blowlab import cone_geometry
 from blowlab.cone_geometry import (
     BumpField,
     ConeDomain,
@@ -128,6 +129,28 @@ def test_cap_eigenvalue_vanishes_monotonically_toward_full_sphere():
     lams = [cap_eigenvalue(t) for t in (2.5, 2.9, 3.1)]
     assert lams[0] > lams[1] > lams[2] > 0.0
     assert lams[2] < 0.2
+
+
+def test_make_domain_shoots_the_cap_once(monkeypatch):
+    spec = CrossSectionSpec("spherical-cap", 3, theta0=1.0)
+    # the domain as built when the profile solved the eigenvalue a second time
+    lam_old = cap_eigenvalue(1.0)
+    old = ConeDomain(
+        spec, lam_old, gamma_root(3, lam_old), cone_geometry._cap_profile(1.0, cap_eigenvalue(1.0))
+    )
+    calls = []
+
+    def counted(theta0, *args, **kwargs):
+        calls.append(theta0)
+        return cap_eigenvalue(theta0, *args, **kwargs)
+
+    monkeypatch.setattr(cone_geometry, "cap_eigenvalue", counted)
+    dom = make_domain(spec)
+    assert calls == [1.0]
+    assert dom.lambda_sigma == old.lambda_sigma and dom.gamma == old.gamma
+    theta = np.linspace(0.0, 1.1, 50)
+    w = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
+    assert np.array_equal(dom.eigenfunction(w), old.eigenfunction(w))
 
 
 def test_phi_eval_quarter_plane_product():

@@ -4,10 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from blowlab import cutoffs
 from blowlab.cutoffs import (
+    BoundConstants,
     CutoffFamily,
     DEFAULT_PROFILE,
     PolynomialProfile,
+    TransitionProfile,
     bound_constants,
     in_region,
     log2_inequality_margins,
@@ -15,6 +18,7 @@ from blowlab.cutoffs import (
     psi_laplacian,
     psi_star,
     psi_time_derivs,
+    psi_star_of_s,
     s_value,
     star_tail_integral,
 )
@@ -267,6 +271,92 @@ def test_bound_constants_negative_control_diverges():
     # the canonical 2p' power restores boundedness for the same profile
     bc = bound_constants(CutoffFamily(R=10.0, p=2.0, profile=PolynomialProfile(1)), dim=1)
     assert math.isfinite(bc.c1) and math.isfinite(bc.c2) and math.isfinite(bc.c3)
+
+
+def _ratio_sups_on_mesh(fam, dim, n_s, n_pos, sample_range, tail_decades):
+    """Reference: every factor evaluated on the full (s, position) meshgrid."""
+    lo = max(0.5, sample_range[0], 1.0 / fam.R if fam.R > 1 else 0.5)
+    hi = min(1.0, sample_range[1])
+    span = hi - lo
+    base = lo + span * (np.arange(1, n_s) / n_s)
+    tail = hi - span * np.logspace(-tail_decades, -1, 8 * tail_decades)
+    s_vals = np.unique(np.concatenate([base, tail]))
+    s_vals = s_vals[(s_vals > lo) & (s_vals < hi)]
+    ss, ff = np.meshgrid(s_vals, np.linspace(0.0, 1.0, n_pos), indexing="ij")
+    rho = 1.0 + ff * (ss * fam.R - 1.0)
+    br = rho ** (1.0 / (2.0 - fam.alpha))
+    r2 = br * br - 1.0
+    q = fam.exponent
+    e1 = q * (1.0 - 1.0 / fam.p) - 1.0
+    eta, d1, d2 = fam.profile(ss), fam.profile.deriv(ss), fam.profile.deriv2(ss)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pow1 = eta**e1
+        pow0 = eta ** (e1 - 1.0)
+        g1 = q * pow1 * d1
+        g2 = q * (q - 1.0) * pow0 * d1 * d1 + q * pow1 * d2
+        a = fam.alpha
+        grad_rho_sq = (2.0 - a) ** 2 * br ** (-2.0 * a) * r2
+        lap_rho = (2.0 - a) * br ** (-a) * (dim - a * r2 / (br * br))
+        ratios = (np.abs(g1), np.abs(g2), br**a * np.abs(g2 * grad_rho_sq / fam.R + g1 * lap_rho))
+    return BoundConstants(*(float(np.max(np.nan_to_num(r, nan=0.0, posinf=np.inf))) for r in ratios))
+
+
+@pytest.mark.parametrize("profile", [TransitionProfile(), PolynomialProfile(1)], ids=["eta", "hat"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("sample_range", [(0.5, 1.0), (0.55, 0.9)])
+def test_ratio_sups_bitwise_equal_to_full_mesh(profile, alpha, dim, sample_range):
+    fam = CutoffFamily(R=10.0, p=2.0, alpha=alpha, profile=profile)
+    for n_s, n_pos, decades in ((600, 64, 6), (1200, 128, 12)):
+        got = cutoffs._ratio_sups(fam, dim, n_s, n_pos, sample_range, decades)
+        want = _ratio_sups_on_mesh(fam, dim, n_s, n_pos, sample_range, decades)
+        assert got == want  # dataclass equality of floats: bitwise up to the sign of zero
+
+
+def _tail_reference(fam, sigma, panels=16, nodes=32):
+    """Composite Gauss-Legendre: ``panels`` panels of ``nodes`` nodes each."""
+    lo = max(sigma, 0.5)
+    if lo >= 1.0:
+        return 0.0
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(lo, 1.0, panels + 1)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        h = 0.5 * (b - a)
+        s = (a + h) + h * x
+        total += h * float(np.sum(w * psi_star_of_s(fam, s) / s))
+    return total
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_star_tail_integral_against_composite_rule(p):
+    fam = CutoffFamily(R=1.0, p=p)
+    sigmas = np.linspace(0.0, 1.3, 60)
+    got = star_tail_integral(fam, sigmas)
+    want = np.array([_tail_reference(fam, float(sg)) for sg in sigmas])
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_star_tail_integral_scalar_and_array_contract():
+    fam = CutoffFamily(R=1.0, p=2.0)
+    one = star_tail_integral(fam, 0.3)
+    assert type(one) is float and one > 0.0
+    # below 1/2 the lower limit is 1/2: every sigma there gives the same value
+    assert star_tail_integral(fam, 0.0) == one
+    grid = np.array([[0.3, 0.7], [1.0, 2.5]])
+    vals = star_tail_integral(fam, grid)
+    assert isinstance(vals, np.ndarray) and vals.shape == (2, 2)
+    assert vals[0, 0] == one
+    assert vals[0, 1] == star_tail_integral(fam, 0.7)
+    assert np.all(vals[1] == 0.0) and not np.any(np.signbit(vals[1]))
+    assert star_tail_integral(fam, np.float64(1.0)) == 0.0
+    with pytest.raises(ValueError):
+        star_tail_integral(fam, np.array([0.2, -1e-12, 0.8]))
+    with pytest.raises(ValueError):
+        star_tail_integral(fam, -0.1)
+    margins = log2_inequality_margins(fam, grid)
+    assert margins.shape == (2, 2)
+    assert np.array_equal(margins.reshape(-1), log2_inequality_margins(fam, grid.reshape(-1)))
 
 
 def test_log2_tail_inequality():

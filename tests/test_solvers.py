@@ -483,6 +483,20 @@ def test_polar_sector_smoke_steps():
     assert np.all(np.isfinite(statew.u))
 
 
+def test_polar_heat_stays_real():
+    # a real run solves in real arithmetic; the complex solve of the same
+    # state (imaginary part zero) is the reference
+    grid = GridSpec("polar-sector", extent=6.0, num_points=60, omega=2.0, num_angles=40)
+    state = initial_state(EvolutionProblem(HEAT, grid, InitialDataSpec(2.0, 1.0, 0.5)), dt=2e-3)
+    ref = FieldState(grid=grid, u=state.u.astype(complex), v=None, t=0.0, dt=state.dt)
+    for _ in range(50):
+        state = step_parabolic(state, HEAT, state.dt)
+        ref = step_parabolic(ref, HEAT, ref.dt)
+    assert state.u.dtype == np.float64
+    assert np.all(ref.u.imag == 0.0)
+    assert np.max(np.abs(state.u - ref.u.real)) <= 1e-13 * np.max(np.abs(ref.u.real))
+
+
 @pytest.mark.parametrize(
     "grid",
     [
