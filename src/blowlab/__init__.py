@@ -1,7 +1,7 @@
 """Numerical laboratory for lifespan scaling of semilinear evolution equations
 on cone-like domains.
 
-The package has six layers:
+The package has seven layers:
 
 * :mod:`blowlab.cone_geometry` -- cross-section eigenvalues, the homogeneity
   exponent gamma, the harmonic weight, and verification helpers (harmonicity,
@@ -16,6 +16,7 @@ The package has six layers:
   and space-time functional traces.
 * :mod:`blowlab.experiments` -- epsilon sweeps, scaling-law fits and regime
   verdicts.
+* :mod:`blowlab.verify` -- the property suites and the criterion-to-bound pipeline.
 * :mod:`blowlab.config` / :mod:`blowlab.cli` -- JSON configuration, CSV
   emission and the command-line surface.
 """

@@ -20,10 +20,11 @@ import sys
 import numpy as np
 
 from blowlab import cone_geometry as cg
-from blowlab import cutoffs as co
 from blowlab import lifespan_bounds as lb
+from blowlab import verify
 from blowlab.config import (
     ConfigError,
+    emit_criterion,
     emit_record,
     emit_snapshots,
     emit_sweep,
@@ -87,12 +88,22 @@ def _cmd_simulate(args) -> int:
     print(f"T_extrapolated: {rec.t_extrapolated!r}")
     print(f"boundary_max: {rec.boundary_max!r}")
     if cfg.trace_radii:
-        fam = co.CutoffFamily(
-            R=cfg.trace_radii[0], p=cfg.problem.coeff.p, alpha=cfg.problem.coeff.alpha
-        )
-        trace = functional_trace(result, fam, np.asarray(cfg.trace_radii))
+        radii = np.asarray(cfg.trace_radii)
+        trace = functional_trace(result, verify.trace_family(result, radii), radii)
         emit_trace(trace, os.path.join(out_dir, "trace.csv"))
         print(f"trace: {len(cfg.trace_radii)} radii written")
+        outcome = reason = None
+        try:
+            outcome = verify.criterion_pipeline(result, trace)
+        except ValueError as exc:
+            reason = str(exc)
+        verdict = emit_criterion(
+            os.path.join(out_dir, "criterion.json"), rec.t_extrapolated, outcome, reason
+        )
+        if reason:
+            print(f"criterion: no bound: {reason}")
+        else:
+            print(f"criterion: bound {outcome.bound!r}, bound >= T: {verdict['bound_ge_T']}")
     if len(result.snapshot_times) > 2:
         n_nodes = int(np.asarray(result.snapshots[0]).size)
         time_stride = max(1, len(result.snapshot_times) // 50)
@@ -143,118 +154,44 @@ def _report(checks) -> int:
 
 
 def _verify_cutoff(args) -> int:
-    checks = []
-    fam = co.CutoffFamily(R=8.0, p=2.0)
-    support = (
-        float(co.psi(fam, np.zeros(1), 0.0)) == 1.0
-        and float(co.psi_star(fam, np.zeros(1), 0.0)) == 0.0
-        and float(co.psi(fam, np.array([3.0]), 0.0)) == 0.0
-    )
-    checks.append(("support identities exact", support))
-    margins = co.log2_inequality_margins(fam, np.linspace(0.0, 1.2, 100))
-    checks.append(("log-2 tail inequality at 100 sigmas", bool(np.all(margins >= -1e-10))))
-    stable = True
-    for p in (1.5, 2.0, 3.0):
-        for alpha in (0.0, 0.5, 1.0):
-            vals = [
-                co.bound_constants(co.CutoffFamily(R=R, p=p, alpha=alpha), dim=2)
-                for R in (10.0, 100.0, 1000.0)
-            ]
-            for name in ("c1", "c2", "c3"):
-                v = np.array([getattr(b, name) for b in vals])
-                mean = float(v.mean())
-                if np.max(np.abs(v - mean)) > 0.10 * mean:
-                    stable = False
-    checks.append(("bound constants stable (10%) across R", stable))
-    try:
-        co.bound_constants(
-            co.CutoffFamily(R=10.0, p=2.0, profile=co.PolynomialProfile(1), power=1.0), dim=1
-        )
-        negative = False
-    except ValueError:
-        negative = True
-    checks.append(("negative control (power 1) diverges", negative))
-    return _report(checks)
+    m = verify.cutoff()
+    return _report([
+        ("support identities exact", m.support == (1.0, 0.0, 0.0, 0.0)),
+        ("log-2 tail inequality at 100 sigmas", bool(np.all(m.log2_margins >= -1e-10))),
+        ("bound constants stable (10%) across R", max(m.spreads.values()) <= 0.10),
+        ("negative control (power 1) diverges", m.power_one_diverges),
+    ])
 
 
 def _verify_hardy(args) -> int:
-    from blowlab.cone_geometry import BumpField
-
-    rng = np.random.default_rng(args.seed)
-    checks = []
-    count = args.count
-    specs = [
-        (cg.CrossSectionSpec("full-sphere", 3), "full-sphere N=3"),
-        (cg.CrossSectionSpec("half-space-product", 2, k=2), "quarter-plane"),
-        (cg.CrossSectionSpec("half-line", 1), "half-line"),
-    ]
-    for spec, label in specs:
-        dom = cg.make_domain(spec)
-        bound = cg.hardy_constant(dom)
-        worst = math.inf
-        for _ in range(count):
-            if spec.kind == "full-sphere":
-                direction = rng.normal(size=3)
-                direction /= np.linalg.norm(direction)
-                dist = rng.uniform(0.5, 2.0)
-                center = direction * dist
-                radius = dist * rng.uniform(0.25, 0.6)
-            elif spec.kind == "half-space-product":
-                center = rng.uniform(0.8, 3.0, size=2)
-                radius = float(np.min(center)) * rng.uniform(0.3, 0.7)
-            else:
-                c = rng.uniform(1.0, 4.0)
-                center = np.array([c])
-                radius = c * rng.uniform(0.3, 0.7)
-            f = BumpField(center=center, radius=radius, amplitude=rng.uniform(0.5, 2.0))
-            n = 24 if spec.kind == "full-sphere" else 48
-            worst = min(worst, cg.hardy_ratio(dom, f, n=n))
-        checks.append((f"{label}: {count} fields above {bound:.4g}", worst >= bound - 1e-6))
-    return _report(checks)
+    return _report([
+        (f"{name}: {args.count} fields above {bound:.4g}", min(q, default=math.inf) >= bound - 1e-6)
+        for name, bound, q in verify.hardy(args.seed, args.count, orders=(24, 48, 48))
+    ])
 
 
 def _verify_harmonic(args) -> int:
-    checks = []
-    w = cg.WeightPhi(cg.make_domain(cg.CrossSectionSpec("half-space-product", 2, k=2)))
-    lap, euler = cg.harmonic_residual(w, np.array([1.0, 2.0]), 0.01)
-    checks.append(("quarter-plane product weight exactly discrete-harmonic", lap < 1e-10))
-    wh = cg.WeightPhi(cg.make_domain(cg.CrossSectionSpec("half-line", 1)))
-    _, euler_h = cg.harmonic_residual(wh, np.array([2.0]), 0.25)
-    checks.append(("half-line Euler identity exact", euler_h < 1e-12))
-    for spec, point, h0 in (
-        (cg.CrossSectionSpec("planar-sector", 2, omega=3 * math.pi / 4), (0.96, 0.61), 1e-2),
-        (cg.CrossSectionSpec("spherical-cap", 3, theta0=1.0), (0.25, 0.1, 0.9), 2e-2),
-    ):
-        dom = cg.make_domain(spec)
-        wp = cg.WeightPhi(dom)
-        x = np.asarray(point, dtype=float)
-        lap_c, euler_c = cg.harmonic_residual(wp, x, h0)
-        lap_f, euler_f = cg.harmonic_residual(wp, x, h0 / 2)
-        order_ok = lap_c / lap_f >= 2.0**1.8 and euler_c / euler_f >= 2.0**1.8
-        checks.append((f"{spec.kind}: residuals converge at order >= 1.8", order_ok))
-    return _report(checks)
+    m = verify.harmonic()
+    return _report([
+        ("quarter-plane product weight exactly discrete-harmonic", m.product_laplacian < 1e-10),
+        ("half-line Euler identity exact", m.half_line_euler < 1e-12),
+        *(
+            (f"{kind}: residuals converge at order >= 1.8", lap >= 2.0**1.8 and euler >= 2.0**1.8)
+            for kind, lap, euler in m.orders
+        ),
+    ])
 
 
 def _verify_lemma_oracle(args) -> int:
-    checks = []
-    spot0 = lb.lifespan_upper_bound(lb.BoundInputs(1.0, 1.0, 1.0, 0.0, 2.0))
-    spot1 = lb.lifespan_upper_bound(lb.BoundInputs(1.0, 1.0, 1.0, 1.0, 2.0))
-    checks.append(("spot value theta=0 equals 2", abs(spot0 - 2.0) < 1e-14))
-    checks.append(("spot value theta=1 equals 1+log2", abs(spot1 - 1.0 - math.log(2.0)) < 1e-14))
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(100):
-        b = lb.BoundInputs(
-            delta=rng.uniform(0.1, 10.0),
-            c0=rng.uniform(0.5, 2.0),
-            r1=rng.uniform(0.5, 2.0),
-            theta=rng.uniform(0.0, 2.0),
-            p=rng.uniform(1.2, 4.0),
-        )
-        closed = lb.lifespan_upper_bound(b)
-        worst = max(worst, abs(closed - lb.ode_saturation_oracle(b)) / closed)
-    checks.append((f"oracle agrees to 1e-6 on 100 points (worst {worst:.2e})", worst <= 1e-6))
-    return _report(checks)
+    (spot0, spot1), worst = verify.lemma_oracle(args.seed)
+    return _report([
+        ("spot value theta=0 equals 2", abs(spot0 - 2.0) < 1e-14),
+        ("spot value theta=1 equals 1+log2", abs(spot1 - 1.0 - math.log(2.0)) < 1e-14),
+        (
+            f"oracle agrees to 1e-6 on {verify.ORACLE_POINTS} points (worst {worst:.2e})",
+            worst <= 1e-6,
+        ),
+    ])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,10 +232,16 @@ def build_parser() -> argparse.ArgumentParser:
     swp.set_defaults(func=_cmd_sweep)
 
     ver = sub.add_parser("verify", parents=[common], help="property verification suites")
-    ver.add_argument(
-        "suite", choices=("cutoff", "hardy", "harmonic", "lemma-oracle"))
     ver.add_argument("--count", type=int, default=200, help="fields per domain (hardy)")
-    ver.set_defaults(func=None)
+    # the suite parses --seed and --count again without defaults, so they
+    # may stand on either side of the suite name
+    again = argparse.ArgumentParser(add_help=False)
+    again.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed (default 0)")
+    again.add_argument("--count", type=int, default=argparse.SUPPRESS, help="fields (hardy, 200)")
+    suites = ver.add_subparsers(dest="suite", required=True)
+    for name, func in (("cutoff", _verify_cutoff), ("hardy", _verify_hardy),
+                       ("harmonic", _verify_harmonic), ("lemma-oracle", _verify_lemma_oracle)):
+        suites.add_parser(name, parents=[again]).set_defaults(func=func)
 
     return parser
 
@@ -330,18 +273,9 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     try:
-        if args.command == "verify":
-            runner = {
-                "cutoff": _verify_cutoff,
-                "hardy": _verify_hardy,
-                "harmonic": _verify_harmonic,
-                "lemma-oracle": _verify_lemma_oracle,
-            }[args.suite]
-            return runner(args)
-        if args.command == "simulate" or args.command == "sweep":
-            if not args.config:
-                print("error: --config is required", file=sys.stderr)
-                return 1
+        if args.command in ("simulate", "sweep") and not args.config:
+            print("error: --config is required", file=sys.stderr)
+            return 1
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

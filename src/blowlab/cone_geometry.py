@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 VALID_KINDS = (
     "full-sphere",
@@ -46,7 +47,7 @@ class CrossSectionSpec:
 
     ``dim`` is the ambient spatial dimension N.  ``omega`` is the opening
     angle of a planar sector (radians, 0 < omega <= 2*pi), ``theta0`` the
-    polar angle of a spherical cap (0 < theta0 <= pi), ``k`` the number of
+    polar angle of a spherical cap (0 < theta0 < pi), ``k`` the number of
     half-space factors (0 <= k <= N).
     """
 
@@ -71,9 +72,11 @@ class CrossSectionSpec:
         ):
             bad.append(("omega", "planar-sector needs opening angle in (0, 2*pi]"))
         if self.kind == "spherical-cap" and (
-            self.theta0 is None or not 0.0 < self.theta0 <= math.pi
+            self.theta0 is None or not 0.0 < self.theta0 < math.pi
         ):
-            bad.append(("theta0", "spherical-cap needs polar angle in (0, pi]"))
+            bad.append(
+                ("theta0", "spherical-cap needs polar angle in (0, pi); use full-sphere for pi")
+            )
         if self.kind == "half-space-product" and (self.k is None or not 0 <= self.k <= self.dim):
             bad.append(("k", "half-space-product needs integer k with 0 <= k <= N"))
         if bad:
@@ -254,14 +257,15 @@ def _cap_shoot(nu: float, theta0: float, dense: bool = False):
     return sol
 
 
-def cap_eigenvalue(theta0: float, tol: float = 1e-10) -> float:
+def cap_eigenvalue(theta0: float) -> float:
     """First Dirichlet eigenvalue nu(nu+1) on the spherical cap of angle theta0.
 
-    Found by shooting in the degree nu and bisecting on the endpoint value;
-    bisection failure would be an internal fault, not a data error.
+    Found by shooting in the degree nu: doubling brackets the first sign
+    change of the endpoint value, Brent's method then finds the root.  A
+    failed bracket would be an internal fault, not a data error.
     """
-    if not 0.0 < theta0 <= math.pi:
-        raise ValueError("cap angle must lie in (0, pi]")
+    if not 0.0 < theta0 < math.pi:
+        raise ValueError("cap angle must lie in (0, pi); theta0 = pi is the full sphere")
 
     def endpoint(nu: float) -> float:
         return float(_cap_shoot(nu, theta0).y[0, -1])
@@ -277,18 +281,7 @@ def cap_eigenvalue(theta0: float, tol: float = 1e-10) -> float:
         doublings += 1
         if doublings > 60:
             raise RuntimeError("cap eigenvalue bracketing did not converge")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (hi - lo) <= tol * mid:
-            break
-        f_mid = endpoint(mid)
-        if f_lo * f_mid <= 0.0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    else:
-        raise RuntimeError("cap eigenvalue bisection did not converge")
-    nu = 0.5 * (lo + hi)
+    nu = brentq(endpoint, lo, hi, xtol=1e-14, rtol=1e-12)
     return nu * (nu + 1.0)
 
 

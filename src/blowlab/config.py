@@ -282,6 +282,24 @@ def emit_trace(trace: FunctionalTrace, path: str) -> None:
     _write_csv(path, ("R", "y", "m"), rows)
 
 
+def emit_criterion(path: str, t_sim: float, outcome=None, reason: str | None = None) -> dict:
+    """Write ``criterion.json``, the bound pipeline's verdict on one run, and return it.
+
+    ``outcome`` is a ``blowlab.verify.CriterionOutcome``, or None when the
+    pipeline failed for ``reason``.  Non-finite numbers are written as null.
+    """
+    b, bound = (outcome.inputs, outcome.bound) if outcome is not None else (None, math.nan)
+    values = (b.delta, b.r1, b.theta, b.c0, bound) if b is not None else (math.nan,) * 5
+    keys = ("delta", "R1", "theta", "minimal_C0", "bound", "T")
+    verdict = {k: v if math.isfinite(v) else None for k, v in zip(keys, (*values, t_sim))}
+    # a bound beyond the float range (inf at a finite C0) still lies above T
+    verdict.update(bound_ge_T=math.isfinite(values[3]) and bound >= t_sim, reason=reason)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(verdict, fh, indent=2)
+        fh.write("\n")
+    return verdict
+
+
 def emit_snapshots(
     times,
     fields,

@@ -179,14 +179,6 @@ class CutoffFamily:
         return replace(self, R=radius)
 
 
-def bracket(x) -> np.ndarray:
-    """<x> = sqrt(1 + |x|^2) for points given as (..., N) arrays or scalars."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return np.sqrt(1.0 + x * x)
-    return np.sqrt(1.0 + np.sum(x * x, axis=-1))
-
-
 def bracket_power(x, alpha: float) -> np.ndarray:
     """<x>^(2-alpha), computed as (1+|x|^2)^((2-alpha)/2) so that the
     alpha=0 case is exact in floating point."""

@@ -47,14 +47,19 @@ def lifespan_upper_bound(b: BoundInputs) -> float:
 
     theta > 0:  (R1^((p-1)theta) + log2 * C0^p * theta * delta^(1-p))^(1/((p-1)theta))
     theta = 0:  exp(log R1 + log2 * C0^p * delta^(1-p) / (p-1))
+
+    A bound beyond the float range is returned as inf.
     """
     if b.delta == 0:
         raise ValueError("the closed-form bound needs a positive delta")
-    load = LOG2 * b.c0**b.p * b.delta ** (-(b.p - 1.0))
-    if b.theta > 0:
-        e = (b.p - 1.0) * b.theta
-        return (b.r1**e + b.theta * load) ** (1.0 / e)
-    return math.exp(math.log(b.r1) + load / (b.p - 1.0))
+    try:
+        load = LOG2 * b.c0**b.p * b.delta ** (-(b.p - 1.0))
+        if b.theta > 0:
+            e = (b.p - 1.0) * b.theta
+            return (b.r1**e + b.theta * load) ** (1.0 / e)
+        return math.exp(math.log(b.r1) + load / (b.p - 1.0))
+    except OverflowError:
+        return math.inf
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(120)
@@ -230,14 +235,6 @@ def criterion_check(trace: FunctionalTrace, b: BoundInputs) -> CriterionReport:
         required_c0=required,
         minimal_c0=float(np.max(required)),
     )
-
-
-_REGIMES = (
-    "exponential-critical",
-    "power-subcritical",
-    "power-borderline-log",
-    "power-low",
-)
 
 
 @dataclass(frozen=True)

@@ -12,40 +12,17 @@ import time
 import numpy as np
 import pytest
 
+from blowlab import verify
 from blowlab.cli import main as cli_main
-from blowlab.cone_geometry import (
-    BumpField,
-    CrossSectionSpec,
-    cap_eigenvalue,
-    hardy_constant,
-    hardy_ratio,
-    make_domain,
-    sector_eigenvalue,
-)
-from blowlab.cutoffs import (
-    CutoffFamily,
-    bound_constants,
-    log2_inequality_margins,
-    psi,
-    psi_star,
-)
+from blowlab.cone_geometry import cap_eigenvalue, sector_eigenvalue
 from blowlab.experiments import sweep
-from blowlab.lifespan_bounds import (
-    BoundInputs,
-    criterion_check,
-    lifespan_upper_bound,
-    ode_saturation_oracle,
-)
 from blowlab.solvers import (
     CoefficientSpec,
     EvolutionProblem,
     GridSpec,
     InitialDataSpec,
     RunControls,
-    first_admissible_radius,
-    functional_trace,
     run_until_blowup,
-    weighted_initial_mass,
 )
 
 
@@ -58,24 +35,12 @@ def _verdict(number: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_closed_form_vs_oracle():
     start = time.perf_counter()
-    spot0 = lifespan_upper_bound(BoundInputs(1.0, 1.0, 1.0, 0.0, 2.0))
-    spot1 = lifespan_upper_bound(BoundInputs(1.0, 1.0, 1.0, 1.0, 2.0))
-    spots_ok = spot0 == 2.0 and spot1 == 1.0 + math.log(2.0)
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(100):
-        b = BoundInputs(
-            delta=rng.uniform(0.1, 10.0),
-            c0=rng.uniform(0.5, 2.0),
-            r1=rng.uniform(0.5, 2.0),
-            theta=rng.uniform(0.0, 2.0),
-            p=rng.uniform(1.2, 4.0),
-        )
-        closed = lifespan_upper_bound(b)
-        worst = max(worst, abs(closed - ode_saturation_oracle(b)) / closed)
+    spots, worst = verify.lemma_oracle(seed=3)
+    spots_ok = spots == (2.0, 1.0 + math.log(2.0))
     elapsed = time.perf_counter() - start
     ok = spots_ok and worst <= 1e-6 and elapsed < 1.0
-    _verdict(1, ok, f"worst rel diff {worst:.2e} over 100 points, {elapsed:.2f}s")
+    _verdict(1, ok, f"worst rel diff {worst:.2e} over {verify.ORACLE_POINTS} points, "
+                    f"{elapsed:.2f}s")
     assert spots_ok
     assert worst <= 1e-6
     assert elapsed < 1.0
@@ -107,36 +72,11 @@ def test_criterion_2_spectral_constants():
 # -- criterion 3: Hardy suite --------------------------------------------
 
 
-def _hardy_bump(spec: CrossSectionSpec, rng: np.random.Generator) -> BumpField:
-    if spec.kind == "full-sphere":
-        direction = rng.normal(size=spec.dim)
-        direction /= np.linalg.norm(direction)
-        dist = rng.uniform(0.5, 2.0)
-        return BumpField(direction * dist, dist * rng.uniform(0.25, 0.6), rng.uniform(0.5, 2.0))
-    if spec.kind == "half-space-product":
-        center = rng.uniform(0.8, 3.0, size=spec.dim)
-        return BumpField(center, float(np.min(center)) * rng.uniform(0.3, 0.7), rng.uniform(0.5, 2.0))
-    c = rng.uniform(1.0, 4.0)
-    return BumpField(np.array([c]), c * rng.uniform(0.3, 0.7), rng.uniform(0.5, 2.0))
-
-
 def test_criterion_3_hardy_suite():
     start = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    violations = 0
-    worst_margin = math.inf
-    for spec, n in (
-        (CrossSectionSpec("full-sphere", 3), 24),
-        (CrossSectionSpec("half-space-product", 2, k=2), 32),
-        (CrossSectionSpec("half-line", 1), 200),
-    ):
-        dom = make_domain(spec)
-        bound = hardy_constant(dom)
-        for _ in range(1000):
-            ratio = hardy_ratio(dom, _hardy_bump(spec, rng), n=n)
-            worst_margin = min(worst_margin, ratio - bound)
-            if ratio < bound - 1e-6:
-                violations += 1
+    suite = verify.hardy(seed=2024, count=1000, orders=(24, 32, 200))
+    violations = sum(int(np.count_nonzero(ratios < bound - 1e-6)) for _, bound, ratios in suite)
+    worst_margin = min(float(np.min(ratios - bound)) for _, bound, ratios in suite)
     elapsed = time.perf_counter() - start
     ok = violations == 0 and elapsed < 30.0
     _verdict(3, ok, f"3000 fields, 0 violations target (got {violations}), "
@@ -150,27 +90,10 @@ def test_criterion_3_hardy_suite():
 
 def test_criterion_4_cutoff_suite():
     start = time.perf_counter()
-    fam = CutoffFamily(R=8.0, p=2.0)
-    support_ok = (
-        float(psi(fam, np.zeros(1), 0.0)) == 1.0
-        and float(psi_star(fam, np.zeros(1), 0.0)) == 0.0
-        and float(psi(fam, np.array([3.0]), 0.0)) == 0.0
-        and float(psi_star(fam, np.array([3.0]), 0.0)) == 0.0
-    )
-    margins = log2_inequality_margins(CutoffFamily(R=1.0, p=2.0), np.linspace(0.0, 1.2, 100))
-    log2_ok = bool(np.all(margins >= -1e-10))
-    stable = True
-    for p in (1.5, 2.0, 3.0):
-        for alpha in (0.0, 0.5, 1.0):
-            vals = [
-                bound_constants(CutoffFamily(R=R, p=p, alpha=alpha), dim=2)
-                for R in (10.0, 100.0, 1000.0)
-            ]
-            for name in ("c1", "c2", "c3"):
-                v = np.array([getattr(b, name) for b in vals])
-                mean = float(v.mean())
-                if np.max(np.abs(v - mean)) > 0.10 * mean:
-                    stable = False
+    m = verify.cutoff()
+    support_ok = m.support == (1.0, 0.0, 0.0, 0.0)
+    log2_ok = bool(np.all(m.log2_margins >= -1e-10))
+    stable = max(m.spreads.values()) <= 0.10
     elapsed = time.perf_counter() - start
     ok = support_ok and log2_ok and stable and elapsed < 30.0
     _verdict(4, ok, f"support exact {support_ok}, log2 at 100 sigmas {log2_ok}, "
@@ -185,6 +108,15 @@ HEAT = CoefficientSpec(tau=0, p=2.0, lam=1.0, a_phase=0.0)
 HEAT_GRID = GridSpec("line", extent=180.0, num_points=9001)  # h = 0.02
 
 
+def _power_law_shape(result):
+    """Slope and R^2 of the power fit, monotone lifespans, Dirichlet-wall hygiene."""
+    assert result.fit_status == "ok"
+    lifespans = [r.t_extrapolated for r in result.records]
+    monotone = all(b <= a for a, b in zip(lifespans, lifespans[1:]))
+    hygiene = max(r.boundary_max for r in result.records) < 1e-8
+    return result.power_fit.slope, result.power_fit.r_squared, monotone, hygiene
+
+
 @pytest.fixture(scope="module")
 def heat_sweep():
     controls = RunControls(threshold=1e6, t_max=400.0, dt_init=2e-3)
@@ -194,13 +126,7 @@ def heat_sweep():
 
 def test_criterion_5_subcritical_heat_scaling(heat_sweep):
     start = time.perf_counter()
-    result = heat_sweep
-    assert result.fit_status == "ok"
-    slope = result.power_fit.slope
-    r2 = result.power_fit.r_squared
-    lifespans = [r.t_extrapolated for r in result.records]
-    monotone = all(b <= a for a, b in zip(lifespans, lifespans[1:]))
-    hygiene = max(r.boundary_max for r in result.records) < 1e-8
+    slope, r2, monotone, hygiene = _power_law_shape(heat_sweep)
     ok = abs(slope + 2.0) <= 0.15 * 2.0 and r2 >= 0.97 and monotone and hygiene
     _verdict(5, ok, f"slope {slope:.3f} (target -2 +/- 15%), R^2 {r2:.4f}, "
                     f"monotone {monotone}, hygiene {hygiene}")
@@ -212,20 +138,12 @@ def test_criterion_5_subcritical_heat_scaling(heat_sweep):
 
 def test_criterion_9_criterion_to_bound_pipeline():
     controls = RunControls(threshold=1e6, t_max=60.0, dt_init=2e-3, snapshot_dt=0.05)
-    init = InitialDataSpec(0.0, 1.0, 0.5)
-    problem = EvolutionProblem(HEAT, HEAT_GRID, init)
+    problem = EvolutionProblem(HEAT, HEAT_GRID, InitialDataSpec(0.0, 1.0, 0.5))
     result = run_until_blowup(problem, controls)
     t_sim = result.record.t_extrapolated
     assert result.record.status == "blowup"
-    delta = weighted_initial_mass(problem)
-    r1 = first_admissible_radius(init, 0.0)
-    theta = 1.0 / (2.0 - 1.0) - 1.0 / 2.0  # 1/(p-1) - N/2 = 0.5
-    fam = CutoffFamily(R=r1, p=2.0, alpha=0.0)
-    radii = np.geomspace(r1, 0.95 * t_sim, 12)
-    trace = functional_trace(result, fam, radii)
-    report = criterion_check(trace, BoundInputs(delta, 1.0, r1, theta, 2.0))
-    c0 = report.minimal_c0
-    bound = lifespan_upper_bound(BoundInputs(delta, c0, r1, theta, 2.0))
+    outcome = verify.criterion_pipeline(result, verify.causal_trace(result, 12, 0.95))
+    delta, c0, bound = outcome.inputs.delta, outcome.report.minimal_c0, outcome.bound
     ok = math.isfinite(c0) and bound >= t_sim
     _verdict(9, ok, f"delta {delta:.4f}, minimal C0 {c0:.3f}, bound {bound:.1f} "
                     f">= simulated T {t_sim:.2f}")
@@ -248,12 +166,7 @@ def test_criterion_6_damped_wave_scaling():
         controls,
         problem_id="damped-wave-p2",
     )
-    assert result.fit_status == "ok"
-    slope = result.power_fit.slope
-    r2 = result.power_fit.r_squared
-    lifespans = [r.t_extrapolated for r in result.records]
-    monotone = all(b <= a for a, b in zip(lifespans, lifespans[1:]))
-    hygiene = max(r.boundary_max for r in result.records) < 1e-8
+    slope, r2, monotone, hygiene = _power_law_shape(result)
     elapsed = time.perf_counter() - start
     ok = abs(slope + 2.0) <= 0.20 * 2.0 and r2 >= 0.95 and monotone and hygiene
     _verdict(6, ok, f"slope {slope:.3f} (target -2 +/- 20%), R^2 {r2:.4f}, "
@@ -305,12 +218,7 @@ def test_criterion_8_schrodinger_blowup():
     rec = result.record
     blowup_ok = rec.status == "blowup"
     hygiene = rec.boundary_max < 1e-8
-    delta = weighted_initial_mass(problem)
-    r1 = first_admissible_radius(init, 0.0)
-    fam = CutoffFamily(R=r1, p=2.0, alpha=0.0)
-    radii = np.geomspace(r1, 0.92 * rec.t_extrapolated, 7)
-    trace = functional_trace(result, fam, radii)
-    report = criterion_check(trace, BoundInputs(delta, 1.0, r1, 0.5, 2.0))
+    report = verify.criterion_pipeline(result, verify.causal_trace(result, 7, 0.92)).report
     req = report.required_c0
     finite = bool(np.all(np.isfinite(req)))
     dev = float(np.max(np.abs(req - req.mean())) / req.mean())

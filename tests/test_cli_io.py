@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from blowlab.cli import main
+from blowlab.cli import build_parser, main
 from blowlab.config import (
     ConfigError,
     config_from_dict,
@@ -208,6 +209,11 @@ def test_cli_eigen_and_bound_exit_codes(capsys):
     # invalid inputs exit 1
     assert main(["eigen", "--kind", "planar-sector", "--N", "3", "--omega", "1.0"]) == 1
     assert main(["bound", "--delta", "-1", "--c0", "1", "--r1", "1", "--theta", "0", "--p", "2"]) == 1
+    # a bound beyond the float range prints inf on both branches
+    assert main(["bound", "--delta", "1e-6", "--c0", "10", "--r1", "1", "--theta", "0.001",
+                 "--p", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "bound (theta>0 branch): inf" in out and "bound (theta=0 branch): inf" in out
 
 
 def test_cli_eigen_spec_json_names_bad_fields(capsys):
@@ -222,6 +228,9 @@ def test_cli_eigen_spec_json_names_bad_fields(capsys):
     wrong_dim = '{"kind": "planar-sector", "N": 3, "omega": 1}'
     assert main(["eigen", "--spec-json", wrong_dim]) == 1
     assert "spec.N: planar-sector requires N=2" in capsys.readouterr().err
+    full_cap = '{"kind": "spherical-cap", "N": 3, "theta0": 3.141592653589793}'
+    assert main(["eigen", "--spec-json", full_cap]) == 1
+    assert "spec.theta0:" in capsys.readouterr().err
 
 
 def test_cli_simulate_and_sweep(tmp_path, capsys):
@@ -236,6 +245,9 @@ def test_cli_simulate_and_sweep(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
     assert (out_dir / "record.csv").exists()
     assert (out_dir / "trace.csv").exists()
+    verdict = json.loads((out_dir / "criterion.json").read_text())
+    assert verdict["theta"] == 0.5 and verdict["R1"] == 4.0 and verdict["reason"] is None
+    assert verdict["bound"] >= verdict["T"] > 0 and verdict["bound_ge_T"] is True
     capsys.readouterr()
     assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
     out = capsys.readouterr().out
@@ -244,6 +256,33 @@ def test_cli_simulate_and_sweep(tmp_path, capsys):
     assert summary["slope"] < 0
     assert (out_dir / "sweep.csv").exists()
     assert (out_dir / "sweep.dat").exists()
+
+
+@pytest.mark.parametrize(
+    "p, epsilon, reported",
+    [
+        # above the line's threshold 3: theta < 0 and no bound exists
+        (4.0, 1.2, "criterion: no bound: theta"),
+        # at the threshold: theta = 0, and the bound's exponent is far beyond the float range
+        (3.0, 0.1, "criterion: bound inf"),
+    ],
+)
+def test_cli_simulate_verdict_without_finite_bound(tmp_path, capsys, p, epsilon, reported):
+    raw = _heat_config(trace_radii=[4.0, 4.5])
+    raw["problem"]["p"] = p
+    raw["problem"]["initial"]["epsilon"] = epsilon
+    raw["controls"].update(t_max=2.0, snapshot_dt=0.01)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "record.csv").exists() and (tmp_path / "trace.csv").exists()
+    verdict = json.loads((tmp_path / "criterion.json").read_text())
+    assert verdict["bound"] is None and reported in capsys.readouterr().out
+    if p == 4.0:
+        assert "< 0" in verdict["reason"] and verdict["bound_ge_T"] is False
+    else:
+        assert verdict["reason"] is None and verdict["theta"] == 0.0
+        assert math.isfinite(verdict["minimal_C0"])
 
 
 def test_cli_verbose_logs_one_line_per_run(tmp_path, capsys):
@@ -299,11 +338,22 @@ def test_cli_runtime_fault_exits_2(tmp_path, capsys):
 
 
 def test_cli_verify_suites_pass(capsys):
-    assert main(["verify", "lemma-oracle"]) == 0
-    assert main(["verify", "harmonic"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
-    assert main(["verify", "hardy", "--count", "10"]) == 0
+    # the check lines each suite prints, as the benchmark counts them
+    for suite, checks in (("cutoff", 4), ("hardy", 3), ("harmonic", 4), ("lemma-oracle", 3)):
+        assert main(["verify", suite, "--seed", "7"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "all checks passed", suite
+        assert [ln[:4] for ln in lines[:-1]] == ["PASS"] * checks, suite
+
+
+def test_cli_verify_options_on_either_side_of_the_suite():
+    parser = build_parser()
+    for argv in (["--seed", "7", "--count", "3", "hardy"], ["hardy", "--seed", "7", "--count", "3"],
+                 ["--seed", "1", "hardy", "--seed", "7", "--count", "3"]):
+        args = parser.parse_args(["verify", *argv])
+        assert (args.suite, args.seed, args.count) == ("hardy", 7, 3)
+    args = parser.parse_args(["verify", "lemma-oracle"])
+    assert (args.seed, args.count) == (0, 200)
 
 
 def test_shipped_configs_validate():

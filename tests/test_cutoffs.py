@@ -223,19 +223,6 @@ def test_laplacian_matches_finite_differences():
     assert worst <= 1e-6
 
 
-def test_bound_constants_stable_across_radii():
-    for p in (1.5, 2.0, 3.0):
-        for alpha in (0.0, 0.5, 1.0):
-            vals = [
-                bound_constants(CutoffFamily(R=R, p=p, alpha=alpha), dim=2)
-                for R in (10.0, 100.0, 1000.0)
-            ]
-            for name in ("c1", "c2", "c3"):
-                v = np.array([getattr(b, name) for b in vals])
-                mean = v.mean()
-                assert np.max(np.abs(v - mean)) <= 0.10 * mean, (p, alpha, name, v)
-
-
 def test_estimated_constants_dominate_fresh_shell_points():
     # the derivative bounds must hold with the estimated constants at shell
     # points the estimator never sampled

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from blowlab import solvers
+from blowlab import solvers, verify
 from blowlab.config import parse_config
 from blowlab.cutoffs import CutoffFamily
 from blowlab.lifespan_bounds import integrate_shell_masses
@@ -411,6 +411,21 @@ def test_functional_trace_flags_sparse_snapshots(heat_blowup_run):
     fam = CutoffFamily(R=4.0, p=2.0, alpha=0.0)
     with pytest.raises(ValueError):
         functional_trace(res2, fam, np.geomspace(4.0, 12.0, 5))
+
+
+def test_criterion_pipeline_takes_theta_from_the_half_line_cone():
+    # gamma = 1 on the half line: theta = 1/(p-1) - (1 + 1)/2 = 1, not the full-line 1.5
+    coeff = CoefficientSpec(tau=0, p=1.5, lam=1.0, a_phase=0.0)
+    grid = GridSpec("half-line", extent=100.0, num_points=501)
+    problem = EvolutionProblem(coeff, grid, InitialDataSpec(1.2, 1.0, 0.1))
+    result = run_until_blowup(problem, RunControls(threshold=1e6, t_max=400.0, snapshot_dt=0.5))
+    assert result.record.status == "blowup"
+    trace = verify.causal_trace(result, 6, 0.95)
+    outcome = verify.criterion_pipeline(result, trace)
+    assert outcome.inputs.theta == 1.0 / (1.5 - 1.0) - 1.0
+    assert outcome.inputs.r1 == trace.radii[0] and np.array_equal(outcome.report.radii, trace.radii)
+    assert outcome.inputs.c0 == outcome.report.minimal_c0
+    assert math.isfinite(outcome.bound) and outcome.bound >= result.record.t_extrapolated
 
 
 def test_boundary_max_reads_only_the_truncation_wall():
