@@ -105,16 +105,11 @@ def _cmd_simulate(args) -> int:
         else:
             print(f"criterion: bound {outcome.bound!r}, bound >= T: {verdict['bound_ge_T']}")
     if len(result.snapshot_times) > 2:
-        n_nodes = int(np.asarray(result.snapshots[0]).size)
-        time_stride = max(1, len(result.snapshot_times) // 50)
-        node_stride = max(1, n_nodes // 2000)
         emit_snapshots(
             result.snapshot_times,
             result.snapshots,
             grid_coordinates(cfg.problem.grid),
             os.path.join(out_dir, "snapshots.csv"),
-            time_stride=time_stride,
-            node_stride=node_stride,
         )
     return 0
 
@@ -134,7 +129,7 @@ def _cmd_sweep(args) -> int:
     coeff = cfg.problem.coeff
     dom = domain_for_grid(cfg.problem.grid)
     try:
-        predicted = lb.regime_bound(dom.dim, dom.gamma, coeff.alpha, coeff.p, cfg.sweep_epsilons[0])
+        predicted = lb.regime_bound(dom.dim, dom.gamma, coeff.alpha, coeff.p)
         regime_verdict(result, predicted, slope_tolerance=cfg.slope_tolerance)
     except ValueError:
         result.verdict = "no prediction: exponent above the blowup threshold"

@@ -300,19 +300,15 @@ def emit_criterion(path: str, t_sim: float, outcome=None, reason: str | None = N
     return verdict
 
 
-def emit_snapshots(
-    times,
-    fields,
-    coords: np.ndarray,
-    path: str,
-    time_stride: int = 1,
-    node_stride: int = 1,
-) -> None:
+def emit_snapshots(times, fields, coords: np.ndarray, path: str) -> None:
     """Flat CSV of solution snapshots: one row per (time, node).
 
-    Strides thin the output deterministically; multi-dimensional grids are
-    flattened in row-major node order.
+    The output is thinned deterministically to every ``len(times)//50``-th
+    time and every ``nodes//2000``-th node (each stride at least 1);
+    multi-dimensional grids are flattened in row-major node order.
     """
+    time_stride = max(1, len(times) // 50)
+    node_stride = max(1, np.asarray(fields[0]).size // 2000)
     coords = np.asarray(coords)
     pts = coords.reshape(-1, coords.shape[-1]) if coords.ndim > 1 else coords.reshape(-1, 1)
     rows = []
@@ -345,14 +341,14 @@ def read_trace(path: str) -> FunctionalTrace:
     )
 
 
-def emit_sweep(result: SweepResult, out_dir: str, stem: str = "sweep") -> dict:
-    """Write the results CSV, the plot-ready .dat and the JSON summary.
+def emit_sweep(result: SweepResult, out_dir: str) -> dict:
+    """Write ``sweep.csv``, the plot-ready ``sweep.dat`` and ``sweep_summary.json``.
 
     Returns the summary dictionary.
     """
     os.makedirs(out_dir, exist_ok=True)
-    emit_records(result.records, os.path.join(out_dir, f"{stem}.csv"))
-    with open(os.path.join(out_dir, f"{stem}.dat"), "w", encoding="utf-8", newline="\n") as fh:
+    emit_records(result.records, os.path.join(out_dir, "sweep.csv"))
+    with open(os.path.join(out_dir, "sweep.dat"), "w", encoding="utf-8", newline="\n") as fh:
         for rec in result.blowup_rows:
             fh.write(f"{_fmt(math.log(rec.epsilon))} {_fmt(math.log(rec.t_extrapolated))}\n")
     summary = {
@@ -368,7 +364,7 @@ def emit_sweep(result: SweepResult, out_dir: str, stem: str = "sweep") -> dict:
     }
     if result.faults:
         summary["faults"] = [{"epsilon": r.epsilon, "reason": r.reason} for r in result.faults]
-    with open(os.path.join(out_dir, f"{stem}_summary.json"), "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.join(out_dir, "sweep_summary.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     return summary

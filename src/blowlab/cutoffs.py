@@ -20,7 +20,7 @@ makes them diverge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,10 +97,6 @@ class TransitionProfile:
             out[mid] = _eta_derivs(s[mid])[1]
         return out
 
-    def star(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        return np.where(s < 0.5, 0.0, self(s))
-
 
 DEFAULT_PROFILE = TransitionProfile()
 
@@ -139,10 +135,6 @@ class PolynomialProfile:
             out[mid] = 4.0 * self.degree * (self.degree - 1) * u[mid] ** (self.degree - 2)
         return out
 
-    def star(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        return np.where(s < 0.5, 0.0, self(s))
-
 
 @dataclass(frozen=True)
 class CutoffFamily:
@@ -175,9 +167,6 @@ class CutoffFamily:
     def exponent(self) -> float:
         return 2.0 * self.p_conj if self.power is None else self.power
 
-    def with_radius(self, radius: float) -> "CutoffFamily":
-        return replace(self, R=radius)
-
 
 def bracket_power(x, alpha: float) -> np.ndarray:
     """<x>^(2-alpha), computed as (1+|x|^2)^((2-alpha)/2) so that the
@@ -195,11 +184,6 @@ def s_value(fam: CutoffFamily, x, t) -> np.ndarray:
     if np.any(t < 0):
         raise ValueError("time must be nonnegative")
     return (bracket_power(x, fam.alpha) + t) / fam.R
-
-
-def in_region(fam: CutoffFamily, x, t, radius: float) -> np.ndarray:
-    """Membership in P(radius) = { <x>^(2-alpha) + t <= radius }."""
-    return bracket_power(x, fam.alpha) + np.asarray(t, dtype=float) <= radius
 
 
 def psi_of_s(fam: CutoffFamily, s) -> np.ndarray:
@@ -280,12 +264,7 @@ class BoundConstants:
 
 
 def _ratio_sups(
-    fam: CutoffFamily,
-    dim: int,
-    n_s: int,
-    n_pos: int,
-    sample_range: tuple[float, float],
-    tail_decades: int,
+    fam: CutoffFamily, dim: int, n_s: int, n_pos: int, tail_decades: int
 ) -> BoundConstants:
     """Suprema of the normalized derivative ratios on a shell sample.
 
@@ -301,15 +280,12 @@ def _ratio_sups(
     the positions; each element gets the arithmetic of the full (s, position)
     mesh.
     """
-    lo = max(0.5, sample_range[0], 1.0 / fam.R if fam.R > 1 else 0.5)
-    hi = min(1.0, sample_range[1])
-    if hi <= lo:
-        return BoundConstants(0.0, 0.0, 0.0)
-    span = hi - lo
+    lo = max(0.5, 1.0 / fam.R if fam.R > 1 else 0.5)
+    span = 1.0 - lo
     base = lo + span * (np.arange(1, n_s) / n_s)
-    tail = hi - span * np.logspace(-tail_decades, -1, 8 * tail_decades)
+    tail = 1.0 - span * np.logspace(-tail_decades, -1, 8 * tail_decades)
     s_vals = np.unique(np.concatenate([base, tail]))
-    s_vals = s_vals[(s_vals > lo) & (s_vals < hi)]
+    s_vals = s_vals[(s_vals > lo) & (s_vals < 1.0)]
     ss = s_vals[:, None]
     frac = np.linspace(0.0, 1.0, n_pos)[None, :]
     rho = 1.0 + frac * (ss * fam.R - 1.0)  # <x>^(2-alpha) between 1 and s*R
@@ -337,31 +313,24 @@ def _ratio_sups(
     return BoundConstants(c1, c2, c3)
 
 
-def bound_constants(
-    fam: CutoffFamily,
-    dim: int = 1,
-    n_s: int = 600,
-    n_pos: int = 64,
-    growth_limit: float = 1.2,
-    sample_range: tuple[float, float] = (0.5, 1.0),
-) -> BoundConstants:
+def bound_constants(fam: CutoffFamily, dim: int = 1) -> BoundConstants:
     """Suprema of R|dt psi|/psi*^(1/p), R^2|dt2 psi|/psi*^(1/p) and
     R <x>^alpha |Lap psi| / psi*^(1/p) over a grid on the transition shell.
 
-    ``sample_range`` restricts the sampled scaled coordinate (all constants
-    are zero when it stays below 1/2).  The grid is refined once, with the
-    edge tail deepened; if any supremum grows by more than ``growth_limit``
-    under refinement (or is non-finite) the profile/power combination does
-    not satisfy the bounded-ratio property and a ``ValueError`` is raised.
+    The grid (600 s values by 64 positions) is refined once to 1200 by 128,
+    with the edge tail deepened; if any supremum grows by more than a factor
+    1.2 under refinement (or is non-finite) the profile/power combination
+    does not satisfy the bounded-ratio property and a ``ValueError`` is
+    raised.
     """
-    coarse = _ratio_sups(fam, dim, n_s, n_pos, sample_range, tail_decades=6)
-    fine = _ratio_sups(fam, dim, 2 * n_s, 2 * n_pos, sample_range, tail_decades=12)
+    coarse = _ratio_sups(fam, dim, 600, 64, tail_decades=6)
+    fine = _ratio_sups(fam, dim, 1200, 128, tail_decades=12)
     for name, a, b in (
         ("time-derivative", coarse.c1, fine.c1),
         ("second-time-derivative", coarse.c2, fine.c2),
         ("laplacian", coarse.c3, fine.c3),
     ):
-        if not math.isfinite(b) or (a > 0 and b > growth_limit * a):
+        if not math.isfinite(b) or (a > 0 and b > 1.2 * a):
             raise ValueError(
                 f"{name} ratio diverges under grid refinement; "
                 "the cutoff power does not control the transition shell"

@@ -168,21 +168,21 @@ def regime_verdict(
     result: SweepResult,
     predicted: RegimeBound,
     slope_tolerance: float = 0.15,
-    min_r_squared: float = 0.95,
 ) -> str:
     """Compare the winning fit with the predicted regime.
 
     Power regimes: the power fit must win and its slope lie within the
     tolerance of the predicted epsilon exponent.  Exponential regime: the
-    exponential fit must win with positive slope and R^2 above the floor.
+    exponential fit must win with positive slope.  The winning fit's R^2
+    must reach 0.95.
     Returns (and stores on the result) "consistent", "inconsistent: <why>",
     or "no blowup observed".
     """
-    result.verdict = _judge(result, predicted, slope_tolerance, min_r_squared)
+    result.verdict = _judge(result, predicted, slope_tolerance)
     return result.verdict
 
 
-def _judge(result, predicted, slope_tolerance, min_r_squared) -> str:
+def _judge(result, predicted, slope_tolerance) -> str:
     if result.power_fit is None or result.exponential_fit is None:
         return "no blowup observed"
     power_wins = result.power_fit.r_squared >= result.exponential_fit.r_squared
@@ -191,7 +191,7 @@ def _judge(result, predicted, slope_tolerance, min_r_squared) -> str:
             return "inconsistent: power law outfits the exponential model"
         if result.exponential_fit.slope <= 0:
             return "inconsistent: exponential slope not positive"
-        if result.exponential_fit.r_squared < min_r_squared:
+        if result.exponential_fit.r_squared < 0.95:
             return "inconsistent: exponential fit quality below floor"
         return "consistent"
     if not power_wins:
@@ -200,6 +200,6 @@ def _judge(result, predicted, slope_tolerance, min_r_squared) -> str:
     got = result.power_fit.slope
     if abs(got - want) > slope_tolerance * abs(want):
         return f"inconsistent: slope {got:.3f} vs predicted {want:.3f}"
-    if result.power_fit.r_squared < min_r_squared:
+    if result.power_fit.r_squared < 0.95:
         return "inconsistent: power fit quality below floor"
     return "consistent"

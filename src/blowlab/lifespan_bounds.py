@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from blowlab.cone_geometry import fujita_threshold
+
 LOG2 = math.log(2.0)
 
 
@@ -74,7 +76,7 @@ def _radius_map(log_r1: float, log_r: float, beta: float) -> float:
         return half * float(np.dot(_GL_WEIGHTS, np.exp(beta * (mid + half * _GL_NODES))))
 
 
-def ode_saturation_oracle(b: BoundInputs, step: float = 1e-4) -> float:
+def ode_saturation_oracle(b: BoundInputs) -> float:
     """Independent check of the closed form by direct saturation.
 
     Marches the equality version of the governing differential inequality,
@@ -84,12 +86,10 @@ def ode_saturation_oracle(b: BoundInputs, step: float = 1e-4) -> float:
     rho(RR) = integral_{R1}^{RR} r^((p-1)theta - 1) dr (log-substituted
     quadrature plus root bracketing; no closed-form antiderivative is used).
 
-    ``step`` is the march resolution as a fraction of the saturation scale;
-    two refinements must agree to 1e-6 relative, otherwise the step is
-    reported as too coarse.
+    The march resolution is 1e-4 of the saturation scale; it and its half
+    must agree to 1e-6 relative, otherwise the step is reported as too
+    coarse.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     if b.delta == 0:
         raise ValueError("saturation needs a positive delta")
     slope = (b.p - 1.0) * LOG2 ** (-b.p) * b.c0 ** (-b.p)
@@ -110,8 +110,8 @@ def ode_saturation_oracle(b: BoundInputs, step: float = 1e-4) -> float:
             v = float(vals[-1])
             rho += h * block
 
-    rho_a = crossing(step * v0 / slope)
-    rho_b = crossing(0.5 * step * v0 / slope)
+    rho_a = crossing(1e-4 * v0 / slope)
+    rho_b = crossing(0.5 * 1e-4 * v0 / slope)
     if abs(rho_a - rho_b) > 1e-6 * max(rho_b, 1e-300):
         raise ValueError("step too coarse: refinements disagree beyond 1e-6")
     rho_star = rho_b
@@ -173,13 +173,14 @@ class FunctionalTrace:
             raise ValueError("shell mass cannot exceed the plain cutoff mass")
 
 
-def integrate_shell_masses(trace: FunctionalTrace, slack: float = 1e-9) -> np.ndarray:
+def integrate_shell_masses(trace: FunctionalTrace) -> np.ndarray:
     """Cumulative integral of the shell masses against d(log r).
 
     Trapezoid in log r over the sampled radii; mass below the first radius is
     taken as zero, so traces should start where the shell mass is still
     negligible.  The result must stay below log(2) times the plain mass
-    (up to quadrature slack), otherwise the trace data are inconsistent.
+    (up to a quadrature slack of 1e-9), otherwise the trace data are
+    inconsistent.
     """
     r = trace.radii
     y = trace.shell_mass
@@ -187,7 +188,7 @@ def integrate_shell_masses(trace: FunctionalTrace, slack: float = 1e-9) -> np.nd
     increments = 0.5 * (y[1:] + y[:-1]) * np.diff(logr)
     out = np.concatenate([[0.0], np.cumsum(increments)])
     ceiling = LOG2 * trace.mass
-    tol = slack * max(1.0, float(np.max(ceiling, initial=0.0)))
+    tol = 1e-9 * max(1.0, float(np.max(ceiling, initial=0.0)))
     if np.any(out > ceiling + tol):
         raise ValueError(
             "cumulative shell integral exceeds log(2) * mass: trace data inconsistent"
@@ -239,55 +240,39 @@ def criterion_check(trace: FunctionalTrace, b: BoundInputs) -> CriterionReport:
 
 @dataclass(frozen=True)
 class RegimeBound:
-    """A lifespan bound form: tag, epsilon exponent (power regimes) and value."""
+    """The lifespan regime of (N, gamma, alpha, p): its tag and epsilon exponent."""
 
     tag: str
     exponent: float  # exponent of epsilon in the power regimes, 0.0 for exponential
-    value: float
 
 
-def regime_bound(
-    dim: int,
-    gamma: float,
-    alpha: float,
-    p: float,
-    epsilon: float,
-    c: float = 1.0,
-    delta_loss: float = 0.01,
-) -> RegimeBound:
-    """Evaluate the lifespan bound in the regime selected by (N, gamma, alpha, p).
+def regime_bound(dim: int, gamma: float, alpha: float, p: float) -> RegimeBound:
+    """The regime selected by (N, gamma, alpha, p) and its epsilon exponent.
 
     Regimes (threshold = 1 + 2/(N+gamma-alpha), pivot = 1 + alpha/(N+gamma-alpha)):
 
-    * p = threshold: exp(c * eps^-(p-1))
-    * pivot < p < threshold: c * eps^(-((2-alpha)/2) / (1/(p-1) - (N+gamma-alpha)/2))
-    * p = pivot: c * eps^(-(p-1) - delta_loss)  (logarithmic borderline)
-    * p < pivot: c * eps^(-(p-1))
+    * p = threshold: T ~ exp(C eps^-(p-1)), exponent 0
+    * pivot < p < threshold: exponent -((2-alpha)/2) / (1/(p-1) - (N+gamma-alpha)/2)
+    * p = pivot: exponent -(p-1) - 0.01  (logarithmic borderline)
+    * p < pivot: exponent -(p-1)
 
-    Exponents above the threshold are rejected: no finite-lifespan claim is
-    made there.
+    The theory fixes exponents, never constants, so no lifespan value is
+    formed.  Exponents above the threshold are rejected: no finite-lifespan
+    claim is made there.
     """
-    if epsilon <= 0 or c <= 0:
-        raise ValueError("epsilon and c must be positive")
     if p <= 1:
         raise ValueError("p must exceed 1")
+    threshold = fujita_threshold(dim, gamma, alpha)
     base = dim + gamma - alpha
-    if base <= 0:
-        raise ValueError("N + gamma - alpha must be positive")
-    threshold = 1.0 + 2.0 / base
     pivot = 1.0 + alpha / base
     tol = 1e-12
     if p > threshold + tol:
         raise ValueError(f"p={p} exceeds the blowup threshold {threshold}")
     if abs(p - threshold) <= tol:
-        return RegimeBound(
-            "exponential-critical", 0.0, math.exp(c * epsilon ** (-(p - 1.0)))
-        )
+        return RegimeBound("exponential-critical", 0.0)
     if p > pivot + tol:
         expo = -((2.0 - alpha) / 2.0) / (1.0 / (p - 1.0) - base / 2.0)
-        return RegimeBound("power-subcritical", expo, c * epsilon**expo)
+        return RegimeBound("power-subcritical", expo)
     if abs(p - pivot) <= tol:
-        expo = -(p - 1.0) - delta_loss
-        return RegimeBound("power-borderline-log", expo, c * epsilon**expo)
-    expo = -(p - 1.0)
-    return RegimeBound("power-low", expo, c * epsilon**expo)
+        return RegimeBound("power-borderline-log", -(p - 1.0) - 0.01)
+    return RegimeBound("power-low", -(p - 1.0))

@@ -46,8 +46,9 @@ from blowlab.cutoffs import CutoffFamily, psi_of_s, psi_star_of_s
 from blowlab.lifespan_bounds import FunctionalTrace
 
 GEOMETRIES = ("line", "half-line", "radial", "polar-sector")
-RECORD_THRESHOLDS = (1e3, 1e4, 1e5, 1e6)  # the T_at_* columns of a blowup record
+RECORD_THRESHOLDS = (1e3, 1e4, 1e5, 1e6)  # the crossings every run records: the T_at_* columns
 _RTOL = 1e-5  # step-doubling tolerance, relative to max|u| (and max|v| for tau=1)
+_GROWTH_LIMIT = 0.2  # a step that grows max|u| by more than this fraction is halved
 
 logger = logging.getLogger(__name__)
 
@@ -686,47 +687,34 @@ def wave_energy(state: FieldState) -> float:
 
 @dataclass(frozen=True)
 class RunControls:
-    """Blowup-run policy: thresholds, horizons and the step control.
+    """Blowup-run policy: the verdict threshold, horizons and the step control.
 
-    Every threshold must be one of ``RECORD_THRESHOLDS``, the crossings that
-    the blowup record has a column for.  The step takes only the values
-    ``dt_init * 2^k``: it halves when a step grows max|u| by more than
-    ``growth_limit`` or turns non-finite, and doubles when a step-doubling
-    probe finds the local error within 1e-5 relative to max|u|.
-    ``max_steps`` bounds the accepted steps; rejected (halved) attempts and
-    probes do not count against it.
+    The threshold must be one of ``RECORD_THRESHOLDS``, the crossings that
+    every run records.  The step takes only the values ``dt_init * 2^k``: it
+    halves when a step grows max|u| by more than 20% or turns non-finite,
+    and doubles when a step-doubling probe finds the local error within 1e-5
+    relative to max|u|.  ``max_steps`` bounds the accepted steps; rejected
+    (halved) attempts and probes do not count against it.
     """
 
     threshold: float = 1e6
-    thresholds: tuple[float, ...] = RECORD_THRESHOLDS
     t_max: float = 1e3
     dt_init: float | None = None
-    dt_min: float | None = None  # default: 1e-3 * threshold^(1-p), the step the
-    # growth rule needs right at the blowup threshold
     snapshot_dt: float = 0.0
-    growth_limit: float = 0.2
     max_steps: int = 50_000_000
 
     def __post_init__(self):
         bad = []
         if self.threshold not in RECORD_THRESHOLDS:
             bad.append(("threshold", "must be one of 1e3, 1e4, 1e5, 1e6"))
-        if not set(self.thresholds) <= set(RECORD_THRESHOLDS):
-            bad.append(("thresholds", "entries must be among 1e3, 1e4, 1e5, 1e6"))
         if not self.t_max > 0:
             bad.append(("t_max", "must be positive"))
-        for name in ("dt_init", "dt_min"):
-            if getattr(self, name) is not None and not getattr(self, name) > 0:
-                bad.append((name, "must be positive"))
+        if self.dt_init is not None and not self.dt_init > 0:
+            bad.append(("dt_init", "must be positive"))
         if not self.max_steps > 0:
             bad.append(("max_steps", "must be positive"))
         if bad:
             raise SpecError(bad)
-
-    def dt_floor(self, p: float) -> float:
-        if self.dt_min is not None:
-            return self.dt_min
-        return 1e-3 * self.threshold ** (1.0 - p)
 
 
 @dataclass
@@ -808,20 +796,22 @@ def run_until_blowup(
     reached, or the adaptive step collapses.
 
     The step moves on the dyadic ladder ``dt_init * 2^k``.  It is halved
-    whenever one step would grow max|u| by more than the growth limit (20%
-    by default) or produce non-finite values.  Once two steps have been
-    accepted at the current dt, a probe takes one step of 2*dt from the
-    state two steps back; if it lands within ``_RTOL * max|u|`` of the state
-    the two steps reached (and, for tau=1, its velocity within
-    ``_RTOL * max|v|``), later steps use 2*dt, otherwise the wait before
-    the next probe doubles, up to 32 steps.  The probe result is discarded,
-    so the trajectory is made of ordinary steps only.  No probe passes the
-    cap min(0.9*h for tau=1, snapshot_dt when positive, t_max), and a
-    halving lowers the cap to the halved step: from then on the growth
-    limit, not the local error, bounds dt, so a run whose first halving
-    comes early keeps the halved step through any later quiet phase.  Crossing times of the
-    intermediate thresholds are recorded by log-linear interpolation and
-    extrapolated to the lifespan estimate.
+    whenever one step would grow max|u| by more than 20% or produce
+    non-finite values; the run stalls once the halved step would fall below
+    ``1e-3 * threshold^(1-p)``, the step the growth rule needs right at the
+    blowup threshold.  Once two steps have been accepted at the current dt,
+    a probe takes one step of 2*dt from the state two steps back; if it
+    lands within ``_RTOL * max|u|`` of the state the two steps reached (and,
+    for tau=1, its velocity within ``_RTOL * max|v|``), later steps use
+    2*dt, otherwise the wait before the next probe doubles, up to 32 steps.
+    The probe result is discarded, so the trajectory is made of ordinary
+    steps only.  No probe passes the cap min(0.9*h for tau=1, snapshot_dt
+    when positive, t_max), and a halving lowers the cap to the halved step:
+    from then on the growth limit, not the local error, bounds dt, so a run
+    whose first halving comes early keeps the halved step through any later
+    quiet phase.  The crossing times of every ``RECORD_THRESHOLDS`` entry
+    are recorded by log-linear interpolation and extrapolated to the
+    lifespan estimate.
 
     Without ``keep_snapshots`` only the first and last fields are stored;
     ``snapshot_dt`` still caps the step, so the record is the same.
@@ -838,13 +828,12 @@ def run_until_blowup(
     state = initial_state(problem, dt0)
     stepper = step_hyperbolic if coeff.tau == 1 else step_parabolic
 
-    thresholds = tuple(sorted(set(controls.thresholds) | {controls.threshold}))
-    crossings = [math.nan] * len(thresholds)
+    crossings = [math.nan] * len(RECORD_THRESHOLDS)
     snap_times = [0.0]
     snaps = [state.u.copy()]
     next_snap = controls.snapshot_dt if controls.snapshot_dt > 0 else math.inf
 
-    dt_floor = controls.dt_floor(coeff.p)
+    dt_floor = 1e-3 * controls.threshold ** (1.0 - coeff.p)
     m_prev = max_abs(state.u)
     steps = halvings = passed = failed = 0
     dt_lo = dt_hi = dt0
@@ -862,7 +851,7 @@ def run_until_blowup(
         trial = stepper(state, coeff, min(dt, controls.t_max - state.t + 1e-15))
         m_new = max_abs(trial.u)
         if not math.isfinite(m_new) or (
-            m_prev > 0 and m_new > (1.0 + controls.growth_limit) * m_prev
+            m_prev > 0 and m_new > (1.0 + _GROWTH_LIMIT) * m_prev
         ):
             if dt / 2.0 < dt_floor:
                 status = "stalled"
@@ -873,7 +862,7 @@ def run_until_blowup(
             halvings += 1
             continue
         steps += 1
-        for i, mth in enumerate(thresholds):
+        for i, mth in enumerate(RECORD_THRESHOLDS):
             if math.isnan(crossings[i]) and m_new >= mth:
                 if m_prev > 0 and m_new > m_prev:
                     frac = (math.log(mth) - math.log(m_prev)) / (
@@ -923,7 +912,7 @@ def run_until_blowup(
     boundary = float(np.max(np.abs(state.u[data.truncation_adjacent])))
     t_ext = math.nan
     if status == "blowup":
-        t_ext = extrapolate_lifespan(thresholds, crossings, coeff.p)
+        t_ext = extrapolate_lifespan(RECORD_THRESHOLDS, crossings, coeff.p)
     record = BlowupRecord(
         epsilon=problem.init.epsilon,
         p=coeff.p,
@@ -931,7 +920,7 @@ def run_until_blowup(
         alpha=coeff.alpha,
         zeta=coeff.zeta,
         status=status,
-        thresholds=thresholds,
+        thresholds=RECORD_THRESHOLDS,
         t_at_thresholds=tuple(crossings),
         t_extrapolated=t_ext,
         dt_final=state.dt,
@@ -967,18 +956,12 @@ def first_admissible_radius(init: InitialDataSpec, alpha: float) -> float:
     return 2.0 * (1.0 + init.support_radius() ** 2) ** ((2.0 - alpha) / 2.0)
 
 
-def functional_trace(
-    result: RunResult,
-    fam: CutoffFamily,
-    radii,
-    refine_tol: float = 0.02,
-) -> FunctionalTrace:
+def functional_trace(result: RunResult, fam: CutoffFamily, radii) -> FunctionalTrace:
     """Space-time cutoff masses of w = |u|^p * Phi along the run snapshots.
 
     Trapezoid in time over the stored snapshots, grid quadrature in space.
-    The trapezoid rule over every other snapshot must agree to
-    ``refine_tol`` relative on the final masses, otherwise the snapshots
-    undersample the run.
+    The trapezoid rule over every other snapshot must agree to 2% relative
+    on the final masses, otherwise the snapshots undersample the run.
     """
     radii = np.asarray(radii, dtype=float)
     times = np.asarray(result.snapshot_times)
@@ -1014,8 +997,8 @@ def functional_trace(
     y_full, m_full = masses(1)
     y_half, m_half = masses(2)
     scale = max(float(np.max(m_full)), 1e-300)
-    if np.max(np.abs(m_full - m_half)) > refine_tol * scale or np.max(
+    if np.max(np.abs(m_full - m_half)) > 0.02 * scale or np.max(
         np.abs(y_full - y_half)
-    ) > refine_tol * scale:
+    ) > 0.02 * scale:
         raise ValueError("snapshot density insufficient for the trace quadrature")
     return FunctionalTrace(radii=radii, shell_mass=y_full, mass=m_full)

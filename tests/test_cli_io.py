@@ -1,15 +1,20 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
+from blowlab import config
 from blowlab.cli import build_parser, main
 from blowlab.config import (
     ConfigError,
+    RunConfig,
     config_from_dict,
     config_to_dict,
     emit_config,
@@ -45,7 +50,6 @@ def test_minimal_config_fills_defaults():
     cfg = config_from_dict(_heat_config())
     assert cfg.problem.coeff.p == 2.0
     assert cfg.controls.threshold == 1e6
-    assert cfg.controls.growth_limit == 0.2
     assert cfg.sweep_epsilons is None
     assert cfg.seed == 0
 
@@ -285,6 +289,31 @@ def test_cli_simulate_verdict_without_finite_bound(tmp_path, capsys, p, epsilon,
         assert math.isfinite(verdict["minimal_C0"])
 
 
+def test_cli_critical_sweep_writes_its_outputs(tmp_path, capsys):
+    # p = 3 is the line's threshold: the exponential regime, which fixes no lifespan value
+    raw = _heat_config(sweep={"epsilons": [0.03, 0.05]})
+    raw["problem"]["p"] = 3.0
+    raw["controls"]["t_max"] = 1.0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+    for name in ("sweep.csv", "sweep.dat", "sweep_summary.json"):
+        assert (tmp_path / name).exists(), name
+    summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+    assert summary["verdict"] == "no blowup observed"
+
+
+@pytest.mark.parametrize("key, value", [("thresholds", [1e3, 1e6]), ("growth_limit", 0.2),
+                                        ("dt_min", 1e-6)])
+def test_cli_rejects_the_fixed_step_control_keys(tmp_path, capsys, key, value):
+    raw = _heat_config()
+    raw["controls"][key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
+    assert f"controls.{key}: unknown key" in capsys.readouterr().err
+
+
 def test_cli_verbose_logs_one_line_per_run(tmp_path, capsys):
     raw = _heat_config()
     raw["sweep"] = {"epsilons": [0.9, 1.1]}
@@ -377,3 +406,39 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "1.693147" in proc.stdout
+
+
+def _json_keys(cls) -> dict:
+    """Each key of the JSON object of a config dataclass, mapped to the keys of
+    its section when it is one and to None when it holds a value."""
+    names = config._JSON_NAMES.get(cls, {})
+    hints = get_type_hints(cls)
+    out: dict = {}
+    for f in fields(cls):
+        name, hint = names.get(f.name, f.name), hints[f.name]
+        if name is None:
+            out.update(_json_keys(hint))
+            continue
+        group, _, key = name.rpartition(".")
+        (out.setdefault(group, {}) if group else out)[key] = (
+            _json_keys(hint) if is_dataclass(hint) else None
+        )
+    return out
+
+
+def _doc_keys(obj: dict) -> dict:
+    return {k: _doc_keys(v) if isinstance(v, dict) else None for k, v in obj.items()}
+
+
+def test_formats_config_example_has_exactly_the_config_keys():
+    path = os.path.join(os.path.dirname(__file__), "..", "formats.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    example = text.split("## Run configuration (JSON)")[1].split("```json\n")[1].split("```")[0]
+    doc = _doc_keys(json.loads(re.sub(r"//.*", "", example)))
+    want = _json_keys(RunConfig)
+    sections = [((), doc, want)]
+    while sections:  # compare one JSON object at a time, so a failure names its section
+        where, got, expected = sections.pop()
+        assert set(got) == set(expected), ".".join(where) or "top level"
+        sections.extend(((*where, k), got[k], v) for k, v in expected.items() if v is not None)

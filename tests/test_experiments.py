@@ -97,7 +97,7 @@ def _synthetic_sweep(eps, t_of_eps, p=2.0):
 def test_regime_verdict_power_consistent():
     eps = np.geomspace(0.1, 1.0, 6)
     sr = _synthetic_sweep(eps, lambda e: e**-2.0)
-    predicted = regime_bound(1, 0.0, 0.0, 2.0, 0.5)
+    predicted = regime_bound(1, 0.0, 0.0, 2.0)
     assert regime_verdict(sr, predicted) == "consistent"
 
 
@@ -105,21 +105,21 @@ def test_regime_verdict_mislabeled_regime_inconsistent():
     eps = np.geomspace(0.1, 1.0, 6)
     sr = _synthetic_sweep(eps, lambda e: e**-2.0)
     # claim the critical exponential regime against clean power data
-    wrong = RegimeBound("exponential-critical", 0.0, 1.0)
+    wrong = RegimeBound("exponential-critical", 0.0)
     assert regime_verdict(sr, wrong).startswith("inconsistent")
 
 
 def test_regime_verdict_wrong_slope_inconsistent():
     eps = np.geomspace(0.1, 1.0, 6)
     sr = _synthetic_sweep(eps, lambda e: e**-1.0)
-    predicted = regime_bound(1, 0.0, 0.0, 2.0, 0.5)  # predicts -2
+    predicted = regime_bound(1, 0.0, 0.0, 2.0)  # predicts -2
     assert regime_verdict(sr, predicted).startswith("inconsistent")
 
 
 def test_regime_verdict_exponential_consistent():
     eps = np.linspace(0.6, 1.2, 7)
     sr = _synthetic_sweep(eps, lambda e: math.exp(2.0 * e**-2.0), p=3.0)
-    predicted = regime_bound(1, 0.0, 0.0, 3.0, 0.8)
+    predicted = regime_bound(1, 0.0, 0.0, 3.0)
     assert regime_verdict(sr, predicted) == "consistent"
 
 
@@ -132,7 +132,7 @@ def test_regime_verdict_without_fits():
         fit_status="skipped: only 0 blowup rows (need 5)",
         span_ok=False,
     )
-    assert regime_verdict(sr, regime_bound(1, 0.0, 0.0, 2.0, 0.5)) == "no blowup observed"
+    assert regime_verdict(sr, regime_bound(1, 0.0, 0.0, 2.0)) == "no blowup observed"
 
 
 HEAT = CoefficientSpec(tau=0, p=2.0, lam=1.0, a_phase=0.0)

@@ -190,26 +190,24 @@ def test_criterion_check_minimal_c0():
 
 
 def test_regime_bound_examples():
-    rb = regime_bound(1, 0.0, 0.0, 2.0, 0.1, c=1.0)
+    rb = regime_bound(1, 0.0, 0.0, 2.0)
     assert rb.tag == "power-subcritical"
     assert rb.exponent == pytest.approx(-2.0)
-    assert rb.value == pytest.approx(100.0)
 
-    rb = regime_bound(1, 0.0, 0.0, 3.0, 0.5, c=1.0)
+    rb = regime_bound(1, 0.0, 0.0, 3.0)
     assert rb.tag == "exponential-critical"
-    assert rb.value == pytest.approx(math.exp(4.0))
 
-    rb = regime_bound(3, 0.0, 1.0, 1.8, 0.5, c=1.0)
+    rb = regime_bound(3, 0.0, 1.0, 1.8)
     assert rb.tag == "power-subcritical"
     assert rb.exponent == pytest.approx(-2.0)
 
-    rb = regime_bound(3, 0.0, 1.0, 1.5, 0.5, c=1.0)  # pivot: 1 + 1/2 = 1.5
+    rb = regime_bound(3, 0.0, 1.0, 1.5)  # pivot: 1 + 1/2 = 1.5
     assert rb.tag == "power-borderline-log"
     assert rb.exponent == pytest.approx(-0.5 - 0.01)
 
-    rb = regime_bound(3, 0.0, 1.0, 1.2, 0.5, c=1.0)
+    rb = regime_bound(3, 0.0, 1.0, 1.2)
     assert rb.tag == "power-low"
     assert rb.exponent == pytest.approx(-0.2)
 
     with pytest.raises(ValueError):
-        regime_bound(1, 0.0, 0.0, 3.5, 0.5)
+        regime_bound(1, 0.0, 0.0, 3.5)
