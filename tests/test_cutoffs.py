@@ -243,14 +243,15 @@ def test_bound_constants_negative_control_diverges():
     assert math.isfinite(bc.c1) and math.isfinite(bc.c2) and math.isfinite(bc.c3)
 
 
-def _ratio_sups_on_mesh(fam, dim, n_s, n_pos, tail_decades):
+def _ratio_sups_on_mesh(fam, dim, n_s, n_pos, sample_range, tail_decades):
     """Reference: every factor evaluated on the full (s, position) meshgrid."""
-    lo = max(0.5, 1.0 / fam.R if fam.R > 1 else 0.5)
-    span = 1.0 - lo
+    lo = max(0.5, sample_range[0], 1.0 / fam.R if fam.R > 1 else 0.5)
+    hi = min(1.0, sample_range[1])
+    span = hi - lo
     base = lo + span * (np.arange(1, n_s) / n_s)
-    tail = 1.0 - span * np.logspace(-tail_decades, -1, 8 * tail_decades)
+    tail = hi - span * np.logspace(-tail_decades, -1, 8 * tail_decades)
     s_vals = np.unique(np.concatenate([base, tail]))
-    s_vals = s_vals[(s_vals > lo) & (s_vals < 1.0)]
+    s_vals = s_vals[(s_vals > lo) & (s_vals < hi)]
     ss, ff = np.meshgrid(s_vals, np.linspace(0.0, 1.0, n_pos), indexing="ij")
     rho = 1.0 + ff * (ss * fam.R - 1.0)
     br = rho ** (1.0 / (2.0 - fam.alpha))
@@ -273,11 +274,13 @@ def _ratio_sups_on_mesh(fam, dim, n_s, n_pos, tail_decades):
 @pytest.mark.parametrize("profile", [TransitionProfile(), PolynomialProfile(1)], ids=["eta", "hat"])
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_ratio_sups_bitwise_equal_to_full_mesh(profile, alpha, dim):
+# _ratio_sups always samples the whole shell (1/2, 1); the reference is told so explicitly
+@pytest.mark.parametrize("sample_range", [(0.5, 1.0)])
+def test_ratio_sups_bitwise_equal_to_full_mesh(profile, alpha, dim, sample_range):
     fam = CutoffFamily(R=10.0, p=2.0, alpha=alpha, profile=profile)
     for n_s, n_pos, decades in ((600, 64, 6), (1200, 128, 12)):
         got = cutoffs._ratio_sups(fam, dim, n_s, n_pos, decades)
-        want = _ratio_sups_on_mesh(fam, dim, n_s, n_pos, decades)
+        want = _ratio_sups_on_mesh(fam, dim, n_s, n_pos, sample_range, decades)
         assert got == want  # dataclass equality of floats: bitwise up to the sign of zero
 
 
