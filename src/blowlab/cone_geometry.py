@@ -8,19 +8,21 @@ fixes the homogeneity exponent ``gamma`` (positive root of
 satisfies the Euler identity ``x . grad(Phi) = gamma * Phi``.
 
 Supported cross-sections: full sphere, half/full line (N=1), planar sector,
-spherical cap (N=3), and products of half-spaces with a full factor.
+spherical cap (N=3), and products of half-spaces with a full factor.  All
+but the cap have closed forms.  The cap's first mode is the Legendre function
+``P_nu(cos theta)``, and its eigenvalue ``nu(nu+1)`` is the first root of
+``P_nu(cos theta0)`` in the degree nu.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
+from scipy.special import hyp2f1
 
 VALID_KINDS = (
     "full-sphere",
@@ -88,13 +90,6 @@ class CrossSectionSpec:
 
 
 @dataclass(frozen=True)
-class ConstantProfile:
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        return np.ones(w.shape[:-1] if w.ndim > 1 else ())
-
-
-@dataclass(frozen=True)
 class SectorProfile:
     """sin(pi*theta/omega) on the arc 0 <= theta <= omega, sup-normalized."""
 
@@ -106,28 +101,33 @@ class SectorProfile:
         return np.sin(math.pi * theta / self.omega)
 
 
+def _legendre_p(nu, theta):
+    """P_nu(cos theta) = 2F1(-nu, nu+1; 1; sin^2(theta/2)) (DLMF 14.3.1)."""
+    return hyp2f1(-nu, nu + 1.0, 1.0, np.sin(0.5 * theta) ** 2)
+
+
 @dataclass(frozen=True)
 class CapProfile:
-    """First Dirichlet mode of the cap, as a function of the polar angle.
+    """First Dirichlet mode P_nu(cos theta) of the cap, in the polar angle theta.
 
-    Normalized to 1 at the pole; evaluated through a spline fitted to the
-    shooting solution, zero beyond the cap angle.
+    ``nu(nu+1)`` is the cap eigenvalue.  The mode is 1 at the pole and 0 at
+    and beyond the cap angle ``theta0``.
     """
 
     theta0: float
-    _interp: Callable = field(compare=False)
+    nu: float
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
         ct = np.clip(w[..., 2], -1.0, 1.0)
-        theta = np.arccos(ct)
-        vals = self._interp(np.minimum(theta, self.theta0))
-        return np.where(theta >= self.theta0, 0.0, vals)
+        # P_nu(cos theta) has a log singularity at theta = pi: never evaluate beyond theta0
+        vals = _legendre_p(self.nu, np.minimum(np.arccos(ct), self.theta0))
+        return np.where(ct <= math.cos(self.theta0), 0.0, vals)
 
 
 @dataclass(frozen=True)
 class ProductProfile:
-    """w_1 * ... * w_k on the spherical slice with those components positive."""
+    """w_1 * ... * w_k on the slice with those components positive; 1 for k = 0 (full sphere)."""
 
     k: int
 
@@ -229,46 +229,19 @@ def sector_eigenvalue(omega: float) -> float:
     return (math.pi / omega) ** 2
 
 
-def _cap_shoot(nu: float, theta0: float, dense: bool = False):
-    """Integrate u'' + cot(theta) u' + nu(nu+1) u = 0 from a series start.
-
-    The regular singular point at theta=0 is handled by the expansion
-    u = 1 - lam*theta^2/4 + O(theta^4) started at theta=1e-4.
-    """
-    lam = nu * (nu + 1.0)
-    t0 = 1e-4
-    u0 = 1.0 - lam * t0 * t0 / 4.0
-    du0 = -lam * t0 / 2.0
-
-    def rhs(theta, y):
-        return [y[1], -y[1] / math.tan(theta) - lam * y[0]]
-
-    sol = solve_ivp(
-        rhs,
-        (t0, theta0),
-        [u0, du0],
-        rtol=1e-12,
-        atol=1e-14,
-        dense_output=dense,
-        method="RK45",
-    )
-    if not sol.success:
-        raise RuntimeError(f"cap shooting integration failed: {sol.message}")
-    return sol
-
-
 def cap_eigenvalue(theta0: float) -> float:
     """First Dirichlet eigenvalue nu(nu+1) on the spherical cap of angle theta0.
 
-    Found by shooting in the degree nu: doubling brackets the first sign
-    change of the endpoint value, Brent's method then finds the root.  A
-    failed bracket would be an internal fault, not a data error.
+    nu is the first root of the Legendre function P_nu(cos theta0) in the
+    degree: doubling brackets its first sign change, Brent's method then
+    finds the root.  A failed bracket would be an internal fault, not a data
+    error.
     """
     if not 0.0 < theta0 < math.pi:
         raise ValueError("cap angle must lie in (0, pi); theta0 = pi is the full sphere")
 
     def endpoint(nu: float) -> float:
-        return float(_cap_shoot(nu, theta0).y[0, -1])
+        return float(_legendre_p(nu, theta0))
 
     lo, f_lo = 1e-9, endpoint(1e-9)
     hi = 1.0
@@ -281,30 +254,17 @@ def cap_eigenvalue(theta0: float) -> float:
         doublings += 1
         if doublings > 60:
             raise RuntimeError("cap eigenvalue bracketing did not converge")
-    nu = brentq(endpoint, lo, hi, xtol=1e-14, rtol=1e-12)
+    # hyp2f1 gives P_nu to near machine precision, so the root takes brentq's finest rtol
+    nu = brentq(endpoint, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
     return nu * (nu + 1.0)
-
-
-def _cap_profile(theta0: float, lam: float) -> CapProfile:
-    """The cap's first mode, shot at its eigenvalue ``lam``."""
-    nu = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * lam))
-    sol = _cap_shoot(nu, theta0, dense=True)
-    head = np.linspace(0.0, sol.t[0], 8, endpoint=False)
-    head_vals = 1.0 - lam * head**2 / 4.0
-    body = np.linspace(sol.t[0], theta0, 8001)
-    body_vals = sol.sol(body)[0]
-    body_vals[-1] = 0.0
-    spline = CubicSpline(np.concatenate([head, body]), np.concatenate([head_vals, body_vals]))
-    return CapProfile(theta0=theta0, _interp=spline)
 
 
 def make_domain(spec: CrossSectionSpec) -> ConeDomain:
     """Build the domain with its eigenvalue, exponent and angular profile.
 
     Closed forms are used where they exist (sphere, sector, half-space
-    product); the spherical cap falls back to the shooting solver.  The
-    spherical cap is shot once: its eigenvalue is solved once, and its
-    profile is shot at that eigenvalue.
+    product).  The spherical cap solves its eigenvalue once; its profile is
+    the Legendre function at the degree that eigenvalue gives.
     """
     kind, dim = spec.kind, spec.dim
     if kind == "full-line":
@@ -312,21 +272,21 @@ def make_domain(spec: CrossSectionSpec) -> ConeDomain:
     if kind == "half-line":
         return ConeDomain(spec, 0.0, 1.0, LineProfile(half=True))
     if kind == "full-sphere":
-        return ConeDomain(spec, 0.0, 0.0, ConstantProfile())
+        return ConeDomain(spec, 0.0, 0.0, ProductProfile(0))
     if kind == "planar-sector":
         lam = sector_eigenvalue(spec.omega)
         return ConeDomain(spec, lam, gamma_root(dim, lam), SectorProfile(spec.omega))
     if kind == "spherical-cap":
         lam = cap_eigenvalue(spec.theta0)
-        return ConeDomain(spec, lam, gamma_root(dim, lam), _cap_profile(spec.theta0, lam))
+        nu = gamma_root(dim, lam)  # for N = 3 gamma is the degree: nu(nu+1) = lam
+        return ConeDomain(spec, lam, nu, CapProfile(spec.theta0, nu))
     if kind == "half-space-product":
         k = spec.k
         if dim == 1:
             # degenerate to the N=1 cases
             return make_domain(CrossSectionSpec("half-line" if k == 1 else "full-line", 1))
         lam = float(k * (dim - 2 + k))
-        dom = ConeDomain(spec, lam, float(k), ProductProfile(k))
-        return dom
+        return ConeDomain(spec, lam, float(k), ProductProfile(k))
     raise ValueError(kind)
 
 
@@ -451,3 +411,11 @@ def fujita_threshold(dim: int, gamma: float, alpha: float) -> float:
     if denom <= 0:
         raise ValueError("N + gamma - alpha must be positive")
     return 1.0 + 2.0 / denom
+
+
+def bound_theta(dim: int, gamma: float, alpha: float, p: float) -> float:
+    """theta = 1/(p-1) - (N + gamma - alpha)/2, the lifespan bound's exponent.
+
+    Nonnegative exactly up to the Fujita threshold.
+    """
+    return 1.0 / (p - 1.0) - (dim + gamma - alpha) / 2.0

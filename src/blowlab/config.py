@@ -21,13 +21,7 @@ import numpy as np
 from blowlab.cone_geometry import CrossSectionSpec, SpecError
 from blowlab.experiments import SweepResult, epsilon_violations
 from blowlab.lifespan_bounds import FunctionalTrace
-from blowlab.solvers import (
-    RECORD_THRESHOLDS,
-    BlowupRecord,
-    CoefficientSpec,
-    EvolutionProblem,
-    RunControls,
-)
+from blowlab.solvers import BlowupRecord, CoefficientSpec, EvolutionProblem, RunControls
 
 
 class ConfigError(ValueError):
@@ -246,7 +240,6 @@ def _fmt(value) -> str:
 
 
 def _record_row(rec: BlowupRecord) -> list:
-    lookup = dict(zip(rec.thresholds, rec.t_at_thresholds))
     return [
         rec.epsilon,
         rec.p,
@@ -254,7 +247,7 @@ def _record_row(rec: BlowupRecord) -> list:
         rec.alpha,
         rec.zeta,
         rec.status,
-        *(lookup.get(m, math.nan) for m in RECORD_THRESHOLDS),
+        *rec.t_at_thresholds,
         rec.t_extrapolated,
         rec.dt_final,
         rec.h,

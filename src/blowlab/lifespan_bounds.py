@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from blowlab.cone_geometry import fujita_threshold
+from blowlab.cone_geometry import bound_theta, fujita_threshold
 
 LOG2 = math.log(2.0)
 
@@ -271,7 +271,7 @@ def regime_bound(dim: int, gamma: float, alpha: float, p: float) -> RegimeBound:
     if abs(p - threshold) <= tol:
         return RegimeBound("exponential-critical", 0.0)
     if p > pivot + tol:
-        expo = -((2.0 - alpha) / 2.0) / (1.0 / (p - 1.0) - base / 2.0)
+        expo = -((2.0 - alpha) / 2.0) / bound_theta(dim, gamma, alpha, p)
         return RegimeBound("power-subcritical", expo)
     if abs(p - pivot) <= tol:
         return RegimeBound("power-borderline-log", -(p - 1.0) - 0.01)

@@ -725,8 +725,7 @@ class BlowupRecord:
     alpha: float
     zeta: float
     status: str  # blowup | survived | stalled | fault
-    thresholds: tuple
-    t_at_thresholds: tuple
+    t_at_thresholds: tuple  # crossing time of each RECORD_THRESHOLDS entry, NaN if none
     t_extrapolated: float
     dt_final: float
     h: float
@@ -747,8 +746,7 @@ def fault_record(problem: EvolutionProblem, reason: str) -> BlowupRecord:
         alpha=coeff.alpha,
         zeta=coeff.zeta,
         status="fault",
-        thresholds=(),
-        t_at_thresholds=(),
+        t_at_thresholds=(math.nan,) * len(RECORD_THRESHOLDS),
         t_extrapolated=math.nan,
         dt_final=math.nan,
         h=_grid_data(problem.grid).h,
@@ -920,7 +918,6 @@ def run_until_blowup(
         alpha=coeff.alpha,
         zeta=coeff.zeta,
         status=status,
-        thresholds=RECORD_THRESHOLDS,
         t_at_thresholds=tuple(crossings),
         t_extrapolated=t_ext,
         dt_final=state.dt,

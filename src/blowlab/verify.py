@@ -177,7 +177,7 @@ def criterion_pipeline(result: sv.RunResult, trace: lb.FunctionalTrace) -> Crite
     """
     problem, coeff = result.problem, result.problem.coeff
     dom = sv.domain_for_grid(problem.grid)
-    theta = 1.0 / (coeff.p - 1.0) - (dom.dim + dom.gamma - coeff.alpha) / 2.0
+    theta = cg.bound_theta(dom.dim, dom.gamma, coeff.alpha, coeff.p)
     if theta < 0:
         raise ValueError(f"theta = 1/(p-1) - (N+gamma-alpha)/2 = {theta!r} < 0")
     delta = sv.weighted_initial_mass(problem)

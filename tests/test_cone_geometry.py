@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,6 @@ from scipy.special import jn_zeros
 from blowlab import cone_geometry
 from blowlab.cone_geometry import (
     BumpField,
-    ConeDomain,
     CrossSectionSpec,
     WeightPhi,
     cap_eigenvalue,
@@ -94,7 +96,7 @@ def test_sector_eigenvalue_values_and_scaling():
 
 def _cap_eigenvalue_fd(theta0: float, n: int = 6000) -> float:
     """Finite-volume discretization of (sin(t) u')' + lam sin(t) u = 0 with
-    u'(0)=0, u(theta0)=0; independent oracle for the shooting solver."""
+    u'(0)=0, u(theta0)=0; independent oracle for the Legendre root."""
     h = theta0 / n
     centers = (np.arange(n) + 0.5) * h
     faces = np.arange(n + 1) * h
@@ -121,7 +123,7 @@ def test_cap_eigenvalue_small_angle():
     assert lam == pytest.approx(_cap_eigenvalue_fd(0.1), rel=1e-5)
 
 
-@pytest.mark.parametrize("theta0", [0.7, 1.9, 2.8])
+@pytest.mark.parametrize("theta0", [0.7, 1.9, 2.8, 3.1])
 def test_cap_eigenvalue_against_fd_oracle(theta0):
     assert cap_eigenvalue(theta0) == pytest.approx(_cap_eigenvalue_fd(theta0), rel=1e-5)
 
@@ -132,13 +134,9 @@ def test_cap_eigenvalue_vanishes_monotonically_toward_full_sphere():
     assert lams[2] < 0.2
 
 
-def test_make_domain_shoots_the_cap_once(monkeypatch):
+def test_make_domain_solves_the_cap_once(monkeypatch):
     spec = CrossSectionSpec("spherical-cap", 3, theta0=1.0)
-    # the domain as built when the profile solved the eigenvalue a second time
-    lam_old = cap_eigenvalue(1.0)
-    old = ConeDomain(
-        spec, lam_old, gamma_root(3, lam_old), cone_geometry._cap_profile(1.0, cap_eigenvalue(1.0))
-    )
+    lam = cap_eigenvalue(1.0)
     calls = []
 
     def counted(theta0, *args, **kwargs):
@@ -148,10 +146,31 @@ def test_make_domain_shoots_the_cap_once(monkeypatch):
     monkeypatch.setattr(cone_geometry, "cap_eigenvalue", counted)
     dom = make_domain(spec)
     assert calls == [1.0]
-    assert dom.lambda_sigma == old.lambda_sigma and dom.gamma == old.gamma
-    theta = np.linspace(0.0, 1.1, 50)
+    assert dom.lambda_sigma == lam and dom.gamma == gamma_root(3, lam)
+    theta = np.array([0.0, 0.5, 1.0, 1.1, math.pi])
     w = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
-    assert np.array_equal(dom.eigenfunction(w), old.eigenfunction(w))
+    vals = dom.eigenfunction(w)
+    assert vals[0] == 1.0 and 0.0 < vals[1] < 1.0 and np.all(vals[2:] == 0.0)
+    nu = dom.eigenfunction.nu
+    assert abs(cone_geometry._legendre_p(nu, 1.0)) <= 1e-12
+
+
+def test_cli_import_loads_no_ode_solver_or_interpolant():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, blowlab.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'interpolate'])))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_phi_eval_quarter_plane_product():

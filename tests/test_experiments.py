@@ -69,7 +69,6 @@ def _record(eps, status, t):
         alpha=0.0,
         zeta=0.0,
         status=status,
-        thresholds=(1e3, 1e4, 1e5, 1e6),
         t_at_thresholds=(t, t, t, t),
         t_extrapolated=t,
         dt_final=1e-3,
@@ -194,7 +193,8 @@ def test_runtime_fault_becomes_a_fault_row(caplog, tmp_path):
     assert [repr(r) for r in serial.records] == [repr(r) for r in parallel.records]  # NaN != NaN
     fault = serial.records[0]
     assert fault.reason == "step budget exhausted before a verdict was reached"
-    assert math.isnan(fault.t_extrapolated) and fault.t_at_thresholds == ()
+    assert math.isnan(fault.t_extrapolated)
+    assert len(fault.t_at_thresholds) == 4 and all(map(math.isnan, fault.t_at_thresholds))
     assert warned == [f"eps {e!r}: fault: {fault.reason}" for e in (0.8, 1.2)]
     assert serial.fit_status == "skipped: only 3 blowup rows (need 5)"
 
