@@ -10,6 +10,7 @@ endings and a header row, so identical data always re-emits byte-identically.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -203,9 +204,7 @@ def config_to_dict(spec) -> dict:
 
 
 def emit_config(cfg: RunConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
-        fh.write("\n")
+    _write_text(path, [json.dumps(config_to_dict(cfg), indent=2) + "\n"])
 
 
 # -- CSV emission -------------------------------------------------------
@@ -255,11 +254,15 @@ def _record_row(rec: BlowupRecord) -> list:
     ]
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_text(path: str, lines) -> None:
+    """Every output file: utf-8 with LF line endings, ``lines`` written as given."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(lines)
+
+
+def _write_csv(path: str, header, rows) -> None:
+    lines = (",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    _write_text(path, itertools.chain([",".join(header) + "\n"], lines))
 
 
 def emit_record(rec: BlowupRecord, path: str) -> None:
@@ -287,9 +290,7 @@ def emit_criterion(path: str, t_sim: float, outcome=None, reason: str | None = N
     verdict = {k: v if math.isfinite(v) else None for k, v in zip(keys, (*values, t_sim))}
     # a bound beyond the float range (inf at a finite C0) still lies above T
     verdict.update(bound_ge_T=math.isfinite(values[3]) and bound >= t_sim, reason=reason)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(verdict, fh, indent=2)
-        fh.write("\n")
+    _write_text(path, [json.dumps(verdict, indent=2) + "\n"])
     return verdict
 
 
@@ -304,16 +305,19 @@ def emit_snapshots(times, fields, coords: np.ndarray, path: str) -> None:
     node_stride = max(1, np.asarray(fields[0]).size // 2000)
     coords = np.asarray(coords)
     pts = coords.reshape(-1, coords.shape[-1]) if coords.ndim > 1 else coords.reshape(-1, 1)
-    rows = []
-    for idx in range(0, len(times), time_stride):
-        t = times[idx]
-        flat = np.asarray(fields[idx]).reshape(-1)
-        for j in range(0, flat.size, node_stride):
-            z = complex(flat[j])
-            rows.append([t, *pts[j], z.real, z.imag])
-    dim = pts.shape[1]
-    header = ("t", *(f"x{i+1}" for i in range(dim)), "u_re", "u_im")
-    _write_csv(path, header, rows)
+    xs = [",".join(_fmt(c) for c in row) for row in pts[::node_stride].tolist()]
+    # tolist() gives Python floats, whose repr is what _fmt writes for a float
+    columns = (
+        (_fmt(times[idx]), np.asarray(fields[idx]).reshape(-1)[::node_stride].astype(complex))
+        for idx in range(0, len(times), time_stride)
+    )
+    lines = (
+        f"{t},{x},{re!r},{im!r}\n"
+        for t, z in columns
+        for x, re, im in zip(xs, z.real.tolist(), z.imag.tolist())
+    )
+    header = ",".join(("t", *(f"x{i+1}" for i in range(pts.shape[1])), "u_re", "u_im"))
+    _write_text(path, itertools.chain([header + "\n"], lines))
 
 
 def read_trace(path: str) -> FunctionalTrace:
@@ -341,9 +345,8 @@ def emit_sweep(result: SweepResult, out_dir: str) -> dict:
     """
     os.makedirs(out_dir, exist_ok=True)
     emit_records(result.records, os.path.join(out_dir, "sweep.csv"))
-    with open(os.path.join(out_dir, "sweep.dat"), "w", encoding="utf-8", newline="\n") as fh:
-        for rec in result.blowup_rows:
-            fh.write(f"{_fmt(math.log(rec.epsilon))} {_fmt(math.log(rec.t_extrapolated))}\n")
+    points = ((math.log(r.epsilon), math.log(r.t_extrapolated)) for r in result.blowup_rows)
+    _write_text(os.path.join(out_dir, "sweep.dat"), (f"{_fmt(x)} {_fmt(y)}\n" for x, y in points))
     summary = {
         "problem_id": result.problem_id,
         "fit_status": result.fit_status,
@@ -357,7 +360,5 @@ def emit_sweep(result: SweepResult, out_dir: str) -> dict:
     }
     if result.faults:
         summary["faults"] = [{"epsilon": r.epsilon, "reason": r.reason} for r in result.faults]
-    with open(os.path.join(out_dir, "sweep_summary.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_text(os.path.join(out_dir, "sweep_summary.json"), [json.dumps(summary, indent=2) + "\n"])
     return summary

@@ -42,13 +42,14 @@ from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import splu
 
 from blowlab.cone_geometry import ConeDomain, CrossSectionSpec, SpecError, make_domain
-from blowlab.cutoffs import CutoffFamily, psi_of_s, psi_star_of_s
+from blowlab.cutoffs import CutoffFamily, psi_of_s
 from blowlab.lifespan_bounds import FunctionalTrace
 
 GEOMETRIES = ("line", "half-line", "radial", "polar-sector")
 RECORD_THRESHOLDS = (1e3, 1e4, 1e5, 1e6)  # the crossings every run records: the T_at_* columns
 _RTOL = 1e-5  # step-doubling tolerance, relative to max|u| (and max|v| for tau=1)
 _GROWTH_LIMIT = 0.2  # a step that grows max|u| by more than this fraction is halved
+_FUTILE_PROBES = 8  # a run stops probing after this many failures with no pass
 
 logger = logging.getLogger(__name__)
 
@@ -602,10 +603,6 @@ def initial_state(problem: EvolutionProblem, dt: float) -> FieldState:
     return FieldState(grid=grid, u=u, v=v, t=0.0, dt=dt)
 
 
-def discrete_laplacian(state: FieldState) -> np.ndarray:
-    return _grid_data(state.grid).laplacian(state.u)
-
-
 def step_parabolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> FieldState:
     """One Crank-Nicolson step of u_t = a^{-1}(Lap u + lambda |u|^p).
 
@@ -674,15 +671,6 @@ def _acceleration(data: _GridData, u: np.ndarray, lam, p: float) -> np.ndarray:
 def _zero_boundary(data: _GridData, arr: np.ndarray) -> None:
     for wall in data.walls:
         arr[wall] = 0.0
-
-
-def wave_energy(state: FieldState) -> float:
-    """Standard discrete energy 1/2 ||v||^2 + 1/2 ||grad u||^2 (line grids)."""
-    data = _grid_data(state.grid)
-    du = np.diff(state.u) / data.h
-    kin = 0.5 * float(np.sum(np.abs(state.v) ** 2)) * data.h
-    pot = 0.5 * float(np.sum(np.abs(du) ** 2)) * data.h
-    return kin + pot
 
 
 @dataclass(frozen=True)
@@ -802,6 +790,8 @@ def run_until_blowup(
     lands within ``_RTOL * max|u|`` of the state the two steps reached (and,
     for tau=1, its velocity within ``_RTOL * max|v|``), later steps use
     2*dt, otherwise the wait before the next probe doubles, up to 32 steps.
+    A run whose first ``_FUTILE_PROBES`` probes all fail (the phase error of
+    a complex run keeps the local error above the tolerance) probes no more.
     The probe result is discarded, so the trajectory is made of ordinary
     steps only.  No probe passes the cap min(0.9*h for tau=1, snapshot_dt
     when positive, t_max), and a halving lowers the cap to the halved step:
@@ -896,7 +886,7 @@ def run_until_blowup(
                 wait = 2
             else:
                 failed += 1
-                wait = min(2 * wait, 32)
+                wait = min(2 * wait, 32) if passed or failed < _FUTILE_PROBES else math.inf
 
     logger.debug(
         "eps %r: %s at t %r; %d steps accepted, %d halvings, probes %d passed / %d failed, "
@@ -959,6 +949,10 @@ def functional_trace(result: RunResult, fam: CutoffFamily, radii) -> FunctionalT
     Trapezoid in time over the stored snapshots, grid quadrature in space.
     The trapezoid rule over every other snapshot must agree to 2% relative
     on the final masses, otherwise the snapshots undersample the run.
+
+    The cutoff is exactly 1 for s <= 1/2 and exactly 0 for s >= 1, so the
+    profile is evaluated only on the band 1/2 < s < 1; the summed arrays,
+    and so the masses, are bitwise those of the full evaluation.
     """
     radii = np.asarray(radii, dtype=float)
     times = np.asarray(result.snapshot_times)
@@ -979,8 +973,12 @@ def functional_trace(result: RunResult, fam: CutoffFamily, radii) -> FunctionalT
         w = abs_power(u, p) * wvol
         for i, radius in enumerate(radii):
             s = (bp + t) / radius
-            y_rows[i, k] = float(np.sum(w * psi_star_of_s(fam, s)))
-            m_rows[i, k] = float(np.sum(w * psi_of_s(fam, s)))
+            cut = (s <= 0.5).astype(float)
+            band = (s > 0.5) & (s < 1.0)
+            cut[band] = psi_of_s(fam, s[band])
+            m_rows[i, k] = float(np.sum(w * cut))
+            cut[s < 0.5] = 0.0  # psi* equals psi on s >= 1/2 and vanishes below
+            y_rows[i, k] = float(np.sum(w * cut))
 
     def masses(stride: int):
         idxs = list(range(0, len(times), stride))

@@ -26,7 +26,7 @@ from blowlab.config import (
 )
 from blowlab.experiments import sweep
 from blowlab.lifespan_bounds import FunctionalTrace
-from blowlab.solvers import RunControls
+from blowlab.solvers import GridSpec, RunControls, grid_coordinates
 
 
 def _heat_config(**overrides):
@@ -184,6 +184,56 @@ def test_trace_csv_round_trip(tmp_path):
     assert np.array_equal(back.mass, tr.mass)
 
 
+def _emit_snapshots_by_rows(times, fields, coords, path):
+    """The row-by-row writer that ``emit_snapshots`` replaced: the reference."""
+    time_stride = max(1, len(times) // 50)
+    node_stride = max(1, np.asarray(fields[0]).size // 2000)
+    coords = np.asarray(coords)
+    pts = coords.reshape(-1, coords.shape[-1]) if coords.ndim > 1 else coords.reshape(-1, 1)
+    rows = []
+    for idx in range(0, len(times), time_stride):
+        t = times[idx]
+        flat = np.asarray(fields[idx]).reshape(-1)
+        for j in range(0, flat.size, node_stride):
+            z = complex(flat[j])
+            rows.append([t, *pts[j], z.real, z.imag])
+    header = ("t", *(f"x{i+1}" for i in range(pts.shape[1])), "u_re", "u_im")
+    config._write_csv(path, header, rows)
+
+
+@pytest.mark.parametrize("case", ["real", "complex-special", "polar-sector"])
+def test_emit_snapshots_matches_the_row_writer(tmp_path, case):
+    rng = np.random.default_rng(3)
+    if case == "polar-sector":
+        grid = GridSpec("polar-sector", extent=4.0, num_points=90, omega=2.0, num_angles=50)
+        coords = grid_coordinates(grid)
+        shape = coords.shape[:-1]
+    else:
+        coords = np.linspace(-30.0, 30.0, 4321)
+        shape = coords.shape
+    # 121 times and over 4000 nodes: both strides are 2
+    times = [0.0, *np.cumsum(rng.uniform(0.01, 0.1, 120)).tolist()]
+    fields = [rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape) for _ in times]
+    if case != "real":
+        fields = [f + 1j * rng.normal(size=shape) for f in fields]
+    if case == "complex-special":
+        for f in fields:
+            flat = f.reshape(-1)  # even strides: every special value lands on a written node
+            flat.real[::6] = -0.0
+            flat.imag[::10] = -0.0
+            flat.real[::8] = np.nan
+            flat.imag[::14] = np.inf
+            flat.real[::22] = -np.inf
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    config.emit_snapshots(times, fields, coords, str(new))
+    _emit_snapshots_by_rows(times, fields, coords, str(ref))
+    assert new.read_bytes() == ref.read_bytes()
+    text = new.read_text()
+    assert "np.float64" not in text
+    if case == "complex-special":
+        assert all(v in text for v in (",-0.0,", ",nan,", ",inf\n", ",-inf,"))
+
+
 def test_empty_record_csv_is_header_only(tmp_path):
     path = tmp_path / "records.csv"
     emit_records([], str(path))
@@ -326,6 +376,20 @@ def test_cli_verbose_logs_one_line_per_run(tmp_path, capsys):
     assert len(lines) == 2
     assert all(ln.startswith("blowlab.solvers: eps ") and "steps accepted" in ln for ln in lines)
     assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
+
+
+def test_cli_nls_run_stops_its_futile_probes(tmp_path, capsys):
+    # every step-doubling probe of the NLS run fails: the dispersive phase error of a 2*dt step
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    with open(os.path.join(root, "schrodinger_blowup.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["controls"]["t_max"] = 3.0
+    del raw["trace_radii"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["-v", "simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+    (line,) = [ln for ln in capsys.readouterr().err.splitlines() if "steps accepted" in ln]
+    assert "survived" in line and "probes 0 passed / 8 failed" in line
 
 
 def test_cli_sweep_determinism_across_workers(tmp_path):

@@ -7,7 +7,7 @@ from scipy.linalg import solve_banded
 
 from blowlab import solvers, verify
 from blowlab.config import parse_config
-from blowlab.cutoffs import CutoffFamily
+from blowlab.cutoffs import CutoffFamily, psi_of_s, psi_star_of_s
 from blowlab.lifespan_bounds import integrate_shell_masses
 from blowlab.solvers import (
     CoefficientSpec,
@@ -18,7 +18,6 @@ from blowlab.solvers import (
     RunControls,
     abs_power,
     bump_profile,
-    discrete_laplacian,
     domain_for_grid,
     extrapolate_lifespan,
     first_admissible_radius,
@@ -29,7 +28,6 @@ from blowlab.solvers import (
     run_until_blowup,
     step_hyperbolic,
     step_parabolic,
-    wave_energy,
     weight_values,
     weighted_initial_mass,
 )
@@ -42,6 +40,19 @@ FREE_SCHROD = CoefficientSpec(tau=0, p=2.0, lam=0.0, a_phase=math.pi / 2)
 NLS = CoefficientSpec(tau=0, p=2.0, lam=-1.0, a_phase=-math.pi / 2)
 WAVE = CoefficientSpec(tau=1, p=2.0, lam=0.0, a0=0.0)
 DAMPED = CoefficientSpec(tau=1, p=2.0, lam=1.0, a0=1.0, alpha=0.0)
+
+
+def discrete_laplacian(state: FieldState) -> np.ndarray:
+    return _grid_data(state.grid).laplacian(state.u)
+
+
+def wave_energy(state: FieldState) -> float:
+    """Standard discrete energy 1/2 ||v||^2 + 1/2 ||grad u||^2 (line grids)."""
+    data = _grid_data(state.grid)
+    du = np.diff(state.u) / data.h
+    kin = 0.5 * float(np.sum(np.abs(state.v) ** 2)) * data.h
+    pot = 0.5 * float(np.sum(np.abs(du) ** 2)) * data.h
+    return kin + pot
 
 
 def test_coefficient_spec_validation():
@@ -385,6 +396,37 @@ def test_functional_trace_masses_and_transform(heat_blowup_run):
     assert np.all(np.diff(tr.shell_mass) >= -1e-12)
     transform = integrate_shell_masses(tr)
     assert np.all(transform <= math.log(2.0) * tr.mass + 1e-9)
+
+
+def _full_cutoff_masses(result, fam, radii):
+    """functional_trace's masses with psi and psi* evaluated on every node: the reference."""
+    data = _grid_data(result.problem.grid)
+    times = np.asarray(result.snapshot_times)
+    bp = (1.0 + data.radius**2) ** ((2.0 - fam.alpha) / 2.0)
+    wvol = weight_values(result.problem.grid) * data.vol
+    y_rows = np.empty((len(radii), len(times)))
+    m_rows = np.empty_like(y_rows)
+    for k, (t, u) in enumerate(zip(times, result.snapshots)):
+        w = abs_power(u, result.problem.coeff.p) * wvol
+        for i, radius in enumerate(radii):
+            s = (bp + t) / radius
+            y_rows[i, k] = float(np.sum(w * psi_star_of_s(fam, s)))
+            m_rows[i, k] = float(np.sum(w * psi_of_s(fam, s)))
+    return np.trapezoid(y_rows, times, axis=1), np.trapezoid(m_rows, times, axis=1)
+
+
+def test_functional_trace_band_is_bitwise_the_full_cutoff(heat_blowup_run):
+    res = heat_blowup_run
+    # R = 2 puts s exactly 1/2 at x = 0 of the t = 0 snapshot; the other radii
+    # have nodes below 1/2, inside the band and beyond 1 on some snapshot
+    radii = np.array([2.0, 4.0, 9.0, 0.9 * res.record.t_extrapolated])
+    bp = 1.0 + _grid_data(res.problem.grid).radius ** 2
+    assert res.snapshot_times[0] == 0.0 and np.any(bp / radii[0] == 0.5)
+    fam = CutoffFamily(R=2.0, p=2.0, alpha=0.0)
+    tr = functional_trace(res, fam, radii)
+    shell_mass, mass = _full_cutoff_masses(res, fam, radii)
+    assert np.array_equal(tr.shell_mass, shell_mass)
+    assert np.array_equal(tr.mass, mass)
 
 
 def test_functional_trace_flags_support_before_first_snapshot(heat_blowup_run):
