@@ -203,10 +203,6 @@ def config_to_dict(spec) -> dict:
     return out
 
 
-def emit_config(cfg: RunConfig, path: str) -> None:
-    _write_text(path, [json.dumps(config_to_dict(cfg), indent=2) + "\n"])
-
-
 # -- CSV emission -------------------------------------------------------
 
 RECORD_COLUMNS = (

@@ -6,17 +6,17 @@ Crank-Nicolson step for  u_t = a^{-1} (Lap u + lambda |u|^p)  with the source
 evaluated explicitly at a predicted half step (heat for a=1, free or forced
 Schrodinger for a=+-i, Ginzburg-Landau phases in between).  tau=1 runs a
 velocity-Verlet step with the damping term folded in implicitly (time
-centered), which keeps the damping unconditionally stable under the wave CFL
-limit dt <= 0.9 h.
+centered), which keeps the damping unconditionally stable under the grid's
+wave step limit (0.9 h on the line and half line, less near the radial origin).
 
 Geometries: the full line, the half line, radially symmetric N-dimensional
 space (optionally with the origin excluded for Dirichlet cones or the
 singular damping a = V0/|x|), and a planar sector in polar coordinates.
 Each grid is one geometry record (``_GridData``), the only code that reads
 ``GridSpec.geometry``; the operators, the initial data, the weight Phi and
-``boundary_max`` read its fields.  One coefficient routine gives the radial
-(or line) axis of the implicit Laplacian, which the polar sector extends
-with kron products; the explicit stencil is written out separately.
+``boundary_max`` read its fields.  The radial (or line) bands of the
+Laplacian give the implicit solve, one system per angular sine mode on the
+polar sector, and the wave step limit; the explicit stencil is written out.
 
 Blowup runs step on the dyadic ladder dt_init * 2^k: a step that grows
 max|u| by more than the growth limit is halved, and a step-doubling probe
@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import get_lapack_funcs
-from scipy.sparse import diags, identity, kron
-from scipy.sparse.linalg import splu
 
 from blowlab.cone_geometry import ConeDomain, CrossSectionSpec, SpecError, make_domain
 from blowlab.cutoffs import CutoffFamily, psi_of_s
@@ -149,6 +148,10 @@ class GridSpec:
                 bad.append(("omega", "polar sector needs an opening angle in (0, 2*pi]"))
             if self.num_angles < 6:
                 bad.append(("num_angles", "polar sector needs at least 6 angular nodes"))
+        home = {"omega": "polar-sector", "num_angles": "polar-sector", "include_origin": "radial"}
+        for f in fields(self):  # a field that another geometry reads must keep its default
+            if home.get(f.name) not in (None, self.geometry) and getattr(self, f.name) != f.default:
+                bad.append((f.name, f"only {home[f.name]} grids take {f.name}"))
         if bad:
             raise SpecError(bad)
 
@@ -159,10 +162,9 @@ class _GridData:
     The constructor is the one place that reads ``spec.geometry``; the
     operators, the initial data, the weight and the run read these fields:
 
-    - ``h``, ``coords``, ``radius``, ``vol`` and ``shape`` (plus ``r_nodes``
-      and ``h_theta`` on the polar sector);
-    - ``evolved``, the index of the unknowns (row-major on the polar sector,
-      the unknown order of the sparse solve);
+    - ``h``, ``coords``, ``radius``, ``vol`` and ``shape`` (plus ``h_theta``
+      on the polar sector);
+    - ``evolved``, the index of the unknowns (radius by angle on the sector);
     - ``walls``, the indices of the Dirichlet walls, and
       ``truncation_adjacent``, the nodes next to the wall that truncates the
       domain (both ends of the line, the outer radius, the outer arc);
@@ -188,8 +190,8 @@ class _GridData:
             na = spec.num_angles
             self.h = spec.extent / n
             self.h_theta = spec.omega / (na - 1)
-            self.r_nodes = self.h * np.arange(1, n + 1)
-            rr, th = np.meshgrid(self.r_nodes, self.h_theta * np.arange(na), indexing="ij")
+            r_nodes = self.h * np.arange(1, n + 1)
+            rr, th = np.meshgrid(r_nodes, self.h_theta * np.arange(na), indexing="ij")
             self.coords = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=-1)
             self.radius = self.signed_radius = rr
             self.vol = rr * self.h * self.h_theta
@@ -199,13 +201,18 @@ class _GridData:
             self.truncation_adjacent = -2  # the row next to the arc
             self.origin_wall = True
             self.support_limit = spec.extent
-            self.axis_radius = self.r_nodes[:-1]
+            self.axis_radius = r_nodes[:-1]
             theta = np.arctan2(self.coords[..., 1], self.coords[..., 0]) % (2 * math.pi)
             self.angular = np.sin(math.pi * theta / spec.omega)
             self.angular[:, 0] = self.angular[:, -1] = 0.0
             self.cross_section = CrossSectionSpec("planar-sector", 2, omega=spec.omega)
+            k = np.arange(1, na - 1)  # the interior angles' sine modes; ``sine`` is its own inverse
+            self.sine = math.sqrt(2.0 / (na - 1)) * np.sin(math.pi * np.outer(k, k) / (na - 1))
+            mu = -((2.0 / self.h_theta) * np.sin(0.5 * math.pi * k / (na - 1))) ** 2
+            self.mode_shifts = mu[:, None] / self.axis_radius**2
             return
         # one-dimensional grids: the branches below override these defaults
+        self.sine, self.mode_shifts = None, np.zeros(1)  # one mode, unshifted
         self.shape = (n,)
         self.angular = 1.0
         self.support_limit = spec.extent
@@ -253,38 +260,29 @@ class _GridData:
     # -- Laplacian -----------------------------------------------------
 
     def laplacian(self, u: np.ndarray) -> np.ndarray:
-        """Second-order Laplacian with Dirichlet walls; boundary rows are 0."""
+        """Second-order Laplacian, walls zeroed; on the sector the radial stencil runs each ray."""
         h2 = self.h * self.h
-        if u.ndim == 1:
-            out = np.zeros_like(u)
-            # (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h2 in place, operation for operation
-            inner = out[1:-1]
-            np.multiply(u[1:-1], 2.0, out=inner)
-            np.subtract(u[:-2], inner, out=inner)
-            inner += u[2:]
-            inner /= h2
-            r = self.axis_radius
-            if r is None:
-                return out
-            dim = self.cross_section.dim
-            inner += ((dim - 1) / r[1:]) * (u[2:] - u[:-2]) / (2.0 * self.h)
-            if self.origin_wall:
-                out[0] = (-2.0 * u[0] + u[1]) / h2 + ((dim - 1) / r[0]) * u[1] / (2.0 * self.h)
-            else:  # the origin node, where symmetry gives u_r = 0
-                out[0] = 2.0 * dim * (u[1] - u[0]) / h2
+        out = np.zeros_like(u)
+        # (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h2 in place, operation for operation
+        inner = out[1:-1]
+        np.multiply(u[1:-1], 2.0, out=inner)
+        np.subtract(u[:-2], inner, out=inner)
+        inner += u[2:]
+        inner /= h2
+        r = self.axis_radius
+        if r is None:
             return out
-        # polar sector: u_rr + u_r/r + u_tt/r^2, Dirichlet rays/arc, origin ghost 0
-        r = self.r_nodes[:, None]
-        ht2 = self.h_theta * self.h_theta
-        up = np.zeros_like(u)
-        up[:-1, :] = u[1:, :]
-        down = np.zeros_like(u)
-        down[1:, :] = u[:-1, :]  # row below; r=0 ghost stays 0
-        inner = (down - 2.0 * u + up) / h2 + (up - down) / (2.0 * self.h * r)
-        ang = np.zeros_like(u)
-        ang[:, 1:-1] = (u[:, :-2] - 2.0 * u[:, 1:-1] + u[:, 2:]) / ht2
-        out = inner + ang / (r * r)
-        _zero_boundary(self, out)
+        r = r[:, None] if u.ndim == 2 else r
+        dim = self.cross_section.dim
+        inner += ((dim - 1) / r[1:]) * (u[2:] - u[:-2]) / (2.0 * self.h)
+        if self.origin_wall:
+            out[0] = (-2.0 * u[0] + u[1]) / h2 + ((dim - 1) / r[0]) * u[1] / (2.0 * self.h)
+        else:  # the origin node, where symmetry gives u_r = 0
+            out[0] = 2.0 * dim * (u[1] - u[0]) / h2
+        if u.ndim == 2:  # the polar sector's u_tt / r^2, then its rays and arc are zeroed
+            ang = u[:-1, :-2] - 2.0 * u[:-1, 1:-1] + u[:-1, 2:]
+            out[:-1, 1:-1] += ang / (self.h_theta * r) ** 2
+            _zero_boundary(self, out)
         return out
 
     def damping_denominator(self, coeff: CoefficientSpec, dt: float):
@@ -309,8 +307,8 @@ class _GridData:
         axis, per evolved node: u'' + ((N-1)/r) u', with the symmetric row
         2N (u_1 - u_0) / h^2 at an origin node.  ``lower[0]`` and
         ``upper[-1]`` couple to a wall or the origin and enter no matrix.
-        The 1-d solve factors these bands; the polar sector adds its angular
-        part to them."""
+        The 1-d solve factors these bands; each sine mode of the polar sector
+        adds mu_k / r^2 to their diagonal."""
         h2 = self.h * self.h
         r = self.axis_radius
         if r is None:
@@ -330,17 +328,6 @@ class _GridData:
             upper[0] = 2.0 * dim / h2
         return lower, diag, upper
 
-    def _polar_laplacian(self):
-        """CSR Laplacian over the evolved polar nodes, in row-major order:
-        kron(D_r, I) + kron(diag(1/r^2), D_theta)."""
-        lower, diag, upper = self._banded_diagonals()
-        na = self.spec.num_angles - 2
-        ht2 = self.h_theta * self.h_theta
-        d_r = diags([lower[1:], diag, upper[:-1]], [-1, 0, 1])
-        d_theta = diags([1.0 / ht2, -2.0 / ht2, 1.0 / ht2], [-1, 0, 1], shape=(na, na))
-        lap = kron(d_r, identity(na)) + kron(diags(1.0 / self.axis_radius**2), d_theta)
-        return lap.tocsr()
-
     def solve_implicit(self, factor: complex, dt: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - (dt/2) * factor * Lap) x = rhs on evolved nodes.
 
@@ -350,25 +337,37 @@ class _GridData:
         stays on each rung for many steps, so its step-doubling probe (one
         step of 2*dt) simply factors again, as does the step after it.
         """
-        sparse = rhs.ndim == 2  # the polar sector, the one 2-d grid
         dtype = complex if np.iscomplexobj(rhs) or isinstance(factor, complex) else float
         key = (dt, factor, dtype)
         if self._factor is None or self._factor[0] != key:
             self._factor = None  # released before the new factors are built
+            lower, diag, upper = self._banded_diagonals()
             coef = 0.5 * dt * factor
-            if sparse:
-                lap = self._polar_laplacian()
-                mat = identity(lap.shape[0], dtype=dtype, format="csr") - coef * lap
-                self._factor = (key, splu(mat.tocsc()))
-            else:
-                self._factor = (key, _TridiagonalLU(*self._banded_diagonals(), coef, dtype))
+            lus = [_TridiagonalLU(lower, diag + s, upper, coef, dtype) for s in self.mode_shifts]
+            self._factor = (key, lus[0] if self.sine is None else lus)
         out = np.zeros(rhs.shape, dtype=dtype)
-        if sparse:
-            b = rhs[self.evolved].astype(dtype)
-            out[self.evolved] = self._factor[1].solve(b.reshape(-1)).reshape(b.shape)
-        else:
+        if self.sine is None:
             self._factor[1].solve(rhs[self.evolved], out[self.evolved])
+            return out
+        # row k: sine mode k along the radius (Buzbee, Golub & Nielson, SINUM 7, 1970)
+        coeffs = (self.sine @ rhs[self.evolved].T).astype(dtype)
+        solved = np.zeros_like(coeffs)
+        for lu, b, x in zip(self._factor[1], coeffs, solved):
+            lu.solve(b, x)
+        out[self.evolved] = (self.sine @ solved).T
         return out
+
+    @cached_property
+    def wave_dt_limit(self) -> float:
+        """min(0.9 h, 0.9 * 2/sqrt(rho)): velocity-Verlet is stable for dt <= 2/sqrt(rho), rho
+        the Laplacian's spectral radius, minus the lowest eigenvalue of the last (most negative)
+        sine mode's symmetrized bands.  Line, half-line and origin-free radial grids keep 0.9 h."""
+        lower, diag, upper = self._banded_diagonals()
+        # the dim-3 product next to the origin is zero but rounds slightly below it
+        off = np.sqrt(np.maximum(lower[1:] * upper[:-1], 0.0))
+        diag = diag + self.mode_shifts[-1]
+        (lowest,) = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+        return min(0.9 * self.h, 0.9 * 2.0 / math.sqrt(-lowest))
 
 
 _NEGLIGIBLE = 1e-300  # solution components below this are zero: they would decay into subnormals
@@ -633,7 +632,7 @@ def step_hyperbolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> Fie
     """One velocity-Verlet step of u_tt = Lap u + lambda |u|^p - a(x) u_t.
 
     The damping enters through the time-centered average, solved pointwise;
-    the wave part requires dt <= 0.9 h.  The acceleration Lap u + lambda |u|^p
+    the wave part requires dt <= ``wave_dt_limit``.  The acceleration Lap u + lambda |u|^p
     depends on u and not on dt, so the returned state carries it in ``acc``,
     and the next step, a retry at half the step or a step-doubling probe
     from that state reuses it: one Laplacian and one nonlinearity per step.
@@ -642,8 +641,8 @@ def step_hyperbolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> Fie
     if coeff.tau != 1:
         raise ValueError("hyperbolic step requires tau=1")
     data = _grid_data(state.grid)
-    if dt > 0.9 * data.h:
-        raise ValueError(f"CFL violation: dt={dt} exceeds 0.9*h={0.9 * data.h}")
+    if dt > data.wave_dt_limit:
+        raise ValueError(f"CFL violation: dt={dt} exceeds the limit {data.wave_dt_limit}")
     lam = coeff.lam if np.iscomplexobj(state.u) else coeff.lam.real
     damp = data.damping_denominator(coeff, dt)
     if state.acc is None:
@@ -793,7 +792,7 @@ def run_until_blowup(
     A run whose first ``_FUTILE_PROBES`` probes all fail (the phase error of
     a complex run keeps the local error above the tolerance) probes no more.
     The probe result is discarded, so the trajectory is made of ordinary
-    steps only.  No probe passes the cap min(0.9*h for tau=1, snapshot_dt
+    steps only.  No probe passes the cap min(wave_dt_limit for tau=1, snapshot_dt
     when positive, t_max), and a halving lowers the cap to the halved step:
     from then on the growth limit, not the local error, bounds dt, so a run
     whose first halving comes early keeps the halved step through any later
@@ -809,8 +808,8 @@ def run_until_blowup(
     data = _grid_data(problem.grid)
     dt_cap = controls.t_max
     if coeff.tau == 1:
-        dt0 = min(dt0, 0.9 * data.h)
-        dt_cap = min(dt_cap, 0.9 * data.h)
+        dt0 = min(dt0, data.wave_dt_limit)
+        dt_cap = min(dt_cap, data.wave_dt_limit)
     if controls.snapshot_dt > 0:
         dt_cap = min(dt_cap, controls.snapshot_dt)
     state = initial_state(problem, dt0)

@@ -17,7 +17,6 @@ from blowlab.config import (
     RunConfig,
     config_from_dict,
     config_to_dict,
-    emit_config,
     emit_records,
     emit_sweep,
     emit_trace,
@@ -113,6 +112,11 @@ def _polar_config():
         (_heat_config, "seed", True),
         (_polar_config, "problem.grid.num_angles", 10.5),
         (_polar_config, "problem.grid.num_angles", "64"),
+        # fields that only another geometry reads
+        (_heat_config, "problem.grid.omega", 1.0),
+        (_heat_config, "problem.grid.num_angles", 64),
+        (_heat_config, "problem.grid.include_origin", False),
+        (_polar_config, "problem.grid.include_origin", False),
     ],
 )
 def test_config_rejects_mistyped_values(make, where, value):
@@ -160,7 +164,7 @@ def test_config_round_trip(tmp_path):
     raw["out_dir"] = "results"
     cfg = config_from_dict(raw)
     path = tmp_path / "cfg.json"
-    emit_config(cfg, str(path))
+    path.write_text(json.dumps(config_to_dict(cfg), indent=2))
     again = parse_config(str(path))
     assert again == cfg
     # and the dict forms agree value-for-value

@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.sparse import diags, identity, kron
+from scipy.sparse.linalg import splu
 
 from blowlab import solvers, verify
+from blowlab.cone_geometry import SpecError
 from blowlab.config import parse_config
 from blowlab.cutoffs import CutoffFamily, psi_of_s, psi_star_of_s
 from blowlab.lifespan_bounds import integrate_shell_masses
@@ -81,6 +84,18 @@ def test_grid_validation():
         GridSpec("line", -1.0, 100)
     with pytest.raises(ValueError):
         GridSpec("polar-sector", 10.0, 100)  # missing omega
+    # a field only another geometry reads is rejected by name, not ignored
+    for spec, field in [
+        (dict(geometry="line", omega=1.0), "omega"),
+        (dict(geometry="half-line", num_angles=40), "num_angles"),
+        (dict(geometry="radial", dim=2, omega=2.0, num_angles=40), "omega"),
+        (dict(geometry="line", include_origin=False), "include_origin"),
+        (dict(geometry="polar-sector", omega=2.0, num_angles=40, include_origin=False), "include_origin"),
+    ]:
+        with pytest.raises(SpecError) as err:
+            GridSpec(extent=10.0, num_points=100, **spec)
+        assert [name for name, _ in err.value.violations][0] == field
+    assert GridSpec("radial", 10.0, 100, dim=3, include_origin=False).include_origin is False
     with pytest.raises(ValueError):
         EvolutionProblem(
             HEAT,
@@ -228,12 +243,63 @@ def test_damped_wave_energy_dissipates():
         prev = cur
 
 
-def test_hyperbolic_cfl_rejected():
-    grid = GridSpec("line", extent=20.0, num_points=401)
-    init = InitialDataSpec(center=0.0, width=2.0, epsilon=1.0)
+@pytest.mark.parametrize(
+    "grid, init, dt",
+    [
+        (GridSpec("line", extent=20.0, num_points=401), InitialDataSpec(0.0, 2.0, 1.0), 0.06),
+        # 0.9*h: the origin row lowers the limit to 0.735 h
+        (GridSpec("radial", 40.0, 801, dim=3), InitialDataSpec(0.0, 1.0, 1.0), 0.9 * 0.05),
+        # about 4.3 times the sector's limit of 0.0046: the step overflows
+        (GridSpec("polar-sector", 6.0, 60, omega=2.0, num_angles=40), InitialDataSpec(2.0, 1.0, 1.0), 0.02),
+    ],
+    ids=["line", "radial-3", "polar"],
+)
+def test_hyperbolic_cfl_rejected(grid, init, dt):
     state = initial_state(EvolutionProblem(WAVE, grid, init), dt=0.01)
     with pytest.raises(ValueError):
-        step_hyperbolic(state, WAVE, 0.06)  # 0.9*h = 0.045
+        step_hyperbolic(state, WAVE, dt)
+    assert np.all(np.isfinite(step_hyperbolic(state, WAVE, _grid_data(grid).wave_dt_limit).u))
+
+
+def test_wave_limit_is_0_9_h_without_an_origin_row():
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs", "damped_wave_subcritical.json"))
+    for grid in (
+        cfg.problem.grid,
+        GridSpec("half-line", 20.0, 401),
+        GridSpec("radial", 20.0, 401, dim=3, include_origin=False),
+    ):
+        data = _GridData(grid)
+        assert data.wave_dt_limit == 0.9 * data.h  # to the bit
+    # only a tau=1 step asks for the limit
+    grid = GridSpec("line", extent=20.0, num_points=409)
+    run_until_blowup(EvolutionProblem(HEAT, grid, InitialDataSpec(0.0, 2.0, 1.0)), RunControls(t_max=0.1))
+    assert "wave_dt_limit" not in vars(_grid_data(grid))
+
+
+@pytest.mark.parametrize(
+    "grid, center",
+    [
+        (GridSpec("radial", 40.0, 801, dim=2), 0.0),
+        (GridSpec("radial", 40.0, 801, dim=3), 0.0),
+        (GridSpec("polar-sector", 6.0, 60, omega=2.0, num_angles=40), 2.0),
+    ],
+    ids=["radial-2", "radial-3", "polar"],
+)
+def test_free_wave_is_stable_at_the_wave_limit(grid, center):
+    # 0.9*h steps an unstable scheme next to the radial origin (N = 3) and on
+    # the sector; at the grid's limit the running sup stays near that of half the step
+    problem = EvolutionProblem(WAVE, grid, InitialDataSpec(center, 1.0, 0.2, g_amplitude=0.5))
+    limit = _grid_data(grid).wave_dt_limit
+    sups = []
+    for dt, steps in ((limit, 2000), (limit / 2, 4000)):
+        state = initial_state(problem, dt)
+        sup = 0.0
+        for _ in range(steps):
+            state = step_hyperbolic(state, WAVE, dt)
+            sup = max(sup, max_abs(state.u))
+        assert np.all(np.isfinite(state.u))
+        sups.append(sup)
+    assert abs(sups[0] / sups[1] - 1.0) <= 0.2
 
 
 def test_damped_wave_blowup_monotone_in_epsilon():
@@ -532,9 +598,9 @@ def test_polar_sector_smoke_steps():
     assert np.all(state.u[-1, :] == 0.0)
     assert np.all(state.u[:, 0] == 0.0)
     assert np.all(state.u[:, -1] == 0.0)
-    # hyperbolic smoke
+    # hyperbolic smoke, at the sector's wave limit
     coeffw = CoefficientSpec(tau=1, p=2.0, lam=1.0, a0=1.0, alpha=0.5)
-    statew = initial_state(EvolutionProblem(coeffw, grid, init), dt=0.04)
+    statew = initial_state(EvolutionProblem(coeffw, grid, init), dt=_grid_data(grid).wave_dt_limit)
     for _ in range(20):
         statew = step_hyperbolic(statew, coeffw, statew.dt)
     assert np.all(np.isfinite(statew.u))
@@ -574,13 +640,50 @@ def test_implicit_operator_matches_the_explicit_laplacian(grid):
     want = data.laplacian(u)[data.evolved]
     ue = u[data.evolved]
     if ue.ndim == 2:
-        got = (data._polar_laplacian() @ ue.reshape(-1)).reshape(ue.shape)
+        got = (_polar_csr_laplacian(data) @ ue.reshape(-1)).reshape(ue.shape)
     else:
         lower, diag, upper = data._banded_diagonals()
         got = diag * ue
         got[1:] += lower[1:] * ue[:-1]
         got[:-1] += upper[:-1] * ue[1:]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _polar_csr_laplacian(data):
+    """The sector's Laplacian over its evolved nodes in row-major order, assembled
+    as kron(D_r, I) + kron(diag(1/r^2), D_theta): the reference of the sine-mode solve."""
+    lower, diag, upper = data._banded_diagonals()
+    na = data.spec.num_angles - 2
+    ht2 = data.h_theta * data.h_theta
+    d_r = diags([lower[1:], diag, upper[:-1]], [-1, 0, 1])
+    d_theta = diags([1.0 / ht2, -2.0 / ht2, 1.0 / ht2], [-1, 0, 1], shape=(na, na))
+    return (kron(d_r, identity(na)) + kron(diags(1.0 / data.axis_radius**2), d_theta)).tocsr()
+
+
+@pytest.mark.parametrize("factor", [1.0, complex(np.exp(0.5j * math.pi))], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GridSpec("polar-sector", 6.0, 60, omega=2.0, num_angles=40),
+        GridSpec("polar-sector", 100.0, 400, omega=math.pi, num_angles=24),
+    ],
+    ids=["60x40", "400x24"],
+)
+def test_sine_mode_solve_matches_the_csr_reference(grid, factor):
+    data = _GridData(grid)
+    rhs = np.random.default_rng(3).normal(size=data.shape)
+    solvers._zero_boundary(data, rhs)
+    dtype = complex if isinstance(factor, complex) else float
+    lap = _polar_csr_laplacian(data)
+    for dt in (1e-3, 0.05, 2.0):
+        mat = identity(lap.shape[0], dtype=dtype, format="csc") - (0.5 * dt * factor) * lap
+        b = rhs[data.evolved]
+        want = splu(mat.tocsc()).solve(b.reshape(-1).astype(dtype)).reshape(b.shape)
+        got = data.solve_implicit(factor, dt, rhs)
+        assert got.dtype == dtype
+        assert np.max(np.abs(got[data.evolved] - want)) <= 1e-13 * np.max(np.abs(want))
+        got[data.evolved] = 0.0
+        assert np.all(got == 0.0)  # the walls stay pinned
 
 
 def _banded_reference(data, factor, dt, rhs):
