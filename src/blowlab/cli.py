@@ -30,11 +30,14 @@ from blowlab.config import (
     emit_sweep,
     emit_trace,
     parse_config,
+    snapshot_node_stride,
     spec_from_dict,
 )
 from blowlab.experiments import regime_verdict
 from blowlab.experiments import sweep as run_sweep
 from blowlab.solvers import (
+    SnapshotStore,
+    TraceAccumulator,
     domain_for_grid,
     functional_trace,
     grid_coordinates,
@@ -81,15 +84,24 @@ def _cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
     out_dir = args.out_dir or cfg.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    result = run_until_blowup(cfg.problem, cfg.controls)
+    # the run keeps only the nodes snapshots.csv writes, and streams the trace
+    coords = grid_coordinates(cfg.problem.grid)
+    points = coords.reshape(-1, coords.shape[-1]) if coords.ndim > 1 else coords
+    store = SnapshotStore(snapshot_node_stride(len(points)))
+    observers = [store]
+    if cfg.trace_radii:
+        radii = np.asarray(cfg.trace_radii)
+        fam = verify.trace_family(cfg.problem, radii)
+        streamed = TraceAccumulator(cfg.problem, fam, radii)
+        observers.append(streamed)
+    result = run_until_blowup(cfg.problem, cfg.controls, observers)
     rec = result.record
     emit_record(rec, os.path.join(out_dir, "record.csv"))
     print(f"status: {rec.status}")
     print(f"T_extrapolated: {rec.t_extrapolated!r}")
     print(f"boundary_max: {rec.boundary_max!r}")
     if cfg.trace_radii:
-        radii = np.asarray(cfg.trace_radii)
-        trace = functional_trace(result, verify.trace_family(result, radii), radii)
+        trace = functional_trace(result, fam, radii, streamed)
         emit_trace(trace, os.path.join(out_dir, "trace.csv"))
         print(f"trace: {len(cfg.trace_radii)} radii written")
         outcome = reason = None
@@ -108,7 +120,7 @@ def _cmd_simulate(args) -> int:
         emit_snapshots(
             result.snapshot_times,
             result.snapshots,
-            grid_coordinates(cfg.problem.grid),
+            points[:: store.stride],
             os.path.join(out_dir, "snapshots.csv"),
         )
     return 0

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import hyp2f1
+from scipy.special import digamma, hyp2f1
 
 VALID_KINDS = (
     "full-sphere",
@@ -101,9 +101,38 @@ class SectorProfile:
         return np.sin(math.pi * theta / self.omega)
 
 
+_LEGENDRE_TERMS = 200  # at w = 1/2 the terms fall below 1e-17 after about 60
+
+
 def _legendre_p(nu, theta):
-    """P_nu(cos theta) = 2F1(-nu, nu+1; 1; sin^2(theta/2)) (DLMF 14.3.1)."""
-    return hyp2f1(-nu, nu + 1.0, 1.0, np.sin(0.5 * theta) ** 2)
+    """P_nu(cos theta) = 2F1(-nu, nu+1; 1; sin^2(theta/2)) (DLMF 14.3.1).
+
+    Past theta = pi/2 a non-integer degree takes the series in
+    w = 1 - sin^2(theta/2) = cos^2(theta/2), computed directly: near the
+    log singularity at theta = pi, sin^2(theta/2) would round away the
+    digits of w.  This is DLMF 15.8.10 with c - a - b = 0:
+    -(sin(pi nu)/pi) * sum_k c_k w^k (2 psi(k+1) - psi(k-nu) - psi(k+1+nu) - log w),
+    c_k = (-nu)_k (nu+1)_k / k!^2.  w <= 1/2 there, so the terms fall at
+    least geometrically.  An integer degree is a terminating polynomial.
+    """
+    theta = np.asarray(theta, dtype=float)
+    out = np.array(hyp2f1(-nu, nu + 1.0, 1.0, np.sin(0.5 * theta) ** 2))
+    far = theta > 0.5 * math.pi
+    if float(nu).is_integer() or not np.any(far):
+        return out[()]
+    w = np.cos(0.5 * theta[far]) ** 2
+    log_w = np.log(w)
+    total = np.zeros_like(w)
+    coef, w_k = 1.0, np.ones_like(w)
+    for k in range(_LEGENDRE_TERMS):
+        term = coef * w_k * (2.0 * digamma(k + 1.0) - digamma(k - nu) - digamma(k + 1.0 + nu) - log_w)
+        total += term
+        if float(np.max(np.abs(term))) < 1e-17:
+            break
+        coef *= (k - nu) * (k + 1.0 + nu) / (k + 1.0) ** 2
+        w_k = w_k * w
+    out[far] = -math.sin(math.pi * nu) / math.pi * total
+    return out[()]
 
 
 @dataclass(frozen=True)

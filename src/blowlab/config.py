@@ -51,6 +51,8 @@ class RunConfig:
             bad.append(("slope_tolerance", "must be positive"))
         if self.trace_radii is not None and not all(r > 0 for r in self.trace_radii):
             bad.append(("trace_radii", "entries must be positive"))
+        if self.trace_radii is not None and not self.controls.snapshot_dt > 0:
+            bad.append(("controls.snapshot_dt", "must be positive when trace_radii are set"))
         if bad:
             raise SpecError(bad)
 
@@ -290,15 +292,22 @@ def emit_criterion(path: str, t_sim: float, outcome=None, reason: str | None = N
     return verdict
 
 
+def snapshot_node_stride(nodes: int) -> int:
+    """The node stride of ``snapshots.csv`` for fields of ``nodes`` nodes."""
+    return max(1, nodes // 2000)
+
+
 def emit_snapshots(times, fields, coords: np.ndarray, path: str) -> None:
     """Flat CSV of solution snapshots: one row per (time, node).
 
     The output is thinned deterministically to every ``len(times)//50``-th
-    time and every ``nodes//2000``-th node (each stride at least 1);
-    multi-dimensional grids are flattened in row-major node order.
+    time and every ``snapshot_node_stride(nodes)``-th node;
+    multi-dimensional grids are flattened in row-major node order.  Fields
+    already thinned by that stride have fewer than 4000 nodes and are
+    written whole, so with the thinned coordinates the file is the same.
     """
     time_stride = max(1, len(times) // 50)
-    node_stride = max(1, np.asarray(fields[0]).size // 2000)
+    node_stride = snapshot_node_stride(np.asarray(fields[0]).size)
     coords = np.asarray(coords)
     pts = coords.reshape(-1, coords.shape[-1]) if coords.ndim > 1 else coords.reshape(-1, 1)
     xs = [",".join(_fmt(c) for c in row) for row in pts[::node_stride].tolist()]

@@ -143,6 +143,8 @@ class GridSpec:
             bad.append(("dim", "must be a positive integer"))
         elif self.geometry in ("line", "half-line") and self.dim != 1:
             bad.append(("dim", f"{self.geometry} is one-dimensional"))
+        elif self.geometry == "polar-sector" and self.dim not in (1, 2):
+            bad.append(("dim", "polar sector is two-dimensional"))
         if self.geometry == "polar-sector":
             if self.omega is None or not 0.0 < self.omega <= 2.0 * math.pi:
                 bad.append(("omega", "polar sector needs an opening angle in (0, 2*pi]"))
@@ -744,6 +746,19 @@ def fault_record(problem: EvolutionProblem, reason: str) -> BlowupRecord:
     )
 
 
+class SnapshotStore:
+    """A run observer that keeps a copy of each snapshot: every node at
+    ``stride`` 1, otherwise every ``stride``-th node of the field flattened
+    in row-major order."""
+
+    def __init__(self, stride: int = 1):
+        self.stride = stride
+        self.fields: list = []
+
+    def __call__(self, t: float, u: np.ndarray) -> None:
+        self.fields.append(u.copy() if self.stride == 1 else u.reshape(-1)[:: self.stride].copy())
+
+
 @dataclass
 class RunResult:
     problem: EvolutionProblem
@@ -775,7 +790,7 @@ def extrapolate_lifespan(thresholds, crossings, p: float) -> float:
 
 
 def run_until_blowup(
-    problem: EvolutionProblem, controls: RunControls, keep_snapshots: bool = True
+    problem: EvolutionProblem, controls: RunControls, observers=None
 ) -> RunResult:
     """Integrate until max|u| crosses the blowup threshold, the horizon is
     reached, or the adaptive step collapses.
@@ -800,7 +815,12 @@ def run_until_blowup(
     are recorded by log-linear interpolation and extrapolated to the
     lifespan estimate.
 
-    Without ``keep_snapshots`` only the first and last fields are stored;
+    ``observers`` say what the run keeps.  Each is called as ``obs(t, u)``
+    on every recorded snapshot: t = 0, each ``snapshot_dt`` crossing and the
+    final field; ``u`` is the run's own array and must not be changed.  The
+    default keeps every field (one full :class:`SnapshotStore`).  The result
+    holds the fields of the first ``SnapshotStore`` among the observers;
+    without one it holds only the first and final fields, and
     ``snapshot_dt`` still caps the step, so the record is the same.
     """
     coeff = problem.coeff
@@ -815,9 +835,17 @@ def run_until_blowup(
     state = initial_state(problem, dt0)
     stepper = step_hyperbolic if coeff.tau == 1 else step_parabolic
 
+    observers = (SnapshotStore(),) if observers is None else tuple(observers)
+    snap_times = []
+
+    def observe(t, u):
+        snap_times.append(t)
+        for obs in observers:
+            obs(t, u)
+
+    first = state.u
+    observe(0.0, first)
     crossings = [math.nan] * len(RECORD_THRESHOLDS)
-    snap_times = [0.0]
-    snaps = [state.u.copy()]
     next_snap = controls.snapshot_dt if controls.snapshot_dt > 0 else math.inf
 
     dt_floor = 1e-3 * controls.threshold ** (1.0 - coeff.p)
@@ -862,9 +890,7 @@ def run_until_blowup(
         back2, back1, state = back1, state, trial
         m_prev = m_new
         if state.t >= next_snap:
-            if keep_snapshots:
-                snap_times.append(state.t)
-                snaps.append(state.u.copy())
+            observe(state.t, state.u)
             next_snap += controls.snapshot_dt
         if m_new >= controls.threshold:
             status = "blowup"
@@ -893,8 +919,15 @@ def run_until_blowup(
         problem.init.epsilon, status, state.t, steps, halvings, passed, failed, dt_lo, dt_hi,
     )
     if snap_times[-1] != state.t:
-        snap_times.append(state.t)
-        snaps.append(state.u.copy())
+        observe(state.t, state.u)
+    store = next((obs for obs in observers if isinstance(obs, SnapshotStore)), None)
+    if store is not None:
+        snaps = store.fields
+    else:  # the run's end points only
+        snap_times, snaps = [0.0], [first]
+        if state.t != 0.0:
+            snap_times.append(state.t)
+            snaps.append(state.u)
 
     boundary = float(np.max(np.abs(state.u[data.truncation_adjacent])))
     t_ext = math.nan
@@ -942,57 +975,92 @@ def first_admissible_radius(init: InitialDataSpec, alpha: float) -> float:
     return 2.0 * (1.0 + init.support_radius() ** 2) ** ((2.0 - alpha) / 2.0)
 
 
-def functional_trace(result: RunResult, fam: CutoffFamily, radii) -> FunctionalTrace:
-    """Space-time cutoff masses of w = |u|^p * Phi along the run snapshots.
+class TraceAccumulator:
+    """Space-time cutoff masses of w = |u|^p * Phi, one snapshot at a time.
 
-    Trapezoid in time over the stored snapshots, grid quadrature in space.
-    The trapezoid rule over every other snapshot must agree to 2% relative
-    on the final masses, otherwise the snapshots undersample the run.
+    Called as ``acc(t, u)`` on each snapshot in time order, it adds the
+    snapshot's column: the grid quadratures of w * psi* and w * psi at each
+    radius.  A run can feed it as an observer, or :func:`functional_trace`
+    over the stored snapshots.  :meth:`finish` integrates the columns in time.
 
     The cutoff is exactly 1 for s <= 1/2 and exactly 0 for s >= 1, so the
     profile is evaluated only on the band 1/2 < s < 1; the summed arrays,
     and so the masses, are bitwise those of the full evaluation.
     """
-    radii = np.asarray(radii, dtype=float)
-    times = np.asarray(result.snapshot_times)
-    if len(times) < 4:
-        raise ValueError("need at least 4 snapshots for the time quadrature")
-    if times[0] > max(radii.min() - 1.0, 0.0):
-        raise ValueError("cutoff support lies entirely before the first snapshot")
-    grid = result.problem.grid
-    data = _grid_data(grid)
-    phi = weight_values(grid)
-    p = result.problem.coeff.p
-    bp = (1.0 + data.radius**2) ** ((2.0 - fam.alpha) / 2.0)
-    wvol = phi * data.vol
 
-    y_rows = np.empty((len(radii), len(times)))
-    m_rows = np.empty_like(y_rows)
-    for k, (t, u) in enumerate(zip(times, result.snapshots)):
-        w = abs_power(u, p) * wvol
-        for i, radius in enumerate(radii):
-            s = (bp + t) / radius
+    def __init__(self, problem: EvolutionProblem, fam: CutoffFamily, radii):
+        data = _grid_data(problem.grid)
+        self.fam = fam
+        self.radii = np.asarray(radii, dtype=float)
+        self.p = problem.coeff.p
+        self.bp = (1.0 + data.radius**2) ** ((2.0 - fam.alpha) / 2.0)
+        self.wvol = weight_values(problem.grid) * data.vol
+        self.y_cols: list = []
+        self.m_cols: list = []
+
+    def __call__(self, t: float, u: np.ndarray) -> None:
+        w = abs_power(u, self.p) * self.wvol
+        shifted = self.bp + t
+        y = np.empty(len(self.radii))
+        m = np.empty_like(y)
+        for i, radius in enumerate(self.radii):
+            s = shifted / radius
             cut = (s <= 0.5).astype(float)
-            band = (s > 0.5) & (s < 1.0)
-            cut[band] = psi_of_s(fam, s[band])
-            m_rows[i, k] = float(np.sum(w * cut))
+            band = np.nonzero((s > 0.5) & (s < 1.0))
+            cut[band] = psi_of_s(self.fam, s[band])
+            m[i] = float(np.sum(w * cut))
             cut[s < 0.5] = 0.0  # psi* equals psi on s >= 1/2 and vanishes below
-            y_rows[i, k] = float(np.sum(w * cut))
+            y[i] = float(np.sum(w * cut))
+        self.y_cols.append(y)
+        self.m_cols.append(m)
 
-    def masses(stride: int):
-        idxs = list(range(0, len(times), stride))
-        if idxs[-1] != len(times) - 1:
-            idxs.append(len(times) - 1)
-        # contiguous copies: trapezoid sums a fancy-indexed view in another order
-        y = np.trapezoid(np.ascontiguousarray(y_rows[:, idxs]), times[idxs], axis=1)
-        m = np.trapezoid(np.ascontiguousarray(m_rows[:, idxs]), times[idxs], axis=1)
-        return y, m
+    def finish(self, times) -> FunctionalTrace:
+        """Trapezoid in time over the columns taken at ``times``.
 
-    y_full, m_full = masses(1)
-    y_half, m_half = masses(2)
-    scale = max(float(np.max(m_full)), 1e-300)
-    if np.max(np.abs(m_full - m_half)) > 0.02 * scale or np.max(
-        np.abs(y_full - y_half)
-    ) > 0.02 * scale:
-        raise ValueError("snapshot density insufficient for the trace quadrature")
-    return FunctionalTrace(radii=radii, shell_mass=y_full, mass=m_full)
+        The trapezoid rule over every other snapshot must agree to 2%
+        relative on the final masses, otherwise the snapshots undersample
+        the run.
+        """
+        radii = self.radii
+        times = np.asarray(times)
+        if len(times) != len(self.m_cols):
+            raise ValueError(f"{len(times)} snapshot times for {len(self.m_cols)} trace columns")
+        if len(times) < 4:
+            raise ValueError("need at least 4 snapshots for the time quadrature")
+        if times[0] > max(radii.min() - 1.0, 0.0):
+            raise ValueError("cutoff support lies entirely before the first snapshot")
+        y_rows = np.stack(self.y_cols, axis=1)
+        m_rows = np.stack(self.m_cols, axis=1)
+
+        def masses(stride: int):
+            idxs = list(range(0, len(times), stride))
+            if idxs[-1] != len(times) - 1:
+                idxs.append(len(times) - 1)
+            # contiguous copies: trapezoid sums a fancy-indexed view in another order
+            y = np.trapezoid(np.ascontiguousarray(y_rows[:, idxs]), times[idxs], axis=1)
+            m = np.trapezoid(np.ascontiguousarray(m_rows[:, idxs]), times[idxs], axis=1)
+            return y, m
+
+        y_full, m_full = masses(1)
+        y_half, m_half = masses(2)
+        scale = max(float(np.max(m_full)), 1e-300)
+        if np.max(np.abs(m_full - m_half)) > 0.02 * scale or np.max(
+            np.abs(y_full - y_half)
+        ) > 0.02 * scale:
+            raise ValueError("snapshot density insufficient for the trace quadrature")
+        return FunctionalTrace(radii=radii, shell_mass=y_full, mass=m_full)
+
+
+def functional_trace(
+    result: RunResult, fam: CutoffFamily, radii, streamed: TraceAccumulator | None = None
+) -> FunctionalTrace:
+    """The run's trace: :meth:`TraceAccumulator.finish` over its snapshot times.
+
+    ``streamed`` is an accumulator for ``fam`` and ``radii`` that observed
+    the run; without it the stored snapshots are fed to a new one.
+    """
+    if streamed is None:
+        streamed = TraceAccumulator(result.problem, fam, radii)
+        for t, u in zip(result.snapshot_times, result.snapshots):
+            streamed(t, u)
+    return streamed.finish(result.snapshot_times)

@@ -155,9 +155,9 @@ class CriterionOutcome:
     bound: float  # lifespan_upper_bound(inputs)
 
 
-def trace_family(result: sv.RunResult, radii) -> co.CutoffFamily:
+def trace_family(problem: sv.EvolutionProblem, radii) -> co.CutoffFamily:
     """The cutoff family a run is traced with: scale the first radius, the run's p and alpha."""
-    coeff = result.problem.coeff
+    coeff = problem.coeff
     return co.CutoffFamily(R=float(radii[0]), p=coeff.p, alpha=coeff.alpha)
 
 
@@ -165,7 +165,7 @@ def causal_trace(result: sv.RunResult, count: int, top: float) -> lb.FunctionalT
     """The run's trace at ``count`` radii geometric from R1 to ``top`` times its lifespan."""
     r1 = sv.first_admissible_radius(result.problem.init, result.problem.coeff.alpha)
     radii = np.geomspace(r1, top * result.record.t_extrapolated, count)
-    return sv.functional_trace(result, trace_family(result, radii), radii)
+    return sv.functional_trace(result, trace_family(result.problem, radii), radii)
 
 
 def criterion_pipeline(result: sv.RunResult, trace: lb.FunctionalTrace) -> CriterionOutcome:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, is_dataclass
 from typing import get_type_hints
 
@@ -25,7 +26,7 @@ from blowlab.config import (
 )
 from blowlab.experiments import sweep
 from blowlab.lifespan_bounds import FunctionalTrace
-from blowlab.solvers import GridSpec, RunControls, grid_coordinates
+from blowlab.solvers import GridSpec, RunControls, SnapshotStore, grid_coordinates
 
 
 def _heat_config(**overrides):
@@ -117,6 +118,7 @@ def _polar_config():
         (_heat_config, "problem.grid.num_angles", 64),
         (_heat_config, "problem.grid.include_origin", False),
         (_polar_config, "problem.grid.include_origin", False),
+        (_polar_config, "problem.grid.dim", 3),
     ],
 )
 def test_config_rejects_mistyped_values(make, where, value):
@@ -130,6 +132,20 @@ def test_config_rejects_mistyped_values(make, where, value):
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     assert any(e.startswith(where + ":") for e in err.value.errors)
+
+
+def test_config_rejects_a_trace_without_snapshots(tmp_path):
+    raw = _heat_config(trace_radii=[4.0, 8.0])
+    raw["controls"]["snapshot_dt"] = 0.05
+    config_from_dict(raw)  # valid with snapshots
+    del raw["controls"]["snapshot_dt"]
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert err.value.errors == ["controls.snapshot_dt: must be positive when trace_radii are set"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()  # rejected before the run
 
 
 def test_config_reports_every_rule_a_section_breaks():
@@ -161,6 +177,7 @@ def test_config_round_trip(tmp_path):
     raw = _heat_config()
     raw["sweep"] = {"epsilons": [0.5, 0.7, 1.0, 1.4, 2.0], "slope_tolerance": 0.2}
     raw["trace_radii"] = [4.0, 6.0, 9.0]
+    raw["controls"]["snapshot_dt"] = 0.05  # a trace needs snapshots
     raw["out_dir"] = "results"
     cfg = config_from_dict(raw)
     path = tmp_path / "cfg.json"
@@ -232,6 +249,14 @@ def test_emit_snapshots_matches_the_row_writer(tmp_path, case):
     config.emit_snapshots(times, fields, coords, str(new))
     _emit_snapshots_by_rows(times, fields, coords, str(ref))
     assert new.read_bytes() == ref.read_bytes()
+    # the node-strided store simulate keeps, with its thinned coordinates, writes the same file
+    store = SnapshotStore(config.snapshot_node_stride(fields[0].size))
+    for t, f in zip(times, fields):
+        store(t, f)
+    nodes = coords.reshape(-1, coords.shape[-1]) if coords.ndim > 1 else coords
+    thinned = tmp_path / "thinned.csv"
+    config.emit_snapshots(times, store.fields, nodes[:: store.stride], str(thinned))
+    assert store.stride == 2 and thinned.read_bytes() == new.read_bytes()
     text = new.read_text()
     assert "np.float64" not in text
     if case == "complex-special":
@@ -289,6 +314,38 @@ def test_cli_eigen_spec_json_names_bad_fields(capsys):
     full_cap = '{"kind": "spherical-cap", "N": 3, "theta0": 3.141592653589793}'
     assert main(["eigen", "--spec-json", full_cap]) == 1
     assert "spec.theta0:" in capsys.readouterr().err
+
+
+def test_cli_simulate_memory_grows_by_strided_copies_with_run_length(tmp_path, capsys):
+    """A longer traced run holds more node-strided snapshots, not more full fields."""
+    nodes, snapshot_dt = 20001, 0.05
+    raw = _heat_config(trace_radii=[4.0, 8.0, 16.0])
+    raw["problem"]["grid"].update(extent=200.0, num_points=nodes)
+    raw["problem"]["initial"]["epsilon"] = 0.05  # survives both horizons
+    raw["controls"].update(dt_init=0.01, snapshot_dt=snapshot_dt)
+    cfg_path = tmp_path / "cfg.json"
+
+    def simulate(t_max):
+        raw["controls"]["t_max"] = t_max
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        assert "status: survived" in capsys.readouterr().out
+
+    simulate(1.0)  # fills the grid caches outside the measurement
+    peaks = []
+    for t_max in (1.0, 2.0):
+        tracemalloc.start()
+        try:
+            simulate(t_max)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    stride = config.snapshot_node_stride(nodes)
+    strided = 8 * (-(-nodes // stride))  # bytes of one strided real snapshot
+    extra = round(1.0 / snapshot_dt)  # snapshots the longer run adds
+    # each extra snapshot may cost its strided copy plus 1 KiB of bookkeeping;
+    # one full field of slack, where a full store would add 20 of them
+    assert peaks[1] - peaks[0] <= extra * (strided + 1024) + 8 * nodes
 
 
 def test_cli_simulate_and_sweep(tmp_path, capsys):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import jn_zeros
+from scipy.special import hyp2f1, jn_zeros
 
 from blowlab import cone_geometry
 from blowlab.cone_geometry import (
@@ -132,6 +132,35 @@ def test_cap_eigenvalue_vanishes_monotonically_toward_full_sphere():
     lams = [cap_eigenvalue(t) for t in (2.5, 2.9, 3.1)]
     assert lams[0] > lams[1] > lams[2] > 0.0
     assert lams[2] < 0.2
+
+
+@pytest.mark.parametrize("theta0", [3.14, 3.1415, 3.14159])
+def test_cap_eigenvalue_near_the_full_sphere_against_mpmath(theta0):
+    import mpmath as mp
+
+    lam = cap_eigenvalue(theta0)
+    with mp.workdps(40):
+        z = mp.cos(mp.mpf(theta0))
+        # the degrees whose nu(nu+1) is lam -+ 1e-12 relative bracket mpmath's first root:
+        # P_nu(cos theta0) falls from 1 at nu = 0 through it
+        lo, hi = ((mp.sqrt(1 + 4 * mp.mpf(lam) * (1 + d)) - 1) / 2 for d in (-1e-12, 1e-12))
+        assert mp.legenp(lo, 0, z, type=2) > 0 > mp.legenp(hi, 0, z, type=2)
+
+
+def test_legendre_keeps_its_bits_up_to_the_hemisphere_and_continues_past_it():
+    import mpmath as mp
+
+    assert cap_eigenvalue(math.pi / 2) == 2.0
+    theta = np.linspace(0.0, math.pi / 2, 7)
+    for nu in (0.4, 1.0, 2.7):
+        direct = hyp2f1(-nu, nu + 1.0, 1.0, np.sin(0.5 * theta) ** 2)
+        assert np.array_equal(cone_geometry._legendre_p(nu, theta), direct)
+    # past pi/2 the 1 - z series: within 1e-15 of the Ferrers function, up to theta = pi
+    theta = np.array([1.58, 2.0, 2.6, 3.0, 3.14159])
+    for nu in (0.05, 0.5, 0.95):
+        with mp.workdps(30):
+            ref = [float(mp.legenp(nu, 0, mp.cos(mp.mpf(t)), type=2)) for t in theta]
+        assert np.allclose(cone_geometry._legendre_p(nu, theta), ref, rtol=0.0, atol=1e-15)
 
 
 def test_make_domain_solves_the_cap_once(monkeypatch):

@@ -91,11 +91,13 @@ def test_grid_validation():
         (dict(geometry="radial", dim=2, omega=2.0, num_angles=40), "omega"),
         (dict(geometry="line", include_origin=False), "include_origin"),
         (dict(geometry="polar-sector", omega=2.0, num_angles=40, include_origin=False), "include_origin"),
+        (dict(geometry="polar-sector", dim=3, omega=2.0, num_angles=40), "dim"),
     ]:
         with pytest.raises(SpecError) as err:
             GridSpec(extent=10.0, num_points=100, **spec)
         assert [name for name, _ in err.value.violations][0] == field
     assert GridSpec("radial", 10.0, 100, dim=3, include_origin=False).include_origin is False
+    assert GridSpec("polar-sector", 10.0, 100, dim=2, omega=2.0, num_angles=40).dim == 2
     with pytest.raises(ValueError):
         EvolutionProblem(
             HEAT,
@@ -434,12 +436,17 @@ def test_first_admissible_radius():
     assert first_admissible_radius(init, 1.0) == pytest.approx(2.0 * math.sqrt(2.0))
 
 
+HEAT_BLOWUP = (
+    EvolutionProblem(
+        HEAT, GridSpec("line", extent=80.0, num_points=2001), InitialDataSpec(0.0, 1.0, 0.5)
+    ),
+    RunControls(threshold=1e6, t_max=60.0, dt_init=2e-3, snapshot_dt=0.05),
+)
+
+
 @pytest.fixture(scope="module")
 def heat_blowup_run():
-    grid = GridSpec("line", extent=80.0, num_points=2001)
-    init = InitialDataSpec(center=0.0, width=1.0, epsilon=0.5)
-    controls = RunControls(threshold=1e6, t_max=60.0, dt_init=2e-3, snapshot_dt=0.05)
-    return run_until_blowup(EvolutionProblem(HEAT, grid, init), controls)
+    return run_until_blowup(*HEAT_BLOWUP)
 
 
 def test_functional_trace_zero_field():
@@ -521,6 +528,79 @@ def test_functional_trace_flags_sparse_snapshots(heat_blowup_run):
         functional_trace(res2, fam, np.geomspace(4.0, 12.0, 5))
 
 
+def _polar_heat_run():
+    grid = GridSpec("polar-sector", extent=10.0, num_points=60, omega=math.pi, num_angles=16)
+    problem = EvolutionProblem(HEAT, grid, InitialDataSpec(center=4.0, width=2.0, epsilon=2.0))
+    return problem, RunControls(threshold=1e6, t_max=2.0, dt_init=2e-3, snapshot_dt=0.05)
+
+
+@pytest.mark.parametrize("case", ["line", "polar-sector"])
+def test_streamed_trace_is_bitwise_the_stored_trace(heat_blowup_run, case):
+    if case == "line":
+        problem, controls = HEAT_BLOWUP
+        full = heat_blowup_run
+        radii = np.array([2.0, 4.0, 9.0, 0.9 * full.record.t_extrapolated])
+    else:
+        problem, controls = _polar_heat_run()
+        full = run_until_blowup(problem, controls)
+        radii = np.array([20.0, 40.0, 80.0])
+    fam = CutoffFamily(R=float(radii[0]), p=2.0, alpha=0.0)
+    store = solvers.SnapshotStore(stride=7)  # strides across the sector's rows
+    acc = solvers.TraceAccumulator(problem, fam, radii)
+    streamed = run_until_blowup(problem, controls, observers=(store, acc))
+    assert streamed.record == full.record
+    assert streamed.snapshot_times == full.snapshot_times
+    assert streamed.snapshots is store.fields
+    assert all(np.array_equal(s, f.reshape(-1)[::7]) for s, f in zip(store.fields, full.snapshots))
+    stored = functional_trace(full, fam, radii)
+    trace = functional_trace(streamed, fam, radii, acc)
+    assert np.array_equal(trace.shell_mass, stored.shell_mass)
+    assert np.array_equal(trace.mass, stored.mass)
+    assert np.all(trace.mass > 0.0)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        pytest.param("too-few", "at least 4 snapshots", id="too-few"),
+        pytest.param("clipped", "before the first snapshot", id="clipped"),
+        pytest.param("sparse", "density insufficient", id="sparse"),
+    ],
+)
+def test_streamed_trace_raises_what_the_stored_trace_raises(heat_blowup_run, case, message):
+    import copy
+
+    res = copy.copy(heat_blowup_run)
+    radii = [4.0]
+    if case == "too-few":
+        keep = slice(0, 3)
+    elif case == "clipped":  # the clipped-time case of the stored trace
+        keep = slice(sum(t <= 8.0 for t in res.snapshot_times), None)
+    else:  # the sparse-snapshot case
+        keep, radii = slice(None, None, 40), np.geomspace(4.0, 12.0, 5)
+    res.snapshot_times = res.snapshot_times[keep]
+    res.snapshots = res.snapshots[keep]
+    fam = CutoffFamily(R=4.0, p=2.0, alpha=0.0)
+    with pytest.raises(ValueError) as stored:
+        functional_trace(res, fam, radii)
+    acc = solvers.TraceAccumulator(res.problem, fam, radii)
+    for t, u in zip(res.snapshot_times, res.snapshots):
+        acc(t, u)
+    with pytest.raises(ValueError) as streamed:
+        functional_trace(res, fam, radii, acc)
+    assert message in str(stored.value)
+    assert str(streamed.value) == str(stored.value)
+
+
+def test_streamed_trace_rejects_times_it_did_not_see(heat_blowup_run):
+    res = heat_blowup_run
+    acc = solvers.TraceAccumulator(res.problem, CutoffFamily(R=4.0, p=2.0, alpha=0.0), [4.0])
+    for t, u in zip(res.snapshot_times[:5], res.snapshots[:5]):
+        acc(t, u)
+    with pytest.raises(ValueError, match="6 snapshot times for 5 trace columns"):
+        acc.finish(res.snapshot_times[:6])
+
+
 def test_criterion_pipeline_takes_theta_from_the_half_line_cone():
     # gamma = 1 on the half line: theta = 1/(p-1) - (1 + 1)/2 = 1, not the full-line 1.5
     coeff = CoefficientSpec(tau=0, p=1.5, lam=1.0, a_phase=0.0)
@@ -541,7 +621,7 @@ def test_boundary_max_reads_only_the_truncation_wall():
     grid = GridSpec("half-line", extent=200.0, num_points=5001)
     init = InitialDataSpec(center=3.0, width=1.0, epsilon=0.3)
     controls = RunControls(t_max=400.0, dt_init=2e-3)
-    res = run_until_blowup(EvolutionProblem(HEAT, grid, init), controls, keep_snapshots=False)
+    res = run_until_blowup(EvolutionProblem(HEAT, grid, init), controls, observers=())
     u = res.snapshots[-1]
     assert res.record.status == "blowup"
     assert abs(u[1]) > 1e-4
@@ -878,7 +958,7 @@ def test_sweep_path_holds_no_snapshots_and_keeps_the_record():
     controls = RunControls(threshold=1e6, t_max=60.0, dt_init=2e-3, snapshot_dt=0.05)
     problem = EvolutionProblem(HEAT, grid, init)
     full = run_until_blowup(problem, controls)
-    lean = run_until_blowup(problem, controls, keep_snapshots=False)
+    lean = run_until_blowup(problem, controls, observers=())
     assert lean.record == full.record
     assert lean.snapshot_times == [0.0, full.snapshot_times[-1]]
     assert np.array_equal(lean.snapshots[-1], full.snapshots[-1])
