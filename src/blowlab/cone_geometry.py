@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import digamma, hyp2f1
 
 VALID_KINDS = (
@@ -258,6 +257,66 @@ def sector_eigenvalue(omega: float) -> float:
     return (math.pi / omega) ** 2
 
 
+BRENT_RTOL_MIN = 4.0 * np.finfo(float).eps  # so the least step, rtol*|x|/2, spans two ulps of x
+BRENT_MAXITER = 100  # scipy's default
+
+
+def brent_root(f: Callable, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of f in the sign-changing bracket [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of ``scipy/optimize/Zeros/brentq.c``: same bits as
+    ``scipy.optimize.brentq`` at the same tolerances.  An exact zero at an end
+    is returned as it is.  ValueError for a bracket without a sign change, a
+    bad tolerance or a NaN value of f; RuntimeError after ``BRENT_MAXITER`` iterations.
+    """
+    if not (xtol > 0.0 and rtol >= BRENT_RTOL_MIN):
+        raise ValueError(f"need xtol > 0 and rtol >= {BRENT_RTOL_MIN:g}")
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better end in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {BRENT_MAXITER} iterations")
+
+
 def cap_eigenvalue(theta0: float) -> float:
     """First Dirichlet eigenvalue nu(nu+1) on the spherical cap of angle theta0.
 
@@ -283,8 +342,9 @@ def cap_eigenvalue(theta0: float) -> float:
         doublings += 1
         if doublings > 60:
             raise RuntimeError("cap eigenvalue bracketing did not converge")
-    # hyp2f1 gives P_nu to near machine precision, so the root takes brentq's finest rtol
-    nu = brentq(endpoint, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
+    # hyp2f1 gives P_nu to near machine precision, so the root takes brent_root's finest rtol,
+    # 4 eps: below it the least step rtol*nu/2 could round away and leave nu where it is
+    nu = brent_root(endpoint, lo, hi, xtol=1e-15, rtol=BRENT_RTOL_MIN)
     return nu * (nu + 1.0)
 
 

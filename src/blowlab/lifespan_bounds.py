@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from blowlab.cone_geometry import bound_theta, fujita_threshold
+from blowlab.cone_geometry import bound_theta, brent_root, fujita_threshold
 
 LOG2 = math.log(2.0)
 
@@ -129,7 +128,7 @@ def ode_saturation_oracle(b: BoundInputs) -> float:
         offset *= 2.0
     else:
         raise RuntimeError("failed to bracket the saturation radius")
-    log_r = brentq(
+    log_r = brent_root(
         lambda lr: _radius_map(lr1, lr, beta) - rho_star,
         lr1,
         lr1 + offset,

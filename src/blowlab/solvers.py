@@ -700,6 +700,8 @@ class RunControls:
             bad.append(("t_max", "must be positive"))
         if self.dt_init is not None and not self.dt_init > 0:
             bad.append(("dt_init", "must be positive"))
+        if not self.snapshot_dt >= 0:
+            bad.append(("snapshot_dt", "must be non-negative"))
         if not self.max_steps > 0:
             bad.append(("max_steps", "must be positive"))
         if bad:

@@ -111,6 +111,8 @@ def _polar_config():
         (_heat_config, "sweep.epsilons", [True, 2]),
         (_heat_config, "problem.lambda", True),
         (_heat_config, "seed", True),
+        (_heat_config, "controls.snapshot_dt", -1.0),
+        (_heat_config, "controls.snapshot_dt", float("nan")),
         (_polar_config, "problem.grid.num_angles", 10.5),
         (_polar_config, "problem.grid.num_angles", "64"),
         # fields that only another geometry reads

@@ -6,13 +6,16 @@ import sys
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 from scipy.special import hyp2f1, jn_zeros
 
-from blowlab import cone_geometry
+from blowlab import cone_geometry, lifespan_bounds
 from blowlab.cone_geometry import (
+    BRENT_RTOL_MIN,
     BumpField,
     CrossSectionSpec,
     WeightPhi,
+    brent_root,
     cap_eigenvalue,
     fujita_threshold,
     gamma_root,
@@ -23,6 +26,7 @@ from blowlab.cone_geometry import (
     phi_eval,
     sector_eigenvalue,
 )
+from blowlab.lifespan_bounds import BoundInputs, ode_saturation_oracle
 from blowlab.verify import random_bump, residual_ratios
 
 
@@ -184,14 +188,86 @@ def test_make_domain_solves_the_cap_once(monkeypatch):
     assert abs(cone_geometry._legendre_p(nu, 1.0)) <= 1e-12
 
 
+SMOOTH_ROOTS = {  # each increasing, with its one root in (0.5, 1)
+    "cubic": lambda x: x**3 + x - 1.2,
+    "exp": lambda x: math.exp(x) - 2.0,
+    "atan": lambda x: math.atan(5.0 * (x - 0.8)),
+    "tanh": lambda x: math.tanh(x - 0.6) + 0.05 * (x - 0.6),
+    "flat": lambda x: (x - 0.7) ** 5 + 1e-4 * (x - 0.7),
+}
+
+# scipy's defaults, the cap's, and two coarse pairs (the last reaches the step guard)
+BRENT_TOLERANCES = [
+    (2e-12, 8.881784197001252e-16), (1e-15, BRENT_RTOL_MIN), (1e-6, 1e-10), (0.1, 1e-3)
+]
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH_ROOTS))
+def test_brent_root_is_bitwise_brentq(name):
+    f = SMOOTH_ROOTS[name]
+    for a in np.linspace(-3.0, 0.5, 8):
+        for b in np.linspace(1.0, 4.0, 8):
+            for xtol, rtol in BRENT_TOLERANCES:
+                root = brent_root(f, a, b, xtol, rtol)
+                assert root == brentq(f, a, b, xtol=xtol, rtol=rtol), (a, b, xtol, rtol)
+                assert brent_root(f, b, a, xtol, rtol) == brentq(f, b, a, xtol=xtol, rtol=rtol)
+
+
+def test_brent_root_call_sites_are_bitwise_brentq(monkeypatch):
+    calls = []
+
+    def recording(f, a, b, xtol, rtol):
+        root = brent_root(f, a, b, xtol, rtol)
+        calls.append((f, a, b, xtol, rtol, root))
+        return root
+
+    monkeypatch.setattr(cone_geometry, "brent_root", recording)
+    monkeypatch.setattr(lifespan_bounds, "brent_root", recording)
+    for theta0 in (0.5, math.pi / 2, 3.1415):  # the cap's endpoint P_nu(cos theta0)
+        cap_eigenvalue(theta0)
+    for args in [(1.0, 1.0, 1.0, 0.0, 2.0), (1.0, 1.0, 1.0, 1.0, 2.0), (4.0, 1.0, 1.0, 0.0, 2.0),
+                 (1.0, 1.0, 1.0, 0.7, 2.0), (1.0, 1.5, 1.0, 0.7, 2.0)]:  # the oracle's radius map
+        ode_saturation_oracle(BoundInputs(*args))
+    assert len(calls) == 8
+    for f, a, b, xtol, rtol, root in calls:
+        assert root == brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+
+def test_brent_root_rejects_a_bracket_without_a_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-15)
+    with pytest.raises(ValueError):
+        brent_root(lambda x: x, -1.0, 1.0, 1e-12, 0.5 * BRENT_RTOL_MIN)  # rtol below the floor
+    with pytest.raises(ValueError, match="NaN"):
+        brent_root(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0, 1e-12, 1e-15)
+
+
+def test_brent_root_returns_an_exact_zero_at_either_end():
+    assert brent_root(lambda x: x - 2.0, 2.0, 5.0, 1e-12, 1e-15) == 2.0
+    assert brent_root(lambda x: x - 2.0, -1.0, 2.0, 1e-12, 1e-15) == 2.0
+    assert brent_root(lambda x: x * (x - 2.0), 2.0, 5.0, 1e-12, 1e-15) == 2.0  # no sign change
+
+
+def test_brent_root_raises_when_it_runs_out_of_iterations():
+    def jump(x):  # equal |f| everywhere: each step at best halves the bracket, ~1,000 to 1e-300
+        return 1.0 if x > 0.0 else -1.0
+
+    with pytest.raises(RuntimeError, match="did not converge in 100 iterations"):
+        brent_root(jump, -1.0, 3.0, 1e-300, BRENT_RTOL_MIN)
+    with pytest.raises(RuntimeError):
+        brentq(jump, -1.0, 3.0, xtol=1e-300, rtol=BRENT_RTOL_MIN)
+    assert brent_root(jump, -1.0, 3.0, 1e-12, BRENT_RTOL_MIN) == brentq(
+        jump, -1.0, 3.0, xtol=1e-12, rtol=BRENT_RTOL_MIN
+    )
+
+
 def test_cli_import_loads_no_ode_solver_or_interpolant():
+    # scipy.optimize would also bring scipy.sparse, scipy.fft and scipy.spatial
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = (
-        "import sys, blowlab.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'interpolate'])))"
-    )
+    forbidden = [["scipy", name] for name in ("integrate", "interpolate", "optimize", "sparse")]
+    loaded = f"print(sorted(m for m in sys.modules if m.split('.')[:2] in {forbidden}))"
+    probe = f"import sys, blowlab.cli; {loaded}; import blowlab.verify; {loaded}"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -199,7 +275,7 @@ def test_cli_import_loads_no_ode_solver_or_interpolant():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]"]  # after blowlab.cli, then blowlab.verify
 
 
 def test_phi_eval_quarter_plane_product():
