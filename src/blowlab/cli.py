@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -71,10 +72,7 @@ def _cmd_bound(args) -> int:
     closed = lb.lifespan_upper_bound(b)
     tag = "theta>0 branch" if b.theta > 0 else "theta=0 branch"
     print(f"bound ({tag}): {closed!r}")
-    critical = lb.lifespan_upper_bound(
-        lb.BoundInputs(delta=args.delta, c0=args.c0, r1=args.r1, theta=0.0, p=args.p)
-    )
-    print(f"bound (theta=0 branch): {critical!r}")
+    print(f"bound (theta=0 branch): {lb.lifespan_upper_bound(replace(b, theta=0.0))!r}")
     if args.oracle:
         print(f"saturation oracle: {lb.ode_saturation_oracle(b)!r}")
     return 0
@@ -86,13 +84,11 @@ def _cmd_simulate(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     # the run keeps only the nodes snapshots.csv writes, and streams the trace
     coords = grid_coordinates(cfg.problem.grid)
-    points = coords.reshape(-1, coords.shape[-1]) if coords.ndim > 1 else coords
+    points = coords.reshape(-1, coords.shape[-1] if coords.ndim > 1 else 1)
     store = SnapshotStore(snapshot_node_stride(len(points)))
     observers = [store]
     if cfg.trace_radii:
-        radii = np.asarray(cfg.trace_radii)
-        fam = verify.trace_family(cfg.problem, radii)
-        streamed = TraceAccumulator(cfg.problem, fam, radii)
+        streamed = TraceAccumulator(cfg.problem, cfg.trace_radii)
         observers.append(streamed)
     result = run_until_blowup(cfg.problem, cfg.controls, observers)
     rec = result.record
@@ -101,7 +97,7 @@ def _cmd_simulate(args) -> int:
     print(f"T_extrapolated: {rec.t_extrapolated!r}")
     print(f"boundary_max: {rec.boundary_max!r}")
     if cfg.trace_radii:
-        trace = functional_trace(result, fam, radii, streamed)
+        trace = functional_trace(result, cfg.trace_radii, streamed)
         emit_trace(trace, os.path.join(out_dir, "trace.csv"))
         print(f"trace: {len(cfg.trace_radii)} radii written")
         outcome = reason = None
@@ -117,12 +113,8 @@ def _cmd_simulate(args) -> int:
         else:
             print(f"criterion: bound {outcome.bound!r}, bound >= T: {verdict['bound_ge_T']}")
     if len(result.snapshot_times) > 2:
-        emit_snapshots(
-            result.snapshot_times,
-            result.snapshots,
-            points[:: store.stride],
-            os.path.join(out_dir, "snapshots.csv"),
-        )
+        path = os.path.join(out_dir, "snapshots.csv")
+        emit_snapshots(result.snapshot_times, result.snapshots, points[:: store.stride], path)
     return 0
 
 
@@ -171,6 +163,8 @@ def _verify_cutoff(args) -> int:
 
 
 def _verify_hardy(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, not {args.count}")
     return _report([
         (f"{name}: {args.count} fields above {bound:.4g}", min(q, default=math.inf) >= bound - 1e-6)
         for name, bound, q in verify.hardy(args.seed, args.count, orders=(24, 48, 48))

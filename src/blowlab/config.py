@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -96,14 +97,21 @@ def _from_json(hint, value, path: str, errors: list):
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind in (float, complex) and _is_number(value):
-        return kind(value)
-    if kind in (complex, tuple) and isinstance(value, list) and all(map(_is_number, value)):
-        if kind is tuple:
-            return tuple(float(v) for v in value)
-        if len(value) == 2:
-            return complex(*value)
-    errors.append(f"{path}: expected {_EXPECTED[kind]}")
-    return None
+        numbers = [value]
+    elif (
+        kind in (complex, tuple)
+        and isinstance(value, list)
+        and all(map(_is_number, value))
+        and (kind is tuple or len(value) == 2)
+    ):
+        numbers = value
+    else:
+        errors.append(f"{path}: expected {_EXPECTED[kind]}")
+        return None
+    if not all(abs(v) <= sys.float_info.max for v in numbers):  # NaN, Infinity, huge ints
+        errors.append(f"{path}: expected a finite number")
+        return None
+    return tuple(map(float, numbers)) if kind is tuple else kind(*numbers)
 
 
 def _build(cls, obj: dict, path: str, errors: list):
@@ -297,23 +305,18 @@ def snapshot_node_stride(nodes: int) -> int:
     return max(1, nodes // 2000)
 
 
-def emit_snapshots(times, fields, coords: np.ndarray, path: str) -> None:
+def emit_snapshots(times, fields, points: np.ndarray, path: str) -> None:
     """Flat CSV of solution snapshots: one row per (time, node).
 
-    The output is thinned deterministically to every ``len(times)//50``-th
-    time and every ``snapshot_node_stride(nodes)``-th node;
-    multi-dimensional grids are flattened in row-major node order.  Fields
-    already thinned by that stride have fewer than 4000 nodes and are
-    written whole, so with the thinned coordinates the file is the same.
+    ``points`` holds one row of coordinates per node of each field, the
+    fields' nodes in row-major order; every node is written, at every
+    ``len(times)//50``-th time.
     """
     time_stride = max(1, len(times) // 50)
-    node_stride = snapshot_node_stride(np.asarray(fields[0]).size)
-    coords = np.asarray(coords)
-    pts = coords.reshape(-1, coords.shape[-1]) if coords.ndim > 1 else coords.reshape(-1, 1)
-    xs = [",".join(_fmt(c) for c in row) for row in pts[::node_stride].tolist()]
+    xs = [",".join(_fmt(c) for c in row) for row in np.asarray(points).tolist()]
     # tolist() gives Python floats, whose repr is what _fmt writes for a float
     columns = (
-        (_fmt(times[idx]), np.asarray(fields[idx]).reshape(-1)[::node_stride].astype(complex))
+        (_fmt(times[idx]), np.asarray(fields[idx]).reshape(-1).astype(complex))
         for idx in range(0, len(times), time_stride)
     )
     lines = (
@@ -321,7 +324,7 @@ def emit_snapshots(times, fields, coords: np.ndarray, path: str) -> None:
         for t, z in columns
         for x, re, im in zip(xs, z.real.tolist(), z.imag.tolist())
     )
-    header = ",".join(("t", *(f"x{i+1}" for i in range(pts.shape[1])), "u_re", "u_im"))
+    header = ",".join(("t", *(f"x{i+1}" for i in range(len(points[0]))), "u_re", "u_im"))
     _write_text(path, itertools.chain([header + "\n"], lines))
 
 

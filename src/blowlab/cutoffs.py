@@ -27,39 +27,38 @@ import numpy as np
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)  # on [-1, 1]
 
 
+def _on_band(s, formula, one_below: bool = True) -> np.ndarray:
+    """``formula`` on the open band 1/2 < s < 1, 0 on s >= 1, and 1 (``one_below``)
+    or 0 on s <= 1/2.  ``formula`` sees only the band values, flattened."""
+    s = np.asarray(s, dtype=float)
+    flat = s.reshape(-1)
+    out = (flat <= 0.5).astype(float) if one_below else np.zeros(flat.size)
+    band = np.flatnonzero((flat > 0.5) & (flat < 1.0))
+    out[band] = formula(flat[band])
+    return out.reshape(s.shape)
+
+
 def _g(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        out[pos] = np.exp(-1.0 / t[pos])
-    return out
+    """exp(-1/t) for t > 0."""
+    return np.exp(-1.0 / t)
 
 
 def _eta_raw(s: np.ndarray) -> np.ndarray:
+    """eta strictly inside (1/2, 1), where g(2-2s) + g(2s-1) > 0."""
     a = _g(2.0 - 2.0 * s)
-    b = _g(2.0 * s - 1.0)
-    with np.errstate(invalid="ignore"):
-        val = np.where(a + b > 0, a / np.where(a + b > 0, a + b, 1.0), 0.0)
-    return val
+    return a / (a + _g(2.0 * s - 1.0))
 
 
 def _eta_derivs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivative of eta strictly inside (1/2, 1)."""
-    s = np.asarray(s, dtype=float)
     ta = 2.0 - 2.0 * s
     tb = 2.0 * s - 1.0
     a = _g(ta)
     b = _g(tb)
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        da = -2.0 * a / ta**2
-        db = 2.0 * b / tb**2
-        d2a = 4.0 * a / ta**4 - 8.0 * a / ta**3
-        d2b = 4.0 * b / tb**4 - 8.0 * b / tb**3
-    da = np.nan_to_num(da, nan=0.0, posinf=0.0, neginf=0.0)
-    db = np.nan_to_num(db, nan=0.0, posinf=0.0, neginf=0.0)
-    d2a = np.nan_to_num(d2a, nan=0.0, posinf=0.0, neginf=0.0)
-    d2b = np.nan_to_num(d2b, nan=0.0, posinf=0.0, neginf=0.0)
+    da = -2.0 * a / ta**2
+    db = 2.0 * b / tb**2
+    d2a = 4.0 * a / ta**4 - 8.0 * a / ta**3
+    d2b = 4.0 * b / tb**4 - 8.0 * b / tb**3
     tot = a + b
     w = a * db - da * b  # -(numerator of eta')
     d1 = (da * b - a * db) / tot**2
@@ -67,73 +66,44 @@ def _eta_derivs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-@dataclass(frozen=True)
-class TransitionProfile:
-    """The transition profile and its first two closed-form derivatives."""
+class _BandProfile:
+    """A profile given on the band 1/2 < s < 1 by ``band(s)`` and ``band_derivs(s)``
+    (its first two derivatives); it is 1 below the band and 0 above."""
 
     def __call__(self, s) -> np.ndarray:
-        scalar = np.ndim(s) == 0
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.ones_like(s)
-        out[s >= 1.0] = 0.0
-        mid = (s > 0.5) & (s < 1.0)
-        if np.any(mid):
-            out[mid] = _eta_raw(s[mid])
-        return out[0] if scalar else out
+        return _on_band(s, self.band)
 
     def deriv(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        mid = (s > 0.5) & (s < 1.0)
-        out = np.zeros_like(s)
-        if np.any(mid):
-            out[mid] = _eta_derivs(s[mid])[0]
-        return out
+        return _on_band(s, lambda b: self.band_derivs(b)[0], one_below=False)
 
     def deriv2(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        mid = (s > 0.5) & (s < 1.0)
-        out = np.zeros_like(s)
-        if np.any(mid):
-            out[mid] = _eta_derivs(s[mid])[1]
-        return out
+        return _on_band(s, lambda b: self.band_derivs(b)[1], one_below=False)
+
+
+@dataclass(frozen=True)
+class TransitionProfile(_BandProfile):
+    """The transition profile eta and its first two closed-form derivatives."""
+
+    band = staticmethod(_eta_raw)
+    band_derivs = staticmethod(_eta_derivs)
 
 
 DEFAULT_PROFILE = TransitionProfile()
 
 
 @dataclass(frozen=True)
-class PolynomialProfile:
-    """Transition (2-2s)^degree on (1/2, 1): only C^(degree-1) at the edge.
+class PolynomialProfile(_BandProfile):
+    """The hat 2-2s on (1/2, 1), whose derivative does not vanish at the outer edge:
+    the 2p' power keeps the derivative-bound ratios finite, and power 1 is the
+    verification suite's divergent negative control."""
 
-    With degree 1 this is the bare hat profile whose derivative does not
-    vanish at the outer edge; raising the cutoff to the 2p' power is what
-    keeps the derivative-bound ratios finite, and the verification suite
-    uses (degree=1, power=1) as the divergent negative control.
-    """
+    @staticmethod
+    def band(s):
+        return 2.0 - 2.0 * s
 
-    degree: int = 1
-
-    def __call__(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        u = np.clip(2.0 - 2.0 * s, 0.0, 1.0)
-        return u**self.degree
-
-    def deriv(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        mid = (s > 0.5) & (s < 1.0)
-        u = 2.0 - 2.0 * s
-        out = np.zeros_like(s)
-        out[mid] = -2.0 * self.degree * u[mid] ** (self.degree - 1)
-        return out
-
-    def deriv2(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        mid = (s > 0.5) & (s < 1.0)
-        u = 2.0 - 2.0 * s
-        out = np.zeros_like(s)
-        if self.degree >= 2:
-            out[mid] = 4.0 * self.degree * (self.degree - 1) * u[mid] ** (self.degree - 2)
-        return out
+    @staticmethod
+    def band_derivs(s):
+        return np.full(s.shape, -2.0), np.zeros(s.shape)
 
 
 @dataclass(frozen=True)
@@ -187,8 +157,9 @@ def s_value(fam: CutoffFamily, x, t) -> np.ndarray:
 
 
 def psi_of_s(fam: CutoffFamily, s) -> np.ndarray:
-    eta = fam.profile(s)
-    return np.where(eta >= 1.0, 1.0, eta**fam.exponent)
+    """The cutoff eta(s)^power as a function of the scaled coordinate s."""
+    q = fam.exponent
+    return _on_band(s, lambda b: fam.profile.band(b) ** q)
 
 
 def psi_star_of_s(fam: CutoffFamily, s) -> np.ndarray:

@@ -24,7 +24,8 @@ LOG2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Parameters of the criterion inequality."""
+    """Parameters of the criterion inequality, all finite but ``c0``: its
+    minimal value is inf when no finite constant passes."""
 
     delta: float
     c0: float
@@ -33,6 +34,9 @@ class BoundInputs:
     p: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if math.isnan(value) or (math.isinf(value) and name != "c0"):
+                raise ValueError(f"{name} must not be {value!r}")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
         if self.c0 <= 0 or self.r1 <= 0:
@@ -91,6 +95,8 @@ def ode_saturation_oracle(b: BoundInputs) -> float:
     """
     if b.delta == 0:
         raise ValueError("saturation needs a positive delta")
+    if math.isinf(b.c0):
+        raise ValueError("saturation needs a finite c0")
     slope = (b.p - 1.0) * LOG2 ** (-b.p) * b.c0 ** (-b.p)
     v0 = (LOG2 * b.delta) ** (1.0 - b.p)
 

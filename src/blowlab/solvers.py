@@ -984,32 +984,28 @@ class TraceAccumulator:
     snapshot's column: the grid quadratures of w * psi* and w * psi at each
     radius.  A run can feed it as an observer, or :func:`functional_trace`
     over the stored snapshots.  :meth:`finish` integrates the columns in time.
-
-    The cutoff is exactly 1 for s <= 1/2 and exactly 0 for s >= 1, so the
-    profile is evaluated only on the band 1/2 < s < 1; the summed arrays,
-    and so the masses, are bitwise those of the full evaluation.
+    The cutoff is the run's own: power 2p' and s = (<x>^(2-alpha) + t) / R
+    with the problem's p and alpha.
     """
 
-    def __init__(self, problem: EvolutionProblem, fam: CutoffFamily, radii):
+    def __init__(self, problem: EvolutionProblem, radii):
         data = _grid_data(problem.grid)
-        self.fam = fam
+        coeff = problem.coeff
+        self.fam = CutoffFamily(R=1.0, p=coeff.p, alpha=coeff.alpha)  # psi_of_s reads no R
         self.radii = np.asarray(radii, dtype=float)
-        self.p = problem.coeff.p
-        self.bp = (1.0 + data.radius**2) ** ((2.0 - fam.alpha) / 2.0)
+        self.bp = (1.0 + data.radius**2) ** ((2.0 - coeff.alpha) / 2.0)
         self.wvol = weight_values(problem.grid) * data.vol
         self.y_cols: list = []
         self.m_cols: list = []
 
     def __call__(self, t: float, u: np.ndarray) -> None:
-        w = abs_power(u, self.p) * self.wvol
+        w = abs_power(u, self.fam.p) * self.wvol
         shifted = self.bp + t
         y = np.empty(len(self.radii))
         m = np.empty_like(y)
         for i, radius in enumerate(self.radii):
             s = shifted / radius
-            cut = (s <= 0.5).astype(float)
-            band = np.nonzero((s > 0.5) & (s < 1.0))
-            cut[band] = psi_of_s(self.fam, s[band])
+            cut = psi_of_s(self.fam, s)
             m[i] = float(np.sum(w * cut))
             cut[s < 0.5] = 0.0  # psi* equals psi on s >= 1/2 and vanishes below
             y[i] = float(np.sum(w * cut))
@@ -1054,15 +1050,15 @@ class TraceAccumulator:
 
 
 def functional_trace(
-    result: RunResult, fam: CutoffFamily, radii, streamed: TraceAccumulator | None = None
+    result: RunResult, radii, streamed: TraceAccumulator | None = None
 ) -> FunctionalTrace:
     """The run's trace: :meth:`TraceAccumulator.finish` over its snapshot times.
 
-    ``streamed`` is an accumulator for ``fam`` and ``radii`` that observed
-    the run; without it the stored snapshots are fed to a new one.
+    ``streamed`` is an accumulator for ``radii`` that observed the run;
+    without it the stored snapshots are fed to a new one.
     """
     if streamed is None:
-        streamed = TraceAccumulator(result.problem, fam, radii)
+        streamed = TraceAccumulator(result.problem, radii)
         for t, u in zip(result.snapshot_times, result.snapshots):
             streamed(t, u)
     return streamed.finish(result.snapshot_times)

@@ -45,7 +45,7 @@ def cutoff() -> CutoffMeasures:
                 v = np.array([getattr(b, name) for b in vals])
                 mean = float(v.mean())
                 spreads[p, alpha, name] = float(np.max(np.abs(v - mean))) / mean
-    hat = co.CutoffFamily(R=10.0, p=2.0, profile=co.PolynomialProfile(1), power=1.0)
+    hat = co.CutoffFamily(R=10.0, p=2.0, profile=co.PolynomialProfile(), power=1.0)
     try:
         co.bound_constants(hat, dim=1)
         diverges = False
@@ -155,17 +155,11 @@ class CriterionOutcome:
     bound: float  # lifespan_upper_bound(inputs)
 
 
-def trace_family(problem: sv.EvolutionProblem, radii) -> co.CutoffFamily:
-    """The cutoff family a run is traced with: scale the first radius, the run's p and alpha."""
-    coeff = problem.coeff
-    return co.CutoffFamily(R=float(radii[0]), p=coeff.p, alpha=coeff.alpha)
-
-
 def causal_trace(result: sv.RunResult, count: int, top: float) -> lb.FunctionalTrace:
     """The run's trace at ``count`` radii geometric from R1 to ``top`` times its lifespan."""
     r1 = sv.first_admissible_radius(result.problem.init, result.problem.coeff.alpha)
     radii = np.geomspace(r1, top * result.record.t_extrapolated, count)
-    return sv.functional_trace(result, trace_family(result.problem, radii), radii)
+    return sv.functional_trace(result, radii)
 
 
 def criterion_pipeline(result: sv.RunResult, trace: lb.FunctionalTrace) -> CriterionOutcome:

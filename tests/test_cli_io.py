@@ -121,6 +121,16 @@ def _polar_config():
         (_heat_config, "problem.grid.include_origin", False),
         (_polar_config, "problem.grid.include_origin", False),
         (_polar_config, "problem.grid.dim", 3),
+        # non-finite numbers, which Python's JSON reader accepts as NaN and Infinity
+        (_heat_config, "problem.initial.center", float("nan")),
+        (_heat_config, "problem.initial.epsilon", float("inf")),
+        (_heat_config, "problem.initial.amplitude", float("nan")),
+        (_heat_config, "problem.grid.extent", float("inf")),
+        (_heat_config, "problem.p", float("inf")),
+        (_heat_config, "problem.lambda", [1.0, float("nan")]),
+        (_heat_config, "sweep.epsilons", [0.5, float("inf")]),
+        (_heat_config, "trace_radii", [4.0, float("inf")]),
+        pytest.param(_heat_config, "controls.t_max", 10**400, id="_heat_config-controls.t_max-1e400"),
     ],
 )
 def test_config_rejects_mistyped_values(make, where, value):
@@ -134,6 +144,18 @@ def test_config_rejects_mistyped_values(make, where, value):
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     assert any(e.startswith(where + ":") for e in err.value.errors)
+
+
+def test_config_names_each_non_finite_json_number(tmp_path):
+    raw = _heat_config(sweep={"epsilons": [0.5, math.nan]})
+    raw["problem"]["p"] = -math.inf
+    raw["problem"]["initial"].update(center=math.nan, amplitude=[1.0, math.inf])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))  # written as NaN, Infinity and -Infinity
+    with pytest.raises(ConfigError) as err:
+        parse_config(str(cfg_path))
+    where = ("problem.p", "problem.initial.center", "problem.initial.amplitude", "sweep.epsilons")
+    assert sorted(err.value.errors) == sorted(f"{w}: expected a finite number" for w in where)
 
 
 def test_config_rejects_a_trace_without_snapshots(tmp_path):
@@ -247,18 +269,16 @@ def test_emit_snapshots_matches_the_row_writer(tmp_path, case):
             flat.real[::8] = np.nan
             flat.imag[::14] = np.inf
             flat.real[::22] = -np.inf
-    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-    config.emit_snapshots(times, fields, coords, str(new))
+    ref = tmp_path / "ref.csv"
     _emit_snapshots_by_rows(times, fields, coords, str(ref))
-    assert new.read_bytes() == ref.read_bytes()
-    # the node-strided store simulate keeps, with its thinned coordinates, writes the same file
+    # simulate's call: the node-strided store with its thinned coordinates
     store = SnapshotStore(config.snapshot_node_stride(fields[0].size))
     for t, f in zip(times, fields):
         store(t, f)
-    nodes = coords.reshape(-1, coords.shape[-1]) if coords.ndim > 1 else coords
-    thinned = tmp_path / "thinned.csv"
-    config.emit_snapshots(times, store.fields, nodes[:: store.stride], str(thinned))
-    assert store.stride == 2 and thinned.read_bytes() == new.read_bytes()
+    points = coords.reshape(-1, coords.shape[-1] if coords.ndim > 1 else 1)
+    new = tmp_path / "new.csv"
+    config.emit_snapshots(times, store.fields, points[:: store.stride], str(new))
+    assert store.stride == 2 and new.read_bytes() == ref.read_bytes()
     text = new.read_text()
     assert "np.float64" not in text
     if case == "complex-special":
@@ -299,6 +319,58 @@ def test_cli_eigen_and_bound_exit_codes(capsys):
                  "--p", "2"]) == 0
     out = capsys.readouterr().out
     assert "bound (theta>0 branch): inf" in out and "bound (theta=0 branch): inf" in out
+
+
+def _blowlab(*argv, timeout=None):
+    """``python -m blowlab argv`` in a fresh process, with this checkout's ``src`` first."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "blowlab", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
+    )
+
+
+def _bound_argv(**changes):
+    values = {"delta": "1", "c0": "1", "r1": "1", "theta": "0.5", "p": "2", **changes}
+    return ["bound", *(a for k, v in values.items() for a in (f"--{k}", v)), "--oracle"]
+
+
+def test_cli_bound_prints_the_saturation_oracle(capsys):
+    assert main(_bound_argv()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(": ")[0] for ln in lines] == [
+        "bound (theta>0 branch)", "bound (theta=0 branch)", "saturation oracle"
+    ]
+    closed, oracle = float(lines[0].split(": ")[1]), float(lines[2].split(": ")[1])
+    assert abs(oracle - closed) <= 1e-6 * closed
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("delta", "nan"), ("c0", "nan"), ("r1", "nan"), ("theta", "nan"), ("p", "nan"),
+     ("delta", "inf"), ("r1", "inf"), ("theta", "inf"), ("p", "inf"), ("c0", "inf")],
+)
+def test_cli_bound_rejects_non_finite_inputs(field, value, capsys):
+    argv = _bound_argv(**{field: value})
+    if value == "nan" or field == "p":
+        # the oracle's march never ended on these: a timeout turns a hang into a failure
+        proc = _blowlab(*argv, timeout=60)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = main(argv), capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_verify_hardy_needs_a_field(count, capsys):
+    assert main(["verify", "hardy", "--count", count]) == 1
+    out, err = capsys.readouterr()
+    assert "--count" in err and "PASS" not in out
 
 
 def test_cli_eigen_spec_json_names_bad_fields(capsys):
@@ -480,6 +552,14 @@ def test_cli_sweep_rejects_repeated_epsilons(tmp_path, capsys):
     assert "sweep.epsilons: epsilon values must be distinct" in capsys.readouterr().err
 
 
+def test_cli_sweep_needs_epsilons(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_heat_config()))
+    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "sweep.epsilons: required for the sweep command" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_missing_config_is_validation_failure(capsys):
     assert main(["sweep", "--config", "/does/not/exist.json"]) == 1
     assert main(["simulate"]) == 1
@@ -522,15 +602,7 @@ def test_shipped_configs_validate():
 
 
 def test_console_entry_point_runs():
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "blowlab", "bound", "--delta", "1", "--c0", "1",
-         "--r1", "1", "--theta", "1", "--p", "2"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _blowlab("bound", "--delta", "1", "--c0", "1", "--r1", "1", "--theta", "1", "--p", "2")
     assert proc.returncode == 0
     assert "1.693147" in proc.stdout
 

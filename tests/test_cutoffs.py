@@ -39,6 +39,28 @@ def test_profile_plateau_and_support():
     assert np.all(prof.deriv(mid) < 0)
 
 
+def test_profiles_and_cutoff_equal_their_formulas_on_every_s():
+    s = np.concatenate([
+        np.linspace(-1.0, 2.0, 3001),
+        [0.5, np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0), 1.0, np.inf, -np.inf],
+    ])
+    band = (s > 0.5) & (s < 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = np.exp(-1.0 / (2.0 - 2.0 * s))
+        eta = np.where(band, a / (a + np.exp(-1.0 / (2.0 * s - 1.0))), np.where(s <= 0.5, 1.0, 0.0))
+    assert np.array_equal(DEFAULT_PROFILE(s), eta)
+    assert np.array_equal(DEFAULT_PROFILE(s.reshape(-1, 1)), eta.reshape(-1, 1))
+    assert np.all(DEFAULT_PROFILE.deriv(s)[~band] == 0.0)
+    assert np.all(DEFAULT_PROFILE.deriv2(s)[~band] == 0.0)
+    for p in (1.5, 2.0, 3.0):
+        fam = CutoffFamily(R=1.0, p=p)
+        assert np.array_equal(cutoffs.psi_of_s(fam, s), eta**fam.exponent)
+    hat = PolynomialProfile()
+    assert np.array_equal(hat(s), np.clip(2.0 - 2.0 * s, 0.0, 1.0))
+    assert np.array_equal(hat.deriv(s), np.where(band, -2.0, 0.0))
+    assert np.array_equal(hat.deriv2(s), np.zeros_like(s))
+
+
 def test_profile_symmetric_midpoint():
     # g(2-2s) and g(2s-1) swap roles under s -> 3/2 - s, so eta(3/4) = 1/2
     assert float(DEFAULT_PROFILE(0.75)) == pytest.approx(0.5, abs=1e-15)
@@ -235,11 +257,11 @@ def test_estimated_constants_dominate_fresh_shell_points():
 
 
 def test_bound_constants_negative_control_diverges():
-    fam = CutoffFamily(R=10.0, p=2.0, profile=PolynomialProfile(1), power=1.0)
+    fam = CutoffFamily(R=10.0, p=2.0, profile=PolynomialProfile(), power=1.0)
     with pytest.raises(ValueError):
         bound_constants(fam, dim=1)
     # the canonical 2p' power restores boundedness for the same profile
-    bc = bound_constants(CutoffFamily(R=10.0, p=2.0, profile=PolynomialProfile(1)), dim=1)
+    bc = bound_constants(CutoffFamily(R=10.0, p=2.0, profile=PolynomialProfile()), dim=1)
     assert math.isfinite(bc.c1) and math.isfinite(bc.c2) and math.isfinite(bc.c3)
 
 
@@ -271,7 +293,7 @@ def _ratio_sups_on_mesh(fam, dim, n_s, n_pos, sample_range, tail_decades):
     return BoundConstants(*(float(np.max(np.nan_to_num(r, nan=0.0, posinf=np.inf))) for r in ratios))
 
 
-@pytest.mark.parametrize("profile", [TransitionProfile(), PolynomialProfile(1)], ids=["eta", "hat"])
+@pytest.mark.parametrize("profile", [TransitionProfile(), PolynomialProfile()], ids=["eta", "hat"])
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("dim", [1, 2])
 # _ratio_sups always samples the whole shell (1/2, 1); the reference is told so explicitly

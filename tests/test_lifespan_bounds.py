@@ -75,6 +75,20 @@ def test_bound_input_validation():
         lifespan_upper_bound(BoundInputs(0.0, 1.0, 1.0, 0.0, 2.0))
 
 
+def test_bound_inputs_reject_non_finite_values():
+    good = dict(delta=1.0, c0=1.0, r1=1.0, theta=0.5, p=2.0)
+    for name in good:
+        bad = [math.nan] if name == "c0" else [math.nan, math.inf]
+        for value in bad:
+            with pytest.raises(ValueError, match=f"^{name} must not be {value!r}$"):
+                BoundInputs(**{**good, name: value})
+    # no finite C0 passes: the closed form is inf, the oracle refuses
+    b = BoundInputs(**{**good, "c0": math.inf})
+    assert lifespan_upper_bound(b) == math.inf
+    with pytest.raises(ValueError, match="finite c0"):
+        ode_saturation_oracle(b)
+
+
 def _box_trace(fam: CutoffFamily, radii: np.ndarray) -> FunctionalTrace:
     """Trace of w=1 on the box x in [0.5, 1.5], t in [0, 2] (1-d space)."""
     nx, nt = 240, 240

@@ -455,16 +455,14 @@ def test_functional_trace_zero_field():
     controls = RunControls(threshold=1e6, t_max=1.0, dt_init=2e-3, snapshot_dt=0.02)
     res = run_until_blowup(EvolutionProblem(FREE_HEAT, grid, init), controls)
     res.snapshots = [np.zeros_like(s) for s in res.snapshots]
-    fam = CutoffFamily(R=4.0, p=2.0, alpha=0.0)
-    tr = functional_trace(res, fam, [4.0, 8.0, 16.0])
+    tr = functional_trace(res, [4.0, 8.0, 16.0])
     assert np.all(tr.shell_mass == 0.0) and np.all(tr.mass == 0.0)
 
 
 def test_functional_trace_masses_and_transform(heat_blowup_run):
     res = heat_blowup_run
-    fam = CutoffFamily(R=4.0, p=2.0, alpha=0.0)
     radii = np.geomspace(4.0, 0.9 * res.record.t_extrapolated, 8)
-    tr = functional_trace(res, fam, radii)
+    tr = functional_trace(res, radii)
     assert np.all(np.diff(tr.mass) >= -1e-12)
     assert np.all(np.diff(tr.shell_mass) >= -1e-12)
     transform = integrate_shell_masses(tr)
@@ -496,10 +494,25 @@ def test_functional_trace_band_is_bitwise_the_full_cutoff(heat_blowup_run):
     bp = 1.0 + _grid_data(res.problem.grid).radius ** 2
     assert res.snapshot_times[0] == 0.0 and np.any(bp / radii[0] == 0.5)
     fam = CutoffFamily(R=2.0, p=2.0, alpha=0.0)
-    tr = functional_trace(res, fam, radii)
+    tr = functional_trace(res, radii)
     shell_mass, mass = _full_cutoff_masses(res, fam, radii)
     assert np.array_equal(tr.shell_mass, shell_mass)
     assert np.array_equal(tr.mass, mass)
+
+
+def test_functional_trace_takes_the_cutoff_from_the_problem():
+    # p = 3 and alpha = 1/2: power 2p' = 3 and s = (<x>^(3/2) + t) / R
+    coeff = CoefficientSpec(tau=1, p=3.0, lam=1.0, a0=1.0, alpha=0.5)
+    problem = EvolutionProblem(
+        coeff, GridSpec("line", extent=40.0, num_points=801), InitialDataSpec(0.0, 2.0, 0.5)
+    )
+    res = run_until_blowup(problem, RunControls(threshold=1e6, t_max=3.0, snapshot_dt=0.05))
+    radii = np.array([3.0, 5.0, 8.0])
+    tr = functional_trace(res, radii)
+    shell_mass, mass = _full_cutoff_masses(res, CutoffFamily(R=3.0, p=3.0, alpha=0.5), radii)
+    assert np.array_equal(tr.shell_mass, shell_mass)
+    assert np.array_equal(tr.mass, mass)
+    assert np.all(tr.shell_mass > 0.0)
 
 
 def test_functional_trace_flags_support_before_first_snapshot(heat_blowup_run):
@@ -511,9 +524,8 @@ def test_functional_trace_flags_support_before_first_snapshot(heat_blowup_run):
     res2 = copy.copy(res)
     res2.snapshot_times = clipped_times
     res2.snapshots = res.snapshots[k:]
-    fam = CutoffFamily(R=4.0, p=2.0, alpha=0.0)
     with pytest.raises(ValueError):
-        functional_trace(res2, fam, [4.0])
+        functional_trace(res2, [4.0])
 
 
 def test_functional_trace_flags_sparse_snapshots(heat_blowup_run):
@@ -523,9 +535,8 @@ def test_functional_trace_flags_sparse_snapshots(heat_blowup_run):
     res2 = copy.copy(res)
     res2.snapshot_times = res.snapshot_times[::40]
     res2.snapshots = res.snapshots[::40]
-    fam = CutoffFamily(R=4.0, p=2.0, alpha=0.0)
     with pytest.raises(ValueError):
-        functional_trace(res2, fam, np.geomspace(4.0, 12.0, 5))
+        functional_trace(res2, np.geomspace(4.0, 12.0, 5))
 
 
 def _polar_heat_run():
@@ -544,16 +555,15 @@ def test_streamed_trace_is_bitwise_the_stored_trace(heat_blowup_run, case):
         problem, controls = _polar_heat_run()
         full = run_until_blowup(problem, controls)
         radii = np.array([20.0, 40.0, 80.0])
-    fam = CutoffFamily(R=float(radii[0]), p=2.0, alpha=0.0)
     store = solvers.SnapshotStore(stride=7)  # strides across the sector's rows
-    acc = solvers.TraceAccumulator(problem, fam, radii)
+    acc = solvers.TraceAccumulator(problem, radii)
     streamed = run_until_blowup(problem, controls, observers=(store, acc))
     assert streamed.record == full.record
     assert streamed.snapshot_times == full.snapshot_times
     assert streamed.snapshots is store.fields
     assert all(np.array_equal(s, f.reshape(-1)[::7]) for s, f in zip(store.fields, full.snapshots))
-    stored = functional_trace(full, fam, radii)
-    trace = functional_trace(streamed, fam, radii, acc)
+    stored = functional_trace(full, radii)
+    trace = functional_trace(streamed, radii, acc)
     assert np.array_equal(trace.shell_mass, stored.shell_mass)
     assert np.array_equal(trace.mass, stored.mass)
     assert np.all(trace.mass > 0.0)
@@ -580,21 +590,20 @@ def test_streamed_trace_raises_what_the_stored_trace_raises(heat_blowup_run, cas
         keep, radii = slice(None, None, 40), np.geomspace(4.0, 12.0, 5)
     res.snapshot_times = res.snapshot_times[keep]
     res.snapshots = res.snapshots[keep]
-    fam = CutoffFamily(R=4.0, p=2.0, alpha=0.0)
     with pytest.raises(ValueError) as stored:
-        functional_trace(res, fam, radii)
-    acc = solvers.TraceAccumulator(res.problem, fam, radii)
+        functional_trace(res, radii)
+    acc = solvers.TraceAccumulator(res.problem, radii)
     for t, u in zip(res.snapshot_times, res.snapshots):
         acc(t, u)
     with pytest.raises(ValueError) as streamed:
-        functional_trace(res, fam, radii, acc)
+        functional_trace(res, radii, acc)
     assert message in str(stored.value)
     assert str(streamed.value) == str(stored.value)
 
 
 def test_streamed_trace_rejects_times_it_did_not_see(heat_blowup_run):
     res = heat_blowup_run
-    acc = solvers.TraceAccumulator(res.problem, CutoffFamily(R=4.0, p=2.0, alpha=0.0), [4.0])
+    acc = solvers.TraceAccumulator(res.problem, [4.0])
     for t, u in zip(res.snapshot_times[:5], res.snapshots[:5]):
         acc(t, u)
     with pytest.raises(ValueError, match="6 snapshot times for 5 trace columns"):
@@ -932,6 +941,37 @@ def test_no_probe_when_dt_init_sits_at_the_cfl_cap(monkeypatch):
     # every call starts from the last accepted state: the one before or its retry
     for (prev_state, _), (state, _) in zip(calls, calls[1:]):
         assert state is prev_state or state.t > prev_state.t
+
+
+def test_window_of_a_zero_or_non_finite_right_hand_side():
+    data = _GridData(GridSpec("line", extent=60.0, num_points=1201))
+    data.solve_implicit(1.0, 0.01, bump_profile(data.coords))
+    lu = data._factor[1]
+    assert lu.decay is not None  # the window bound holds for this factor
+    m = lu.factors[1].size
+    zero = np.zeros(m)
+    assert lu.window(zero) == (0, 0)
+    out = np.full(m, np.nan)
+    lu.solve(zero, out)  # an empty window solves the full range
+    assert np.all(out == 0.0) and not np.any(np.signbit(out))
+    for peak in (np.inf, -np.inf, np.nan):
+        b = np.zeros(m)
+        b[m // 2] = peak
+        assert lu.window(b) == (0, m)
+
+
+def test_a_run_that_overflows_on_every_step_stalls():
+    # u(0) = 1e200 * B: |u|^2 overflows on every trial step, so dt halves to its floor
+    problem = EvolutionProblem(
+        HEAT, GridSpec("line", extent=20.0, num_points=201), InitialDataSpec(0.0, 1.0, 1e200)
+    )
+    with np.errstate(over="ignore"):
+        res = run_until_blowup(problem, RunControls(threshold=1e6, t_max=1.0))
+    rec = res.record
+    assert (rec.status, rec.steps, rec.t_final) == ("stalled", 0, 0.0)
+    assert math.isnan(rec.t_extrapolated) and all(map(math.isnan, rec.t_at_thresholds))
+    assert rec.dt_final < 2e-3 * 1e6 ** (1.0 - HEAT.p)  # below twice the floor
+    assert res.snapshot_times == [0.0]
 
 
 def test_probe_refactoring_repeats_the_solves(monkeypatch):
