@@ -18,6 +18,10 @@ Each grid is one geometry record (``_GridData``), the only code that reads
 Laplacian give the implicit solve, one system per angular sine mode on the
 polar sector, and the wave step limit; the explicit stencil is written out.
 
+A Crank-Nicolson field is exactly zero outside its 1-d solve window, so the
+next step, the run's growth test and the trace columns skip the nodes that
+hold only zeros, with the bits of the full-grid arithmetic.
+
 Blowup runs step on the dyadic ladder dt_init * 2^k: a step that grows
 max|u| by more than the growth limit is halved, and a step-doubling probe
 (one step of 2*dt against two of dt) lets the quiet phase climb the ladder
@@ -261,30 +265,36 @@ class _GridData:
 
     # -- Laplacian -----------------------------------------------------
 
-    def laplacian(self, u: np.ndarray) -> np.ndarray:
-        """Second-order Laplacian, walls zeroed; on the sector the radial stencil runs each ray."""
+    def laplacian(self, u: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Second-order Laplacian on rows [lo, hi) of ``u`` (every row by default),
+        walls zeroed; on the sector the radial stencil runs each ray.  Row i reads
+        rows i-1, i and i+1, and its value does not depend on the range asked for."""
+        n = u.shape[0]
+        hi = n if hi is None else hi
         h2 = self.h * self.h
-        out = np.zeros_like(u)
-        # (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h2 in place, operation for operation
-        inner = out[1:-1]
-        np.multiply(u[1:-1], 2.0, out=inner)
-        np.subtract(u[:-2], inner, out=inner)
-        inner += u[2:]
+        out = np.zeros((hi - lo,) + u.shape[1:], dtype=u.dtype)
+        # (u[i-1] - 2.0 * u[i] + u[i+1]) / h2 in place, operation for operation
+        i0, i1 = max(lo, 1), min(hi, n - 1)  # the rows with two neighbours
+        inner = out[i0 - lo : i1 - lo]
+        np.multiply(u[i0:i1], 2.0, out=inner)
+        np.subtract(u[i0 - 1 : i1 - 1], inner, out=inner)
+        inner += u[i0 + 1 : i1 + 1]
         inner /= h2
         r = self.axis_radius
         if r is None:
             return out
         r = r[:, None] if u.ndim == 2 else r
         dim = self.cross_section.dim
-        inner += ((dim - 1) / r[1:]) * (u[2:] - u[:-2]) / (2.0 * self.h)
-        if self.origin_wall:
-            out[0] = (-2.0 * u[0] + u[1]) / h2 + ((dim - 1) / r[0]) * u[1] / (2.0 * self.h)
-        else:  # the origin node, where symmetry gives u_r = 0
-            out[0] = 2.0 * dim * (u[1] - u[0]) / h2
-        if u.ndim == 2:  # the polar sector's u_tt / r^2, then its rays and arc are zeroed
-            ang = u[:-1, :-2] - 2.0 * u[:-1, 1:-1] + u[:-1, 2:]
-            out[:-1, 1:-1] += ang / (self.h_theta * r) ** 2
-            _zero_boundary(self, out)
+        inner += ((dim - 1) / r[i0:i1]) * (u[i0 + 1 : i1 + 1] - u[i0 - 1 : i1 - 1]) / (2.0 * self.h)
+        if lo == 0:
+            if self.origin_wall:
+                out[0] = (-2.0 * u[0] + u[1]) / h2 + ((dim - 1) / r[0]) * u[1] / (2.0 * self.h)
+            else:  # the origin node, where symmetry gives u_r = 0
+                out[0] = 2.0 * dim * (u[1] - u[0]) / h2
+        if u.ndim == 2:  # the polar sector's u_tt / r^2 below the arc, then the rays are zeroed
+            ang = u[lo:i1, :-2] - 2.0 * u[lo:i1, 1:-1] + u[lo:i1, 2:]
+            out[: i1 - lo, 1:-1] += ang / (self.h_theta * r[lo:i1]) ** 2
+            out[:, 0] = out[:, -1] = 0.0
         return out
 
     def damping_denominator(self, coeff: CoefficientSpec, dt: float):
@@ -330,14 +340,18 @@ class _GridData:
             upper[0] = 2.0 * dim / h2
         return lower, diag, upper
 
-    def solve_implicit(self, factor: complex, dt: float, rhs: np.ndarray) -> np.ndarray:
+    def solve_implicit(
+        self, factor: complex, dt: float, rhs: np.ndarray
+    ) -> tuple[np.ndarray, int, int]:
         """Solve (I - (dt/2) * factor * Lap) x = rhs on evolved nodes.
 
-        ``rhs`` and the result live on the full grid; boundary entries are
-        pinned to zero.  Only the factorization of the current
-        ``(dt, factor)`` is kept: a run's step moves on a dyadic ladder and
-        stays on each rung for many steps, so its step-doubling probe (one
-        step of 2*dt) simply factors again, as does the step after it.
+        Returns x and the rows [lo, hi) outside which x is +0.0: the solve
+        window on the 1-d grids, every row on the polar sector.  ``rhs`` and x
+        live on the full grid; boundary entries are pinned to zero.  Only the
+        factorization of the current ``(dt, factor)`` is kept: a run's step
+        moves on a dyadic ladder and stays on each rung for many steps, so its
+        step-doubling probe (one step of 2*dt) simply factors again, as does
+        the step after it.
         """
         dtype = complex if np.iscomplexobj(rhs) or isinstance(factor, complex) else float
         key = (dt, factor, dtype)
@@ -349,15 +363,16 @@ class _GridData:
             self._factor = (key, lus[0] if self.sine is None else lus)
         out = np.zeros(rhs.shape, dtype=dtype)
         if self.sine is None:
-            self._factor[1].solve(rhs[self.evolved], out[self.evolved])
-            return out
+            start, stop = self._factor[1].solve(rhs[self.evolved], out[self.evolved])
+            first = self.evolved.start  # the row of the first evolved node
+            return out, first + start, first + stop
         # row k: sine mode k along the radius (Buzbee, Golub & Nielson, SINUM 7, 1970)
         coeffs = (self.sine @ rhs[self.evolved].T).astype(dtype)
         solved = np.zeros_like(coeffs)
         for lu, b, x in zip(self._factor[1], coeffs, solved):
             lu.solve(b, x)
         out[self.evolved] = (self.sine @ solved).T
-        return out
+        return out, 0, rhs.shape[0]
 
     @cached_property
     def wave_dt_limit(self) -> float:
@@ -380,8 +395,9 @@ class _TridiagonalLU:
     """LAPACK ``?gttrf`` factors of ``I - coef * Lap`` on a 1-d grid.
 
     ``solve`` runs ``?gttrs`` only on the index window outside which the
-    exact solution is provably below ``_NEGLIGIBLE``; sweeping the far field
-    instead decays into subnormal numbers, which the CPU handles slowly.
+    exact solution is provably below ``_NEGLIGIBLE``, leaves +0.0 outside it
+    and returns it; sweeping the far field instead decays into subnormal
+    numbers, which the CPU handles slowly.
     Without pivoting the factors are L (unit lower, multipliers l_i) and U
     (diagonal d_i, superdiagonal u_i).  For the unit vector e_j the forward
     sweep is zero before j and decays by rho_l = max|l_i| per node after it;
@@ -424,33 +440,45 @@ class _TridiagonalLU:
         return np.where(mag > 0.0, (e * math.log(2.0) + self.log_scale) / self.decay, -math.inf)
 
     def window(self, b: np.ndarray) -> tuple[int, int]:
-        """The index range [start, stop) outside which the solution is negligible."""
+        """The index range [start, stop) outside which the solution is negligible.
+
+        |b| is taken only within one peak reach of the outermost nonzero
+        entries, the only ones that can move the ends.  The reach may come
+        from any upper bound on max|b|: an entry past the true reach lies
+        farther inside than its own reach, so it never lowers ``start`` or
+        raises ``stop``.
+        """
         m = b.size
         if self.decay is None or (b[0] != 0.0 and b[-1] != 0.0):
             return 0, m  # no bound, or the right-hand side already spans the grid
-        mag = np.abs(b)
-        peak = float(np.max(mag))
-        if peak == 0.0:
+        parts = b.view(np.float64)  # the real and imaginary parts of a complex b
+        per = parts.size // m
+        nonzero = parts != 0.0
+        first = int(np.argmax(nonzero))
+        if not nonzero[first]:
             return 0, 0
-        if not math.isfinite(peak):
+        last = parts.size - 1 - int(np.argmax(nonzero[::-1]))
+        live = parts[first : last + 1]
+        top = float(max(live.max(), -live.min()))  # NaN propagates through both
+        if not math.isfinite(top):
             return 0, m
-        nonzero = mag > 0.0
-        lo = int(np.argmax(nonzero))
-        hi = m - 1 - int(np.argmax(nonzero[::-1]))
-        # no entry reaches farther than the peak, so a node more than that
-        # reach inside the outermost nonzero entries cannot pass beyond them
-        span = max(math.ceil(float(self._reach(peak))), 0)
+        lo, hi = first // per, last // per
+        _, e = math.frexp(top)  # top < 2**e
+        if per == 2:  # |b| <= sqrt(2) * top < 2**(e + 1/2)
+            e += 1
+        span = max(math.ceil((e * math.log(2.0) + self.log_scale) / self.decay), 0)
         head = slice(lo, min(lo + span, hi) + 1)
         tail = slice(max(hi - span, lo), hi + 1)
-        start = min(float(np.min(self.nodes[head] - self._reach(mag[head]))), lo)
-        stop = max(float(np.max(self.nodes[tail] + self._reach(mag[tail]))), hi)
+        start = min(float(np.min(self.nodes[head] - self._reach(np.abs(b[head])))), lo)
+        stop = max(float(np.max(self.nodes[tail] + self._reach(np.abs(b[tail])))), hi)
         return (
             max(math.floor(start) - _WINDOW_MARGIN, 0),
             min(math.ceil(stop) + 1 + _WINDOW_MARGIN, m),
         )
 
-    def solve(self, b: np.ndarray, out: np.ndarray) -> None:
-        """Write the solution for ``b`` into ``out``, which must hold zeros."""
+    def solve(self, b: np.ndarray, out: np.ndarray) -> tuple[int, int]:
+        """Write the solution for ``b`` into ``out``, which must hold zeros, and
+        return the range [start, stop) it solved: ``out`` stays +0.0 outside it."""
         start, stop = self.window(b)
         if stop - start < 3:  # gttrs needs du2 of length stop - start - 2 >= 1
             start, stop = 0, b.size
@@ -466,6 +494,7 @@ class _TridiagonalLU:
         parts = x.view(np.float64)
         parts[np.abs(parts) < _NEGLIGIBLE] = 0.0
         out[start:stop] = x
+        return start, stop
 
 
 @lru_cache(maxsize=64)
@@ -575,6 +604,9 @@ class FieldState:
     state; ``step_hyperbolic`` fills it in when it is None and sets it on
     the states it returns.  It depends on u and the coefficients alone, so
     code that changes ``u`` in place must reset it to None.
+
+    ``u`` is exactly +0.0 outside the rows ``u[lo:hi]`` (every row by
+    default); a Crank-Nicolson step sets the range from its solve window.
     """
 
     grid: GridSpec
@@ -583,6 +615,8 @@ class FieldState:
     t: float
     dt: float
     acc: np.ndarray | None = None
+    lo: int = 0
+    hi: int | None = None
 
 
 def _bump(data: _GridData, init: InitialDataSpec) -> np.ndarray:
@@ -608,7 +642,13 @@ def step_parabolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> Fiel
     """One Crank-Nicolson step of u_t = a^{-1}(Lap u + lambda |u|^p).
 
     Diffusion carries weight 1/2 on both time levels; the source is frozen
-    at an explicit half-step predictor.
+    at an explicit half-step predictor.  u is +0.0 outside rows [lo, hi), so
+    the right-hand side is +0.0 outside rows [lo-1, hi+1): only those rows
+    are computed, with the bits the full grid gives them.  numpy rounds c*z
+    and z*c differently for a complex scalar c, and rewrites c * temporary
+    as temporary *= c only for arrays of 256 KiB and more, so the products
+    with complex arrays fix their order (``half *= c``, ``np.multiply(c,
+    lap_u)``): a row's bits depend neither on the grid size nor on the range.
     """
     if coeff.tau != 0:
         raise ValueError("parabolic step requires tau=0")
@@ -622,12 +662,23 @@ def step_parabolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> Fiel
         ainv_eff = ainv
         lam_eff = lam
     u = state.u
-    lap_u = data.laplacian(u)
-    source = lam_eff * abs_power(u, coeff.p)
-    half = u + 0.5 * dt * ainv_eff * (lap_u + source)
-    rhs = u + 0.5 * dt * ainv_eff * lap_u + dt * ainv_eff * lam_eff * abs_power(half, coeff.p)
-    u_new = data.solve_implicit(ainv_eff, dt, rhs)
-    return FieldState(grid=state.grid, u=u_new, v=None, t=state.t + dt, dt=dt)
+    n = u.shape[0]
+    a = max(state.lo - 1, 0)  # the rows [a, b) that the stencil reaches from u's range
+    b = n if state.hi is None else min(state.hi + 1, n)
+    near = u[a:b]
+    c_half = 0.5 * dt * ainv_eff
+    lap_u = data.laplacian(u, a, b)
+    half = lap_u + lam_eff * abs_power(near, coeff.p)
+    half *= c_half
+    half += near
+    rhs = np.zeros(u.shape, dtype=half.dtype)
+    part = rhs[a:b]
+    np.multiply(c_half, lap_u, out=part)
+    part += near
+    part += dt * ainv_eff * lam_eff * abs_power(half, coeff.p)
+    del lap_u, half  # freed before the solve, where the step's memory peaks
+    u_new, lo, hi = data.solve_implicit(ainv_eff, dt, rhs)
+    return FieldState(grid=state.grid, u=u_new, v=None, t=state.t + dt, dt=dt, lo=lo, hi=hi)
 
 
 def step_hyperbolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> FieldState:
@@ -797,17 +848,22 @@ def run_until_blowup(
     """Integrate until max|u| crosses the blowup threshold, the horizon is
     reached, or the adaptive step collapses.
 
-    The step moves on the dyadic ladder ``dt_init * 2^k``.  It is halved
-    whenever one step would grow max|u| by more than 20% or produce
+    A start with max|u(0)| at or above the threshold is a blowup at t = 0
+    with no step, and every recorded threshold the start reaches is crossed
+    at t = 0.  The step moves on the dyadic ladder ``dt_init * 2^k``.  It is
+    halved whenever one step would grow max|u| by more than 20% or produce
     non-finite values; the run stalls once the halved step would fall below
     ``1e-3 * threshold^(1-p)``, the step the growth rule needs right at the
-    blowup threshold.  Once two steps have been accepted at the current dt,
-    a probe takes one step of 2*dt from the state two steps back; if it
-    lands within ``_RTOL * max|u|`` of the state the two steps reached (and,
-    for tau=1, its velocity within ``_RTOL * max|v|``), later steps use
-    2*dt, otherwise the wait before the next probe doubles, up to 32 steps.
-    A run whose first ``_FUTILE_PROBES`` probes all fail (the phase error of
-    a complex run keeps the local error above the tolerance) probes no more.
+    blowup threshold, or underflow to 0 (the floor itself underflows at
+    large p).  Overflow in a trial step or a probe raises no warning: the
+    halving rule is what handles it.  Once two steps have been accepted at
+    the current dt, a probe takes one step of 2*dt from the state two steps
+    back; if it lands within ``_RTOL * max|u|`` of the state the two steps
+    reached (and, for tau=1, its velocity within ``_RTOL * max|v|``), later
+    steps use 2*dt, otherwise the wait before the next probe doubles, up to
+    32 steps.  A run whose first ``_FUTILE_PROBES`` probes all fail (the
+    phase error of a complex run keeps the local error above the tolerance)
+    probes no more.
     The probe result is discarded, so the trajectory is made of ordinary
     steps only.  No probe passes the cap min(wave_dt_limit for tau=1, snapshot_dt
     when positive, t_max), and a halving lowers the cap to the halved step:
@@ -840,80 +896,86 @@ def run_until_blowup(
     observers = (SnapshotStore(),) if observers is None else tuple(observers)
     snap_times = []
 
+    caller_errors = np.geterr()
+
     def observe(t, u):
         snap_times.append(t)
-        for obs in observers:
-            obs(t, u)
+        with np.errstate(**caller_errors):
+            for obs in observers:
+                obs(t, u)
 
     first = state.u
     observe(0.0, first)
-    crossings = [math.nan] * len(RECORD_THRESHOLDS)
     next_snap = controls.snapshot_dt if controls.snapshot_dt > 0 else math.inf
 
     dt_floor = 1e-3 * controls.threshold ** (1.0 - coeff.p)
-    m_prev = max_abs(state.u)
     steps = halvings = passed = failed = 0
     dt_lo = dt_hi = dt0
     back2 = back1 = None  # the accepted states two and one steps back
     run = 0  # accepted steps since the last probe
     wait = 2  # accepted steps before the next probe
-    status = None
-    while True:
-        if state.t >= controls.t_max:
-            status = "survived"
-            break
-        if steps >= controls.max_steps:
-            raise RuntimeError("step budget exhausted before a verdict was reached")
-        dt = state.dt
-        trial = stepper(state, coeff, min(dt, controls.t_max - state.t + 1e-15))
-        m_new = max_abs(trial.u)
-        if not math.isfinite(m_new) or (
-            m_prev > 0 and m_new > (1.0 + _GROWTH_LIMIT) * m_prev
-        ):
-            if dt / 2.0 < dt_floor:
-                status = "stalled"
+    # the halving rule handles a field that overflows; observers keep the caller's rules
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_prev = max_abs(state.u)
+        crossings = [0.0 if m_prev >= mth else math.nan for mth in RECORD_THRESHOLDS]
+        status = "blowup" if m_prev >= controls.threshold else None
+        while status is None:
+            if state.t >= controls.t_max:
+                status = "survived"
                 break
-            # the growth limit now bounds the step: no probe climbs back
-            dt_cap = state.dt = dt / 2.0
-            dt_lo = min(dt_lo, state.dt)
-            halvings += 1
-            continue
-        steps += 1
-        for i, mth in enumerate(RECORD_THRESHOLDS):
-            if math.isnan(crossings[i]) and m_new >= mth:
-                if m_prev > 0 and m_new > m_prev:
-                    frac = (math.log(mth) - math.log(m_prev)) / (
-                        math.log(m_new) - math.log(m_prev)
-                    )
-                    frac = min(max(frac, 0.0), 1.0)
+            if steps >= controls.max_steps:
+                raise RuntimeError("step budget exhausted before a verdict was reached")
+            dt = state.dt
+            trial = stepper(state, coeff, min(dt, controls.t_max - state.t + 1e-15))
+            m_new = max_abs(trial.u[trial.lo : trial.hi])
+            if not math.isfinite(m_new) or (
+                m_prev > 0 and m_new > (1.0 + _GROWTH_LIMIT) * m_prev
+            ):
+                halved = dt / 2.0
+                if halved == 0.0 or halved < dt_floor:
+                    status = "stalled"
+                    break
+                # the growth limit now bounds the step: no probe climbs back
+                dt_cap = state.dt = halved
+                dt_lo = min(dt_lo, state.dt)
+                halvings += 1
+                continue
+            steps += 1
+            for i, mth in enumerate(RECORD_THRESHOLDS):
+                if math.isnan(crossings[i]) and m_new >= mth:
+                    if m_prev > 0 and m_new > m_prev:
+                        frac = (math.log(mth) - math.log(m_prev)) / (
+                            math.log(m_new) - math.log(m_prev)
+                        )
+                        frac = min(max(frac, 0.0), 1.0)
+                    else:
+                        frac = 1.0
+                    crossings[i] = state.t + frac * (trial.t - state.t)
+            back2, back1, state = back1, state, trial
+            m_prev = m_new
+            if state.t >= next_snap:
+                observe(state.t, state.u)
+                next_snap += controls.snapshot_dt
+            if m_new >= controls.threshold:
+                status = "blowup"
+                break
+            run += 1
+            # a step shortened to land on t_max ends the run: it is not probed
+            if run >= wait and trial.dt == dt and 2.0 * dt <= dt_cap:
+                big = stepper(back2, coeff, 2.0 * dt)
+                # each comparison is False for a non-finite probe
+                ok = max_abs(big.u - state.u) <= _RTOL * m_new
+                if ok and state.v is not None:
+                    ok = max_abs(big.v - state.v) <= _RTOL * max_abs(state.v)
+                run = 0
+                if ok:
+                    state.dt = 2.0 * dt
+                    dt_hi = max(dt_hi, state.dt)
+                    passed += 1
+                    wait = 2
                 else:
-                    frac = 1.0
-                crossings[i] = state.t + frac * (trial.t - state.t)
-        back2, back1, state = back1, state, trial
-        m_prev = m_new
-        if state.t >= next_snap:
-            observe(state.t, state.u)
-            next_snap += controls.snapshot_dt
-        if m_new >= controls.threshold:
-            status = "blowup"
-            break
-        run += 1
-        # a step shortened to land on t_max ends the run: it is not probed
-        if run >= wait and trial.dt == dt and 2.0 * dt <= dt_cap:
-            big = stepper(back2, coeff, 2.0 * dt)
-            # each comparison is False for a non-finite probe
-            ok = max_abs(big.u - state.u) <= _RTOL * m_new
-            if ok and state.v is not None:
-                ok = max_abs(big.v - state.v) <= _RTOL * max_abs(state.v)
-            run = 0
-            if ok:
-                state.dt = 2.0 * dt
-                dt_hi = max(dt_hi, state.dt)
-                passed += 1
-                wait = 2
-            else:
-                failed += 1
-                wait = min(2 * wait, 32) if passed or failed < _FUTILE_PROBES else math.inf
+                    failed += 1
+                    wait = min(2 * wait, 32) if passed or failed < _FUTILE_PROBES else math.inf
 
     logger.debug(
         "eps %r: %s at t %r; %d steps accepted, %d halvings, probes %d passed / %d failed, "
@@ -986,6 +1048,12 @@ class TraceAccumulator:
     over the stored snapshots.  :meth:`finish` integrates the columns in time.
     The cutoff is the run's own: power 2p' and s = (<x>^(2-alpha) + t) / R
     with the problem's p and alpha.
+
+    Every cutoff is 0 where s >= 1, so a column evaluates w and the cutoffs
+    only on the nodes with <x>^(2-alpha) + t below the largest radius.  It
+    sums each product over the whole grid all the same, zeros included:
+    a shorter sum would group numpy's pairwise summation differently and
+    move the last bits of the masses.
     """
 
     def __init__(self, problem: EvolutionProblem, radii):
@@ -993,22 +1061,30 @@ class TraceAccumulator:
         coeff = problem.coeff
         self.fam = CutoffFamily(R=1.0, p=coeff.p, alpha=coeff.alpha)  # psi_of_s reads no R
         self.radii = np.asarray(radii, dtype=float)
-        self.bp = (1.0 + data.radius**2) ** ((2.0 - coeff.alpha) / 2.0)
-        self.wvol = weight_values(problem.grid) * data.vol
+        self.r_max = float(np.max(self.radii))
+        # flattened node values, in the row-major order of the grid
+        self.bp = ((1.0 + data.radius**2) ** ((2.0 - coeff.alpha) / 2.0)).reshape(-1)
+        self.wvol = (weight_values(problem.grid) * data.vol).reshape(-1)
         self.y_cols: list = []
         self.m_cols: list = []
 
     def __call__(self, t: float, u: np.ndarray) -> None:
-        w = abs_power(u, self.fam.p) * self.wvol
         shifted = self.bp + t
+        near = np.flatnonzero(shifted < self.r_max)
+        shifted = shifted[near]
+        w = abs_power(u.reshape(-1)[near], self.fam.p) * self.wvol[near]
+        col = np.zeros(u.shape)  # the product on every node
+        flat = col.reshape(-1)
         y = np.empty(len(self.radii))
         m = np.empty_like(y)
         for i, radius in enumerate(self.radii):
             s = shifted / radius
             cut = psi_of_s(self.fam, s)
-            m[i] = float(np.sum(w * cut))
+            flat[near] = w * cut
+            m[i] = float(np.sum(col))
             cut[s < 0.5] = 0.0  # psi* equals psi on s >= 1/2 and vanishes below
-            y[i] = float(np.sum(w * cut))
+            flat[near] = w * cut
+            y[i] = float(np.sum(col))
         self.y_cols.append(y)
         self.m_cols.append(m)
 

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -500,6 +502,33 @@ def test_functional_trace_band_is_bitwise_the_full_cutoff(heat_blowup_run):
     assert np.array_equal(tr.mass, mass)
 
 
+@pytest.mark.parametrize(
+    "case, radii, edge",
+    [
+        pytest.param("line", [4.0, 9.0, 2000.0], True, id="line-to-the-edge"),
+        pytest.param("polar-sector", [20.0, 40.0], False, id="polar"),
+        pytest.param("polar-sector", [20.0, 40.0, 150.0], True, id="polar-to-the-edge"),
+    ],
+)
+def test_trace_is_bitwise_the_full_cutoff_on_every_support(heat_blowup_run, case, radii, edge):
+    if case == "line":
+        res = heat_blowup_run
+    else:
+        res = run_until_blowup(*_polar_heat_run())
+    radii = np.array(radii)
+    bp = 1.0 + _grid_data(res.problem.grid).radius ** 2
+    # the largest support holds the whole grid on every snapshot, or misses part of it on all
+    holds_all = np.max(bp) + res.snapshot_times[-1] < radii[-1]
+    misses_some = np.max(bp) >= radii[-1]
+    assert (holds_all, misses_some) == (edge, not edge)
+    tr = functional_trace(res, radii)
+    fam = CutoffFamily(R=radii[0], p=2.0, alpha=0.0)
+    shell_mass, mass = _full_cutoff_masses(res, fam, radii)
+    assert np.array_equal(tr.shell_mass, shell_mass)
+    assert np.array_equal(tr.mass, mass)
+    assert np.all(tr.mass > 0.0)
+
+
 def test_functional_trace_takes_the_cutoff_from_the_problem():
     # p = 3 and alpha = 1/2: power 2p' = 3 and s = (<x>^(3/2) + t) / R
     coeff = CoefficientSpec(tau=1, p=3.0, lam=1.0, a0=1.0, alpha=0.5)
@@ -768,7 +797,8 @@ def test_sine_mode_solve_matches_the_csr_reference(grid, factor):
         mat = identity(lap.shape[0], dtype=dtype, format="csc") - (0.5 * dt * factor) * lap
         b = rhs[data.evolved]
         want = splu(mat.tocsc()).solve(b.reshape(-1).astype(dtype)).reshape(b.shape)
-        got = data.solve_implicit(factor, dt, rhs)
+        got, lo, hi = data.solve_implicit(factor, dt, rhs)
+        assert (lo, hi) == (0, grid.num_points)  # the sine-mode solve has no window
         assert got.dtype == dtype
         assert np.max(np.abs(got[data.evolved] - want)) <= 1e-13 * np.max(np.abs(want))
         got[data.evolved] = 0.0
@@ -786,6 +816,15 @@ def _banded_reference(data, factor, dt, rhs):
     out = np.zeros(rhs.shape, dtype=ab.dtype)
     out[data.evolved] = solve_banded((1, 1), ab, rhs[data.evolved])
     return out
+
+
+def _bits(a):
+    """The float64 words of ``a`` as integers: equal bits, signs of zero included."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _all_positive_zero(a):
+    return not np.any(_bits(a))
 
 
 def _subnormal_parts(u):
@@ -812,13 +851,15 @@ def test_windowed_solve_matches_banded_reference(grid, coeff):
     factor = complex(np.exp(-1j * coeff.zeta)) if coeff is NLS else 1.0  # as step_parabolic
     for step in range(6):
         rhs = state.u
-        got = data.solve_implicit(factor, state.dt, rhs)
+        got, lo, hi = data.solve_implicit(factor, state.dt, rhs)
         ref = _banded_reference(data, factor, state.dt, rhs)
         big = np.abs(ref) > 1e-250
         assert np.array_equal(got[big], ref[big])
         assert np.max(np.abs(got - ref)) < 1e-249
         assert _subnormal_parts(got) == 0
         start, stop = data._factor[1].window(rhs[data.evolved])
+        assert (lo, hi) == (data.evolved.start + start, data.evolved.start + stop)
+        assert _all_positive_zero(got[:lo]) and _all_positive_zero(got[hi:])
         outside = np.abs(ref[data.evolved])
         outside[start:stop] = 0.0
         assert np.all(outside < 1e-300)
@@ -835,7 +876,7 @@ def test_pivoting_factor_solves_the_full_range():
     data = _GridData(grid)
     dt = 1.2 * data.h**2
     rhs = bump_profile((data.coords - 1.0) / 0.5)
-    got = data.solve_implicit(-1.0, dt, rhs)
+    got, _, _ = data.solve_implicit(-1.0, dt, rhs)
     lu = data._factor[1]
     assert lu.pivoted
     assert lu.window(rhs[data.evolved]) == (0, rhs.size - 2)
@@ -960,18 +1001,251 @@ def test_window_of_a_zero_or_non_finite_right_hand_side():
         assert lu.window(b) == (0, m)
 
 
-def test_a_run_that_overflows_on_every_step_stalls():
-    # u(0) = 1e200 * B: |u|^2 overflows on every trial step, so dt halves to its floor
+def _window_by_full_magnitude(lu, b):
+    """The solve window from |b| over every entry: the reference of ``_TridiagonalLU.window``."""
+    m = b.size
+    if lu.decay is None or (b[0] != 0.0 and b[-1] != 0.0):
+        return 0, m
+    mag = np.abs(b)
+    peak = float(np.max(mag))
+    if peak == 0.0:
+        return 0, 0
+    if not math.isfinite(peak):
+        return 0, m
+    nonzero = mag > 0.0
+    lo = int(np.argmax(nonzero))
+    hi = m - 1 - int(np.argmax(nonzero[::-1]))
+    span = max(math.ceil(float(lu._reach(peak))), 0)
+    head = slice(lo, min(lo + span, hi) + 1)
+    tail = slice(max(hi - span, lo), hi + 1)
+    start = min(float(np.min(lu.nodes[head] - lu._reach(mag[head]))), lo)
+    stop = max(float(np.max(lu.nodes[tail] + lu._reach(mag[tail]))), hi)
+    margin = solvers._WINDOW_MARGIN
+    return max(math.floor(start) - margin, 0), min(math.ceil(stop) + 1 + margin, m)
+
+
+def _window_cases(m, dtype, rng):
+    """Right-hand sides for the window: random blocks with magnitudes over the
+    whole float range, zero ends, single entries, all zeros and non-finite peaks."""
+    def entries(size, lo_exp=-300.0, hi_exp=300.0):
+        mag = 10.0 ** rng.uniform(lo_exp, hi_exp, size)
+        if dtype is float:
+            return mag * rng.choice([-1.0, 1.0], size)
+        return mag * np.exp(2j * math.pi * rng.random(size))
+
+    cases = []
+    for _ in range(150):
+        b = np.zeros(m, dtype=dtype)
+        lo = int(rng.integers(0, m))
+        hi = int(rng.integers(lo, m))
+        b[lo : hi + 1] = entries(hi + 1 - lo, *sorted(rng.uniform(-320.0, 308.0, 2)))
+        b[rng.random(m) < rng.random()] = 0.0  # interior zeros, and sometimes zero ends
+        cases.append(b)
+    for k in (0, 1, m // 3, m - 2, m - 1):  # one nonzero entry, ends included
+        for value in entries(3, -310.0, 308.0):
+            b = np.zeros(m, dtype=dtype)
+            b[k] = value
+            cases.append(b)
+    cases.append(np.zeros(m, dtype=dtype))
+    big = np.zeros(m, dtype=dtype)
+    big[100:140] = np.finfo(float).max * (1.0 if dtype is float else (1.0 + 1.0j) / 1.5)
+    cases.append(big)  # |b| close to the largest float; complex |b| past sqrt(2) of a part
+    bad = [np.nan, np.inf, -np.inf]
+    if dtype is complex:
+        bad += [complex(0.0, np.inf), complex(np.nan, 0.0), complex(1.0, -np.inf)]
+    for value in bad:
+        b = np.zeros(m, dtype=dtype)
+        b[m // 2 - 5 : m // 2 + 5] = 1.0
+        b[m // 2] = value
+        cases.append(b)
+    return cases
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.1])
+@pytest.mark.parametrize("factor", [1.0, complex(np.exp(0.5j * math.pi))], ids=["real", "complex"])
+def test_window_is_bitwise_the_full_magnitude_rule(factor, dt):
+    data = _GridData(GridSpec("line", extent=60.0, num_points=1201))
+    dtype = complex if isinstance(factor, complex) else float
+    data.solve_implicit(factor, dt, np.zeros(data.shape, dtype=dtype))
+    lu = data._factor[1]
+    assert lu.decay is not None
+    m = lu.factors[1].size
+    seen = set()
+    for b in _window_cases(m, dtype, np.random.default_rng(11)):
+        got = lu.window(b)
+        assert got == _window_by_full_magnitude(lu, b)
+        seen.add(got == (0, m))
+    assert seen == {True, False}  # both full and narrow windows occur
+    if dtype is complex and dt == 0.1:
+        # |b| one binary exponent above its larger part, at a distance that only
+        # the reach of |b| (not of the part) spans: it moves the window's start
+        ln2 = math.log(2.0)
+        for exp2 in range(-1020, 0):
+            reach_part = (exp2 * ln2 + lu.log_scale) / lu.decay
+            if reach_part > 0.0 and math.ceil(reach_part) + 2 < reach_part + ln2 / lu.decay:
+                break
+        b = np.zeros(m, dtype=complex)
+        b[100] = 5e-324
+        b[101 + math.ceil(reach_part)] = 0.75 * 2.0**exp2 * (1.0 + 1.0j)
+        assert lu.window(b) == _window_by_full_magnitude(lu, b)
+        assert lu.window(b)[0] < 100 - solvers._WINDOW_MARGIN
+
+
+def test_laplacian_rows_are_bitwise_the_full_laplacian_rows():
+    grids = [
+        GridSpec("line", 20.0, 101),
+        GridSpec("half-line", 20.0, 101),
+        GridSpec("radial", 20.0, 101, dim=2),
+        GridSpec("radial", 20.0, 101, dim=3, include_origin=False),
+        GridSpec("polar-sector", 6.0, 30, omega=2.0, num_angles=12),
+    ]
+    rng = np.random.default_rng(5)
+    for grid in grids:
+        data = _GridData(grid)
+        u = rng.normal(size=data.shape) + 1j * rng.normal(size=data.shape)
+        for field in (u.real.copy(), u):
+            full = data.laplacian(field)
+            n = data.shape[0]
+            for lo, hi in [(0, n), (0, 1), (0, 4), (1, n - 1), (3, 9), (n - 4, n), (n - 1, n)]:
+                got = data.laplacian(field, lo, hi)
+                assert got.shape == full[lo:hi].shape
+                assert np.array_equal(_bits(got), _bits(full[lo:hi]))
+
+
+def _full_grid_step(state, coeff, dt):
+    """The Crank-Nicolson step with every row of the right-hand side computed: the
+    reference of the windowed ``step_parabolic`` (same operations, same order)."""
+    data = _grid_data(state.grid)
+    ainv, lam = complex(np.exp(-1j * coeff.zeta)), complex(coeff.lam)
+    if coeff.zeta == 0.0 and lam.imag == 0.0 and not np.iscomplexobj(state.u):
+        ainv, lam = ainv.real, lam.real
+    u = state.u
+    lap_u = data.laplacian(u)
+    half = lap_u + lam * abs_power(u, coeff.p)
+    half *= 0.5 * dt * ainv
+    half += u
+    rhs = 0.5 * dt * ainv * lap_u
+    rhs += u
+    rhs += dt * ainv * lam * abs_power(half, coeff.p)
+    return data.solve_implicit(ainv, dt, rhs)
+
+
+@pytest.mark.parametrize("coeff", [HEAT, NLS], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "grid, center",
+    [
+        (GridSpec("line", 40.0, 801), 3.0),
+        (GridSpec("half-line", 40.0, 801), 6.0),
+        (GridSpec("radial", 40.0, 801, dim=2), 0.0),
+        (GridSpec("radial", 40.0, 801, dim=2, include_origin=False), 6.0),
+        (GridSpec("radial", 40.0, 801, dim=3), 0.0),
+        (GridSpec("radial", 40.0, 801, dim=3, include_origin=False), 6.0),
+        (GridSpec("polar-sector", 10.0, 80, omega=2.0, num_angles=12), 5.0),
+    ],
+    ids=[
+        "line", "half-line", "radial-2", "radial-2-no-origin", "radial-3", "radial-3-no-origin", "polar"
+    ],
+)
+def test_windowed_step_is_bitwise_the_full_grid_step(grid, center, coeff):
+    amp = 0.6 if coeff is HEAT else 0.6 - 0.5j
+    init = InitialDataSpec(center, 1.5, 0.8, amp)
+    state = initial_state(EvolutionProblem(coeff, grid, init), 0.01)
+    # start from the tightest range: rows lo and hi - 1 hold nonzero values
+    rows = np.flatnonzero(np.any(state.u.reshape(len(state.u), -1) != 0.0, axis=1))
+    state.lo, state.hi = int(rows[0]), int(rows[-1]) + 1
+    assert state.lo > 0 or grid.geometry == "radial"
+    for _ in range(5):
+        got = step_parabolic(state, coeff, state.dt)
+        want, lo, hi = _full_grid_step(state, coeff, state.dt)
+        assert got.u.dtype == want.dtype
+        assert np.array_equal(_bits(got.u), _bits(want))
+        assert (got.lo, got.hi) == (lo, hi)
+        assert _all_positive_zero(got.u[: got.lo]) and _all_positive_zero(got.u[got.hi :])
+        if grid.geometry == "polar-sector":
+            assert (got.lo, got.hi) == (0, grid.num_points)
+        state = got
+
+
+def test_complex_step_bits_do_not_depend_on_the_grid_size(monkeypatch):
+    # 16,001 complex nodes hold 250 KiB and 17,001 hold 266 KiB: numpy rewrites
+    # c * temporary as temporary *= c only from 256 KiB, and c*z and z*c round
+    # differently.  A large source term carries the predictor's last bits into
+    # the right-hand side (written c * (Lap u + source), 7 entries differed).
+    seen = []
+    original = _GridData.solve_implicit
+
+    def capture(self, factor, dt, rhs):
+        seen.append(rhs.copy())
+        return original(self, factor, dt, rhs)
+
+    monkeypatch.setattr(_GridData, "solve_implicit", capture)
+    for n in (16001, 17001):
+        grid = GridSpec("half-line", extent=0.02 * (n - 1), num_points=n)
+        problem = EvolutionProblem(NLS, grid, InitialDataSpec(6.0, 2.0, 20.0, amplitude=0.3 - 0.47j))
+        step_parabolic(initial_state(problem, 0.2), NLS, 0.2)
+    small, large = seen
+    assert small.nbytes < 256 * 1024 <= large.nbytes
+    assert np.any(small != 0.0)
+    assert np.array_equal(_bits(small), _bits(large[: small.size]))
+
+
+def test_a_start_above_the_threshold_is_a_blowup_at_t_0():
+    # u(0) = 1e200 * B: every trial step would overflow |u|^2, but no step is taken
     problem = EvolutionProblem(
         HEAT, GridSpec("line", extent=20.0, num_points=201), InitialDataSpec(0.0, 1.0, 1e200)
     )
-    with np.errstate(over="ignore"):
-        res = run_until_blowup(problem, RunControls(threshold=1e6, t_max=1.0))
+    res = run_until_blowup(problem, RunControls(threshold=1e6, t_max=1.0))
     rec = res.record
-    assert (rec.status, rec.steps, rec.t_final) == ("stalled", 0, 0.0)
-    assert math.isnan(rec.t_extrapolated) and all(map(math.isnan, rec.t_at_thresholds))
-    assert rec.dt_final < 2e-3 * 1e6 ** (1.0 - HEAT.p)  # below twice the floor
+    assert (rec.status, rec.steps, rec.t_final, rec.t_extrapolated) == ("blowup", 0, 0.0, 0.0)
+    assert rec.t_at_thresholds == (0.0,) * len(solvers.RECORD_THRESHOLDS)
     assert res.snapshot_times == [0.0]
+    # a start between two thresholds crosses the lower ones at t = 0 and keeps running
+    low = EvolutionProblem(
+        HEAT, GridSpec("line", extent=20.0, num_points=201), InitialDataSpec(0.0, 1.0, 2e4)
+    )
+    rec = run_until_blowup(low, RunControls(threshold=1e6, t_max=1.0)).record
+    assert rec.status == "blowup" and rec.steps > 0
+    assert rec.t_at_thresholds[:2] == (0.0, 0.0) and 0.0 < rec.t_at_thresholds[2] < rec.t_final
+
+
+_P60_RUN = """
+from blowlab.solvers import *
+coeff = CoefficientSpec(tau=0, p=60.0, lam=1.0, a_phase=0.0)
+grid = GridSpec("line", extent=20.0, num_points=201)
+problem = EvolutionProblem(coeff, grid, InitialDataSpec(0.0, 1.0, 1e5))
+rec = run_until_blowup(problem, RunControls(threshold=1e6, t_max=1.0, max_steps=2000)).record
+print(rec.status, rec.steps, repr(rec.dt_final))
+"""
+
+
+def _p60_run(*flags):
+    """A heat run at p = 60 whose step floor 1e-3 * 1e6**(1-p) underflows to 0, in a
+    fresh process: a timeout turns a run that never ends into a failure."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", _P60_RUN],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+
+
+def test_a_run_whose_halved_step_underflows_stalls():
+    proc = _p60_run()
+    assert proc.returncode == 0, proc.stderr
+    status, steps, dt_final = proc.stdout.split()
+    assert status == "stalled" and int(steps) < 2000
+    assert float(dt_final) > 0.0 and float(dt_final) / 2.0 == 0.0  # halved to the last subnormal
+
+
+def test_an_overflowing_trial_step_warns_nothing():
+    proc = _p60_run("-W", "error::RuntimeWarning")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    status, _, dt_final = proc.stdout.split()
+    assert status == "stalled" and float(dt_final) < 0.01  # the trial steps overflowed and halved
 
 
 def test_probe_refactoring_repeats_the_solves(monkeypatch):
@@ -985,8 +1259,8 @@ def test_probe_refactoring_repeats_the_solves(monkeypatch):
     monkeypatch.setattr(solvers, "_TridiagonalLU", Counting)
     data = _GridData(GridSpec("line", extent=60.0, num_points=1201))
     rhs = bump_profile(data.coords)
-    first = [data.solve_implicit(1.0, dt, rhs) for dt in (0.01, 0.02)]
-    again = [data.solve_implicit(1.0, dt, rhs) for dt in (0.01, 0.02)]
+    first = [data.solve_implicit(1.0, dt, rhs)[0] for dt in (0.01, 0.02)]
+    again = [data.solve_implicit(1.0, dt, rhs)[0] for dt in (0.01, 0.02)]
     assert len(built) == 4  # one cached factorization: each change of dt factors again
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
     assert data._factor[0] == (0.02, 1.0, float)
