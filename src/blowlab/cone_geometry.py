@@ -449,7 +449,12 @@ class BumpField:
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        s2 = np.sum((pts - c) ** 2, axis=-1) / self.radius**2
+        # one axis at a time, with no (..., N) temporary; summed in axis order,
+        # so the bits are those of np.sum((pts - c) ** 2, axis=-1)
+        s2 = (pts[..., 0] - c[0]) ** 2
+        for i in range(1, pts.shape[-1]):
+            s2 += (pts[..., i] - c[i]) ** 2
+        s2 /= self.radius**2
         out = np.zeros(s2.shape)
         inside = s2 < 1.0
         with np.errstate(divide="ignore"):
@@ -463,20 +468,25 @@ def hardy_ratio(dom: ConeDomain, u, n: int = 48) -> float:
     ``u`` must provide ``support_box()`` and vectorized evaluation on
     (..., N) points, vanish on and outside the cone boundary, and not be
     identically zero.  Midpoint rule on the support box with an ``n``-point
-    grid per axis; gradients by central differences.
+    grid per axis; gradients by central differences.  The points are filled
+    axis by axis and |x|^2 is summed over the axes in order, which gives the
+    bits of a ``meshgrid`` + ``stack`` mesh and ``np.sum(pts * pts, axis=-1)``.
     """
     lo, hi = u.support_box()
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     dims = lo.size
-    axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(n) + 0.5) / n for i in range(dims)]
     steps = [(hi[i] - lo[i]) / n for i in range(dims)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
+    pts = np.empty((n,) * dims + (dims,))
+    r2 = 0.0
+    for i in range(dims):
+        ax = lo[i] + (hi[i] - lo[i]) * (np.arange(n) + 0.5) / n
+        ax = ax.reshape((n,) + (1,) * (dims - 1 - i))  # along axis i of the mesh
+        pts[..., i] = ax
+        r2 = r2 + ax * ax
     vals = u(pts)
     grads = np.gradient(vals, *steps) if dims > 1 else [np.gradient(vals, steps[0])]
     grad_sq = sum(g * g for g in grads)
-    r2 = np.sum(pts * pts, axis=-1)
     vol = float(np.prod(steps))
     num = float(np.sum(grad_sq)) * vol
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -234,54 +234,97 @@ class BoundConstants:
     c3: float
 
 
-def _ratio_sups(
-    fam: CutoffFamily, dim: int, n_s: int, n_pos: int, tail_decades: int
-) -> BoundConstants:
-    """Suprema of the normalized derivative ratios on a shell sample.
+@dataclass(frozen=True)
+class _Shell:
+    """One sample of the transition shell: the s column and, on the (s, position)
+    mesh, the factors of the Laplacian ratio that depend on neither p nor the profile."""
 
-    Samples the scaled coordinate directly: a uniform grid on the shell plus
-    a geometric tail approaching the outer edge (``tail_decades`` deep), so
-    edge divergence cannot hide between grid points.  For each s the spatial
-    position sweeps <x>^(2-alpha) over [1, s*R].  The ratios
-    |d psi| / psi*^(1/p) are formed with the eta exponents combined
-    algebraically (q - 1 - q/p = q/p' - 1 etc.) so that near-edge underflow
-    of eta^q cannot manufacture spurious infinities; for the canonical power
-    q = 2p' the combined exponents are 1 and 0.  The profile factors depend
-    on s alone, so they are evaluated on the s column and broadcast against
-    the positions; each element gets the arithmetic of the full (s, position)
-    mesh.
+    s: np.ndarray  # (rows, 1)
+    weight: np.ndarray  # <x>^alpha
+    grad_rho_sq: np.ndarray  # |grad rho|^2 with rho = <x>^(2-alpha)
+    lap_rho: np.ndarray  # Lap rho in dimension dim
+
+
+def _shell(R: float, alpha: float, dim: int, n_s: int, n_pos: int, tail_decades: int) -> _Shell:
+    """Sample the scaled coordinate s directly: a uniform grid on the shell plus
+    a geometric tail approaching the outer edge (``tail_decades`` deep), so edge
+    divergence cannot hide between grid points.  For each s the spatial position
+    sweeps rho = <x>^(2-alpha) over [1, s*R] in ``n_pos`` points.  The mesh is
+    built in place, with the arithmetic of the plain expressions
+    ``(2-a)**2 * <x>**(-2a) * r2`` and ``(2-a) * <x>**(-a) * (dim - a * r2 / <x>**2)``.
     """
-    lo = max(0.5, 1.0 / fam.R if fam.R > 1 else 0.5)
+    lo = max(0.5, 1.0 / R if R > 1 else 0.5)
     span = 1.0 - lo
     base = lo + span * (np.arange(1, n_s) / n_s)
     tail = 1.0 - span * np.logspace(-tail_decades, -1, 8 * tail_decades)
     s_vals = np.unique(np.concatenate([base, tail]))
-    s_vals = s_vals[(s_vals > lo) & (s_vals < 1.0)]
-    ss = s_vals[:, None]
-    frac = np.linspace(0.0, 1.0, n_pos)[None, :]
-    rho = 1.0 + frac * (ss * fam.R - 1.0)  # <x>^(2-alpha) between 1 and s*R
-    br = rho ** (1.0 / (2.0 - fam.alpha))
-    r2 = br * br - 1.0
+    ss = s_vals[(s_vals > lo) & (s_vals < 1.0)][:, None]
+    a = alpha
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        br = np.linspace(0.0, 1.0, n_pos) * (ss * R - 1.0)
+        br += 1.0  # rho, between 1 and s*R
+        br **= 1.0 / (2.0 - a)  # <x>
+        bb = br * br
+        grad_rho_sq = br ** (-2.0 * a)
+        grad_rho_sq *= (2.0 - a) ** 2
+        lap_rho = br ** (-a)
+        lap_rho *= 2.0 - a
+        br **= a  # the weight <x>^alpha
+        r2 = bb - 1.0  # |x|^2
+        grad_rho_sq *= r2
+        r2 *= a
+        r2 /= bb
+        np.subtract(dim, r2, out=r2)
+        lap_rho *= r2
+    return _Shell(ss, br, grad_rho_sq, lap_rho)
+
+
+# (n_s, n_pos, tail_decades) of the coarse and the fine shell sample
+_SHELL_SAMPLES = ((600, 64, 6), (1200, 128, 12))
+_shells = None  # ((R, alpha, dim), (coarse, fine)): the last shell pair built
+
+
+def _shell_pair(R: float, alpha: float, dim: int) -> tuple[_Shell, _Shell]:
+    """The coarse and the fine shell of ``(R, alpha, dim)``.  Only the last pair
+    is kept: ``verify.cutoff`` asks for each pair once per power in a row."""
+    global _shells
+    key = (R, alpha, dim)
+    if _shells is None or _shells[0] != key:
+        _shells = None  # released before the next pair is built
+        _shells = (key, tuple(_shell(R, alpha, dim, *sample) for sample in _SHELL_SAMPLES))
+    return _shells[1]
+
+
+def _ratio_sups(fam: CutoffFamily, shell: _Shell) -> BoundConstants:
+    """Suprema of the normalized derivative ratios on a shell sample.
+
+    The ratios |d psi| / psi*^(1/p) are formed with the eta exponents combined
+    algebraically (q - 1 - q/p = q/p' - 1 etc.) so that near-edge underflow
+    of eta^q cannot manufacture spurious infinities; for the canonical power
+    q = 2p' the combined exponents are 1 and 0.  The profile factors depend
+    on s alone, so they are evaluated on the s column and broadcast against
+    the shell's position factors; each element gets the arithmetic of the full
+    (s, position) mesh.  Every ratio is >= 0, and NaN entries (0 * inf) count
+    as 0.
+    """
     q = fam.exponent
     e1 = q * (1.0 - 1.0 / fam.p) - 1.0  # q/p' - 1; equals 1 for the canonical q = 2p'
-    eta = fam.profile(ss)
-    d1 = fam.profile.deriv(ss)
-    d2 = fam.profile.deriv2(ss)
+    eta = fam.profile(shell.s)
+    d1 = fam.profile.deriv(shell.s)
+    d2 = fam.profile.deriv2(shell.s)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pow1 = eta**e1
         pow0 = eta ** (e1 - 1.0)
         g1 = q * pow1 * d1  # (d psi/ds) / psi*^(1/p)
         g2 = q * (q - 1.0) * pow0 * d1 * d1 + q * pow1 * d2
-        a = fam.alpha
-        grad_rho_sq = (2.0 - a) ** 2 * br ** (-2.0 * a) * r2
-        lap_rho = (2.0 - a) * br ** (-a) * (dim - a * r2 / (br * br))
-        ratio1 = np.abs(g1)
-        ratio2 = np.abs(g2)
-        ratio3 = br**a * np.abs(g2 * grad_rho_sq / fam.R + g1 * lap_rho)
-    c1 = float(np.max(np.nan_to_num(ratio1, nan=0.0, posinf=np.inf)))
-    c2 = float(np.max(np.nan_to_num(ratio2, nan=0.0, posinf=np.inf)))
-    c3 = float(np.max(np.nan_to_num(ratio3, nan=0.0, posinf=np.inf)))
-    return BoundConstants(c1, c2, c3)
+        ratio3 = g2 * shell.grad_rho_sq
+        ratio3 /= fam.R
+        ratio3 += g1 * shell.lap_rho
+        np.abs(ratio3, out=ratio3)
+        ratio3 *= shell.weight
+    return BoundConstants(
+        *(float(np.fmax.reduce(r, axis=None, initial=0.0)) for r in (np.abs(g1), np.abs(g2), ratio3))
+    )
 
 
 def bound_constants(fam: CutoffFamily, dim: int = 1) -> BoundConstants:
@@ -292,10 +335,11 @@ def bound_constants(fam: CutoffFamily, dim: int = 1) -> BoundConstants:
     with the edge tail deepened; if any supremum grows by more than a factor
     1.2 under refinement (or is non-finite) the profile/power combination
     does not satisfy the bounded-ratio property and a ``ValueError`` is
-    raised.
+    raised.  Both grids depend only on ``(R, alpha, dim)``; the pair of the
+    last such key is kept, so families that differ only in p, profile or
+    power reuse it when asked for in a row.
     """
-    coarse = _ratio_sups(fam, dim, 600, 64, tail_decades=6)
-    fine = _ratio_sups(fam, dim, 1200, 128, tail_decades=12)
+    coarse, fine = (_ratio_sups(fam, shell) for shell in _shell_pair(fam.R, fam.alpha, dim))
     for name, a, b in (
         ("time-derivative", coarse.c1, fine.c1),
         ("second-time-derivative", coarse.c2, fine.c2),

@@ -457,7 +457,7 @@ class _TridiagonalLU:
         first = int(np.argmax(nonzero))
         if not nonzero[first]:
             return 0, 0
-        last = parts.size - 1 - int(np.argmax(nonzero[::-1]))
+        last = nonzero.tobytes().rfind(1)  # a reversed argmax is slow on the negative stride
         live = parts[first : last + 1]
         top = float(max(live.max(), -live.min()))  # NaN propagates through both
         if not math.isfinite(top):

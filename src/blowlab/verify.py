@@ -34,13 +34,18 @@ def cutoff() -> CutoffMeasures:
         float(f(fam, x, 0.0)) for x in (np.zeros(1), np.array([3.0])) for f in (co.psi, co.psi_star)
     )
     margins = co.log2_inequality_margins(fam, np.linspace(0.0, 1.2, 100))
+    powers, alphas, radii = (1.5, 2.0, 3.0), (0.0, 0.5, 1.0), (10.0, 100.0, 1000.0)
+    # p innermost: the three powers share the shell mesh of each (R, alpha)
+    consts = {
+        (R, alpha, p): co.bound_constants(co.CutoffFamily(R=R, p=p, alpha=alpha), dim=2)
+        for alpha in alphas
+        for R in radii
+        for p in powers
+    }
     spreads = {}
-    for p in (1.5, 2.0, 3.0):
-        for alpha in (0.0, 0.5, 1.0):
-            vals = [
-                co.bound_constants(co.CutoffFamily(R=R, p=p, alpha=alpha), dim=2)
-                for R in (10.0, 100.0, 1000.0)
-            ]
+    for p in powers:
+        for alpha in alphas:
+            vals = [consts[R, alpha, p] for R in radii]
             for name in ("c1", "c2", "c3"):
                 v = np.array([getattr(b, name) for b in vals])
                 mean = float(v.mean())

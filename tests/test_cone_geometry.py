@@ -27,7 +27,7 @@ from blowlab.cone_geometry import (
     sector_eigenvalue,
 )
 from blowlab.lifespan_bounds import BoundInputs, ode_saturation_oracle
-from blowlab.verify import random_bump, residual_ratios
+from blowlab.verify import HARDY_DOMAINS, random_bump, residual_ratios
 
 
 def test_gamma_root_values():
@@ -390,6 +390,57 @@ class _NearOptimizer:
         angular = np.where(r > 0, pts[..., 0] * pts[..., 1] / safe_r2, 0.0)
         chi = np.cos(np.pi * np.log(np.where(inside, r, 1.0)) / (2 * self.log_width)) ** 2
         return np.where(inside, angular * chi, 0.0)
+
+
+def _hardy_ratio_meshgrid(u, n):
+    """Reference: ``hardy_ratio`` on a ``meshgrid`` + ``stack`` mesh, |x|^2 by ``np.sum``."""
+    lo, hi = u.support_box()
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    dims = lo.size
+    axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(n) + 0.5) / n for i in range(dims)]
+    steps = [(hi[i] - lo[i]) / n for i in range(dims)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    vals = u(pts)
+    grads = np.gradient(vals, *steps) if dims > 1 else [np.gradient(vals, steps[0])]
+    grad_sq = sum(g * g for g in grads)
+    r2 = np.sum(pts * pts, axis=-1)
+    vol = float(np.prod(steps))
+    num = float(np.sum(grad_sq)) * vol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weighted = np.where(vals != 0.0, vals * vals / r2, 0.0)
+    return num / (float(np.sum(weighted)) * vol)
+
+
+class _SummedBump:
+    """A ``BumpField`` evaluated with ``np.sum`` over the last axis: the reference."""
+
+    def __init__(self, bump):
+        self.bump = bump
+        self.support_box = bump.support_box
+
+    def __call__(self, pts):
+        b = self.bump
+        s2 = np.sum((pts - np.atleast_1d(b.center)) ** 2, axis=-1) / b.radius**2
+        out = np.zeros(s2.shape)
+        inside = s2 < 1.0
+        out[inside] = b.amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
+        return out
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even-n", "odd-n"])
+def test_hardy_ratio_is_bitwise_the_meshgrid_quadrature(parity):
+    rng = np.random.default_rng(7)
+    for (_, spec), n in zip(HARDY_DOMAINS, (16, 32, 48)):
+        dom = make_domain(spec)
+        for _ in range(10):
+            bump = random_bump(spec, rng)
+            got = hardy_ratio(dom, bump, n=n + parity)
+            assert got.hex() == _hardy_ratio_meshgrid(_SummedBump(bump), n + parity).hex()
+    quarter = make_domain(CrossSectionSpec("half-space-product", 2, k=2))
+    field = _NearOptimizer(2.0)
+    got = hardy_ratio(quarter, field, n=120 + parity)
+    assert got.hex() == _hardy_ratio_meshgrid(field, 120 + parity).hex()
 
 
 def test_hardy_ratio_near_optimizer():

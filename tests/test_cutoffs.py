@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -301,9 +302,55 @@ def _ratio_sups_on_mesh(fam, dim, n_s, n_pos, sample_range, tail_decades):
 def test_ratio_sups_bitwise_equal_to_full_mesh(profile, alpha, dim, sample_range):
     fam = CutoffFamily(R=10.0, p=2.0, alpha=alpha, profile=profile)
     for n_s, n_pos, decades in ((600, 64, 6), (1200, 128, 12)):
-        got = cutoffs._ratio_sups(fam, dim, n_s, n_pos, decades)
+        got = cutoffs._ratio_sups(fam, cutoffs._shell(fam.R, alpha, dim, n_s, n_pos, decades))
         want = _ratio_sups_on_mesh(fam, dim, n_s, n_pos, sample_range, decades)
         assert got == want  # dataclass equality of floats: bitwise up to the sign of zero
+
+
+def _constants_or_divergence(fam, dim):
+    try:
+        b = bound_constants(fam, dim=dim)
+    except ValueError:
+        return "diverges"
+    return b.c1.hex(), b.c2.hex(), b.c3.hex()
+
+
+def test_bound_constants_do_not_depend_on_the_shell_asked_for_before(monkeypatch):
+    # keys that share R, alpha or dim with their neighbours, so a memo keyed on
+    # too little hands back the wrong shell
+    keys = [(10.0, 0.0, 1), (10.0, 0.0, 2), (100.0, 0.0, 2), (100.0, 0.5, 2), (10.0, 1.0, 1)]
+    families = [
+        lambda R, a: CutoffFamily(R=R, p=1.5, alpha=a),
+        lambda R, a: CutoffFamily(R=R, p=3.0, alpha=a, profile=PolynomialProfile()),
+        lambda R, a: CutoffFamily(R=R, p=2.0, alpha=a, profile=PolynomialProfile(), power=1.0),
+    ]
+    fresh = {}
+    for R, alpha, dim in keys:
+        for k, make in enumerate(families):
+            monkeypatch.setattr(cutoffs, "_shells", None)  # the memo of a fresh process
+            fresh[R, alpha, dim, k] = _constants_or_divergence(make(R, alpha), dim)
+    assert fresh[10.0, 0.0, 1, 2] == "diverges"  # the negative control
+    assert fresh[10.0, 0.0, 1, 1] != "diverges"
+    for order in (keys, keys[::-1]):
+        for R, alpha, dim in order:
+            for k, make in enumerate(families):
+                assert _constants_or_divergence(make(R, alpha), dim) == fresh[R, alpha, dim, k]
+
+
+def test_cutoff_suite_keeps_one_shell_pair(monkeypatch):
+    from blowlab import verify
+
+    monkeypatch.setattr(cutoffs, "_shells", None)
+    tracemalloc.start()
+    try:
+        verify.cutoff()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    pair = cutoffs._shells[1]
+    pair_bytes = sum(a.nbytes for sh in pair for a in (sh.s, sh.weight, sh.grad_rho_sq, sh.lap_rho))
+    assert pair_bytes < 6 * 2**20  # the coarse and the fine shell of R = 10
+    assert kept <= pair_bytes + 2**18  # one pair and small change
 
 
 def _tail_reference(fam, sigma, panels=16, nodes=32):

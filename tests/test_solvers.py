@@ -999,6 +999,10 @@ def test_window_of_a_zero_or_non_finite_right_hand_side():
         b = np.zeros(m)
         b[m // 2] = peak
         assert lu.window(b) == (0, m)
+        # the flush of negligible parts keeps NaN and inf: no entry is zeroed
+        out = np.zeros(m)
+        assert lu.solve(b, out) == (0, m)
+        assert not np.any(np.isfinite(out))
 
 
 def _window_by_full_magnitude(lu, b):
