@@ -20,7 +20,10 @@ polar sector, and the wave step limit; the explicit stencil is written out.
 
 A Crank-Nicolson field is exactly zero outside its 1-d solve window, so the
 next step, the run's growth test and the trace columns skip the nodes that
-hold only zeros, with the bits of the full-grid arithmetic.
+hold only zeros, with the bits of the full-grid arithmetic.  A
+velocity-Verlet step widens the rows that can be nonzero by one on each
+side and computes only those, so a wave run from a compact bump sweeps
+only the stencil's cone around it.
 
 Blowup runs step on the dyadic ladder dt_init * 2^k: a step that grows
 max|u| by more than the growth limit is halved, and a step-doubling probe
@@ -272,9 +275,13 @@ class _GridData:
         n = u.shape[0]
         hi = n if hi is None else hi
         h2 = self.h * self.h
-        out = np.zeros((hi - lo,) + u.shape[1:], dtype=u.dtype)
+        out = np.empty((hi - lo,) + u.shape[1:], dtype=u.dtype)
         # (u[i-1] - 2.0 * u[i] + u[i+1]) / h2 in place, operation for operation
         i0, i1 = max(lo, 1), min(hi, n - 1)  # the rows with two neighbours
+        if lo < i0:
+            out[: i0 - lo] = 0.0  # row 0: a wall, or the origin row set below
+        if i1 < hi:
+            out[i1 - lo :] = 0.0  # row n-1, a wall
         inner = out[i0 - lo : i1 - lo]
         np.multiply(u[i0:i1], 2.0, out=inner)
         np.subtract(u[i0 - 1 : i1 - 1], inner, out=inner)
@@ -477,8 +484,10 @@ class _TridiagonalLU:
         )
 
     def solve(self, b: np.ndarray, out: np.ndarray) -> tuple[int, int]:
-        """Write the solution for ``b`` into ``out``, which must hold zeros, and
-        return the range [start, stop) it solved: ``out`` stays +0.0 outside it."""
+        """Write the solution for ``b`` over ``out[start:stop]`` and return the
+        range [start, stop) it solved.  The solution is +0.0 outside that range,
+        which the solve does not write: only those entries of ``out`` must
+        already hold zeros."""
         start, stop = self.window(b)
         if stop - start < 3:  # gttrs needs du2 of length stop - start - 2 >= 1
             start, stop = 0, b.size
@@ -605,8 +614,12 @@ class FieldState:
     the states it returns.  It depends on u and the coefficients alone, so
     code that changes ``u`` in place must reset it to None.
 
-    ``u`` is exactly +0.0 outside the rows ``u[lo:hi]`` (every row by
-    default); a Crank-Nicolson step sets the range from its solve window.
+    ``u`` is exactly 0.0 outside the rows ``u[lo:hi]`` (every row by
+    default), and for tau=1 so are ``v`` and ``acc``.  ``initial_state``
+    sets the range from the bump's nonzero rows, a Crank-Nicolson step from
+    its solve window and a velocity-Verlet step from the rows it computed.
+    Outside the range of a state that a step returned, every array holds
+    +0.0; the initial state may hold -0.0 there.
     """
 
     grid: GridSpec
@@ -635,16 +648,21 @@ def initial_state(problem: EvolutionProblem, dt: float) -> FieldState:
     if coeff.tau == 1:
         g_amp = init.g_amplitude.real if real else init.g_amplitude
         v = (init.epsilon * g_amp * prof).astype(dtype)
-    return FieldState(grid=grid, u=u, v=v, t=0.0, dt=dt)
+    rows = np.flatnonzero(prof.reshape(len(prof), -1).any(axis=1))
+    lo, hi = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, None)
+    return FieldState(grid=grid, u=u, v=v, t=0.0, dt=dt, lo=lo, hi=hi)
 
 
 def step_parabolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> FieldState:
     """One Crank-Nicolson step of u_t = a^{-1}(Lap u + lambda |u|^p).
 
     Diffusion carries weight 1/2 on both time levels; the source is frozen
-    at an explicit half-step predictor.  u is +0.0 outside rows [lo, hi), so
+    at an explicit half-step predictor.  u is 0.0 outside rows [lo, hi) (of
+    either sign on the initial state, +0.0 on a state a step returned), so
     the right-hand side is +0.0 outside rows [lo-1, hi+1): only those rows
-    are computed, with the bits the full grid gives them.  numpy rounds c*z
+    are computed, with the bits the full grid gives them.  The full grid
+    adds each -0.0 of u to a +0.0 before it reaches the right-hand side,
+    which gives +0.0, so the first step keeps its bits too.  numpy rounds c*z
     and z*c differently for a complex scalar c, and rewrites c * temporary
     as temporary *= c only for arrays of 256 KiB and more, so the products
     with complex arrays fix their order (``half *= c``, ``np.multiply(c,
@@ -662,9 +680,7 @@ def step_parabolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> Fiel
         ainv_eff = ainv
         lam_eff = lam
     u = state.u
-    n = u.shape[0]
-    a = max(state.lo - 1, 0)  # the rows [a, b) that the stencil reaches from u's range
-    b = n if state.hi is None else min(state.hi + 1, n)
+    a, b = _reach(state.lo, state.hi, u.shape[0])
     near = u[a:b]
     c_half = 0.5 * dt * ainv_eff
     lap_u = data.laplacian(u, a, b)
@@ -689,7 +705,18 @@ def step_hyperbolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> Fie
     depends on u and not on dt, so the returned state carries it in ``acc``,
     and the next step, a retry at half the step or a step-doubling probe
     from that state reuses it: one Laplacian and one nonlinearity per step.
-    A state without ``acc`` (the initial one) gets it filled in here.
+    A state without ``acc`` (the initial one) gets it filled in here, and
+    its range widened by the row on each side that the Laplacian reaches.
+
+    u, v and acc are 0.0 outside rows [lo, hi) (u and v of either sign on
+    the initial state, +0.0 on a state a step returned), so v_half and
+    u_new are +0.0 there too, and acc_new and v_new are +0.0 outside
+    [lo-1, hi+1).  The step computes only those rows, with the bits the
+    full grid gives them (a sum written as a product with ``out=`` and then
+    ``+=`` adds the same two terms), and returns them as its range.  The
+    full grid adds each -0.0 of the initial u and v to a +0.0 (h*acc, then
+    dt*v_half) before it reaches a result, which gives +0.0, so the first
+    step keeps its bits too.
     """
     if coeff.tau != 1:
         raise ValueError("hyperbolic step requires tau=1")
@@ -697,27 +724,48 @@ def step_hyperbolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> Fie
     if dt > data.wave_dt_limit:
         raise ValueError(f"CFL violation: dt={dt} exceeds the limit {data.wave_dt_limit}")
     lam = coeff.lam if np.iscomplexobj(state.u) else coeff.lam.real
-    damp = data.damping_denominator(coeff, dt)
+    n = state.u.shape[0]
     if state.acc is None:
-        state.acc = _acceleration(data, state.u, lam, coeff.p)
+        state.lo, state.hi = _reach(state.lo, state.hi, n)
+        state.acc = _acceleration(data, state.u, lam, coeff.p, state.lo, state.hi)
+    a, b = _reach(state.lo, state.hi, n)
+    damp = data.damping_denominator(coeff, dt)
+    if isinstance(damp, np.ndarray):
+        damp = damp[a:b]
     half_dt = 0.5 * dt
-    v_half = state.v + half_dt * state.acc
+    v_half = np.multiply(half_dt, state.acc[a:b])
+    v_half += state.v[a:b]
     v_half /= damp
-    u_new = state.u + dt * v_half
+    u_new = np.zeros(state.u.shape, state.u.dtype)
+    np.multiply(dt, v_half, out=u_new[a:b])
+    u_new[a:b] += state.u[a:b]
     _zero_boundary(data, u_new)
-    acc_new = _acceleration(data, u_new, lam, coeff.p)
-    v_new = v_half + half_dt * acc_new
-    v_new /= damp
+    acc_new = _acceleration(data, u_new, lam, coeff.p, a, b)
+    v_new = np.zeros(state.v.shape, state.v.dtype)
+    part = v_new[a:b]
+    np.multiply(half_dt, acc_new[a:b], out=part)
+    part += v_half
+    part /= damp
     _zero_boundary(data, v_new)
-    return FieldState(grid=state.grid, u=u_new, v=v_new, t=state.t + dt, dt=dt, acc=acc_new)
+    return FieldState(
+        grid=state.grid, u=u_new, v=v_new, t=state.t + dt, dt=dt, acc=acc_new, lo=a, hi=b
+    )
 
 
-def _acceleration(data: _GridData, u: np.ndarray, lam, p: float) -> np.ndarray:
-    """Lap u + lam * |u|^p with the boundary rows zeroed."""
-    acc = data.laplacian(u)
-    acc += lam * abs_power(u, p)
+def _acceleration(data: _GridData, u: np.ndarray, lam, p: float, lo: int, hi: int) -> np.ndarray:
+    """Lap u + lam * |u|^p on rows [lo, hi), +0.0 on the other rows and the walls."""
+    power = abs_power(u[lo:hi], p)
+    if isinstance(lam, complex) or lam != 1.0:  # a real 1.0 * x is x
+        power = lam * power
+    acc = np.zeros(u.shape, u.dtype)
+    np.add(data.laplacian(u, lo, hi), power, out=acc[lo:hi])
     _zero_boundary(data, acc)
     return acc
+
+
+def _reach(lo: int, hi: int | None, n: int) -> tuple[int, int]:
+    """The rows [lo-1, hi+1) within [0, n): what a three-point stencil reaches from [lo, hi)."""
+    return max(lo - 1, 0), n if hi is None else min(hi + 1, n)
 
 
 def _zero_boundary(data: _GridData, arr: np.ndarray) -> None:

@@ -1154,9 +1154,9 @@ def test_windowed_step_is_bitwise_the_full_grid_step(grid, center, coeff):
     amp = 0.6 if coeff is HEAT else 0.6 - 0.5j
     init = InitialDataSpec(center, 1.5, 0.8, amp)
     state = initial_state(EvolutionProblem(coeff, grid, init), 0.01)
-    # start from the tightest range: rows lo and hi - 1 hold nonzero values
+    # the initial state has the tightest range: rows lo and hi - 1 hold nonzero values
     rows = np.flatnonzero(np.any(state.u.reshape(len(state.u), -1) != 0.0, axis=1))
-    state.lo, state.hi = int(rows[0]), int(rows[-1]) + 1
+    assert (state.lo, state.hi) == (int(rows[0]), int(rows[-1]) + 1)
     assert state.lo > 0 or grid.geometry == "radial"
     for _ in range(5):
         got = step_parabolic(state, coeff, state.dt)
@@ -1339,9 +1339,9 @@ def test_damped_wave_run_evaluates_one_laplacian_per_step(monkeypatch):
     counts = {"laplacian": 0, "abs_power": 0}
     laplacian, power = _GridData.laplacian, solvers.abs_power
 
-    def counting_laplacian(self, u):
+    def counting_laplacian(self, u, lo=0, hi=None):
         counts["laplacian"] += 1
-        return laplacian(self, u)
+        return laplacian(self, u, lo, hi)
 
     def counting_power(u, p):
         counts["abs_power"] += 1
@@ -1372,3 +1372,118 @@ def test_damped_wave_run_evaluates_one_laplacian_per_step(monkeypatch):
     assert retries
     # a retry after a halving reuses the array the first attempt filled in
     assert all(b[1] is a[0].acc for a, b in retries)
+
+
+# -- the velocity-Verlet step is confined to the rows that can be nonzero -------
+
+
+def _full_grid_verlet_step(u, v, acc, coeff, grid, dt):
+    """The velocity-Verlet step over every row, operation for operation as the
+    full-grid step: the reference of ``step_hyperbolic``.  Returns u, v and acc."""
+    data = _grid_data(grid)
+    lam = coeff.lam if np.iscomplexobj(u) else coeff.lam.real
+
+    def acceleration(w):
+        out = data.laplacian(w)
+        out += lam * abs_power(w, coeff.p)
+        for wall in data.walls:
+            out[wall] = 0.0
+        return out
+
+    if acc is None:
+        acc = acceleration(u)
+    damp = data.damping_denominator(coeff, dt)
+    half_dt = 0.5 * dt
+    v_half = v + half_dt * acc
+    v_half /= damp
+    u_new = u + dt * v_half
+    for wall in data.walls:
+        u_new[wall] = 0.0
+    acc_new = acceleration(u_new)
+    v_new = v_half + half_dt * acc_new
+    v_new /= damp
+    for wall in data.walls:
+        v_new[wall] = 0.0
+    return u_new, v_new, acc_new
+
+
+_VERLET_CASES = {
+    "line": (GridSpec("line", 40.0, 801), 0.0, CoefficientSpec(tau=1, p=2.0, lam=1.0, a0=1.0)),
+    "line-alpha-p3": (
+        GridSpec("line", 40.0, 801), 3.0, CoefficientSpec(tau=1, p=3.0, a0=1.0, alpha=0.5)
+    ),
+    "half-line": (
+        GridSpec("half-line", 40.0, 801), 6.0,
+        CoefficientSpec(tau=1, p=2.0, lam=-1.0, a0=0.5, alpha=0.5),
+    ),
+    "radial-2": (
+        GridSpec("radial", 40.0, 801, dim=2), 0.0, CoefficientSpec(tau=1, p=3.0, lam=1.0, a0=1.0)
+    ),
+    "radial-3": (
+        GridSpec("radial", 40.0, 801, dim=3), 0.0, CoefficientSpec(tau=1, p=2.0, a0=1.0, alpha=0.5)
+    ),
+    "radial-3-no-origin-v0": (
+        GridSpec("radial", 40.0, 801, dim=3, include_origin=False), 6.0,
+        CoefficientSpec(tau=1, p=2.0, lam=1.0, v0=1.0),
+    ),
+    "radial-3-no-origin-p3": (
+        GridSpec("radial", 40.0, 801, dim=3, include_origin=False), 6.0,
+        CoefficientSpec(tau=1, p=3.0, a0=1.0, alpha=0.5),
+    ),
+    "polar": (
+        GridSpec("polar-sector", 10.0, 80, omega=2.0, num_angles=12), 5.0,
+        CoefficientSpec(tau=1, p=3.0, lam=1.0, a0=1.0, alpha=0.5),
+    ),
+    "polar-v0": (
+        GridSpec("polar-sector", 10.0, 80, omega=2.0, num_angles=12), 5.0,
+        CoefficientSpec(tau=1, p=2.0, v0=1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("amp, g_amp", [(-0.8, 0.5), (0.6 - 0.5j, -0.3 + 0.4j)], ids=["real", "complex"])
+@pytest.mark.parametrize("case", list(_VERLET_CASES))
+def test_windowed_verlet_step_is_bitwise_the_full_grid_step(case, amp, g_amp):
+    grid, center, coeff = _VERLET_CASES[case]
+    init = InitialDataSpec(center, 1.5, 0.8, amp, g_amp)
+    dt = 0.5 * _grid_data(grid).wave_dt_limit
+    state = initial_state(EvolutionProblem(coeff, grid, init), dt)
+    assert state.u.dtype == (float if isinstance(amp, float) else complex)
+    u, v, acc = state.u, state.v, None
+    for k in range(40):
+        step_dt = dt if k % 3 else dt / 2
+        state = step_hyperbolic(state, coeff, step_dt)
+        u, v, acc = _full_grid_verlet_step(u, v, acc, coeff, grid, step_dt)
+        for got, want in ((state.u, u), (state.v, v), (state.acc, acc)):
+            assert np.array_equal(_bits(got), _bits(want))
+            assert _all_positive_zero(got[: state.lo]) and _all_positive_zero(got[state.hi :])
+    assert max_abs(state.u) > 0.0
+    if grid.geometry != "polar-sector":  # the sector's few rows fill within 40 steps
+        assert state.hi - state.lo < grid.num_points // 2
+
+
+def test_verlet_step_computes_at_most_one_more_row_a_side_per_step(monkeypatch):
+    # a centred bump on the damped-wave line: the rows a step computes (those
+    # its Laplacian is asked for) widen by at most one on each side per step,
+    # and span the grid only once the front is there
+    asked = []
+    laplacian = _GridData.laplacian
+
+    def recording_laplacian(self, u, lo=0, hi=None):
+        asked.append(u.shape[0] if hi is None else hi - lo)
+        return laplacian(self, u, lo, hi)
+
+    monkeypatch.setattr(_GridData, "laplacian", recording_laplacian)
+    coeff = CoefficientSpec(tau=1, p=2.0, lam=1.0, a0=1.0)
+    grid = GridSpec("line", extent=60.0, num_points=1501)
+    init = InitialDataSpec(center=0.0, width=0.8, epsilon=0.2, g_amplitude=1.0)
+    state = initial_state(EvolutionProblem(coeff, grid, init), 0.036)
+    support, n = state.hi - state.lo, grid.num_points
+    assert support == np.count_nonzero(state.u) < 50
+    for k in range(1, n):
+        state = step_hyperbolic(state, coeff, state.dt)
+        assert max(asked[-1], state.hi - state.lo) <= support + 2 * k + 4
+        if state.hi - state.lo == n:
+            break
+    # the range spans the grid only once the cone reaches the walls
+    assert state.hi - state.lo == n and k >= (n - support) // 2 - 2
