@@ -2,9 +2,9 @@
 
 Subcommands: ``eigen`` (cross-section eigenvalue queries), ``bound``
 (closed-form lifespan bounds), ``simulate`` (one blowup run), ``sweep``
-(epsilon sweep with fits), ``verify`` (property suites).  Exit codes:
-0 success, 1 validation failure (bad inputs or a failed property verdict),
-2 runtime fault.
+(epsilon sweep with fits), ``verify`` (property suites); each takes only
+the flags it reads.  Exit codes: 0 success, 1 validation failure (a usage
+error, bad inputs or a failed property verdict), 2 runtime fault.
 """
 
 from __future__ import annotations
@@ -46,8 +46,15 @@ from blowlab.solvers import (
 )
 
 
+# the eigen flags that --spec-json replaces, by their argparse dest
+_SPEC_FLAGS = {"kind": "--kind", "dim": "--N", "omega": "--omega", "theta0": "--theta0", "k": "--k"}
+
+
 def _spec_from_args(args) -> cg.CrossSectionSpec:
     if args.spec_json:
+        given = [flag for dest, flag in _SPEC_FLAGS.items() if getattr(args, dest) is not None]
+        if given:
+            raise ValueError(f"--spec-json replaces {', '.join(given)}: give one form, not both")
         return spec_from_dict(cg.CrossSectionSpec, json.loads(args.spec_json), "spec")
     if args.kind is None or args.dim is None:
         raise ValueError("eigen needs --kind and --N (or --spec-json)")
@@ -80,8 +87,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
-    out_dir = args.out_dir or cfg.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     # the run keeps only the nodes snapshots.csv writes, and streams the trace
     coords = grid_coordinates(cfg.problem.grid)
     points = coords.reshape(-1, coords.shape[-1] if coords.ndim > 1 else 1)
@@ -92,28 +98,29 @@ def _cmd_simulate(args) -> int:
         observers.append(streamed)
     result = run_until_blowup(cfg.problem, cfg.controls, observers)
     rec = result.record
-    emit_record(rec, os.path.join(out_dir, "record.csv"))
+    emit_record(rec, os.path.join(args.out_dir, "record.csv"))
     print(f"status: {rec.status}")
     print(f"T_extrapolated: {rec.t_extrapolated!r}")
     print(f"boundary_max: {rec.boundary_max!r}")
     if cfg.trace_radii:
-        trace = functional_trace(result, cfg.trace_radii, streamed)
-        emit_trace(trace, os.path.join(out_dir, "trace.csv"))
-        print(f"trace: {len(cfg.trace_radii)} radii written")
-        outcome = reason = None
-        try:
+        trace = outcome = reason = None
+        try:  # a run too short or too coarse for the quadrature has no trace
+            trace = functional_trace(result, cfg.trace_radii, streamed)
             outcome = verify.criterion_pipeline(result, trace)
         except ValueError as exc:
             reason = str(exc)
+        if trace is not None:
+            emit_trace(trace, os.path.join(args.out_dir, "trace.csv"))
+            print(f"trace: {len(cfg.trace_radii)} radii written")
         verdict = emit_criterion(
-            os.path.join(out_dir, "criterion.json"), rec.t_extrapolated, outcome, reason
+            os.path.join(args.out_dir, "criterion.json"), rec.t_extrapolated, outcome, reason
         )
         if reason:
             print(f"criterion: no bound: {reason}")
         else:
             print(f"criterion: bound {outcome.bound!r}, bound >= T: {verdict['bound_ge_T']}")
     if len(result.snapshot_times) > 2:
-        path = os.path.join(out_dir, "snapshots.csv")
+        path = os.path.join(args.out_dir, "snapshots.csv")
         emit_snapshots(result.snapshot_times, result.snapshots, points[:: store.stride], path)
     return 0
 
@@ -122,7 +129,6 @@ def _cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     if cfg.sweep_epsilons is None:
         raise ConfigError(["sweep.epsilons: required for the sweep command"])
-    out_dir = args.out_dir or cfg.out_dir or "."
     result = run_sweep(
         cfg.problem,
         cfg.sweep_epsilons,
@@ -137,7 +143,7 @@ def _cmd_sweep(args) -> int:
         regime_verdict(result, predicted, slope_tolerance=cfg.slope_tolerance)
     except ValueError:
         result.verdict = "no prediction: exponent above the blowup threshold"
-    summary = emit_sweep(result, out_dir)
+    summary = emit_sweep(result, args.out_dir)
     print(json.dumps(summary, indent=2))
     return 0
 
@@ -195,20 +201,25 @@ def _verify_lemma_oracle(args) -> int:
     ])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--out-dir", help="output directory")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers")
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ``ValueError``, so ``main`` exits 1 with it."""
 
-    parser = argparse.ArgumentParser(prog="blowlab", description=__doc__)
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", required=True, help="JSON run configuration")
+    run.add_argument("--out-dir", default=".", help="output directory (default: .)")
+
+    parser = _Parser(prog="blowlab", description=__doc__)
     parser.add_argument(
         "-v", "--verbose", action="store_true", help="log each run's step control to stderr"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    eig = sub.add_parser("eigen", parents=[common], help="cross-section eigenvalue queries")
+    eig = sub.add_parser("eigen", help="cross-section eigenvalue queries")
     eig.add_argument("--kind", choices=cg.VALID_KINDS)
     eig.add_argument("--N", dest="dim", type=int)
     eig.add_argument("--omega", type=float)
@@ -217,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     eig.add_argument("--spec-json", help='JSON like {"kind": ..., "N": ...}')
     eig.set_defaults(func=_cmd_eigen)
 
-    bnd = sub.add_parser("bound", parents=[common], help="closed-form lifespan bounds")
+    bnd = sub.add_parser("bound", help="closed-form lifespan bounds")
     bnd.add_argument("--delta", type=float, required=True)
     bnd.add_argument("--c0", type=float, required=True)
     bnd.add_argument("--r1", type=float, required=True)
@@ -226,13 +237,15 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--oracle", action="store_true", help="also run the saturation oracle")
     bnd.set_defaults(func=_cmd_bound)
 
-    sim = sub.add_parser("simulate", parents=[common], help="run one problem to blowup")
+    sim = sub.add_parser("simulate", parents=[run], help="run one problem to blowup")
     sim.set_defaults(func=_cmd_simulate)
 
-    swp = sub.add_parser("sweep", parents=[common], help="epsilon sweep with scaling fits")
+    swp = sub.add_parser("sweep", parents=[run], help="epsilon sweep with scaling fits")
+    swp.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     swp.set_defaults(func=_cmd_sweep)
 
-    ver = sub.add_parser("verify", parents=[common], help="property verification suites")
+    ver = sub.add_parser("verify", help="property verification suites")
+    ver.add_argument("--seed", type=int, default=0, help="seed for the randomized suites")
     ver.add_argument("--count", type=int, default=200, help="fields per domain (hardy)")
     # the suite parses --seed and --count again without defaults, so they
     # may stand on either side of the suite name
@@ -266,19 +279,11 @@ def _run_log(enabled: bool):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    with _run_log(args.verbose):
-        return _dispatch(args)
-
-
-def _dispatch(args) -> int:
     try:
-        if args.command in ("simulate", "sweep") and not args.config:
-            print("error: --config is required", file=sys.stderr)
-            return 1
-        return args.func(args)
-    except (ConfigError, ValueError) as exc:
+        args = build_parser().parse_args(argv)
+        with _run_log(args.verbose):
+            return args.func(args)
+    except ValueError as exc:  # a ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime fault

@@ -23,7 +23,13 @@ import numpy as np
 from blowlab.cone_geometry import CrossSectionSpec, SpecError
 from blowlab.experiments import SweepResult, epsilon_violations
 from blowlab.lifespan_bounds import FunctionalTrace
-from blowlab.solvers import BlowupRecord, CoefficientSpec, EvolutionProblem, RunControls
+from blowlab.solvers import (
+    THRESHOLD_NAMES,
+    BlowupRecord,
+    CoefficientSpec,
+    EvolutionProblem,
+    RunControls,
+)
 
 
 class ConfigError(ValueError):
@@ -42,7 +48,6 @@ class RunConfig:
     slope_tolerance: float = 0.15
     trace_radii: tuple[float, ...] | None = None
     seed: int = 0  # kept with the config; simulate and sweep do not read it
-    out_dir: str | None = None
 
     def __post_init__(self):
         bad = []
@@ -216,20 +221,9 @@ def config_to_dict(spec) -> dict:
 # -- CSV emission -------------------------------------------------------
 
 RECORD_COLUMNS = (
-    "epsilon",
-    "p",
-    "tau",
-    "alpha",
-    "zeta",
-    "status",
-    "T_at_1e3",
-    "T_at_1e4",
-    "T_at_1e5",
-    "T_at_1e6",
-    "T_extrapolated",
-    "dt_final",
-    "h",
-    "steps",
+    "epsilon", "p", "tau", "alpha", "zeta", "status",
+    *(f"T_at_{name}" for name in THRESHOLD_NAMES),
+    "T_extrapolated", "dt_final", "h", "steps",
 )
 
 

@@ -50,7 +50,8 @@ class SweepResult:
 
     @property
     def blowup_rows(self) -> list:
-        return [r for r in self.records if r.status == "blowup"]
+        """The rows of the fits and ``sweep.dat``: blowups after t = 0, which have a log T."""
+        return [r for r in self.records if r.status == "blowup" and r.t_extrapolated > 0]
 
     @property
     def faults(self) -> list:
@@ -117,14 +118,16 @@ def sweep(
 ) -> SweepResult:
     """Run the problem at each epsilon and fit both scaling laws.
 
-    Items run in separate processes when ``jobs`` exceeds 1; results are
-    reduced in epsilon order so the output is identical at any worker count.
+    Items run in up to ``jobs`` processes when ``jobs`` exceeds 1; results
+    are reduced in epsilon order so the output is identical at any worker count.
     A ``RuntimeError`` in one run (such as an exhausted step budget) does
     not stop the sweep: that epsilon becomes a ``fault`` row, logged at
     WARNING with its reason, and stays out of the fits.  Fits require at
-    least 5 blowup rows; otherwise they are skipped with an explicit status.
+    least 5 ``blowup_rows``; otherwise they are skipped with an explicit status.
     """
     bad = epsilon_violations(epsilons)
+    if jobs < 1:
+        bad.append(f"jobs must be at least 1, not {jobs}")
     if bad:
         raise ValueError("; ".join(bad))
     eps_sorted = sorted(float(e) for e in epsilons)
@@ -136,7 +139,8 @@ def sweep(
         for e in eps_sorted
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the fork start method launches every worker up front: no more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             records = list(pool.map(_run_one, tasks))
     else:
         records = [_run_one(t) for t in tasks]
@@ -144,24 +148,17 @@ def sweep(
         if rec.status == "fault":
             logger.warning("eps %r: fault: %s", rec.epsilon, rec.reason)
 
-    blowups = [r for r in records if r.status == "blowup"]
-    power = exponential = None
+    result = SweepResult(problem_id, records, None, None, "", span_ok)
+    blowups = result.blowup_rows
     if len(blowups) >= 5:
         eps_b = [r.epsilon for r in blowups]
         t_b = [r.t_extrapolated for r in blowups]
-        power = fit_power_law(eps_b, t_b)
-        exponential = fit_exponential_law(eps_b, t_b, problem.coeff.p)
-        fit_status = "ok"
+        result.power_fit = fit_power_law(eps_b, t_b)
+        result.exponential_fit = fit_exponential_law(eps_b, t_b, problem.coeff.p)
+        result.fit_status = "ok"
     else:
-        fit_status = f"skipped: only {len(blowups)} blowup rows (need 5)"
-    return SweepResult(
-        problem_id=problem_id,
-        records=records,
-        power_fit=power,
-        exponential_fit=exponential,
-        fit_status=fit_status,
-        span_ok=span_ok,
-    )
+        result.fit_status = f"skipped: only {len(blowups)} blowup rows (need 5)"
+    return result
 
 
 def regime_verdict(

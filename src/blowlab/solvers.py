@@ -53,6 +53,7 @@ from blowlab.lifespan_bounds import FunctionalTrace
 
 GEOMETRIES = ("line", "half-line", "radial", "polar-sector")
 RECORD_THRESHOLDS = (1e3, 1e4, 1e5, 1e6)  # the crossings every run records: the T_at_* columns
+THRESHOLD_NAMES = tuple(f"1e{math.log10(m):.0f}" for m in RECORD_THRESHOLDS)  # "1e3", ...
 _RTOL = 1e-5  # step-doubling tolerance, relative to max|u| (and max|v| for tau=1)
 _GROWTH_LIMIT = 0.2  # a step that grows max|u| by more than this fraction is halved
 _FUTILE_PROBES = 8  # a run stops probing after this many failures with no pass
@@ -794,7 +795,7 @@ class RunControls:
     def __post_init__(self):
         bad = []
         if self.threshold not in RECORD_THRESHOLDS:
-            bad.append(("threshold", "must be one of 1e3, 1e4, 1e5, 1e6"))
+            bad.append(("threshold", f"must be one of {', '.join(THRESHOLD_NAMES)}"))
         if not self.t_max > 0:
             bad.append(("t_max", "must be positive"))
         if self.dt_init is not None and not self.dt_init > 0:

@@ -202,7 +202,6 @@ def test_config_round_trip(tmp_path):
     raw["sweep"] = {"epsilons": [0.5, 0.7, 1.0, 1.4, 2.0], "slope_tolerance": 0.2}
     raw["trace_radii"] = [4.0, 6.0, 9.0]
     raw["controls"]["snapshot_dt"] = 0.05  # a trace needs snapshots
-    raw["out_dir"] = "results"
     cfg = config_from_dict(raw)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config_to_dict(cfg), indent=2))
@@ -474,6 +473,39 @@ def test_cli_simulate_verdict_without_finite_bound(tmp_path, capsys, p, epsilon,
         assert math.isfinite(verdict["minimal_C0"])
 
 
+def _above_threshold_config(**overrides):
+    """A 201-node heat config whose start already exceeds the threshold: a blowup at t = 0."""
+    raw = _heat_config(**overrides)
+    raw["problem"]["grid"].update(extent=20.0, num_points=201)
+    raw["problem"]["initial"]["epsilon"] = 2e6
+    return raw
+
+
+@pytest.mark.parametrize("epsilons", [[2e6, 3e6], [2e6, 3e6, 4e6, 5e6, 6e6]])
+def test_cli_sweep_of_blowups_at_t0_writes_its_outputs(tmp_path, capsys, epsilons):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_above_threshold_config(sweep={"epsilons": epsilons})))
+    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[5::5] for row in rows] == [["blowup", "0.0"]] * len(epsilons)
+    assert (tmp_path / "sweep.dat").read_text() == ""
+    summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+    assert summary["fit_status"] == "skipped: only 0 blowup rows (need 5)"
+
+
+def test_cli_simulate_without_a_trace_writes_the_reason(tmp_path, capsys):
+    raw = _above_threshold_config(trace_radii=[4.0, 6.0])
+    raw["controls"]["snapshot_dt"] = 0.05
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "criterion.json", "record.csv"]
+    verdict = json.loads((tmp_path / "criterion.json").read_text())
+    assert verdict["reason"] == "need at least 4 snapshots for the time quadrature"
+    assert verdict["T"] == 0.0 and verdict["bound"] is None and verdict["bound_ge_T"] is False
+    assert "criterion: no bound: need at least 4 snapshots" in capsys.readouterr().out
+
+
 def test_cli_critical_sweep_writes_its_outputs(tmp_path, capsys):
     # p = 3 is the line's threshold: the exponential regime, which fixes no lifespan value
     raw = _heat_config(sweep={"epsilons": [0.03, 0.05]})
@@ -563,6 +595,43 @@ def test_cli_sweep_needs_epsilons(tmp_path, capsys):
 def test_cli_missing_config_is_validation_failure(capsys):
     assert main(["sweep", "--config", "/does/not/exist.json"]) == 1
     assert main(["simulate"]) == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["eigen", "--kind", "full-line", "--N", "abc"], "--N: invalid int value: 'abc'"),
+    (["frob"], "invalid choice: 'frob'"),
+    (["simulate", "--out-dir", "out"], "required: --config"),
+])
+def test_cli_usage_errors_exit_1(capsys, argv, named):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: blowlab") and named in err
+
+
+# every flag the shared parser once gave a command that does not read it
+_UNREAD_FLAGS = [
+    (command, flag)
+    for command, flags in (
+        (["eigen", "--kind", "full-line", "--N", "1"], ("--config", "--out-dir", "--seed", "--jobs")),
+        (_bound_argv(), ("--config", "--out-dir", "--seed", "--jobs")),
+        (["simulate", "--config", "cfg.json"], ("--seed", "--jobs")),
+        (["sweep", "--config", "cfg.json"], ("--seed",)),
+        (["verify", "lemma-oracle"], ("--config", "--out-dir", "--jobs")),
+    )
+    for flag in flags
+]
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD_FLAGS, ids=[f"{c[0]} {f}" for c, f in _UNREAD_FLAGS])
+def test_cli_rejects_a_flag_its_command_does_not_read(capsys, command, flag):
+    assert main([*command, flag, "1"]) == 1
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_cli_eigen_spec_json_excludes_the_spec_flags(capsys):
+    spec = '{"kind": "full-line", "N": 1}'
+    assert main(["eigen", "--spec-json", spec, "--N", "3", "--k", "2"]) == 1
+    assert "--spec-json replaces --N, --k" in capsys.readouterr().err
 
 
 def test_cli_runtime_fault_exits_2(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -179,6 +181,45 @@ def test_sweep_validates_epsilons():
         sweep(_small_problem(), (0.5,), controls)
     with pytest.raises(ValueError):
         sweep(_small_problem(), (0.5, 0.5), controls)
+
+
+@pytest.mark.parametrize("jobs, eps, pools", [
+    (64, (0.01, 0.02), [2]),
+    (3, (0.01, 0.012, 0.015, 0.02, 0.025), [3]),
+    (1, (0.01, 0.02), []),
+])
+def test_sweep_starts_no_more_workers_than_epsilons(monkeypatch, jobs, eps, pools):
+    sizes = []
+
+    def pool(max_workers):  # records the pool size and maps in-process: no process starts
+        sizes.append(max_workers)
+        return contextlib.nullcontext(SimpleNamespace(map=map))
+
+    monkeypatch.setattr("blowlab.experiments.ProcessPoolExecutor", pool)
+    controls = RunControls(threshold=1e6, t_max=0.01, dt_init=2.5e-3)
+    result = sweep(_small_problem(), eps, controls, jobs=jobs)
+    assert sizes == pools
+    assert [r.status for r in result.records] == ["survived"] * len(eps)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_sweep_rejects_fewer_than_one_job(monkeypatch, jobs):
+    monkeypatch.setattr("blowlab.experiments.run_until_blowup", None)  # nothing may run
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, not {jobs}"):
+        sweep(_small_problem(), (0.5, 0.7), RunControls(threshold=1e6, t_max=1.0), jobs=jobs)
+
+
+def test_sweep_keeps_blowups_at_t0_out_of_the_fits(tmp_path):
+    # a start above the threshold is a blowup at t = 0, which has no log T
+    controls = RunControls(threshold=1e3, t_max=20.0, dt_init=2.5e-3)
+    result = sweep(_small_problem(), (1.5, 2e3, 3e3), controls)
+    assert [(r.status, r.t_extrapolated > 0) for r in result.records] == [
+        ("blowup", True), ("blowup", False), ("blowup", False)]
+    assert result.blowup_rows == result.records[:1]
+    assert result.fit_status == "skipped: only 1 blowup rows (need 5)"
+    emit_sweep(result, str(tmp_path))
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 4
+    assert len((tmp_path / "sweep.dat").read_text().splitlines()) == 1
 
 
 def test_runtime_fault_becomes_a_fault_row(caplog, tmp_path):
