@@ -202,7 +202,12 @@ def _verify_lemma_oracle(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as ``ValueError``, so ``main`` exits 1 with it."""
+    """Takes each flag only by its full name and raises a usage error as
+    ``ValueError``, so ``main`` exits 1 with it."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)  # a prefix of a flag is not that flag
+        super().__init__(*args, **kwargs)
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")

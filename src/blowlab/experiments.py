@@ -157,7 +157,10 @@ def sweep(
         result.exponential_fit = fit_exponential_law(eps_b, t_b, problem.coeff.p)
         result.fit_status = "ok"
     else:
-        result.fit_status = f"skipped: only {len(blowups)} blowup rows (need 5)"
+        result.fit_status = f"skipped: only {len(blowups)} blowups after t = 0 (need 5)"
+        at_t0 = [r.epsilon for r in records if r.status == "blowup" and r not in blowups]
+        if at_t0:
+            result.fit_status += "; blowups at t = 0: eps " + ", ".join(map(repr, at_t0))
     return result
 
 
@@ -173,7 +176,8 @@ def regime_verdict(
     exponential fit must win with positive slope.  The winning fit's R^2
     must reach 0.95.
     Returns (and stores on the result) "consistent", "inconsistent: <why>",
-    or "no blowup observed".
+    "unfitted: too few blowups after t = 0" (see ``fit_status``), or "no
+    blowup observed" when no run blew up.
     """
     result.verdict = _judge(result, predicted, slope_tolerance)
     return result.verdict
@@ -181,6 +185,8 @@ def regime_verdict(
 
 def _judge(result, predicted, slope_tolerance) -> str:
     if result.power_fit is None or result.exponential_fit is None:
+        if any(r.status == "blowup" for r in result.records):
+            return "unfitted: too few blowups after t = 0"
         return "no blowup observed"
     power_wins = result.power_fit.r_squared >= result.exponential_fit.r_squared
     if predicted.tag == "exponential-critical":

@@ -17,6 +17,9 @@ Each grid is one geometry record (``_GridData``), the only code that reads
 ``boundary_max`` read its fields.  The radial (or line) bands of the
 Laplacian give the implicit solve, one system per angular sine mode on the
 polar sector, and the wave step limit; the explicit stencil is written out.
+The implicit solve factors a real symmetric positive definite matrix (real
+heat on the line and half line) as L D L^T with LAPACK ``?pttrf``/``?pttrs``,
+and every other one with ``?gttrf``/``?gttrs``.
 
 A Crank-Nicolson field is exactly zero outside its 1-d solve window, so the
 next step, the run's growth test and the trace columns skip the nodes that
@@ -400,45 +403,61 @@ _WINDOW_MARGIN = 16  # extra nodes on each side of the provable window
 
 
 class _TridiagonalLU:
-    """LAPACK ``?gttrf`` factors of ``I - coef * Lap`` on a 1-d grid.
+    """LAPACK factors of ``I - coef * Lap`` on a 1-d grid.
 
-    ``solve`` runs ``?gttrs`` only on the index window outside which the
-    exact solution is provably below ``_NEGLIGIBLE``, leaves +0.0 outside it
-    and returns it; sweeping the far field instead decays into subnormal
-    numbers, which the CPU handles slowly.
-    Without pivoting the factors are L (unit lower, multipliers l_i) and U
+    A real symmetric positive definite matrix (the line and half line with a
+    real, forward ``coef``) is factored by ``?pttrf`` as L D L^T and solved by
+    ``?pttrs``, whose back substitution keeps the division off its serial
+    chain; every other matrix (radial grids, sine modes, complex factors,
+    backward diffusion) by ``?gttrf``/``?gttrs`` with partial pivoting.
+    ``solve`` runs only on the index window outside which the exact solution
+    is provably below ``_NEGLIGIBLE``, leaves +0.0 outside it and returns it;
+    sweeping the far field instead decays into subnormal numbers, which the
+    CPU handles slowly.
+    Without pivoting the LU factors are L (unit lower, multipliers l_i) and U
     (diagonal d_i, superdiagonal u_i).  For the unit vector e_j the forward
     sweep is zero before j and decays by rho_l = max|l_i| per node after it;
     the backward sweep decays by rho_u = max|u_i/d_i| per node.  So
     |x_i| <= gain * rho^|i-j| with rho the larger rate and
     gain = max(1/|d_i|) / (1 - rho_l * rho_u), and by linearity
-    |x_i| <= gain * m * max_j |b_j| * rho^|i-j| for m unknowns.  Inside the
-    window the arithmetic is that of the full solve (``solve_banded`` with
-    (1, 1) bands gives the same bits).  When ``gttrf`` pivoted or rho >= 1
-    the bound does not hold and the full range is solved.
+    |x_i| <= gain * m * max_j |b_j| * rho^|i-j| for m unknowns.  L D L^T is
+    the case u_i/d_i = l_i = e_i (the multipliers ``pttrf`` returns):
+    rho_l = rho_u = max|e_i| and gain = max(1/|d_i|) / (1 - rho^2).  Inside
+    the window the arithmetic is that of the full solve.  When ``gttrf``
+    pivoted or rho >= 1 the bound does not hold and the full range is solved.
     """
 
     def __init__(self, lower, diag, upper, coef, dtype):
-        gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.dtype(dtype))
-        dl, d, du, du2, ipiv, info = gttrf(
-            (-coef * lower[1:]).astype(dtype),
-            (1.0 - coef * diag).astype(dtype),
-            (-coef * upper[:-1]).astype(dtype),
-        )
+        dtype = np.dtype(dtype)
+        sub = (-coef * lower[1:]).astype(dtype)
+        d = (1.0 - coef * diag).astype(dtype)
+        sup = (-coef * upper[:-1]).astype(dtype)
+        self.pivoted = False
+        if dtype.kind == "f" and np.array_equal(sub, sup):
+            pttrf, self._pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=dtype)
+            d_ldl, e, info = pttrf(d, sub)
+            if info == 0:  # positive definite; otherwise LU below
+                self.factors = (d_ldl, e)
+                rho = float(np.max(np.abs(e)))
+                self._bound(d_ldl, rho, rho)
+                return
+        gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=dtype)
+        dl, d, du, du2, ipiv, info = gttrf(sub, d, sup)
         if info > 0:
             raise np.linalg.LinAlgError("singular implicit matrix")
         self.factors = (dl, d, du, du2, ipiv)
-        m = d.size
-        self.pivoted = bool(np.any(ipiv != np.arange(1, m + 1)))
-        rho_l = float(np.max(np.abs(dl)))
-        rho_u = float(np.max(np.abs(du / d[:-1])))
+        self.pivoted = bool(np.any(ipiv != np.arange(1, d.size + 1)))
+        self._bound(d, float(np.max(np.abs(dl))), float(np.max(np.abs(du / d[:-1]))))
+
+    def _bound(self, d, rho_l, rho_u):
+        """Set the decay rate and scale of the window bound, or ``decay`` None."""
         rho = max(rho_l, rho_u, _NEGLIGIBLE)
         self.decay = None  # no decay bound: solve the full range
         if not self.pivoted and rho < 1.0:
             self.decay = -math.log(rho)  # e-folds per node
             gain = float(np.max(1.0 / np.abs(d))) / (1.0 - rho_l * rho_u)
-            self.log_scale = math.log(gain * m / _NEGLIGIBLE)
-            self.nodes = np.arange(m)
+            self.log_scale = math.log(gain * d.size / _NEGLIGIBLE)
+            self.nodes = np.arange(d.size)
 
     def _reach(self, mag):
         """Nodes beyond which a right-hand side entry of magnitude ``mag``
@@ -492,15 +511,19 @@ class _TridiagonalLU:
         start, stop = self.window(b)
         if stop - start < 3:  # gttrs needs du2 of length stop - start - 2 >= 1
             start, stop = 0, b.size
-        dl, d, du, du2, ipiv = self.factors
-        x, _ = self._gttrs(
-            dl[start : stop - 1],
-            d[start:stop],
-            du[start : stop - 1],
-            du2[start : stop - 2],
-            ipiv[start:stop] - start,
-            b[start:stop],
-        )
+        if len(self.factors) == 2:  # L D L^T: (d, e)
+            d, e = self.factors
+            x, _ = self._pttrs(d[start:stop], e[start : stop - 1], b[start:stop])
+        else:
+            dl, d, du, du2, ipiv = self.factors
+            x, _ = self._gttrs(
+                dl[start : stop - 1],
+                d[start:stop],
+                du[start : stop - 1],
+                du2[start : stop - 2],
+                ipiv[start:stop] - start,
+                b[start:stop],
+            )
         parts = x.view(np.float64)
         parts[np.abs(parts) < _NEGLIGIBLE] = 0.0
         out[start:stop] = x

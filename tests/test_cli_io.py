@@ -490,7 +490,9 @@ def test_cli_sweep_of_blowups_at_t0_writes_its_outputs(tmp_path, capsys, epsilon
     assert [row.split(",")[5::5] for row in rows] == [["blowup", "0.0"]] * len(epsilons)
     assert (tmp_path / "sweep.dat").read_text() == ""
     summary = json.loads((tmp_path / "sweep_summary.json").read_text())
-    assert summary["fit_status"] == "skipped: only 0 blowup rows (need 5)"
+    named = ", ".join(repr(float(e)) for e in epsilons)
+    assert summary["fit_status"] == f"skipped: only 0 blowups after t = 0 (need 5); blowups at t = 0: eps {named}"
+    assert summary["verdict"] == "unfitted: too few blowups after t = 0"
 
 
 def test_cli_simulate_without_a_trace_writes_the_reason(tmp_path, capsys):
@@ -626,6 +628,29 @@ _UNREAD_FLAGS = [
 def test_cli_rejects_a_flag_its_command_does_not_read(capsys, command, flag):
     assert main([*command, flag, "1"]) == 1
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+_PREFIXES = [
+    (["sweep", "--config", "cfg.json", "--out", "o"], "unrecognized arguments: --out o"),
+    (["sweep", "--config", "cfg.json", "--job", "1"], "unrecognized arguments: --job 1"),
+    (["sweep", "--conf", "cfg.json"], "required: --config"),
+    (["simulate", "--config", "cfg.json", "--out-d", "o"], "unrecognized arguments: --out-d o"),
+    (["verify", "hardy", "--cou", "5"], "unrecognized arguments: --cou 5"),
+    (["verify", "hardy", "--see", "1"], "unrecognized arguments: --see 1"),
+    (["verify", "--see=1", "hardy"], "unrecognized arguments: --see=1"),
+    (["eigen", "--kin", "full-line", "--N", "1"], "unrecognized arguments: --kin full-line"),
+    (["eigen", "--spec", '{"kind": "full-line", "N": 1}'], "unrecognized arguments: --spec {"),
+    ([*_bound_argv(), "--del", "1"], "unrecognized arguments: --del 1"),
+    ([*_bound_argv()[:-1], "--orac"], "unrecognized arguments: --orac"),
+    (["--verb", "eigen", "--kind", "full-line", "--N", "1"], "unrecognized arguments: --verb"),
+]
+
+
+@pytest.mark.parametrize("argv, named", _PREFIXES, ids=[f"{a[0]} {n.split(': ')[-1]}" for a, n in _PREFIXES])
+def test_cli_rejects_a_prefix_of_a_flag(capsys, argv, named):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: blowlab") and named in err
 
 
 def test_cli_eigen_spec_json_excludes_the_spec_flags(capsys):

@@ -130,10 +130,23 @@ def test_regime_verdict_without_fits():
         records=[_record(0.1, "survived", math.nan)],
         power_fit=None,
         exponential_fit=None,
-        fit_status="skipped: only 0 blowup rows (need 5)",
+        fit_status="skipped: only 0 blowups after t = 0 (need 5)",
         span_ok=False,
     )
     assert regime_verdict(sr, regime_bound(1, 0.0, 0.0, 2.0)) == "no blowup observed"
+
+
+@pytest.mark.parametrize("t", [0.0, 2.5], ids=["at-t0", "after-t0"])
+def test_regime_verdict_of_blowups_too_few_to_fit(t):
+    sr = SweepResult(
+        problem_id="few",
+        records=[_record(0.1, "survived", math.nan), _record(0.2, "blowup", t)],
+        power_fit=None,
+        exponential_fit=None,
+        fit_status="skipped",
+        span_ok=False,
+    )
+    assert regime_verdict(sr, regime_bound(1, 0.0, 0.0, 2.0)) == "unfitted: too few blowups after t = 0"
 
 
 HEAT = CoefficientSpec(tau=0, p=2.0, lam=1.0, a_phase=0.0)
@@ -216,7 +229,7 @@ def test_sweep_keeps_blowups_at_t0_out_of_the_fits(tmp_path):
     assert [(r.status, r.t_extrapolated > 0) for r in result.records] == [
         ("blowup", True), ("blowup", False), ("blowup", False)]
     assert result.blowup_rows == result.records[:1]
-    assert result.fit_status == "skipped: only 1 blowup rows (need 5)"
+    assert result.fit_status == "skipped: only 1 blowups after t = 0 (need 5); blowups at t = 0: eps 2000.0, 3000.0"
     emit_sweep(result, str(tmp_path))
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 4
     assert len((tmp_path / "sweep.dat").read_text().splitlines()) == 1
@@ -237,7 +250,7 @@ def test_runtime_fault_becomes_a_fault_row(caplog, tmp_path):
     assert math.isnan(fault.t_extrapolated)
     assert len(fault.t_at_thresholds) == 4 and all(map(math.isnan, fault.t_at_thresholds))
     assert warned == [f"eps {e!r}: fault: {fault.reason}" for e in (0.8, 1.2)]
-    assert serial.fit_status == "skipped: only 3 blowup rows (need 5)"
+    assert serial.fit_status == "skipped: only 3 blowups after t = 0 (need 5)"
 
     summary = emit_sweep(serial, str(tmp_path))
     assert summary["faults"] == [{"epsilon": e, "reason": fault.reason} for e in (0.8, 1.2)]

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import get_lapack_funcs
 from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import splu
 
@@ -879,10 +880,72 @@ def test_pivoting_factor_solves_the_full_range():
     got, _, _ = data.solve_implicit(-1.0, dt, rhs)
     lu = data._factor[1]
     assert lu.pivoted
+    assert not _is_ldlt(lu)  # not positive definite: pttrf fails and gttrf pivots
     assert lu.window(rhs[data.evolved]) == (0, rhs.size - 2)
     ref = _banded_reference(data, -1.0, dt, rhs)
     big = np.abs(ref) > 1e-250
     assert np.array_equal(got[big], ref[big])
+
+
+def _is_ldlt(lu):
+    """Whether ``lu`` holds the ``pttrf`` factors (d, e) rather than the five of ``gttrf``."""
+    return len(lu.factors) == 2
+
+
+@pytest.mark.parametrize(
+    "grid, factor, ldlt",
+    [
+        (GridSpec("line", extent=60.0, num_points=1201), 1.0, True),
+        (GridSpec("half-line", extent=60.0, num_points=1201), 1.0, True),
+        (GridSpec("line", extent=60.0, num_points=1201), complex(np.exp(-0.5j * math.pi)), False),
+        (GridSpec("line", extent=60.0, num_points=1201), 1.0 + 0.0j, False),
+        (GridSpec("radial", extent=60.0, num_points=1201, dim=3), 1.0, False),
+        (GridSpec("radial", extent=60.0, num_points=1201, dim=1), 1.0, False),
+        (GridSpec("radial", extent=60.0, num_points=1201, dim=3, include_origin=False), 1.0, False),
+        (GridSpec("polar-sector", 6.0, 60, omega=2.0, num_angles=40), 1.0, False),
+    ],
+    ids=["line", "half-line", "complex", "complex-real-part", "radial", "radial-1", "radial-no-origin", "polar"],
+)
+def test_implicit_solve_picks_its_lapack_pair_from_the_bands(grid, factor, ldlt):
+    data = _GridData(grid)
+    data.solve_implicit(factor, 0.01, np.zeros(data.shape))
+    lus = data._factor[1] if data.sine is not None else [data._factor[1]]
+    assert [_is_ldlt(lu) for lu in lus] == [ldlt] * len(lus)
+
+
+def test_symmetric_solve_on_the_shipped_heat_grid():
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs", "heat_subcritical.json"))
+    dt = cfg.controls.dt_init
+    state = initial_state(cfg.problem, dt)
+    data = _grid_data(state.grid)
+    assert data.spec.num_points == 9001 and dt == 0.002
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.dtype(float))
+    differs = False
+    for step in range(8):
+        rhs = state.u
+        got, lo, hi = data.solve_implicit(1.0, dt, rhs)
+        lu = data._factor[1]
+        assert _is_ldlt(lu) and lu.decay is not None
+        b = rhs[data.evolved]
+        full = np.zeros_like(got)
+        full[data.evolved], _ = lu._pttrs(*lu.factors, b)  # the full range
+        big = np.abs(full) > 1e-250
+        assert np.array_equal(got[big], full[big])
+        ref = _banded_reference(data, 1.0, dt, rhs)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        start, stop = lu.window(b)
+        assert (lo, hi) == (data.evolved.start + start, data.evolved.start + stop)
+        assert stop - start < b.size  # the window is narrower than the grid
+        outside = np.abs(ref[data.evolved])
+        outside[start:stop] = 0.0
+        assert np.all(outside < 1e-300)
+        assert _all_positive_zero(got[:lo]) and _all_positive_zero(got[hi:])
+        lower, diag, upper = data._banded_diagonals()
+        coef = 0.5 * dt
+        x_lu, _ = gttrs(*gttrf(-coef * lower[1:], 1.0 - coef * diag, -coef * upper[:-1])[:5], b)
+        differs |= bool(np.any(full[data.evolved][big[data.evolved]] != x_lu[big[data.evolved]]))
+        state = step_parabolic(state, cfg.problem.coeff, dt)
+    assert differs  # pttrs and gttrs round differently here, so the LDL^T path is what ran
 
 
 def test_implicit_solve_keeps_one_factorization():
@@ -989,7 +1052,7 @@ def test_window_of_a_zero_or_non_finite_right_hand_side():
     data.solve_implicit(1.0, 0.01, bump_profile(data.coords))
     lu = data._factor[1]
     assert lu.decay is not None  # the window bound holds for this factor
-    m = lu.factors[1].size
+    m = lu.nodes.size
     zero = np.zeros(m)
     assert lu.window(zero) == (0, 0)
     out = np.full(m, np.nan)
@@ -1066,14 +1129,24 @@ def _window_cases(m, dtype, rng):
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.1])
-@pytest.mark.parametrize("factor", [1.0, complex(np.exp(0.5j * math.pi))], ids=["real", "complex"])
-def test_window_is_bitwise_the_full_magnitude_rule(factor, dt):
-    data = _GridData(GridSpec("line", extent=60.0, num_points=1201))
+@pytest.mark.parametrize(
+    "grid, factor",
+    [
+        (GridSpec("line", extent=60.0, num_points=1201), 1.0),
+        (GridSpec("line", extent=60.0, num_points=1201), complex(np.exp(0.5j * math.pi))),
+        (GridSpec("radial", extent=60.0, num_points=1201, dim=3, include_origin=False), 1.0),
+    ],
+    ids=["real", "complex", "real-radial"],
+)
+def test_window_is_bitwise_the_full_magnitude_rule(grid, factor, dt):
+    data = _GridData(grid)
     dtype = complex if isinstance(factor, complex) else float
     data.solve_implicit(factor, dt, np.zeros(data.shape, dtype=dtype))
     lu = data._factor[1]
     assert lu.decay is not None
-    m = lu.factors[1].size
+    # the real line factor is the symmetric one (pttrs); the others are LU (gttrs)
+    assert _is_ldlt(lu) == (grid.geometry == "line" and dtype is float)
+    m = lu.nodes.size
     seen = set()
     for b in _window_cases(m, dtype, np.random.default_rng(11)):
         got = lu.window(b)
