@@ -178,53 +178,6 @@ def psi_star(fam: CutoffFamily, x, t) -> np.ndarray:
     return psi_star_of_s(fam, s_value(fam, x, t))
 
 
-def _power_chain(fam: CutoffFamily, s):
-    """d psi/ds and d^2 psi/ds^2 as functions of s."""
-    q = fam.exponent
-    eta = fam.profile(s)
-    d1 = fam.profile.deriv(s)
-    d2 = fam.profile.deriv2(s)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f1 = np.where(d1 != 0.0, q * eta ** (q - 1.0) * d1, 0.0)
-        f2 = np.where(
-            (d1 != 0.0) | (d2 != 0.0),
-            q * (q - 1.0) * eta ** (q - 2.0) * d1 * d1 + q * eta ** (q - 1.0) * d2,
-            0.0,
-        )
-    return f1, f2
-
-
-def psi_time_derivs(fam: CutoffFamily, x, t) -> tuple[np.ndarray, np.ndarray]:
-    """Exact first and second time derivatives of psi."""
-    s = s_value(fam, x, t)
-    f1, f2 = _power_chain(fam, s)
-    return f1 / fam.R, f2 / fam.R**2
-
-
-def psi_laplacian(fam: CutoffFamily, x, t) -> np.ndarray:
-    """Exact spatial Laplacian of psi at points of R^N.
-
-    Uses the chain rule through rho(x) = <x>^(2-alpha):
-    grad rho = (2-alpha) <x>^(-alpha) x, so
-    Lap psi = f''(s) |grad rho|^2 / R^2 + f'(s) Lap rho / R.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        dim = 1
-        r2 = x * x
-    else:
-        dim = x.shape[-1]
-        r2 = np.sum(x * x, axis=-1)
-    br2 = 1.0 + r2
-    br = np.sqrt(br2)
-    a = fam.alpha
-    s = (br ** (2.0 - a) + np.asarray(t, dtype=float)) / fam.R
-    f1, f2 = _power_chain(fam, s)
-    grad_rho_sq = (2.0 - a) ** 2 * br ** (-2.0 * a) * r2
-    lap_rho = (2.0 - a) * br ** (-a) * (dim - a * r2 / br2)
-    return f2 * grad_rho_sq / fam.R**2 + f1 * lap_rho / fam.R
-
-
 @dataclass(frozen=True)
 class BoundConstants:
     """Empirical suprema of the three derivative-bound ratios."""

@@ -389,7 +389,9 @@ class _GridData:
     def wave_dt_limit(self) -> float:
         """min(0.9 h, 0.9 * 2/sqrt(rho)): velocity-Verlet is stable for dt <= 2/sqrt(rho), rho
         the Laplacian's spectral radius, minus the lowest eigenvalue of the last (most negative)
-        sine mode's symmetrized bands.  Line, half-line and origin-free radial grids keep 0.9 h."""
+        sine mode's symmetrized bands.  Line, half-line and origin-free radial grids keep 0.9 h.
+        Up to N = 3 the symmetrization is exact; from N = 4 on the band product next to the
+        origin is negative, and clipping it to 0 makes the limit conservative (smaller)."""
         lower, diag, upper = self._banded_diagonals()
         # the dim-3 product next to the origin is zero but rounds slightly below it
         off = np.sqrt(np.maximum(lower[1:] * upper[:-1], 0.0))
@@ -644,6 +646,11 @@ class FieldState:
     its solve window and a velocity-Verlet step from the rows it computed.
     Outside the range of a state that a step returned, every array holds
     +0.0; the initial state may hold -0.0 there.
+
+    A velocity-Verlet step may write into the arrays of a *spare*: a tau=1
+    state that a step returned (so ``acc`` is set and the +0.0 holds
+    outside its range), on the same grid and dtype, that no one reads
+    again.  The spare is void once lent: its arrays belong to the result.
     """
 
     grid: GridSpec
@@ -721,7 +728,9 @@ def step_parabolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> Fiel
     return FieldState(grid=state.grid, u=u_new, v=None, t=state.t + dt, dt=dt, lo=lo, hi=hi)
 
 
-def step_hyperbolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> FieldState:
+def step_hyperbolic(
+    state: FieldState, coeff: CoefficientSpec, dt: float, spare: FieldState | None = None
+) -> FieldState:
     """One velocity-Verlet step of u_tt = Lap u + lambda |u|^p - a(x) u_t.
 
     The damping enters through the time-centered average, solved pointwise;
@@ -741,6 +750,11 @@ def step_hyperbolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> Fie
     full grid adds each -0.0 of the initial u and v to a +0.0 (h*acc, then
     dt*v_half) before it reaches a result, which gives +0.0, so the first
     step keeps its bits too.
+
+    ``spare``, a state that a step returned and that the caller holds no
+    more, lends its arrays to the result in place of three new full-grid
+    ones: the rows of its range outside [lo-1, hi+1) are set to +0.0, so
+    the result holds the bits a fresh array would.
     """
     if coeff.tau != 1:
         raise ValueError("hyperbolic step requires tau=1")
@@ -751,8 +765,16 @@ def step_hyperbolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> Fie
     n = state.u.shape[0]
     if state.acc is None:
         state.lo, state.hi = _reach(state.lo, state.hi, n)
-        state.acc = _acceleration(data, state.u, lam, coeff.p, state.lo, state.hi)
+        zeros = np.zeros(state.u.shape, state.u.dtype)
+        state.acc = _acceleration(data, state.u, lam, coeff.p, state.lo, state.hi, zeros)
     a, b = _reach(state.lo, state.hi, n)
+    if spare is None:
+        u_new, v_new, acc_new = (np.zeros(state.u.shape, state.u.dtype) for _ in range(3))
+    else:
+        u_new, v_new, acc_new = spare.u, spare.v, spare.acc
+        for lo, hi in ((spare.lo, a), (b, spare.hi)):
+            if lo < hi:  # most often the spare's range lies inside [a, b)
+                u_new[lo:hi] = v_new[lo:hi] = acc_new[lo:hi] = 0.0
     damp = data.damping_denominator(coeff, dt)
     if isinstance(damp, np.ndarray):
         damp = damp[a:b]
@@ -760,12 +782,10 @@ def step_hyperbolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> Fie
     v_half = np.multiply(half_dt, state.acc[a:b])
     v_half += state.v[a:b]
     v_half /= damp
-    u_new = np.zeros(state.u.shape, state.u.dtype)
     np.multiply(dt, v_half, out=u_new[a:b])
     u_new[a:b] += state.u[a:b]
     _zero_boundary(data, u_new)
-    acc_new = _acceleration(data, u_new, lam, coeff.p, a, b)
-    v_new = np.zeros(state.v.shape, state.v.dtype)
+    _acceleration(data, u_new, lam, coeff.p, a, b, acc_new)
     part = v_new[a:b]
     np.multiply(half_dt, acc_new[a:b], out=part)
     part += v_half
@@ -776,15 +796,17 @@ def step_hyperbolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> Fie
     )
 
 
-def _acceleration(data: _GridData, u: np.ndarray, lam, p: float, lo: int, hi: int) -> np.ndarray:
-    """Lap u + lam * |u|^p on rows [lo, hi), +0.0 on the other rows and the walls."""
+def _acceleration(
+    data: _GridData, u: np.ndarray, lam, p: float, lo: int, hi: int, out: np.ndarray
+) -> np.ndarray:
+    """Lap u + lam * |u|^p written into rows [lo, hi) of ``out``, whose walls are
+    then zeroed; returns ``out``."""
     power = abs_power(u[lo:hi], p)
     if isinstance(lam, complex) or lam != 1.0:  # a real 1.0 * x is x
         power = lam * power
-    acc = np.zeros(u.shape, u.dtype)
-    np.add(data.laplacian(u, lo, hi), power, out=acc[lo:hi])
-    _zero_boundary(data, acc)
-    return acc
+    np.add(data.laplacian(u, lo, hi), power, out=out[lo:hi])
+    _zero_boundary(data, out)
+    return out
 
 
 def _reach(lo: int, hi: int | None, n: int) -> tuple[int, int]:
@@ -947,11 +969,15 @@ def run_until_blowup(
 
     ``observers`` say what the run keeps.  Each is called as ``obs(t, u)``
     on every recorded snapshot: t = 0, each ``snapshot_dt`` crossing and the
-    final field; ``u`` is the run's own array and must not be changed.  The
-    default keeps every field (one full :class:`SnapshotStore`).  The result
-    holds the fields of the first ``SnapshotStore`` among the observers;
-    without one it holds only the first and final fields, and
-    ``snapshot_dt`` still caps the step, so the record is the same.
+    final field; ``u`` is the run's own array and must not be changed.  It
+    is valid only during the call: on tau=1 a later step writes into the
+    arrays of states the run has retired, so an observer copies what it
+    keeps (:class:`SnapshotStore` does; :class:`TraceAccumulator` keeps
+    only sums).  The default keeps every field (one full
+    :class:`SnapshotStore`).  The result holds the fields of the first
+    ``SnapshotStore`` among the observers; without one it holds only the
+    first and final fields, and ``snapshot_dt`` still caps the step, so the
+    record is the same.
     """
     coeff = problem.coeff
     dt0 = controls.dt_init if controls.dt_init is not None else _default_dt(problem)
@@ -962,8 +988,18 @@ def run_until_blowup(
         dt_cap = min(dt_cap, data.wave_dt_limit)
     if controls.snapshot_dt > 0:
         dt_cap = min(dt_cap, controls.snapshot_dt)
-    state = initial_state(problem, dt0)
-    stepper = step_hyperbolic if coeff.tau == 1 else step_parabolic
+    state = start = initial_state(problem, dt0)
+    if coeff.tau == 1:
+        stepper = step_hyperbolic
+    else:
+
+        def stepper(state, coeff, dt, spare=None):  # the Crank-Nicolson step recycles nothing
+            return step_parabolic(state, coeff, dt)
+
+    def retired(old):
+        # a state the run holds no more, whose arrays a Verlet step may write into; the
+        # initial state is kept, since its u is the run's first field
+        return old if coeff.tau == 1 and old is not start else None
 
     observers = (SnapshotStore(),) if observers is None else tuple(observers)
     snap_times = []
@@ -983,7 +1019,8 @@ def run_until_blowup(
     dt_floor = 1e-3 * controls.threshold ** (1.0 - coeff.p)
     steps = halvings = passed = failed = 0
     dt_lo = dt_hi = dt0
-    back2 = back1 = None  # the accepted states two and one steps back
+    back1 = None  # the accepted state one step back
+    spare = None  # a retired state for the next step to write into
     run = 0  # accepted steps since the last probe
     wait = 2  # accepted steps before the next probe
     # the halving rule handles a field that overflows; observers keep the caller's rules
@@ -998,7 +1035,7 @@ def run_until_blowup(
             if steps >= controls.max_steps:
                 raise RuntimeError("step budget exhausted before a verdict was reached")
             dt = state.dt
-            trial = stepper(state, coeff, min(dt, controls.t_max - state.t + 1e-15))
+            trial = stepper(state, coeff, min(dt, controls.t_max - state.t + 1e-15), spare)
             m_new = max_abs(trial.u[trial.lo : trial.hi])
             if not math.isfinite(m_new) or (
                 m_prev > 0 and m_new > (1.0 + _GROWTH_LIMIT) * m_prev
@@ -1011,6 +1048,7 @@ def run_until_blowup(
                 dt_cap = state.dt = halved
                 dt_lo = min(dt_lo, state.dt)
                 halvings += 1
+                spare = retired(trial)
                 continue
             steps += 1
             for i, mth in enumerate(RECORD_THRESHOLDS):
@@ -1033,6 +1071,7 @@ def run_until_blowup(
                 break
             run += 1
             # a step shortened to land on t_max ends the run: it is not probed
+            big = None
             if run >= wait and trial.dt == dt and 2.0 * dt <= dt_cap:
                 big = stepper(back2, coeff, 2.0 * dt)
                 # each comparison is False for a non-finite probe
@@ -1048,6 +1087,8 @@ def run_until_blowup(
                 else:
                     failed += 1
                     wait = min(2 * wait, 32) if passed or failed < _FUTILE_PROBES else math.inf
+            # the next probe starts from back1: back2 and the probe result are retired
+            spare = retired(back2) or retired(big)
 
     logger.debug(
         "eps %r: %s at t %r; %d steps accepted, %d halvings, probes %d passed / %d failed, "

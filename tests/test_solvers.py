@@ -976,9 +976,9 @@ def _recording(monkeypatch, name):
     calls = []
     original = getattr(solvers, name)
 
-    def step(state, coeff, dt):
+    def step(state, coeff, dt, *spare):
         calls.append((state, dt))
-        return original(state, coeff, dt)
+        return original(state, coeff, dt, *spare)
 
     monkeypatch.setattr(solvers, name, step)
     return calls
@@ -1425,9 +1425,9 @@ def test_damped_wave_run_evaluates_one_laplacian_per_step(monkeypatch):
     calls = []
     original = solvers.step_hyperbolic
 
-    def step(state, coeff, dt):
+    def step(state, coeff, dt, spare=None):
         calls.append((state, state.acc))
-        return original(state, coeff, dt)
+        return original(state, coeff, dt, spare)
 
     monkeypatch.setattr(solvers, "step_hyperbolic", step)
     # started below the CFL cap, so the run both probes and halves
@@ -1445,6 +1445,60 @@ def test_damped_wave_run_evaluates_one_laplacian_per_step(monkeypatch):
     assert retries
     # a retry after a halving reuses the array the first attempt filled in
     assert all(b[1] is a[0].acc for a, b in retries)
+
+
+def test_damped_wave_run_steps_into_retired_states(monkeypatch):
+    # the run of the test above, once as shipped and once with a step that
+    # ignores its spare and allocates every result
+    grid = GridSpec("line", extent=60.0, num_points=1501)
+    init = InitialDataSpec(center=0.0, width=0.8, epsilon=3.0, g_amplitude=1.0)
+    problem = EvolutionProblem(DAMPED, grid, init)
+    controls = RunControls(threshold=1e6, t_max=50.0, dt_init=0.036 / 8)
+    original = solvers.step_hyperbolic
+    calls = []
+
+    def recording(state, coeff, dt, spare=None):
+        result = original(state, coeff, dt, spare)
+        calls.append((state, spare, result))
+        return result
+
+    def ignoring(state, coeff, dt, spare=None):
+        return original(state, coeff, dt)
+
+    runs = []
+    for step in (recording, ignoring):
+        monkeypatch.setattr(solvers, "step_hyperbolic", step)
+        # no SnapshotStore: the result holds the run's own first and final arrays
+        runs.append(run_until_blowup(problem, controls, observers=()))
+    res, fresh = runs
+    assert res.record.status == "blowup"
+    assert repr(res.record) == repr(fresh.record)
+    for got, want in zip(res.snapshots, fresh.snapshots):
+        assert np.array_equal(_bits(got), _bits(want))
+    # the initial state is never lent: its arrays keep their bytes
+    start, want = calls[0][0], initial_state(problem, controls.dt_init)
+    assert res.snapshots[0] is start.u
+    assert np.array_equal(_bits(start.u), _bits(want.u))
+    assert np.array_equal(_bits(start.v), _bits(want.v))
+    # every call's state and result is still held, so ids are unique here; a
+    # result was accepted if a later call starts from it, or if it is the last
+    starts = {id(state) for state, _, _ in calls} | {id(calls[-1][2])}
+    accepted = [i for i, (_, _, result) in enumerate(calls) if id(result) in starts]
+    assert len(accepted) == res.record.steps
+    # a trial starts from the last accepted state; a probe from the one before it
+    trials, current = [], start
+    for i, (state, _, result) in enumerate(calls):
+        if state is current:
+            trials.append(i)
+        if i in accepted:
+            current = result
+    retries = [(i, j) for i, j in zip(trials, trials[1:]) if calls[i][0] is calls[j][0]]
+    assert retries and len(trials) < len(calls)  # the run halved and probed
+    # a retry after a halving writes into the trial it replaces
+    assert all(calls[j][1] is calls[i][2] for i, j in retries)
+    # once three steps are accepted, every trial writes into a spare: the
+    # arrays the run allocates do not grow with its length
+    assert all(calls[i][1] is not None for i in trials if i > accepted[2])
 
 
 # -- the velocity-Verlet step is confined to the rows that can be nonzero -------
@@ -1522,17 +1576,41 @@ def test_windowed_verlet_step_is_bitwise_the_full_grid_step(case, amp, g_amp):
     dt = 0.5 * _grid_data(grid).wave_dt_limit
     state = initial_state(EvolutionProblem(coeff, grid, init), dt)
     assert state.u.dtype == (float if isinstance(amp, float) else complex)
-    u, v, acc = state.u, state.v, None
+
+    def assert_matches(state, want):
+        for got, ref in zip((state.u, state.v, state.acc), want):
+            assert np.array_equal(_bits(got), _bits(ref))
+            assert _all_positive_zero(got[: state.lo]) and _all_positive_zero(got[state.hi :])
+
+    want = state.u, state.v, None
+    spare = kept = None
     for k in range(40):
         step_dt = dt if k % 3 else dt / 2
-        state = step_hyperbolic(state, coeff, step_dt)
-        u, v, acc = _full_grid_verlet_step(u, v, acc, coeff, grid, step_dt)
-        for got, want in ((state.u, u), (state.v, v), (state.acc, acc)):
-            assert np.array_equal(_bits(got), _bits(want))
-            assert _all_positive_zero(got[: state.lo]) and _all_positive_zero(got[state.hi :])
+        # from the third step on, each step writes into the arrays of the state
+        # two steps back; the initial state is never lent
+        new = step_hyperbolic(state, coeff, step_dt, spare)
+        if spare is not None:
+            assert new.u is spare.u and new.v is spare.v and new.acc is spare.acc
+        spare = state if k else None
+        state = new
+        want = _full_grid_verlet_step(*want, coeff, grid, step_dt)
+        assert_matches(state, want)
+        if k == 2:  # a narrow state, copied so that it is never lent
+            u, v, acc = (a.copy() for a in (state.u, state.v, state.acc))
+            kept = FieldState(grid, u, v, state.t, dt, acc, state.lo, state.hi)
+            kept_want = want
     assert max_abs(state.u) > 0.0
     if grid.geometry != "polar-sector":  # the sector's few rows fill within 40 steps
         assert state.hi - state.lo < grid.num_points // 2
+    # a spare whose range is wider than the new window: the rows of its range
+    # outside the window hold nonzero values that the step must clear
+    a, b = kept.lo - 1, kept.hi + 1
+    assert state.lo <= max(a, 0) and b < state.hi and max_abs(state.u[b : state.hi]) > 0.0
+    if a > 0:  # the bump is off the origin: the range reaches past the window there too
+        assert max_abs(state.u[state.lo : a]) > 0.0
+    narrow = step_hyperbolic(kept, coeff, dt, state)
+    assert (narrow.lo, narrow.hi) == (max(a, 0), b)
+    assert_matches(narrow, _full_grid_verlet_step(*kept_want, coeff, grid, dt))
 
 
 def test_verlet_step_computes_at_most_one_more_row_a_side_per_step(monkeypatch):
