@@ -430,6 +430,14 @@ def harmonic_residual(w: WeightPhi, x, h: float) -> tuple[float, float]:
     return abs(lap), abs(euler - dom.gamma * center)
 
 
+def bump_kernel(s2: np.ndarray, amplitude: float = 1.0) -> np.ndarray:
+    """amplitude * exp(1 - 1/(1 - s2)) where s2 < 1, and +0.0 elsewhere."""
+    out = np.zeros(s2.shape)
+    inside = s2 < 1.0
+    out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
+    return out
+
+
 @dataclass(frozen=True)
 class BumpField:
     """Smooth compactly supported test field: amp * exp(1 - 1/(1-s^2)).
@@ -455,11 +463,7 @@ class BumpField:
         for i in range(1, pts.shape[-1]):
             s2 += (pts[..., i] - c[i]) ** 2
         s2 /= self.radius**2
-        out = np.zeros(s2.shape)
-        inside = s2 < 1.0
-        with np.errstate(divide="ignore"):
-            out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-        return out
+        return bump_kernel(s2, self.amplitude)
 
 
 def hardy_ratio(dom: ConeDomain, u, n: int = 48) -> float:

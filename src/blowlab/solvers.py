@@ -50,7 +50,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import get_lapack_funcs
 
-from blowlab.cone_geometry import ConeDomain, CrossSectionSpec, SpecError, make_domain
+from blowlab.cone_geometry import ConeDomain, CrossSectionSpec, SpecError, bump_kernel, make_domain
 from blowlab.cutoffs import CutoffFamily, psi_of_s
 from blowlab.lifespan_bounds import FunctionalTrace
 
@@ -59,7 +59,6 @@ RECORD_THRESHOLDS = (1e3, 1e4, 1e5, 1e6)  # the crossings every run records: the
 THRESHOLD_NAMES = tuple(f"1e{math.log10(m):.0f}" for m in RECORD_THRESHOLDS)  # "1e3", ...
 _RTOL = 1e-5  # step-doubling tolerance, relative to max|u| (and max|v| for tau=1)
 _GROWTH_LIMIT = 0.2  # a step that grows max|u| by more than this fraction is halved
-_FUTILE_PROBES = 8  # a run stops probing after this many failures with no pass
 
 logger = logging.getLogger(__name__)
 
@@ -582,15 +581,11 @@ class InitialDataSpec:
 
 def bump_profile(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    with np.errstate(divide="ignore"):
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
-    return out
+    return bump_kernel(s * s)
 
 
 def abs_power(u: np.ndarray, p: float) -> np.ndarray:
-    """|u|^p without a float power in the common p=2, 3, 4 cases."""
+    """|u|^p without a float power at p=2 and 3; numpy squares at p=4."""
     if np.iscomplexobj(u):
         a2 = u.real * u.real + u.imag * u.imag
     else:
@@ -599,8 +594,6 @@ def abs_power(u: np.ndarray, p: float) -> np.ndarray:
         return a2
     if p == 3.0:
         return a2 * np.sqrt(a2)
-    if p == 4.0:
-        return a2 * a2
     return a2 ** (0.5 * p)
 
 
@@ -954,14 +947,12 @@ def run_until_blowup(
     the current dt, a probe takes one step of 2*dt from the state two steps
     back; if it lands within ``_RTOL * max|u|`` of the state the two steps
     reached (and, for tau=1, its velocity within ``_RTOL * max|v|``), later
-    steps use 2*dt, otherwise the wait before the next probe doubles, up to
-    32 steps.  A run whose first ``_FUTILE_PROBES`` probes all fail (the
-    phase error of a complex run keeps the local error above the tolerance)
-    probes no more.
-    The probe result is discarded, so the trajectory is made of ordinary
-    steps only.  No probe passes the cap min(wave_dt_limit for tau=1, snapshot_dt
-    when positive, t_max), and a halving lowers the cap to the halved step:
-    from then on the growth limit, not the local error, bounds dt, so a run
+    steps use 2*dt and the wait before the next probe is back to 2 steps;
+    otherwise the wait doubles, up to 32 steps, for every run.  The probe
+    result is discarded, so the trajectory is made of ordinary steps only.
+    No probe passes the cap min(wave_dt_limit for tau=1, snapshot_dt when
+    positive, t_max), and a halving lowers the cap to the halved step: from
+    then on the growth limit, not the local error, bounds dt, so a run
     whose first halving comes early keeps the halved step through any later
     quiet phase.  The crossing times of every ``RECORD_THRESHOLDS`` entry
     are recorded by log-linear interpolation and extrapolated to the
@@ -1086,7 +1077,7 @@ def run_until_blowup(
                     wait = 2
                 else:
                     failed += 1
-                    wait = min(2 * wait, 32) if passed or failed < _FUTILE_PROBES else math.inf
+                    wait = min(2 * wait, 32)
             # the next probe starts from back1: back2 and the probe result are retired
             spare = retired(back2) or retired(big)
 

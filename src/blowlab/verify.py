@@ -172,8 +172,10 @@ def criterion_pipeline(result: sv.RunResult, trace: lb.FunctionalTrace) -> Crite
 
     theta is ``1/(p-1) - (N + gamma - alpha)/2`` of the run's cone, delta the
     weighted initial mass, R1 the first admissible radius.  Raises ValueError
-    when the run has no bound (theta < 0, a trace that ends before R1).
+    when the trace breaks ``integral Y dr/r <= log 2 * M`` or the run has no
+    bound (theta < 0, a trace that ends before R1).
     """
+    lb.integrate_shell_masses(trace)
     problem, coeff = result.problem, result.problem.coeff
     dom = sv.domain_for_grid(problem.grid)
     theta = cg.bound_theta(dom.dim, dom.gamma, coeff.alpha, coeff.p)

@@ -547,8 +547,9 @@ def test_cli_verbose_logs_one_line_per_run(tmp_path, capsys):
     assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
 
 
-def test_cli_nls_run_stops_its_futile_probes(tmp_path, capsys):
-    # every step-doubling probe of the NLS run fails: the dispersive phase error of a 2*dt step
+def test_cli_nls_run_backs_off_its_failed_probes(tmp_path, capsys):
+    # every step-doubling probe of the NLS run fails (the dispersive phase error of a 2*dt
+    # step); the waits 2, 4, 8, 16 and then 32 steps give 12 probes by t = 3
     root = os.path.join(os.path.dirname(__file__), "..", "configs")
     with open(os.path.join(root, "schrodinger_blowup.json"), encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -558,7 +559,7 @@ def test_cli_nls_run_stops_its_futile_probes(tmp_path, capsys):
     cfg_path.write_text(json.dumps(raw))
     assert main(["-v", "simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
     (line,) = [ln for ln in capsys.readouterr().err.splitlines() if "steps accepted" in ln]
-    assert "survived" in line and "probes 0 passed / 8 failed" in line
+    assert "survived" in line and "probes 0 passed / 12 failed" in line
 
 
 def test_cli_sweep_determinism_across_workers(tmp_path):

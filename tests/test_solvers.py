@@ -14,7 +14,7 @@ from blowlab import solvers, verify
 from blowlab.cone_geometry import SpecError
 from blowlab.config import parse_config
 from blowlab.cutoffs import CutoffFamily, psi_of_s, psi_star_of_s
-from blowlab.lifespan_bounds import integrate_shell_masses
+from blowlab.lifespan_bounds import FunctionalTrace, integrate_shell_masses
 from blowlab.solvers import (
     CoefficientSpec,
     EvolutionProblem,
@@ -655,6 +655,26 @@ def test_criterion_pipeline_takes_theta_from_the_half_line_cone():
     assert math.isfinite(outcome.bound) and outcome.bound >= result.record.t_extrapolated
 
 
+def test_criterion_pipeline_rejects_a_trace_above_the_log2_shell_bound(heat_blowup_run):
+    # integral Y dr/r = log(10) * (1 + 1) / 2 * 2 > log(2) * M with Y = M = 1
+    trace = FunctionalTrace(np.array([1.0, 10.0, 100.0]), np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="exceeds log"):
+        verify.criterion_pipeline(heat_blowup_run, trace)
+
+
+def test_quarter_plane_step_count_survives_radial_refinement():
+    # the probe back-off is one rule for every run: halving h must not multiply the steps
+    coeff = CoefficientSpec(tau=0, p=1.4, lam=1.0, a_phase=0.0)
+    steps = []
+    for num_points in (200, 400):
+        grid = GridSpec("polar-sector", 100.0, num_points, omega=math.pi / 2, num_angles=24)
+        problem = EvolutionProblem(coeff, grid, InitialDataSpec(3.0, 2.0, 0.04))
+        res = run_until_blowup(problem, RunControls(), observers=())
+        assert res.record.status == "blowup"
+        steps.append(res.record.steps)
+    assert max(steps) <= 1.25 * min(steps), steps
+
+
 def test_boundary_max_reads_only_the_truncation_wall():
     # the node next to the half line's origin wall holds heat on a correct run
     grid = GridSpec("half-line", extent=200.0, num_points=5001)
@@ -678,6 +698,23 @@ def test_abs_power_matches_generic():
     z = rng.normal(size=50) + 1j * rng.normal(size=50)
     for p in (2.0, 3.0, 4.0, 2.7):
         assert np.allclose(abs_power(z, p), np.abs(z) ** p, rtol=1e-13)
+    # at p = 4 the float power squares |u|^2: the bits of a2 * a2, from 1e-160 to 1e150
+    for u in (z, z.real, z * 1e-80, z.real * 1e75):
+        a2 = u.real * u.real + u.imag * u.imag if np.iscomplexobj(u) else u * u
+        assert np.array_equal(abs_power(u, 4.0), a2 * a2)
+
+
+def test_bump_profile_keeps_the_bits_of_the_abs_mask():
+    # s * s < 1 picks the nodes |s| < 1 picks, the largest double below 1 included
+    edge = np.nextafter(1.0, 0.0)
+    s = np.concatenate(
+        [np.linspace(-1.5, 1.5, 100_001), [edge, -edge, 1.0, -1.0, np.nextafter(1.0, 2.0), 0.0]]
+    )
+    want = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    want[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
+    got = bump_profile(s)
+    assert np.array_equal(got, want) and not np.signbit(got).any()
 
 
 def test_max_abs_reads_non_finite_fields_as_non_finite():
