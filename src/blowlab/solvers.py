@@ -16,7 +16,9 @@ Each grid is one geometry record (``_GridData``), the only code that reads
 ``GridSpec.geometry``; the operators, the initial data, the weight Phi and
 ``boundary_max`` read its fields.  The radial (or line) bands of the
 Laplacian give the implicit solve, one system per angular sine mode on the
-polar sector, and the wave step limit; the explicit stencil is written out.
+polar sector, and the wave step limit.  The explicit stencil, written out,
+scales by their 1/h^2, and the damped-wave step by the cached 1/(1 + (dt/2) a(x)),
+so a Verlet step on the line or half line divides at no node.
 The implicit solve factors a real symmetric positive definite matrix (real
 heat on the line and half line) as L D L^T with LAPACK ``?pttrf``/``?pttrs``,
 and every other one with ``?gttrf``/``?gttrs``.
@@ -196,7 +198,7 @@ class _GridData:
     def __init__(self, spec: GridSpec):
         self.spec = spec
         self._factor = None  # (key, factors) of the current implicit matrix
-        self._damp = None  # (key, denominator) of the current damped-wave step
+        self._damp = None  # (key, reciprocal) of the current damped-wave step
         g, n = spec.geometry, spec.num_points
         if g == "polar-sector":
             na = spec.num_angles
@@ -279,7 +281,7 @@ class _GridData:
         hi = n if hi is None else hi
         h2 = self.h * self.h
         out = np.empty((hi - lo,) + u.shape[1:], dtype=u.dtype)
-        # (u[i-1] - 2.0 * u[i] + u[i+1]) / h2 in place, operation for operation
+        # (u[i-1] - 2.0 * u[i] + u[i+1]) * (1.0 / h2) in place, operation for operation
         i0, i1 = max(lo, 1), min(hi, n - 1)  # the rows with two neighbours
         if lo < i0:
             out[: i0 - lo] = 0.0  # row 0: a wall, or the origin row set below
@@ -289,7 +291,7 @@ class _GridData:
         np.multiply(u[i0:i1], 2.0, out=inner)
         np.subtract(u[i0 - 1 : i1 - 1], inner, out=inner)
         inner += u[i0 + 1 : i1 + 1]
-        inner /= h2
+        inner *= 1.0 / h2
         r = self.axis_radius
         if r is None:
             return out
@@ -307,19 +309,17 @@ class _GridData:
             out[:, 0] = out[:, -1] = 0.0
         return out
 
-    def damping_denominator(self, coeff: CoefficientSpec, dt: float):
-        """1 + (dt/2) * a(x), the divisor of the damped-wave step.
-
-        Only the current ``(coeff, dt)`` entry is kept, as for the implicit
-        factorization.  A damping profile that is the same at every node
-        gives a scalar, which divides the field to the same bits.
-        """
+    def damping_reciprocal(self, coeff: CoefficientSpec, dt: float):
+        """1 / (1 + (dt/2) * a(x)), the damped-wave step's factor, kept for the
+        current ``(coeff, dt)`` only, as the implicit factorization is.  A profile
+        that is the same at every node gives a scalar, which multiplies the field
+        to the same bits."""
         key = (coeff, dt)
         if self._damp is None or self._damp[0] != key:
-            denom = 1.0 + 0.5 * dt * coeff.damping(self.radius)
-            if np.all(denom == denom.flat[0]):
-                denom = float(denom.flat[0])
-            self._damp = (key, denom)
+            recip = 1.0 / (1.0 + 0.5 * dt * coeff.damping(self.radius))
+            if np.all(recip == recip.flat[0]):
+                recip = float(recip.flat[0])
+            self._damp = (key, recip)
         return self._damp[1]
 
     # -- implicit machinery for the parabolic step ----------------------
@@ -726,7 +726,7 @@ def step_hyperbolic(
 ) -> FieldState:
     """One velocity-Verlet step of u_tt = Lap u + lambda |u|^p - a(x) u_t.
 
-    The damping enters through the time-centered average, solved pointwise;
+    The damping enters the time-centered average through ``damping_reciprocal``;
     the wave part requires dt <= ``wave_dt_limit``.  The acceleration Lap u + lambda |u|^p
     depends on u and not on dt, so the returned state carries it in ``acc``,
     and the next step, a retry at half the step or a step-doubling probe
@@ -768,13 +768,13 @@ def step_hyperbolic(
         for lo, hi in ((spare.lo, a), (b, spare.hi)):
             if lo < hi:  # most often the spare's range lies inside [a, b)
                 u_new[lo:hi] = v_new[lo:hi] = acc_new[lo:hi] = 0.0
-    damp = data.damping_denominator(coeff, dt)
+    damp = data.damping_reciprocal(coeff, dt)
     if isinstance(damp, np.ndarray):
         damp = damp[a:b]
     half_dt = 0.5 * dt
     v_half = np.multiply(half_dt, state.acc[a:b])
     v_half += state.v[a:b]
-    v_half /= damp
+    v_half *= damp
     np.multiply(dt, v_half, out=u_new[a:b])
     u_new[a:b] += state.u[a:b]
     _zero_boundary(data, u_new)
@@ -782,7 +782,7 @@ def step_hyperbolic(
     part = v_new[a:b]
     np.multiply(half_dt, acc_new[a:b], out=part)
     part += v_half
-    part /= damp
+    part *= damp
     _zero_boundary(data, v_new)
     return FieldState(
         grid=state.grid, u=u_new, v=v_new, t=state.t + dt, dt=dt, acc=acc_new, lo=a, hi=b

@@ -1541,31 +1541,62 @@ def test_damped_wave_run_steps_into_retired_states(monkeypatch):
 # -- the velocity-Verlet step is confined to the rows that can be nonzero -------
 
 
-def _full_grid_verlet_step(u, v, acc, coeff, grid, dt):
+def _division_laplacian(data, u):
+    """The Laplacian over every row with the second differences divided by h^2:
+    the division-form reference, which differs from ``_GridData.laplacian``
+    (a multiply by 1/h^2) only in rounding."""
+    h2 = data.h * data.h
+    out = np.zeros_like(u)
+    out[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h2
+    r = data.axis_radius
+    if r is None:
+        return out
+    r = r[:, None] if u.ndim == 2 else r
+    dim = data.cross_section.dim
+    out[1:-1] += ((dim - 1) / r[1:]) * (u[2:] - u[:-2]) / (2.0 * data.h)
+    if data.origin_wall:
+        out[0] = (-2.0 * u[0] + u[1]) / h2 + ((dim - 1) / r[0]) * u[1] / (2.0 * data.h)
+    else:
+        out[0] = 2.0 * dim * (u[1] - u[0]) / h2
+    if u.ndim == 2:
+        out[:-1, 1:-1] += (u[:-1, :-2] - 2.0 * u[:-1, 1:-1] + u[:-1, 2:]) / (data.h_theta * r) ** 2
+        out[:, 0] = out[:, -1] = 0.0
+    return out
+
+
+def _full_grid_verlet_step(u, v, acc, coeff, grid, dt, division=False):
     """The velocity-Verlet step over every row, operation for operation as the
-    full-grid step: the reference of ``step_hyperbolic``.  Returns u, v and acc."""
+    full-grid step: the reference of ``step_hyperbolic``.  Returns u, v and acc.
+    ``division`` divides by h^2 and by 1 + (dt/2) a(x) in place of multiplying
+    by their reciprocals: the division-form reference."""
     data = _grid_data(grid)
     lam = coeff.lam if np.iscomplexobj(u) else coeff.lam.real
+    laplacian = (lambda w: _division_laplacian(data, w)) if division else data.laplacian
 
     def acceleration(w):
-        out = data.laplacian(w)
+        out = laplacian(w)
         out += lam * abs_power(w, coeff.p)
         for wall in data.walls:
             out[wall] = 0.0
         return out
 
+    def damp(w):
+        if division:
+            w /= 1.0 + 0.5 * dt * coeff.damping(data.radius)
+        else:
+            w *= data.damping_reciprocal(coeff, dt)
+
     if acc is None:
         acc = acceleration(u)
-    damp = data.damping_denominator(coeff, dt)
     half_dt = 0.5 * dt
     v_half = v + half_dt * acc
-    v_half /= damp
+    damp(v_half)
     u_new = u + dt * v_half
     for wall in data.walls:
         u_new[wall] = 0.0
     acc_new = acceleration(u_new)
     v_new = v_half + half_dt * acc_new
-    v_new /= damp
+    damp(v_new)
     for wall in data.walls:
         v_new[wall] = 0.0
     return u_new, v_new, acc_new
@@ -1648,6 +1679,46 @@ def test_windowed_verlet_step_is_bitwise_the_full_grid_step(case, amp, g_amp):
     narrow = step_hyperbolic(kept, coeff, dt, state)
     assert (narrow.lo, narrow.hi) == (max(a, 0), b)
     assert_matches(narrow, _full_grid_verlet_step(*kept_want, coeff, grid, dt))
+
+
+def test_reciprocal_forms_round_within_1e_12_of_the_division_forms():
+    # The Laplacian multiplies by 1/h^2 and the Verlet step by 1/(1 + (dt/2) a)
+    # in place of dividing: only the rounding differs.  Measured
+    # largest deviations, relative to max|ref|: 2.0e-16 on the Laplacian and
+    # 2.1e-13 after 40 steps (acc on radial-3, where the Laplacian of u's
+    # rounding is amplified by up to 4/h^2); complex fields agree exactly, as
+    # numpy divides a complex by a real through its reciprocal.  A wrong
+    # factor, such as 1/h or the undamped 1.0, is off by far more.
+    bound = 1e-12
+
+    def assert_close(got, ref):
+        assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
+
+    grids = [
+        GridSpec("line", 20.0, 101),
+        GridSpec("half-line", 20.0, 101),
+        GridSpec("radial", 20.0, 101, dim=2),
+        GridSpec("radial", 20.0, 101, dim=3, include_origin=False),
+        GridSpec("polar-sector", 6.0, 30, omega=2.0, num_angles=12),
+    ]
+    rng = np.random.default_rng(5)
+    for grid in grids:
+        data = _GridData(grid)
+        u = rng.normal(size=data.shape) + 1j * rng.normal(size=data.shape)
+        for field in (u.real.copy(), u):
+            assert_close(data.laplacian(field), _division_laplacian(data, field))
+    for grid, center, coeff in _VERLET_CASES.values():
+        for amp, g_amp in [(-0.8, 0.5), (0.6 - 0.5j, -0.3 + 0.4j)]:
+            dt = 0.5 * _grid_data(grid).wave_dt_limit
+            init = InitialDataSpec(center, 1.5, 0.8, amp, g_amp)
+            state = initial_state(EvolutionProblem(coeff, grid, init), dt)
+            want = state.u, state.v, None
+            for k in range(40):
+                step_dt = dt if k % 3 else dt / 2
+                state = step_hyperbolic(state, coeff, step_dt)
+                want = _full_grid_verlet_step(*want, coeff, grid, step_dt, division=True)
+            for got, ref in zip((state.u, state.v, state.acc), want):
+                assert_close(got, ref)
 
 
 def test_verlet_step_computes_at_most_one_more_row_a_side_per_step(monkeypatch):
