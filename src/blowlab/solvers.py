@@ -23,12 +23,14 @@ The implicit solve factors a real symmetric positive definite matrix (real
 heat on the line and half line) as L D L^T with LAPACK ``?pttrf``/``?pttrs``,
 and every other one with ``?gttrf``/``?gttrs``.
 
-A Crank-Nicolson field is exactly zero outside its 1-d solve window, so the
-next step, the run's growth test and the trace columns skip the nodes that
-hold only zeros, with the bits of the full-grid arithmetic.  A
-velocity-Verlet step widens the rows that can be nonzero by one on each
-side and computes only those, so a wave run from a compact bump sweeps
-only the stencil's cone around it.
+The implicit solve overwrites the right-hand side the step built.  The 1-d
+solve sets every real and imaginary part below 2^-511 to zero, so the square
+of a part never underflows into a subnormal number.  A Crank-Nicolson field
+is exactly zero outside its 1-d solve window, so the next step, the run's
+growth test and the trace columns skip the nodes that hold only zeros, with
+the bits of the full-grid arithmetic.  A velocity-Verlet step widens the
+rows that can be nonzero by one on each side and computes only those, so a
+wave run from a compact bump sweeps only the stencil's cone around it.
 
 Blowup runs step on the dyadic ladder dt_init * 2^k: a step that grows
 max|u| by more than the growth limit is halved, and a step-doubling probe
@@ -353,15 +355,20 @@ class _GridData:
     def solve_implicit(
         self, factor: complex, dt: float, rhs: np.ndarray
     ) -> tuple[np.ndarray, int, int]:
-        """Solve (I - (dt/2) * factor * Lap) x = rhs on evolved nodes.
+        """Solve (I - (dt/2) * factor * Lap) x = rhs on evolved nodes, in place.
 
         Returns x and the rows [lo, hi) outside which x is +0.0: the solve
         window on the 1-d grids, every row on the polar sector.  ``rhs`` and x
-        live on the full grid; boundary entries are pinned to zero.  Only the
-        factorization of the current ``(dt, factor)`` is kept: a run's step
-        moves on a dyadic ladder and stays on each rung for many steps, so its
-        step-doubling probe (one step of 2*dt) simply factors again, as does
-        the step after it.
+        live on the full grid; boundary entries are set to zero.  x is ``rhs``
+        itself, overwritten, when ``rhs`` is contiguous and of the solve's
+        dtype (complex for a complex ``factor``), and otherwise a copy of it
+        in that dtype.  On the 1-d grids the solve writes only its window,
+        outside which ``rhs`` holds zeros: they are left as they are, so a
+        right-hand side with -0.0 there keeps it (one from ``step_parabolic``
+        holds +0.0 there).  Only the factorization of the current
+        ``(dt, factor)`` is kept: a run's step moves on a dyadic ladder and
+        stays on each rung for many steps, so its step-doubling probe (one
+        step of 2*dt) simply factors again, as does the step after it.
         """
         dtype = complex if np.iscomplexobj(rhs) or isinstance(factor, complex) else float
         key = (dt, factor, dtype)
@@ -371,17 +378,17 @@ class _GridData:
             coef = 0.5 * dt * factor
             lus = [_TridiagonalLU(lower, diag + s, upper, coef, dtype) for s in self.mode_shifts]
             self._factor = (key, lus[0] if self.sine is None else lus)
-        out = np.zeros(rhs.shape, dtype=dtype)
+        out = np.ascontiguousarray(rhs, dtype=dtype)
+        _zero_boundary(self, out)
         if self.sine is None:
-            start, stop = self._factor[1].solve(rhs[self.evolved], out[self.evolved])
+            start, stop = self._factor[1].solve(out[self.evolved])
             first = self.evolved.start  # the row of the first evolved node
             return out, first + start, first + stop
         # row k: sine mode k along the radius (Buzbee, Golub & Nielson, SINUM 7, 1970)
-        coeffs = (self.sine @ rhs[self.evolved].T).astype(dtype)
-        solved = np.zeros_like(coeffs)
-        for lu, b, x in zip(self._factor[1], coeffs, solved):
-            lu.solve(b, x)
-        out[self.evolved] = (self.sine @ solved).T
+        coeffs = (self.sine @ rhs[self.evolved].T).astype(dtype, copy=False)
+        for lu, b in zip(self._factor[1], coeffs):
+            lu.solve(b)
+        out[self.evolved] = (self.sine @ coeffs).T
         return out, 0, rhs.shape[0]
 
     @cached_property
@@ -399,7 +406,9 @@ class _GridData:
         return min(0.9 * self.h, 0.9 * 2.0 / math.sqrt(-lowest))
 
 
-_NEGLIGIBLE = 1e-300  # solution components below this are zero: they would decay into subnormals
+# solution parts below this are zero: they would decay into subnormals, and as the
+# square root of the smallest normal double it keeps u*u (and |u|^p, p <= 2) normal
+_NEGLIGIBLE = 2.0**-511
 _WINDOW_MARGIN = 16  # extra nodes on each side of the provable window
 
 
@@ -411,10 +420,11 @@ class _TridiagonalLU:
     ``?pttrs``, whose back substitution keeps the division off its serial
     chain; every other matrix (radial grids, sine modes, complex factors,
     backward diffusion) by ``?gttrf``/``?gttrs`` with partial pivoting.
-    ``solve`` runs only on the index window outside which the exact solution
-    is provably below ``_NEGLIGIBLE``, leaves +0.0 outside it and returns it;
-    sweeping the far field instead decays into subnormal numbers, which the
-    CPU handles slowly.
+    ``solve`` overwrites the right-hand side, only on the index window
+    outside which the exact solution is provably below ``_NEGLIGIBLE``, and
+    returns that window; sweeping the far field instead decays into subnormal
+    numbers, which the CPU handles slowly.  It sets every solution part below
+    ``_NEGLIGIBLE`` = 2^-511 to +0.0, so no square of a part is subnormal.
     Without pivoting the LU factors are L (unit lower, multipliers l_i) and U
     (diagonal d_i, superdiagonal u_i).  For the unit vector e_j the forward
     sweep is zero before j and decays by rho_l = max|l_i| per node after it;
@@ -504,30 +514,32 @@ class _TridiagonalLU:
             min(math.ceil(stop) + 1 + _WINDOW_MARGIN, m),
         )
 
-    def solve(self, b: np.ndarray, out: np.ndarray) -> tuple[int, int]:
-        """Write the solution for ``b`` over ``out[start:stop]`` and return the
-        range [start, stop) it solved.  The solution is +0.0 outside that range,
-        which the solve does not write: only those entries of ``out`` must
-        already hold zeros."""
+    def solve(self, b: np.ndarray) -> tuple[int, int]:
+        """Overwrite ``b[start:stop]`` with the solution for ``b`` and return the
+        range [start, stop) it solved.  Outside that range the solution is
+        negligible and ``b`` holds only zeros, which the solve leaves as they
+        are.  ``b`` is contiguous and of the factors' dtype, so LAPACK writes
+        into it."""
         start, stop = self.window(b)
         if stop - start < 3:  # gttrs needs du2 of length stop - start - 2 >= 1
             start, stop = 0, b.size
+        x = b[start:stop]
         if len(self.factors) == 2:  # L D L^T: (d, e)
             d, e = self.factors
-            x, _ = self._pttrs(d[start:stop], e[start : stop - 1], b[start:stop])
+            self._pttrs(d[start:stop], e[start : stop - 1], x, overwrite_b=True)
         else:
             dl, d, du, du2, ipiv = self.factors
-            x, _ = self._gttrs(
+            self._gttrs(
                 dl[start : stop - 1],
                 d[start:stop],
                 du[start : stop - 1],
                 du2[start : stop - 2],
                 ipiv[start:stop] - start,
-                b[start:stop],
+                x,
+                overwrite_b=True,
             )
         parts = x.view(np.float64)
         parts[np.abs(parts) < _NEGLIGIBLE] = 0.0
-        out[start:stop] = x
         return start, stop
 
 
@@ -691,6 +703,10 @@ def step_parabolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> Fiel
     as temporary *= c only for arrays of 256 KiB and more, so the products
     with complex arrays fix their order (``half *= c``, ``np.multiply(c,
     lap_u)``): a row's bits depend neither on the grid size nor on the range.
+    The solve overwrites the right-hand side with the new field, leaving its
+    zeros outside the window; they are +0.0, as c_half (of positive real
+    part) times +0.0 is.  On the 1-d grids each part of the new field is
+    +0.0 or at least 2^-511.
     """
     if coeff.tau != 0:
         raise ValueError("parabolic step requires tau=0")

@@ -830,12 +830,9 @@ def test_sine_mode_solve_matches_the_csr_reference(grid, factor):
     rhs = np.random.default_rng(3).normal(size=data.shape)
     solvers._zero_boundary(data, rhs)
     dtype = complex if isinstance(factor, complex) else float
-    lap = _polar_csr_laplacian(data)
     for dt in (1e-3, 0.05, 2.0):
-        mat = identity(lap.shape[0], dtype=dtype, format="csc") - (0.5 * dt * factor) * lap
-        b = rhs[data.evolved]
-        want = splu(mat.tocsc()).solve(b.reshape(-1).astype(dtype)).reshape(b.shape)
-        got, lo, hi = data.solve_implicit(factor, dt, rhs)
+        want = _reference_solve(data, factor, dt, rhs)[data.evolved]
+        got, lo, hi = data.solve_implicit(factor, dt, rhs.copy())
         assert (lo, hi) == (0, grid.num_points)  # the sine-mode solve has no window
         assert got.dtype == dtype
         assert np.max(np.abs(got[data.evolved] - want)) <= 1e-13 * np.max(np.abs(want))
@@ -856,6 +853,19 @@ def _banded_reference(data, factor, dt, rhs):
     return out
 
 
+def _reference_solve(data, factor, dt, rhs):
+    """The implicit solve by ``solve_banded`` on the 1-d grids and by the CSR
+    matrix on the sector, in complex arithmetic there."""
+    if data.sine is None:
+        return _banded_reference(data, factor, dt, rhs)
+    lap = _polar_csr_laplacian(data)
+    mat = identity(lap.shape[0], dtype=complex, format="csc") - (0.5 * dt * factor) * lap
+    out = np.zeros(rhs.shape, dtype=complex)
+    b = rhs[data.evolved]
+    out[data.evolved] = splu(mat).solve(b.reshape(-1).astype(complex)).reshape(b.shape)
+    return out
+
+
 def _bits(a):
     """The float64 words of ``a`` as integers: equal bits, signs of zero included."""
     return np.ascontiguousarray(a).view(np.uint64)
@@ -868,6 +878,9 @@ def _all_positive_zero(a):
 def _subnormal_parts(u):
     parts = np.abs(np.asarray(u).view(np.float64))
     return int(np.count_nonzero((parts > 0.0) & (parts < np.finfo(np.float64).tiny)))
+
+
+_BITWISE_ABOVE = 1e50 * solvers._NEGLIGIBLE  # the windowed solve keeps the bits above this
 
 
 @pytest.mark.parametrize("coeff", [HEAT, NLS], ids=["real", "complex"])
@@ -889,23 +902,75 @@ def test_windowed_solve_matches_banded_reference(grid, coeff):
     factor = complex(np.exp(-1j * coeff.zeta)) if coeff is NLS else 1.0  # as step_parabolic
     for step in range(6):
         rhs = state.u
-        got, lo, hi = data.solve_implicit(factor, state.dt, rhs)
+        got, lo, hi = data.solve_implicit(factor, state.dt, rhs.copy())
         ref = _banded_reference(data, factor, state.dt, rhs)
-        big = np.abs(ref) > 1e-250
+        big = np.abs(ref) > _BITWISE_ABOVE
         assert np.array_equal(got[big], ref[big])
-        assert np.max(np.abs(got - ref)) < 1e-249
+        assert np.max(np.abs(got - ref)) < 10.0 * _BITWISE_ABOVE
         assert _subnormal_parts(got) == 0
         start, stop = data._factor[1].window(rhs[data.evolved])
         assert (lo, hi) == (data.evolved.start + start, data.evolved.start + stop)
         assert _all_positive_zero(got[:lo]) and _all_positive_zero(got[hi:])
         outside = np.abs(ref[data.evolved])
         outside[start:stop] = 0.0
-        assert np.all(outside < 1e-300)
+        assert np.all(outside < solvers._NEGLIGIBLE)
         if step == 0 and grid.geometry != "radial":
             # the window leaves out most of the grid; on radial grids the rows
             # next to the origin decay slowly and the bound spans the grid
             assert stop - start < 0.8 * rhs.size
         state = step_parabolic(state, coeff, state.dt)
+
+
+def _strided_copy(a):
+    """A copy of ``a`` that is not contiguous, so the solve cannot write into it."""
+    holder = np.zeros(a.shape + (2,), a.dtype)
+    holder[..., 0] = a
+    return holder[..., 0]
+
+
+_SCHRODINGER_FACTOR = complex(np.exp(0.5j * math.pi))
+
+
+@pytest.mark.parametrize(
+    "factor, amp",
+    [(1.0, 0.8), (_SCHRODINGER_FACTOR, 0.3 + 0.47j), (_SCHRODINGER_FACTOR, 0.8)],
+    ids=["real", "complex", "real-rhs-complex-factor"],
+)
+@pytest.mark.parametrize(
+    "grid, center",
+    [
+        (GridSpec("line", extent=60.0, num_points=1201), 0.0),
+        (GridSpec("half-line", extent=60.0, num_points=1201), 10.0),
+        (GridSpec("radial", extent=60.0, num_points=1201, dim=3), 10.0),
+        (GridSpec("radial", extent=60.0, num_points=1201, dim=2, include_origin=False), 10.0),
+        (GridSpec("polar-sector", 6.0, 60, omega=2.0, num_angles=40), 3.0),
+    ],
+    ids=["line", "half-line", "radial", "radial-no-origin", "polar"],
+)
+def test_implicit_solve_overwrites_its_right_hand_side(grid, center, factor, amp):
+    data = _GridData(grid)
+    rhs = amp * bump_profile((data.signed_radius - center) / 1.5) * data.angular**2
+    for wall in data.walls:
+        rhs[wall] = 7.0  # the solve pins the walls to zero
+    given = rhs.copy()
+    dt = 0.005
+    strided = _strided_copy(rhs)
+    want, want_lo, want_hi = data.solve_implicit(factor, dt, strided)
+    assert want is not strided and np.array_equal(_bits(strided), _bits(given))
+    got, lo, hi = data.solve_implicit(factor, dt, rhs)
+    assert got.dtype == (complex if isinstance(factor, complex) else float)
+    if got.dtype == rhs.dtype:
+        assert got is rhs  # the right-hand side's own array, overwritten
+    else:
+        assert np.array_equal(_bits(rhs), _bits(given))  # a real rhs is left as it was
+    assert np.array_equal(_bits(got), _bits(want)) and (lo, hi) == (want_lo, want_hi)
+    assert _all_positive_zero(got[:lo]) and _all_positive_zero(got[hi:])
+    for wall in data.walls:
+        assert _all_positive_zero(got[wall])
+    if grid.geometry == "line":
+        assert 0 < lo and hi < grid.num_points  # the window leaves rows on both sides
+    ref = _reference_solve(data, factor, dt, given)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_pivoting_factor_solves_the_full_range():
@@ -914,13 +979,13 @@ def test_pivoting_factor_solves_the_full_range():
     data = _GridData(grid)
     dt = 1.2 * data.h**2
     rhs = bump_profile((data.coords - 1.0) / 0.5)
-    got, _, _ = data.solve_implicit(-1.0, dt, rhs)
+    got, _, _ = data.solve_implicit(-1.0, dt, rhs.copy())
     lu = data._factor[1]
     assert lu.pivoted
     assert not _is_ldlt(lu)  # not positive definite: pttrf fails and gttrf pivots
     assert lu.window(rhs[data.evolved]) == (0, rhs.size - 2)
     ref = _banded_reference(data, -1.0, dt, rhs)
-    big = np.abs(ref) > 1e-250
+    big = np.abs(ref) > _BITWISE_ABOVE
     assert np.array_equal(got[big], ref[big])
 
 
@@ -960,13 +1025,13 @@ def test_symmetric_solve_on_the_shipped_heat_grid():
     differs = False
     for step in range(8):
         rhs = state.u
-        got, lo, hi = data.solve_implicit(1.0, dt, rhs)
+        got, lo, hi = data.solve_implicit(1.0, dt, rhs.copy())
         lu = data._factor[1]
         assert _is_ldlt(lu) and lu.decay is not None
         b = rhs[data.evolved]
         full = np.zeros_like(got)
         full[data.evolved], _ = lu._pttrs(*lu.factors, b)  # the full range
-        big = np.abs(full) > 1e-250
+        big = np.abs(full) > _BITWISE_ABOVE
         assert np.array_equal(got[big], full[big])
         ref = _banded_reference(data, 1.0, dt, rhs)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -975,7 +1040,7 @@ def test_symmetric_solve_on_the_shipped_heat_grid():
         assert stop - start < b.size  # the window is narrower than the grid
         outside = np.abs(ref[data.evolved])
         outside[start:stop] = 0.0
-        assert np.all(outside < 1e-300)
+        assert np.all(outside < solvers._NEGLIGIBLE)
         assert _all_positive_zero(got[:lo]) and _all_positive_zero(got[hi:])
         lower, diag, upper = data._banded_diagonals()
         coef = 0.5 * dt
@@ -997,12 +1062,31 @@ def test_implicit_solve_keeps_one_factorization():
     assert data._factor[1] is lu
 
 
-def test_nls_run_leaves_no_subnormal_field():
-    cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs", "schrodinger_blowup.json"))
-    controls = RunControls(threshold=1e6, t_max=0.5, dt_init=0.01)
+def _assert_fields_above_the_floor(config, controls):
+    """Every Crank-Nicolson field of a run on a shipped config has each real and
+    imaginary part either zero or at least 2^-511, so |u|^2 holds no subnormal
+    and no zero where u is nonzero."""
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs", config))
     res = run_until_blowup(cfg.problem, controls)
     assert res.record.status == "survived"
-    assert _subnormal_parts(res.snapshots[-1]) == 0
+    assert len(res.snapshots) > 5
+    for u in res.snapshots[1:]:  # the initial bump is not a solve's output
+        parts = np.abs(u.view(np.float64))
+        assert not np.any((parts > 0.0) & (parts < 2.0**-511))
+        assert np.any((parts > 0.0) & (parts < 1e-150))  # the tail reaches down to the floor
+        square = abs_power(u, 2.0)
+        assert _subnormal_parts(square) == 0
+        assert np.all(square[u != 0.0] > 0.0)
+
+
+def test_nls_run_leaves_no_subnormal_field():
+    controls = RunControls(threshold=1e6, t_max=0.5, dt_init=0.01, snapshot_dt=0.04)
+    _assert_fields_above_the_floor("schrodinger_blowup.json", controls)
+
+
+def test_heat_run_leaves_no_subnormal_field():
+    controls = RunControls(threshold=1e6, t_max=0.5, dt_init=0.002, snapshot_dt=0.05)
+    _assert_fields_above_the_floor("heat_subcritical.json", controls)
 
 
 # -- step control: the dyadic ladder and its step-doubling probe --------------
@@ -1092,17 +1176,17 @@ def test_window_of_a_zero_or_non_finite_right_hand_side():
     m = lu.nodes.size
     zero = np.zeros(m)
     assert lu.window(zero) == (0, 0)
-    out = np.full(m, np.nan)
-    lu.solve(zero, out)  # an empty window solves the full range
-    assert np.all(out == 0.0) and not np.any(np.signbit(out))
+    negative = np.full(m, -0.0)
+    assert lu.window(negative) == (0, 0)
+    assert lu.solve(negative) == (0, m)  # an empty window solves the full range
+    assert _all_positive_zero(negative)  # and the flush leaves +0.0
     for peak in (np.inf, -np.inf, np.nan):
         b = np.zeros(m)
         b[m // 2] = peak
         assert lu.window(b) == (0, m)
         # the flush of negligible parts keeps NaN and inf: no entry is zeroed
-        out = np.zeros(m)
-        assert lu.solve(b, out) == (0, m)
-        assert not np.any(np.isfinite(out))
+        assert lu.solve(b) == (0, m)
+        assert not np.any(np.isfinite(b))
 
 
 def _window_by_full_magnitude(lu, b):
@@ -1373,8 +1457,8 @@ def test_probe_refactoring_repeats_the_solves(monkeypatch):
     monkeypatch.setattr(solvers, "_TridiagonalLU", Counting)
     data = _GridData(GridSpec("line", extent=60.0, num_points=1201))
     rhs = bump_profile(data.coords)
-    first = [data.solve_implicit(1.0, dt, rhs)[0] for dt in (0.01, 0.02)]
-    again = [data.solve_implicit(1.0, dt, rhs)[0] for dt in (0.01, 0.02)]
+    first = [data.solve_implicit(1.0, dt, rhs.copy())[0] for dt in (0.01, 0.02)]
+    again = [data.solve_implicit(1.0, dt, rhs.copy())[0] for dt in (0.01, 0.02)]
     assert len(built) == 4  # one cached factorization: each change of dt factors again
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
     assert data._factor[0] == (0.02, 1.0, float)
