@@ -40,7 +40,6 @@ from blowlab.solvers import (
     SnapshotStore,
     TraceAccumulator,
     domain_for_grid,
-    functional_trace,
     grid_coordinates,
     run_until_blowup,
 )
@@ -58,9 +57,12 @@ def _spec_from_args(args) -> cg.CrossSectionSpec:
         return spec_from_dict(cg.CrossSectionSpec, json.loads(args.spec_json), "spec")
     if args.kind is None or args.dim is None:
         raise ValueError("eigen needs --kind and --N (or --spec-json)")
-    return cg.CrossSectionSpec(
-        kind=args.kind, dim=args.dim, omega=args.omega, theta0=args.theta0, k=args.k
-    )
+    try:
+        return cg.CrossSectionSpec(
+            kind=args.kind, dim=args.dim, omega=args.omega, theta0=args.theta0, k=args.k
+        )
+    except cg.SpecError as exc:  # name the flags the user typed, not the fields
+        raise cg.SpecError((_SPEC_FLAGS[name], msg) for name, msg in exc.violations) from None
 
 
 def _cmd_eigen(args) -> int:
@@ -105,7 +107,7 @@ def _cmd_simulate(args) -> int:
     if cfg.trace_radii:
         trace = outcome = reason = None
         try:  # a run too short or too coarse for the quadrature has no trace
-            trace = functional_trace(result, cfg.trace_radii, streamed)
+            trace = streamed.finish()
             outcome = verify.criterion_pipeline(result, trace)
         except ValueError as exc:
             reason = str(exc)
@@ -250,17 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
     swp.set_defaults(func=_cmd_sweep)
 
     ver = sub.add_parser("verify", help="property verification suites")
-    ver.add_argument("--seed", type=int, default=0, help="seed for the randomized suites")
-    ver.add_argument("--count", type=int, default=200, help="fields per domain (hardy)")
-    # the suite parses --seed and --count again without defaults, so they
-    # may stand on either side of the suite name
-    again = argparse.ArgumentParser(add_help=False)
-    again.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed (default 0)")
-    again.add_argument("--count", type=int, default=argparse.SUPPRESS, help="fields (hardy, 200)")
     suites = ver.add_subparsers(dest="suite", required=True)
-    for name, func in (("cutoff", _verify_cutoff), ("hardy", _verify_hardy),
-                       ("harmonic", _verify_harmonic), ("lemma-oracle", _verify_lemma_oracle)):
-        suites.add_parser(name, parents=[again]).set_defaults(func=func)
+    suites.add_parser("cutoff").set_defaults(func=_verify_cutoff)
+    hardy = suites.add_parser("hardy")
+    hardy.add_argument("--seed", type=int, default=0, help="seed of the random fields")
+    hardy.add_argument("--count", type=int, default=200, help="fields per domain")
+    hardy.set_defaults(func=_verify_hardy)
+    suites.add_parser("harmonic").set_defaults(func=_verify_harmonic)
+    oracle = suites.add_parser("lemma-oracle")
+    oracle.add_argument("--seed", type=int, default=0, help="seed of the random inputs")
+    oracle.set_defaults(func=_verify_lemma_oracle)
 
     return parser
 

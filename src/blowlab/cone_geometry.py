@@ -17,7 +17,7 @@ but the cap have closed forms.  The cap's first mode is the Legendre function
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -40,6 +40,17 @@ class SpecError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(f"{name}: {msg}" for name, msg in self.violations))
+
+
+def foreign_fields(spec, kind: str, homes: dict) -> list:
+    """``(field, message)`` for each field of ``spec`` that ``homes`` gives to
+    another kind than ``kind`` and that is not at its default: a value the
+    spec's kind does not read is an error, not silently dropped."""
+    return [
+        (f.name, f"{kind} takes no {f.name} (only {homes[f.name]} does)")
+        for f in fields(spec)
+        if homes.get(f.name) not in (None, kind) and getattr(spec, f.name) != f.default
+    ]
 
 
 @dataclass(frozen=True)
@@ -80,6 +91,8 @@ class CrossSectionSpec:
             )
         if self.kind == "half-space-product" and (self.k is None or not 0 <= self.k <= self.dim):
             bad.append(("k", "half-space-product needs integer k with 0 <= k <= N"))
+        homes = {"omega": "planar-sector", "theta0": "spherical-cap", "k": "half-space-product"}
+        bad.extend(foreign_fields(self, self.kind, homes))
         if bad:
             raise SpecError(bad)
 

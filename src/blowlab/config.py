@@ -194,30 +194,6 @@ def parse_config(path: str) -> RunConfig:
     return config_from_dict(raw)
 
 
-def config_to_dict(spec) -> dict:
-    """The JSON object of a config or one of its sections: the required fields
-    and the fields that differ from their default."""
-    names = _JSON_NAMES.get(type(spec), {})
-    out: dict = {}
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        name = names.get(f.name, f.name)
-        if name is None:
-            out.update(config_to_dict(value))
-            continue
-        if f.default is not MISSING and value == f.default:
-            continue
-        if is_dataclass(value):
-            value = config_to_dict(value)
-        elif isinstance(value, complex):
-            value = value.real if value.imag == 0.0 else [value.real, value.imag]
-        elif isinstance(value, tuple):
-            value = list(value)
-        group, _, key = name.rpartition(".")
-        (out.setdefault(group, {}) if group else out)[key] = value
-    return out
-
-
 # -- CSV emission -------------------------------------------------------
 
 RECORD_COLUMNS = (

@@ -47,14 +47,21 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import get_lapack_funcs
 
-from blowlab.cone_geometry import ConeDomain, CrossSectionSpec, SpecError, bump_kernel, make_domain
+from blowlab.cone_geometry import (
+    ConeDomain,
+    CrossSectionSpec,
+    SpecError,
+    bump_kernel,
+    foreign_fields,
+    make_domain,
+)
 from blowlab.cutoffs import CutoffFamily, psi_of_s
 from blowlab.lifespan_bounds import FunctionalTrace
 
@@ -164,10 +171,8 @@ class GridSpec:
                 bad.append(("omega", "polar sector needs an opening angle in (0, 2*pi]"))
             if self.num_angles < 6:
                 bad.append(("num_angles", "polar sector needs at least 6 angular nodes"))
-        home = {"omega": "polar-sector", "num_angles": "polar-sector", "include_origin": "radial"}
-        for f in fields(self):  # a field that another geometry reads must keep its default
-            if home.get(f.name) not in (None, self.geometry) and getattr(self, f.name) != f.default:
-                bad.append((f.name, f"only {home[f.name]} grids take {f.name}"))
+        homes = {"omega": "polar-sector", "num_angles": "polar-sector", "include_origin": "radial"}
+        bad.extend(foreign_fields(self, self.geometry, homes))
         if bad:
             raise SpecError(bad)
 
@@ -1162,18 +1167,17 @@ def first_admissible_radius(init: InitialDataSpec, alpha: float) -> float:
 class TraceAccumulator:
     """Space-time cutoff masses of w = |u|^p * Phi, one snapshot at a time.
 
-    Called as ``acc(t, u)`` on each snapshot in time order, it adds the
-    snapshot's column: the grid quadratures of w * psi* and w * psi at each
-    radius.  A run can feed it as an observer, or :func:`functional_trace`
-    over the stored snapshots.  :meth:`finish` integrates the columns in time.
-    The cutoff is the run's own: power 2p' and s = (<x>^(2-alpha) + t) / R
-    with the problem's p and alpha.
+    Called as ``acc(t, u)`` on each snapshot in time order, it keeps t and
+    the snapshot's column: the grid quadratures of w * psi* and w * psi at
+    each radius.  A run can feed it as an observer, or :func:`functional_trace`
+    replay a run's stored snapshots into it.  :meth:`finish` integrates the
+    columns in time.  The cutoff is the run's own: power 2p' and
+    s = (<x>^(2-alpha) + t) / R with the problem's p and alpha.
 
-    Every cutoff is 0 where s >= 1, so a column evaluates w and the cutoffs
-    only on the nodes with <x>^(2-alpha) + t below the largest radius.  It
-    sums each product over the whole grid all the same, zeros included:
-    a shorter sum would group numpy's pairwise summation differently and
-    move the last bits of the masses.
+    Every cutoff is 0 where s >= 1, so a column evaluates and sums only the
+    nodes with <x>^(2-alpha) + t below the largest radius, in grid order.
+    That set shrinks as t grows, so each call looks only at the nodes the
+    call before kept, and the snapshots must come in time order.
     """
 
     def __init__(self, problem: EvolutionProblem, radii):
@@ -1182,43 +1186,39 @@ class TraceAccumulator:
         self.fam = CutoffFamily(R=1.0, p=coeff.p, alpha=coeff.alpha)  # psi_of_s reads no R
         self.radii = np.asarray(radii, dtype=float)
         self.r_max = float(np.max(self.radii))
-        # flattened node values, in the row-major order of the grid
-        self.bp = ((1.0 + data.radius**2) ** ((2.0 - coeff.alpha) / 2.0)).reshape(-1)
-        self.wvol = (weight_values(problem.grid) * data.vol).reshape(-1)
+        bp = ((1.0 + data.radius**2) ** ((2.0 - coeff.alpha) / 2.0)).reshape(-1)
+        # the nodes in the largest support at the last t seen (t = 0 at first), as
+        # flat indices in grid order, with their <x>^(2-alpha) and weighted volume
+        self.near = np.flatnonzero(bp < self.r_max)
+        self.bp = bp[self.near]
+        self.wvol = (weight_values(problem.grid) * data.vol).reshape(-1)[self.near]
+        self.times: list = []
         self.y_cols: list = []
         self.m_cols: list = []
 
     def __call__(self, t: float, u: np.ndarray) -> None:
         shifted = self.bp + t
-        near = np.flatnonzero(shifted < self.r_max)
-        shifted = shifted[near]
-        w = abs_power(u.reshape(-1)[near], self.fam.p) * self.wvol[near]
-        col = np.zeros(u.shape)  # the product on every node
-        flat = col.reshape(-1)
-        y = np.empty(len(self.radii))
-        m = np.empty_like(y)
-        for i, radius in enumerate(self.radii):
-            s = shifted / radius
-            cut = psi_of_s(self.fam, s)
-            flat[near] = w * cut
-            m[i] = float(np.sum(col))
-            cut[s < 0.5] = 0.0  # psi* equals psi on s >= 1/2 and vanishes below
-            flat[near] = w * cut
-            y[i] = float(np.sum(col))
-        self.y_cols.append(y)
-        self.m_cols.append(m)
+        inside = shifted < self.r_max
+        if not inside.all():  # the support shrinks as t grows: drop the nodes it left
+            self.near, self.bp, self.wvol = self.near[inside], self.bp[inside], self.wvol[inside]
+            shifted = shifted[inside]
+        w = abs_power(u.reshape(-1)[self.near], self.fam.p) * self.wvol
+        s = shifted / self.radii[:, None]  # one row per radius
+        cut = psi_of_s(self.fam, s) * w
+        self.m_cols.append(np.sum(cut, axis=1))
+        cut[s < 0.5] = 0.0  # psi* equals psi on s >= 1/2 and vanishes below
+        self.y_cols.append(np.sum(cut, axis=1))
+        self.times.append(t)
 
-    def finish(self, times) -> FunctionalTrace:
-        """Trapezoid in time over the columns taken at ``times``.
+    def finish(self) -> FunctionalTrace:
+        """Trapezoid in time over the columns taken so far.
 
         The trapezoid rule over every other snapshot must agree to 2%
         relative on the final masses, otherwise the snapshots undersample
         the run.
         """
         radii = self.radii
-        times = np.asarray(times)
-        if len(times) != len(self.m_cols):
-            raise ValueError(f"{len(times)} snapshot times for {len(self.m_cols)} trace columns")
+        times = np.asarray(self.times)
         if len(times) < 4:
             raise ValueError("need at least 4 snapshots for the time quadrature")
         if times[0] > max(radii.min() - 1.0, 0.0):
@@ -1245,16 +1245,10 @@ class TraceAccumulator:
         return FunctionalTrace(radii=radii, shell_mass=y_full, mass=m_full)
 
 
-def functional_trace(
-    result: RunResult, radii, streamed: TraceAccumulator | None = None
-) -> FunctionalTrace:
-    """The run's trace: :meth:`TraceAccumulator.finish` over its snapshot times.
-
-    ``streamed`` is an accumulator for ``radii`` that observed the run;
-    without it the stored snapshots are fed to a new one.
-    """
-    if streamed is None:
-        streamed = TraceAccumulator(result.problem, radii)
-        for t, u in zip(result.snapshot_times, result.snapshots):
-            streamed(t, u)
-    return streamed.finish(result.snapshot_times)
+def functional_trace(result: RunResult, radii) -> FunctionalTrace:
+    """The trace at ``radii`` of the snapshots ``result`` stores (every node of
+    each), replayed through a :class:`TraceAccumulator`."""
+    acc = TraceAccumulator(result.problem, radii)
+    for t, u in zip(result.snapshot_times, result.snapshots):
+        acc(t, u)
+    return acc.finish()

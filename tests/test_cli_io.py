@@ -17,7 +17,6 @@ from blowlab.config import (
     ConfigError,
     RunConfig,
     config_from_dict,
-    config_to_dict,
     emit_records,
     emit_sweep,
     emit_trace,
@@ -197,20 +196,6 @@ def test_config_missing_file():
         parse_config("/nonexistent/path.json")
 
 
-def test_config_round_trip(tmp_path):
-    raw = _heat_config()
-    raw["sweep"] = {"epsilons": [0.5, 0.7, 1.0, 1.4, 2.0], "slope_tolerance": 0.2}
-    raw["trace_radii"] = [4.0, 6.0, 9.0]
-    raw["controls"]["snapshot_dt"] = 0.05  # a trace needs snapshots
-    cfg = config_from_dict(raw)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config_to_dict(cfg), indent=2))
-    again = parse_config(str(path))
-    assert again == cfg
-    # and the dict forms agree value-for-value
-    assert config_to_dict(again) == config_to_dict(cfg)
-
-
 def test_trace_csv_round_trip(tmp_path):
     tr = FunctionalTrace(
         radii=np.array([1.0, 2.5, 7.0]),
@@ -387,6 +372,20 @@ def test_cli_eigen_spec_json_names_bad_fields(capsys):
     full_cap = '{"kind": "spherical-cap", "N": 3, "theta0": 3.141592653589793}'
     assert main(["eigen", "--spec-json", full_cap]) == 1
     assert "spec.theta0:" in capsys.readouterr().err
+    foreign = '{"kind": "full-sphere", "N": 3, "k": 2}'
+    assert main(["eigen", "--spec-json", foreign]) == 1
+    assert "spec.k: full-sphere takes no k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--N", "1"], "error: --N: full-sphere requires N>=2"),
+    (["--N", "3", "--omega", "1"], "error: --omega: full-sphere takes no omega"),
+    (["--N", "3", "--theta0", "0.5"], "error: --theta0: full-sphere takes no theta0"),
+    (["--N", "3", "--k", "2"], "error: --k: full-sphere takes no k"),
+])
+def test_cli_eigen_errors_name_the_flag(capsys, flags, named):
+    assert main(["eigen", "--kind", "full-sphere", *flags]) == 1
+    assert capsys.readouterr().err.startswith(named)
 
 
 def test_cli_simulate_memory_grows_by_strided_copies_with_run_length(tmp_path, capsys):
@@ -604,6 +603,7 @@ def test_cli_missing_config_is_validation_failure(capsys):
     (["eigen", "--kind", "full-line", "--N", "abc"], "--N: invalid int value: 'abc'"),
     (["frob"], "invalid choice: 'frob'"),
     (["simulate", "--out-dir", "out"], "required: --config"),
+    (["verify", "--seed", "1", "hardy"], "invalid choice: '1'"),  # the suite's flags follow it
 ])
 def test_cli_usage_errors_exit_1(capsys, argv, named):
     assert main(argv) == 1
@@ -629,6 +629,16 @@ _UNREAD_FLAGS = [
 def test_cli_rejects_a_flag_its_command_does_not_read(capsys, command, flag):
     assert main([*command, flag, "1"]) == 1
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cutoff", "--seed", "3"], ["cutoff", "--count", "3"], ["harmonic", "--seed", "3"],
+    ["harmonic", "--count", "3"], ["lemma-oracle", "--count", "-5"],
+], ids=" ".join)
+def test_cli_verify_suite_rejects_a_flag_it_does_not_read(capsys, argv):
+    assert main(["verify", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err and "PASS" not in out
 
 
 _PREFIXES = [
@@ -670,21 +680,26 @@ def test_cli_runtime_fault_exits_2(tmp_path, capsys):
 
 def test_cli_verify_suites_pass(capsys):
     # the check lines each suite prints, as the benchmark counts them
-    for suite, checks in (("cutoff", 4), ("hardy", 3), ("harmonic", 4), ("lemma-oracle", 3)):
-        assert main(["verify", suite, "--seed", "7"]) == 0
+    for argv, checks in ((["cutoff"], 4), (["hardy", "--seed", "7"], 3), (["harmonic"], 4),
+                         (["lemma-oracle", "--seed", "7"], 3)):
+        suite = argv[0]
+        assert main(["verify", *argv]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == "all checks passed", suite
         assert [ln[:4] for ln in lines[:-1]] == ["PASS"] * checks, suite
 
 
-def test_cli_verify_options_on_either_side_of_the_suite():
+def test_cli_verify_suites_take_their_own_flags_after_the_name():
     parser = build_parser()
-    for argv in (["--seed", "7", "--count", "3", "hardy"], ["hardy", "--seed", "7", "--count", "3"],
-                 ["--seed", "1", "hardy", "--seed", "7", "--count", "3"]):
-        args = parser.parse_args(["verify", *argv])
-        assert (args.suite, args.seed, args.count) == ("hardy", 7, 3)
-    args = parser.parse_args(["verify", "lemma-oracle"])
+    args = parser.parse_args(["verify", "hardy", "--seed", "7", "--count", "3"])
+    assert (args.suite, args.seed, args.count) == ("hardy", 7, 3)
+    args = parser.parse_args(["verify", "hardy"])
     assert (args.seed, args.count) == (0, 200)
+    args = parser.parse_args(["verify", "lemma-oracle", "--seed", "7"])
+    assert (args.suite, args.seed) == ("lemma-oracle", 7) and not hasattr(args, "count")
+    for suite in ("cutoff", "harmonic"):
+        args = parser.parse_args(["verify", suite])
+        assert not hasattr(args, "seed") and not hasattr(args, "count")
 
 
 def test_shipped_configs_validate():

@@ -87,6 +87,21 @@ def test_make_domain_rejects_bad_specs():
         make_domain(CrossSectionSpec("no-such-kind", 2))
 
 
+def test_cross_section_rejects_the_fields_its_kind_does_not_read():
+    # the rule GridSpec applies: a field only another kind reads is named, not dropped
+    for spec, named in [
+        (dict(kind="full-sphere", dim=3, omega=1.0, theta0=0.5, k=2), ["omega", "theta0", "k"]),
+        (dict(kind="planar-sector", dim=2, omega=1.0, k=1), ["k"]),
+        (dict(kind="spherical-cap", dim=3, theta0=1.0, omega=2.0), ["omega"]),
+        (dict(kind="half-space-product", dim=2, k=2, theta0=1.0), ["theta0"]),
+        (dict(kind="half-line", dim=1, k=0), ["k"]),
+    ]:
+        with pytest.raises(cone_geometry.SpecError) as err:
+            CrossSectionSpec(**spec)
+        assert [name for name, _ in err.value.violations] == named
+        assert f"{spec['kind']} takes no {named[0]}" in str(err.value)
+
+
 def test_sector_eigenvalue_values_and_scaling():
     assert sector_eigenvalue(math.pi) == pytest.approx(1.0)
     assert sector_eigenvalue(math.pi / 2) == pytest.approx(4.0)

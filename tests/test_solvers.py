@@ -473,19 +473,24 @@ def test_functional_trace_masses_and_transform(heat_blowup_run):
 
 
 def _full_cutoff_masses(result, fam, radii):
-    """functional_trace's masses with psi and psi* evaluated on every node: the reference."""
+    """functional_trace's masses with psi and psi* evaluated on every node: the
+    reference.  Each product vanishes off the largest support, so each sum runs
+    over that support's nodes in grid order, as the trace's does."""
     data = _grid_data(result.problem.grid)
     times = np.asarray(result.snapshot_times)
-    bp = (1.0 + data.radius**2) ** ((2.0 - fam.alpha) / 2.0)
-    wvol = weight_values(result.problem.grid) * data.vol
+    bp = ((1.0 + data.radius**2) ** ((2.0 - fam.alpha) / 2.0)).reshape(-1)
+    wvol = (weight_values(result.problem.grid) * data.vol).reshape(-1)
     y_rows = np.empty((len(radii), len(times)))
     m_rows = np.empty_like(y_rows)
     for k, (t, u) in enumerate(zip(times, result.snapshots)):
-        w = abs_power(u, result.problem.coeff.p) * wvol
+        w = abs_power(u.reshape(-1), result.problem.coeff.p) * wvol
+        support = bp + t < max(radii)
         for i, radius in enumerate(radii):
             s = (bp + t) / radius
-            y_rows[i, k] = float(np.sum(w * psi_star_of_s(fam, s)))
-            m_rows[i, k] = float(np.sum(w * psi_of_s(fam, s)))
+            star, plain = w * psi_star_of_s(fam, s), w * psi_of_s(fam, s)
+            assert not np.any(star[~support]) and not np.any(plain[~support])
+            y_rows[i, k] = float(np.sum(star[support]))
+            m_rows[i, k] = float(np.sum(plain[support]))
     return np.trapezoid(y_rows, times, axis=1), np.trapezoid(m_rows, times, axis=1)
 
 
@@ -593,7 +598,7 @@ def test_streamed_trace_is_bitwise_the_stored_trace(heat_blowup_run, case):
     assert streamed.snapshots is store.fields
     assert all(np.array_equal(s, f.reshape(-1)[::7]) for s, f in zip(store.fields, full.snapshots))
     stored = functional_trace(full, radii)
-    trace = functional_trace(streamed, radii, acc)
+    trace = acc.finish()
     assert np.array_equal(trace.shell_mass, stored.shell_mass)
     assert np.array_equal(trace.mass, stored.mass)
     assert np.all(trace.mass > 0.0)
@@ -626,18 +631,30 @@ def test_streamed_trace_raises_what_the_stored_trace_raises(heat_blowup_run, cas
     for t, u in zip(res.snapshot_times, res.snapshots):
         acc(t, u)
     with pytest.raises(ValueError) as streamed:
-        functional_trace(res, radii, acc)
+        acc.finish()
     assert message in str(stored.value)
     assert str(streamed.value) == str(stored.value)
 
 
-def test_streamed_trace_rejects_times_it_did_not_see(heat_blowup_run):
-    res = heat_blowup_run
-    acc = solvers.TraceAccumulator(res.problem, [4.0])
-    for t, u in zip(res.snapshot_times[:5], res.snapshots[:5]):
-        acc(t, u)
-    with pytest.raises(ValueError, match="6 snapshot times for 5 trace columns"):
-        acc.finish(res.snapshot_times[:6])
+@pytest.mark.parametrize("case", ["line", "polar-sector"])
+def test_trace_accumulator_alone_finishes_the_trace(case):
+    # without a SnapshotStore the result keeps only the end points; the trace keeps its own times
+    if case == "line":
+        problem, controls = HEAT_BLOWUP
+        radii = [2.0, 4.0, 9.0, 30.0]
+    else:
+        problem, controls = _polar_heat_run()
+        radii = [20.0, 40.0, 80.0]
+    alone = solvers.TraceAccumulator(problem, radii)
+    beside = solvers.TraceAccumulator(problem, radii)
+    res = run_until_blowup(problem, controls, observers=(alone,))
+    full = run_until_blowup(problem, controls, observers=(solvers.SnapshotStore(), beside))
+    assert res.record == full.record and res.snapshot_times == [0.0, res.record.t_final]
+    assert alone.times == full.snapshot_times and len(alone.times) > 4
+    trace, stored = alone.finish(), beside.finish()
+    assert np.array_equal(trace.shell_mass, stored.shell_mass)
+    assert np.array_equal(trace.mass, stored.mass)
+    assert np.all(trace.mass > 0.0)
 
 
 def test_criterion_pipeline_takes_theta_from_the_half_line_cone():
