@@ -205,11 +205,26 @@ def _verify_lemma_oracle(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Takes each flag only by its full name and raises a usage error as
-    ``ValueError``, so ``main`` exits 1 with it."""
+    ``ValueError``, so ``main`` exits 1 with it.  A flag of ``suite_flags``
+    given before the subcommand's name is named as such."""
+
+    suite_flags = frozenset()  # the flags of the subcommands below, which follow their name
 
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("allow_abbrev", False)  # a prefix of a flag is not that flag
         super().__init__(*args, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        for arg in args if self.suite_flags else ():
+            if not arg.startswith("-"):
+                break  # the subcommand's name
+            flag = arg.split("=", 1)[0]
+            if flag in self.suite_flags:
+                self.error(
+                    f"{flag} comes before the suite: a suite's flags follow its name, "
+                    f"as in 'blowlab verify hardy {flag} 1'"
+                )
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
@@ -262,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = suites.add_parser("lemma-oracle")
     oracle.add_argument("--seed", type=int, default=0, help="seed of the random inputs")
     oracle.set_defaults(func=_verify_lemma_oracle)
+    ver.suite_flags = frozenset({"--seed", "--count"})
 
     return parser
 

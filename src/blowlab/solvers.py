@@ -4,10 +4,15 @@ The equation is  tau * u_tt - Lap(u) + a(x) * u_t = lambda * |u|^p  with
 homogeneous Dirichlet walls on a truncated domain.  tau=0 runs a
 Crank-Nicolson step for  u_t = a^{-1} (Lap u + lambda |u|^p)  with the source
 evaluated explicitly at a predicted half step (heat for a=1, free or forced
-Schrodinger for a=+-i, Ginzburg-Landau phases in between).  tau=1 runs a
-velocity-Verlet step with the damping term folded in implicitly (time
-centered), which keeps the damping unconditionally stable under the grid's
-wave step limit (0.9 h on the line and half line, less near the radial origin).
+Schrodinger for a=+-i, Ginzburg-Landau phases in between).  tau=1 runs
+velocity Verlet with the damping term folded in implicitly (time centered),
+which keeps the damping unconditionally stable under the grid's wave step
+limit (0.9 h on the line and half line, less near the radial origin).  It is
+stepped as leapfrog: a state carries the velocity half a step ahead, and a
+step drifts u, evaluates the acceleration and kicks once, merging Verlet's
+second half kick with the next step's first (Hairer, Lubich & Wanner, Acta
+Numerica 12, 2003).  The velocity at a state's own time is rebuilt only when
+a halving or a probe changes dt or a probe compares velocities.
 
 Geometries: the full line, the half line, radially symmetric N-dimensional
 space (optionally with the origin excluded for Dirichlet cones or the
@@ -17,8 +22,8 @@ Each grid is one geometry record (``_GridData``), the only code that reads
 ``boundary_max`` read its fields.  The radial (or line) bands of the
 Laplacian give the implicit solve, one system per angular sine mode on the
 polar sector, and the wave step limit.  The explicit stencil, written out,
-scales by their 1/h^2, and the damped-wave step by the cached 1/(1 + (dt/2) a(x)),
-so a Verlet step on the line or half line divides at no node.
+scales by their 1/h^2, and the damped-wave step by cached factors of
+1 + (dt/2) a(x), so a Verlet step on the line or half line divides at no node.
 The implicit solve factors a real symmetric positive definite matrix (real
 heat on the line and half line) as L D L^T with LAPACK ``?pttrf``/``?pttrs``,
 and every other one with ``?gttrf``/``?gttrs``.
@@ -30,7 +35,10 @@ is exactly zero outside its 1-d solve window, so the next step, the run's
 growth test and the trace columns skip the nodes that hold only zeros, with
 the bits of the full-grid arithmetic.  A velocity-Verlet step widens the
 rows that can be nonzero by one on each side and computes only those, so a
-wave run from a compact bump sweeps only the stencil's cone around it.
+wave run from a compact bump sweeps only the stencil's cone around it.  It
+writes into the arrays of a state the run has retired and into one scratch
+array per grid, and at p = 2 the run's growth test reads max|u| off the
+step's |u|^2.
 
 Blowup runs step on the dyadic ladder dt_init * 2^k: a step that grows
 max|u| by more than the growth limit is halved, and a step-doubling probe
@@ -205,7 +213,7 @@ class _GridData:
     def __init__(self, spec: GridSpec):
         self.spec = spec
         self._factor = None  # (key, factors) of the current implicit matrix
-        self._damp = None  # (key, reciprocal) of the current damped-wave step
+        self._damp = None  # (key, factors) of the current damped-wave step
         g, n = spec.geometry, spec.num_points
         if g == "polar-sector":
             na = spec.num_angles
@@ -280,14 +288,18 @@ class _GridData:
 
     # -- Laplacian -----------------------------------------------------
 
-    def laplacian(self, u: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    def laplacian(
+        self, u: np.ndarray, lo: int = 0, hi: int | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Second-order Laplacian on rows [lo, hi) of ``u`` (every row by default),
         walls zeroed; on the sector the radial stencil runs each ray.  Row i reads
-        rows i-1, i and i+1, and its value does not depend on the range asked for."""
+        rows i-1, i and i+1, and its value does not depend on the range asked for.
+        ``out``, an array of those rows in u's dtype, receives it in place of a new one."""
         n = u.shape[0]
         hi = n if hi is None else hi
         h2 = self.h * self.h
-        out = np.empty((hi - lo,) + u.shape[1:], dtype=u.dtype)
+        if out is None:
+            out = np.empty((hi - lo,) + u.shape[1:], dtype=u.dtype)
         # (u[i-1] - 2.0 * u[i] + u[i+1]) * (1.0 / h2) in place, operation for operation
         i0, i1 = max(lo, 1), min(hi, n - 1)  # the rows with two neighbours
         if lo < i0:
@@ -316,18 +328,26 @@ class _GridData:
             out[:, 0] = out[:, -1] = 0.0
         return out
 
-    def damping_reciprocal(self, coeff: CoefficientSpec, dt: float):
-        """1 / (1 + (dt/2) * a(x)), the damped-wave step's factor, kept for the
-        current ``(coeff, dt)`` only, as the implicit factorization is.  A profile
-        that is the same at every node gives a scalar, which multiplies the field
-        to the same bits."""
+    def damping_factors(self, coeff: CoefficientSpec, dt: float) -> tuple:
+        """(den, recip, decay, gain) of a damped-wave step: den = 1 + (dt/2) a(x),
+        recip = 1/den, and the merged kick's decay = recip^2 and gain =
+        (dt/2) (1 + den).  Kept for the current ``(coeff, dt)`` only, as the
+        implicit factorization is.  A profile that is the same at every node
+        gives scalars, which multiply the field to the same bits."""
         key = (coeff, dt)
         if self._damp is None or self._damp[0] != key:
-            recip = 1.0 / (1.0 + 0.5 * dt * coeff.damping(self.radius))
-            if np.all(recip == recip.flat[0]):
-                recip = float(recip.flat[0])
-            self._damp = (key, recip)
+            den = 1.0 + 0.5 * dt * coeff.damping(self.radius)
+            if np.all(den == den.flat[0]):
+                den = float(den.flat[0])
+            recip = 1.0 / den
+            self._damp = (key, (den, recip, recip * recip, 0.5 * dt * (1.0 + den)))
         return self._damp[1]
+
+    @cached_property
+    def square(self) -> np.ndarray:
+        """A real array of the grid's shape that a Verlet step writes |u|^2 (or
+        |u|^p) into; its values mean nothing between steps."""
+        return np.empty(self.shape)
 
     # -- implicit machinery for the parabolic step ----------------------
 
@@ -601,17 +621,19 @@ def bump_profile(s: np.ndarray) -> np.ndarray:
     return bump_kernel(s * s)
 
 
-def abs_power(u: np.ndarray, p: float) -> np.ndarray:
-    """|u|^p without a float power at p=2 and 3; numpy squares at p=4."""
+def abs_power(u: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """|u|^p without a float power at p=2 and 3; numpy squares at p=4.  ``out``,
+    a real array of u's shape, receives it in place of a new one, to the same bits."""
     if np.iscomplexobj(u):
-        a2 = u.real * u.real + u.imag * u.imag
+        a2 = np.multiply(u.real, u.real, out=out)
+        a2 += u.imag * u.imag
     else:
-        a2 = u * u
+        a2 = np.multiply(u, u, out=out)
     if p == 2.0:
         return a2
     if p == 3.0:
-        return a2 * np.sqrt(a2)
-    return a2 ** (0.5 * p)
+        return np.multiply(a2, np.sqrt(a2), out=a2)
+    return np.power(a2, 0.5 * p, out=a2)
 
 
 def max_abs(u: np.ndarray) -> float:
@@ -650,16 +672,25 @@ class FieldState:
     the states it returns.  It depends on u and the coefficients alone, so
     code that changes ``u`` in place must reset it to None.
 
-    ``u`` is exactly 0.0 outside the rows ``u[lo:hi]`` (every row by
-    default), and for tau=1 so are ``v`` and ``acc``.  ``initial_state``
-    sets the range from the bump's nonzero rows, a Crank-Nicolson step from
-    its solve window and a velocity-Verlet step from the rows it computed.
-    Outside the range of a state that a step returned, every array holds
-    +0.0; the initial state may hold -0.0 there.
+    ``v`` is the velocity at t on the initial state.  A velocity-Verlet
+    step returns a state that carries the velocity half a step ahead
+    instead: ``vh`` = (v + (dt/2) acc) / (1 + (dt/2) a(x)) for the step
+    ``kick`` = (dt, 1 + (dt/2) a(x)) it was kicked for, which the next step
+    of that dt takes as it is.  Its ``v`` is None until :meth:`velocity`
+    rebuilds it.  ``peak`` is max|u| over [lo, hi) when the step that made
+    the state read it off |u|^2 (p = 2 and max|u| at least 2^-511), and None
+    otherwise.  A state continues under the coefficients that made it.
 
-    A velocity-Verlet step may write into the arrays of a *spare*: a tau=1
-    state that a step returned (so ``acc`` is set and the +0.0 holds
-    outside its range), on the same grid and dtype, that no one reads
+    ``u`` is exactly 0.0 outside the rows ``u[lo:hi]`` (every row by
+    default), and for tau=1 so are ``v``, ``vh`` and ``acc``.
+    ``initial_state`` sets the range from the bump's nonzero rows, a
+    Crank-Nicolson step from its solve window and a velocity-Verlet step
+    from the rows it computed.  Outside the range of a state that a step
+    returned, every array holds +0.0; the initial state may hold -0.0 there.
+
+    A velocity-Verlet step may write into the arrays ``u``, ``vh`` and
+    ``acc`` of a *spare*: a tau=1 state that a step returned (so the +0.0
+    holds outside its range), on the same grid and dtype, that no one reads
     again.  The spare is void once lent: its arrays belong to the result.
     """
 
@@ -671,6 +702,19 @@ class FieldState:
     acc: np.ndarray | None = None
     lo: int = 0
     hi: int | None = None
+    vh: np.ndarray | None = None
+    kick: tuple | None = None
+    peak: float | None = None
+
+    def velocity(self) -> np.ndarray | None:
+        """The velocity at t: ``v``, rebuilt from ``vh`` as vh * (1 + (dt/2) a(x))
+        - (dt/2) acc on a state a Verlet step returned, and kept."""
+        if self.v is None and self.vh is not None:
+            dt, den = self.kick
+            v = self.vh * den
+            v -= (0.5 * dt) * self.acc
+            self.v = v
+        return self.v
 
 
 def _bump(data: _GridData, init: InitialDataSpec) -> np.ndarray:
@@ -747,80 +791,100 @@ def step_hyperbolic(
 ) -> FieldState:
     """One velocity-Verlet step of u_tt = Lap u + lambda |u|^p - a(x) u_t.
 
-    The damping enters the time-centered average through ``damping_reciprocal``;
-    the wave part requires dt <= ``wave_dt_limit``.  The acceleration Lap u + lambda |u|^p
-    depends on u and not on dt, so the returned state carries it in ``acc``,
-    and the next step, a retry at half the step or a step-doubling probe
-    from that state reuses it: one Laplacian and one nonlinearity per step.
-    A state without ``acc`` (the initial one) gets it filled in here, and
-    its range widened by the row on each side that the Laplacian reaches.
+    The damping enters the time-centered average (1 + (dt/2) a) v; the wave
+    part requires dt <= ``wave_dt_limit``.  With D = 1 / (1 + (dt/2) a) the
+    step is leapfrog: u' = u + dt vh, acc' = Lap u' + lambda |u'|^p and one
+    merged kick vh' = D^2 (vh + (dt/2)(1 + 1/D) acc'), which is velocity
+    Verlet's second kick D (vh + (dt/2) acc') followed by the next step's
+    first, D (v' + (dt/2) acc').  The state's ``vh`` is taken as it is when
+    it was kicked for this dt; otherwise (the initial state, or a dt that a
+    halving or a probe changed) the step kicks the velocity at t, which
+    ``FieldState.velocity`` rebuilds.  The acceleration depends on u and
+    not on dt, so a retry at half the step or a step-doubling probe reuses
+    the state's ``acc``: one Laplacian and one nonlinearity per step.  A
+    state without ``acc`` (the initial one) gets it filled in here, and its
+    range widened by the row on each side that the Laplacian reaches.
 
-    u, v and acc are 0.0 outside rows [lo, hi) (u and v of either sign on
-    the initial state, +0.0 on a state a step returned), so v_half and
-    u_new are +0.0 there too, and acc_new and v_new are +0.0 outside
-    [lo-1, hi+1).  The step computes only those rows, with the bits the
-    full grid gives them (a sum written as a product with ``out=`` and then
-    ``+=`` adds the same two terms), and returns them as its range.  The
-    full grid adds each -0.0 of the initial u and v to a +0.0 (h*acc, then
-    dt*v_half) before it reaches a result, which gives +0.0, so the first
-    step keeps its bits too.
+    u, vh and acc are 0.0 outside rows [lo, hi) (u and v of either sign on
+    the initial state, +0.0 on a state a step returned), so u_new is +0.0
+    there too, and acc_new and vh_new are +0.0 outside [lo-1, hi+1).  The
+    step computes only those rows, with the bits the full grid gives them
+    (a sum written as a product with ``out=`` and then ``+=`` adds the same
+    two terms), and returns them as its range.  The full grid adds each
+    -0.0 of the initial u and v to a +0.0 ((dt/2)*acc, then dt*vh) before
+    it reaches a result, which gives +0.0, so the first step keeps its bits too.
 
     ``spare``, a state that a step returned and that the caller holds no
     more, lends its arrays to the result in place of three new full-grid
     ones: the rows of its range outside [lo-1, hi+1) are set to +0.0, so
-    the result holds the bits a fresh array would.
+    the result holds the bits a fresh array would.  |u'|^p goes into the
+    grid's one ``square`` array, so a step with a spare allocates no array
+    on the line and half line at p = 2.
     """
     if coeff.tau != 1:
         raise ValueError("hyperbolic step requires tau=1")
     data = _grid_data(state.grid)
     if dt > data.wave_dt_limit:
         raise ValueError(f"CFL violation: dt={dt} exceeds the limit {data.wave_dt_limit}")
-    lam = coeff.lam if np.iscomplexobj(state.u) else coeff.lam.real
-    n = state.u.shape[0]
+    u = state.u
+    lam = coeff.lam if u.dtype.kind == "c" else coeff.lam.real
+    n = u.shape[0]
     if state.acc is None:
         state.lo, state.hi = _reach(state.lo, state.hi, n)
-        zeros = np.zeros(state.u.shape, state.u.dtype)
-        state.acc = _acceleration(data, state.u, lam, coeff.p, state.lo, state.hi, zeros)
+        state.acc = np.zeros(u.shape, u.dtype)
+        _acceleration(data, u, lam, coeff.p, state.lo, state.hi, state.acc)
     a, b = _reach(state.lo, state.hi, n)
     if spare is None:
-        u_new, v_new, acc_new = (np.zeros(state.u.shape, state.u.dtype) for _ in range(3))
+        u_new, vh_new, acc_new = (np.zeros(u.shape, u.dtype) for _ in range(3))
     else:
-        u_new, v_new, acc_new = spare.u, spare.v, spare.acc
+        u_new, vh_new, acc_new = spare.u, spare.vh, spare.acc
         for lo, hi in ((spare.lo, a), (b, spare.hi)):
             if lo < hi:  # most often the spare's range lies inside [a, b)
-                u_new[lo:hi] = v_new[lo:hi] = acc_new[lo:hi] = 0.0
-    damp = data.damping_reciprocal(coeff, dt)
-    if isinstance(damp, np.ndarray):
-        damp = damp[a:b]
-    half_dt = 0.5 * dt
-    v_half = np.multiply(half_dt, state.acc[a:b])
-    v_half += state.v[a:b]
-    v_half *= damp
-    np.multiply(dt, v_half, out=u_new[a:b])
-    u_new[a:b] += state.u[a:b]
+                u_new[lo:hi] = vh_new[lo:hi] = acc_new[lo:hi] = 0.0
+    den, recip, decay, gain = data.damping_factors(coeff, dt)
+    if isinstance(recip, np.ndarray):
+        recip, decay, gain = recip[a:b], decay[a:b], gain[a:b]
+    if state.kick is not None and state.kick[0] == dt:
+        vh = state.vh[a:b]
+    else:  # kick the velocity at t by half a step
+        vh = np.multiply(0.5 * dt, state.acc[a:b])
+        vh += state.velocity()[a:b]
+        vh *= recip
+    rows = np.multiply(dt, vh, out=u_new[a:b])
+    rows += u[a:b]
     _zero_boundary(data, u_new)
-    _acceleration(data, u_new, lam, coeff.p, a, b, acc_new)
-    part = v_new[a:b]
-    np.multiply(half_dt, acc_new[a:b], out=part)
-    part += v_half
-    part *= damp
-    _zero_boundary(data, v_new)
+    peak = _acceleration(data, u_new, lam, coeff.p, a, b, acc_new)
+    part = vh_new[a:b]
+    np.multiply(gain, acc_new[a:b], out=part)
+    part += vh
+    part *= decay
+    _zero_boundary(data, vh_new)
     return FieldState(
-        grid=state.grid, u=u_new, v=v_new, t=state.t + dt, dt=dt, acc=acc_new, lo=a, hi=b
+        state.grid, u_new, None, state.t + dt, dt, acc_new, a, b, vh_new, (dt, den), peak
     )
 
 
 def _acceleration(
     data: _GridData, u: np.ndarray, lam, p: float, lo: int, hi: int, out: np.ndarray
-) -> np.ndarray:
+) -> float | None:
     """Lap u + lam * |u|^p written into rows [lo, hi) of ``out``, whose walls are
-    then zeroed; returns ``out``."""
-    power = abs_power(u[lo:hi], p)
-    if isinstance(lam, complex) or lam != 1.0:  # a real 1.0 * x is x
+    then zeroed.  At p = 2 returns max|u| over those rows as sqrt(max |u|^2)
+    when that is at least 2^-511, where sqrt(fl(x^2)) = |x| holds exactly, so
+    it is max_abs's value; otherwise None."""
+    power = abs_power(u[lo:hi], p, out=data.square[lo:hi])
+    peak = None
+    if p == 2.0:
+        top = float(np.maximum.reduce(power, axis=None))
+        if top >= _NEGLIGIBLE * _NEGLIGIBLE:  # False for NaN too
+            peak = math.sqrt(top)
+    if isinstance(lam, complex):
         power = lam * power
-    np.add(data.laplacian(u, lo, hi), power, out=out[lo:hi])
+    elif lam != 1.0:  # a real 1.0 * x is x
+        power *= lam
+    rows = data.laplacian(u, lo, hi, out=out[lo:hi])
+    rows += power
     _zero_boundary(data, out)
-    return out
+    return peak
 
 
 def _reach(lo: int, hi: int | None, n: int) -> tuple[int, int]:
@@ -983,7 +1047,8 @@ def run_until_blowup(
     on every recorded snapshot: t = 0, each ``snapshot_dt`` crossing and the
     final field; ``u`` is the run's own array and must not be changed.  It
     is valid only during the call: on tau=1 a later step writes into the
-    arrays of states the run has retired, so an observer copies what it
+    arrays of states the run has retired (it keeps two, and while a probe
+    may follow a trial leaves one for it), so an observer copies what it
     keeps (:class:`SnapshotStore` does; :class:`TraceAccumulator` keeps
     only sums).  The default keeps every field (one full
     :class:`SnapshotStore`).  The result holds the fields of the first
@@ -1008,10 +1073,16 @@ def run_until_blowup(
         def stepper(state, coeff, dt, spare=None):  # the Crank-Nicolson step recycles nothing
             return step_parabolic(state, coeff, dt)
 
-    def retired(old):
-        # a state the run holds no more, whose arrays a Verlet step may write into; the
-        # initial state is kept, since its u is the run's first field
-        return old if coeff.tau == 1 and old is not start else None
+    spares = []  # up to two retired states, whose arrays the next Verlet steps write into
+
+    def retire(old):
+        # a state the run holds no more; the initial state is kept, since its u is the
+        # run's first field
+        if coeff.tau == 1 and old is not None and old is not start and len(spares) < 2:
+            spares.append(old)
+
+    def spare(keep=0):
+        return spares.pop() if len(spares) > keep else None
 
     observers = (SnapshotStore(),) if observers is None else tuple(observers)
     snap_times = []
@@ -1032,7 +1103,6 @@ def run_until_blowup(
     steps = halvings = passed = failed = 0
     dt_lo = dt_hi = dt0
     back1 = None  # the accepted state one step back
-    spare = None  # a retired state for the next step to write into
     run = 0  # accepted steps since the last probe
     wait = 2  # accepted steps before the next probe
     # the halving rule handles a field that overflows; observers keep the caller's rules
@@ -1047,8 +1117,12 @@ def run_until_blowup(
             if steps >= controls.max_steps:
                 raise RuntimeError("step budget exhausted before a verdict was reached")
             dt = state.dt
-            trial = stepper(state, coeff, min(dt, controls.t_max - state.t + 1e-15), spare)
-            m_new = max_abs(trial.u[trial.lo : trial.hi])
+            # while a probe may follow, the trial leaves it a spare
+            keep = 1 if 2.0 * dt <= dt_cap else 0
+            trial = stepper(state, coeff, min(dt, controls.t_max - state.t + 1e-15), spare(keep))
+            m_new = trial.peak
+            if m_new is None:
+                m_new = max_abs(trial.u[trial.lo : trial.hi])
             if not math.isfinite(m_new) or (
                 m_prev > 0 and m_new > (1.0 + _GROWTH_LIMIT) * m_prev
             ):
@@ -1060,7 +1134,7 @@ def run_until_blowup(
                 dt_cap = state.dt = halved
                 dt_lo = min(dt_lo, state.dt)
                 halvings += 1
-                spare = retired(trial)
+                retire(trial)
                 continue
             steps += 1
             for i, mth in enumerate(RECORD_THRESHOLDS):
@@ -1085,11 +1159,12 @@ def run_until_blowup(
             # a step shortened to land on t_max ends the run: it is not probed
             big = None
             if run >= wait and trial.dt == dt and 2.0 * dt <= dt_cap:
-                big = stepper(back2, coeff, 2.0 * dt)
+                big = stepper(back2, coeff, 2.0 * dt, spare())
                 # each comparison is False for a non-finite probe
                 ok = max_abs(big.u - state.u) <= _RTOL * m_new
-                if ok and state.v is not None:
-                    ok = max_abs(big.v - state.v) <= _RTOL * max_abs(state.v)
+                if ok and coeff.tau == 1:
+                    v = state.velocity()
+                    ok = max_abs(big.velocity() - v) <= _RTOL * max_abs(v)
                 run = 0
                 if ok:
                     state.dt = 2.0 * dt
@@ -1100,7 +1175,8 @@ def run_until_blowup(
                     failed += 1
                     wait = min(2 * wait, 32)
             # the next probe starts from back1: back2 and the probe result are retired
-            spare = retired(back2) or retired(big)
+            retire(back2)
+            retire(big)
 
     logger.debug(
         "eps %r: %s at t %r; %d steps accepted, %d halvings, probes %d passed / %d failed, "
@@ -1247,7 +1323,16 @@ class TraceAccumulator:
 
 def functional_trace(result: RunResult, radii) -> FunctionalTrace:
     """The trace at ``radii`` of the snapshots ``result`` stores (every node of
-    each), replayed through a :class:`TraceAccumulator`."""
+    each), replayed through a :class:`TraceAccumulator`.  A snapshot that is not
+    a whole field, as from a ``SnapshotStore`` with a stride above 1, is an error."""
+    nodes = math.prod(_grid_data(result.problem.grid).shape)
+    for u in result.snapshots:
+        if u.size != nodes:
+            stride = -(-nodes // u.size)  # the smallest stride that keeps u.size nodes
+            raise ValueError(
+                f"snapshots hold {u.size} of the grid's {nodes} nodes, as a SnapshotStore "
+                f"with stride {stride} keeps: the trace needs every node (stride 1)"
+            )
     acc = TraceAccumulator(result.problem, radii)
     for t, u in zip(result.snapshot_times, result.snapshots):
         acc(t, u)

@@ -603,7 +603,20 @@ def test_cli_missing_config_is_validation_failure(capsys):
     (["eigen", "--kind", "full-line", "--N", "abc"], "--N: invalid int value: 'abc'"),
     (["frob"], "invalid choice: 'frob'"),
     (["simulate", "--out-dir", "out"], "required: --config"),
-    (["verify", "--seed", "1", "hardy"], "invalid choice: '1'"),  # the suite's flags follow it
+    # argparse alone would take the flag's value for the suite's name
+    *(
+        pytest.param(
+            ["verify", *flag_first],
+            f"verify: {flag} comes before the suite: a suite's flags follow its name, "
+            f"as in 'blowlab verify hardy {flag} 1'",
+            id=" ".join(["verify", *flag_first]),
+        )
+        for flag, flag_first in [
+            ("--seed", ["--seed", "1", "hardy"]),
+            ("--count", ["--count", "5", "hardy"]),
+            ("--seed", ["--seed=1", "lemma-oracle"]),
+        ]
+    ),
 ])
 def test_cli_usage_errors_exit_1(capsys, argv, named):
     assert main(argv) == 1

@@ -56,7 +56,7 @@ def wave_energy(state: FieldState) -> float:
     """Standard discrete energy 1/2 ||v||^2 + 1/2 ||grad u||^2 (line grids)."""
     data = _grid_data(state.grid)
     du = np.diff(state.u) / data.h
-    kin = 0.5 * float(np.sum(np.abs(state.v) ** 2)) * data.h
+    kin = 0.5 * float(np.sum(np.abs(state.velocity()) ** 2)) * data.h
     pot = 0.5 * float(np.sum(np.abs(du) ** 2)) * data.h
     return kin + pot
 
@@ -231,7 +231,7 @@ def test_wave_staggered_energy_invariant():
     worst = 0.0
     for _ in range(10_000):
         state = step_hyperbolic(state, WAVE, state.dt)
-        worst = max(worst, abs(staggered(state.u, state.v) - e0))
+        worst = max(worst, abs(staggered(state.u, state.velocity()) - e0))
     assert worst <= 1e-10 * e0
 
 
@@ -602,6 +602,19 @@ def test_streamed_trace_is_bitwise_the_stored_trace(heat_blowup_run, case):
     assert np.array_equal(trace.shell_mass, stored.shell_mass)
     assert np.array_equal(trace.mass, stored.mass)
     assert np.all(trace.mass > 0.0)
+
+
+@pytest.mark.parametrize("radii", [[2.5, 3.0], [20.0, 40.0]], ids=["inside", "past-the-end"])
+def test_functional_trace_rejects_strided_snapshots(radii):
+    # a strided store's flat indices either fall inside the strided array (wrong
+    # masses) or past its end (an IndexError): both are named as a stride
+    problem, controls = _polar_heat_run()
+    store = solvers.SnapshotStore(stride=7)
+    res = run_until_blowup(problem, controls, observers=(store,))
+    assert res.snapshots is store.fields and res.snapshots[0].size == 138  # of 60 x 16
+    with pytest.raises(ValueError, match="138 of the grid's 960 nodes") as err:
+        functional_trace(res, radii)
+    assert "stride 7" in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -1537,26 +1550,31 @@ def test_carried_acceleration_gives_the_same_bits(coeff, grid, init, dt):
     for k in range(40):
         state = step_hyperbolic(state, coeff, dt if k % 3 else dt / 2)
     assert state.acc is not None and max_abs(state.acc) > 0.0
-    fresh = FieldState(grid=grid, u=state.u, v=state.v, t=state.t, dt=dt)
+    # the same state without its acceleration: it keeps the half-step velocity,
+    # kicked for dt / 2, so one step below takes vh as it is and one rebuilds v
+    assert state.kick[0] == dt / 2
+    fresh = FieldState(grid, state.u, None, state.t, dt, vh=state.vh, kick=state.kick)
     for step_dt in (dt, dt / 2):
         carried = step_hyperbolic(state, coeff, step_dt)
         recomputed = step_hyperbolic(fresh, coeff, step_dt)
-        for name in ("u", "v", "acc"):
+        for name in ("u", "vh", "acc"):
             assert _bitwise_equal(getattr(carried, name), getattr(recomputed, name))
+        assert _bitwise_equal(carried.velocity(), recomputed.velocity())
     assert _bitwise_equal(fresh.acc, state.acc)  # filled in from u alone
+    assert _bitwise_equal(fresh.velocity(), state.velocity())
 
 
 def test_damped_wave_run_evaluates_one_laplacian_per_step(monkeypatch):
     counts = {"laplacian": 0, "abs_power": 0}
     laplacian, power = _GridData.laplacian, solvers.abs_power
 
-    def counting_laplacian(self, u, lo=0, hi=None):
+    def counting_laplacian(self, u, lo=0, hi=None, out=None):
         counts["laplacian"] += 1
-        return laplacian(self, u, lo, hi)
+        return laplacian(self, u, lo, hi, out)
 
-    def counting_power(u, p):
+    def counting_power(u, p, out=None):
         counts["abs_power"] += 1
-        return power(u, p)
+        return power(u, p, out)
 
     monkeypatch.setattr(_GridData, "laplacian", counting_laplacian)
     monkeypatch.setattr(solvers, "abs_power", counting_power)
@@ -1637,6 +1655,12 @@ def test_damped_wave_run_steps_into_retired_states(monkeypatch):
     # once three steps are accepted, every trial writes into a spare: the
     # arrays the run allocates do not grow with its length
     assert all(calls[i][1] is not None for i in trials if i > accepted[2])
+    # a probe steps from the state two steps back; the run keeps two retired
+    # states, and while a probe may follow a trial leaves one of them, so
+    # every probe after the first writes into one
+    probes = sorted(set(range(len(calls))) - set(trials))
+    assert len(probes) > 2 and all(calls[i][0].t < calls[i - 1][0].t for i in probes)
+    assert all(calls[i][1] is not None for i in probes[1:])
 
 
 # -- the velocity-Verlet step is confined to the rows that can be nonzero -------
@@ -1665,27 +1689,35 @@ def _division_laplacian(data, u):
     return out
 
 
-def _full_grid_verlet_step(u, v, acc, coeff, grid, dt, division=False):
-    """The velocity-Verlet step over every row, operation for operation as the
-    full-grid step: the reference of ``step_hyperbolic``.  Returns u, v and acc.
-    ``division`` divides by h^2 and by 1 + (dt/2) a(x) in place of multiplying
-    by their reciprocals: the division-form reference."""
-    data = _grid_data(grid)
-    lam = coeff.lam if np.iscomplexobj(u) else coeff.lam.real
-    laplacian = (lambda w: _division_laplacian(data, w)) if division else data.laplacian
+def _acceleration_reference(data, coeff, laplacian):
+    """w -> Lap w + lambda |w|^p over every row, walls zeroed."""
+    lam = coeff.lam
 
     def acceleration(w):
         out = laplacian(w)
-        out += lam * abs_power(w, coeff.p)
+        out += (lam if np.iscomplexobj(w) else lam.real) * abs_power(w, coeff.p)
         for wall in data.walls:
             out[wall] = 0.0
         return out
+
+    return acceleration
+
+
+def _two_kick_verlet_step(u, v, acc, coeff, grid, dt, division=False):
+    """Velocity Verlet with its two kicks, over every row: the half kick
+    v_half = (v + (dt/2) acc) / (1 + (dt/2) a), the drift u + dt v_half and the
+    second half kick (v_half + (dt/2) acc_new) / (1 + (dt/2) a).  Returns u, v
+    and acc.  ``division`` divides by h^2 and by 1 + (dt/2) a(x) in place of
+    multiplying by their reciprocals: the division-form reference."""
+    data = _grid_data(grid)
+    laplacian = (lambda w: _division_laplacian(data, w)) if division else data.laplacian
+    acceleration = _acceleration_reference(data, coeff, laplacian)
 
     def damp(w):
         if division:
             w /= 1.0 + 0.5 * dt * coeff.damping(data.radius)
         else:
-            w *= data.damping_reciprocal(coeff, dt)
+            w *= data.damping_factors(coeff, dt)[1]
 
     if acc is None:
         acc = acceleration(u)
@@ -1701,6 +1733,44 @@ def _full_grid_verlet_step(u, v, acc, coeff, grid, dt, division=False):
     for wall in data.walls:
         v_new[wall] = 0.0
     return u_new, v_new, acc_new
+
+
+def _rebuilt_velocity(vh, kick, acc):
+    """v = vh * (1 + (dt/2) a) - (dt/2) acc, operation for operation as
+    ``FieldState.velocity``."""
+    dt, den = kick
+    v = vh * den
+    v -= (0.5 * dt) * acc
+    return v
+
+
+def _full_grid_verlet_step(u, v, vh, kick, acc, coeff, grid, dt):
+    """The merged-kick step over every row, operation for operation as the
+    full-grid step: the reference of ``step_hyperbolic``.  Takes and returns
+    (u, v, vh, kick, acc), with v None where vh is set; vh is None on the
+    initial state, whose v is exact."""
+    data = _grid_data(grid)
+    acceleration = _acceleration_reference(data, coeff, data.laplacian)
+    den, recip, decay, gain = data.damping_factors(coeff, dt)
+    if acc is None:
+        acc = acceleration(u)
+    if vh is None or kick[0] != dt:
+        if v is None:
+            v = _rebuilt_velocity(vh, kick, acc)
+        vh = (0.5 * dt) * acc
+        vh += v
+        vh *= recip
+    u_new = dt * vh
+    u_new += u
+    for wall in data.walls:
+        u_new[wall] = 0.0
+    acc_new = acceleration(u_new)
+    vh_new = gain * acc_new
+    vh_new += vh
+    vh_new *= decay
+    for wall in data.walls:
+        vh_new[wall] = 0.0
+    return u_new, None, vh_new, (dt, den), acc_new
 
 
 _VERLET_CASES = {
@@ -1747,11 +1817,14 @@ def test_windowed_verlet_step_is_bitwise_the_full_grid_step(case, amp, g_amp):
     assert state.u.dtype == (float if isinstance(amp, float) else complex)
 
     def assert_matches(state, want):
-        for got, ref in zip((state.u, state.v, state.acc), want):
+        u, _, vh, kick, acc = want
+        assert state.kick[0] == kick[0]
+        velocity = _rebuilt_velocity(vh, kick, acc)
+        for got, ref in zip((state.u, state.vh, state.velocity(), state.acc), (u, vh, velocity, acc)):
             assert np.array_equal(_bits(got), _bits(ref))
             assert _all_positive_zero(got[: state.lo]) and _all_positive_zero(got[state.hi :])
 
-    want = state.u, state.v, None
+    want = state.u, state.v, None, None, None
     spare = kept = None
     for k in range(40):
         step_dt = dt if k % 3 else dt / 2
@@ -1759,14 +1832,14 @@ def test_windowed_verlet_step_is_bitwise_the_full_grid_step(case, amp, g_amp):
         # two steps back; the initial state is never lent
         new = step_hyperbolic(state, coeff, step_dt, spare)
         if spare is not None:
-            assert new.u is spare.u and new.v is spare.v and new.acc is spare.acc
+            assert new.u is spare.u and new.vh is spare.vh and new.acc is spare.acc
         spare = state if k else None
         state = new
         want = _full_grid_verlet_step(*want, coeff, grid, step_dt)
         assert_matches(state, want)
         if k == 2:  # a narrow state, copied so that it is never lent
-            u, v, acc = (a.copy() for a in (state.u, state.v, state.acc))
-            kept = FieldState(grid, u, v, state.t, dt, acc, state.lo, state.hi)
+            u, vh, acc = (a.copy() for a in (state.u, state.vh, state.acc))
+            kept = FieldState(grid, u, None, state.t, dt, acc, state.lo, state.hi, vh, state.kick)
             kept_want = want
     assert max_abs(state.u) > 0.0
     if grid.geometry != "polar-sector":  # the sector's few rows fill within 40 steps
@@ -1783,13 +1856,13 @@ def test_windowed_verlet_step_is_bitwise_the_full_grid_step(case, amp, g_amp):
 
 
 def test_reciprocal_forms_round_within_1e_12_of_the_division_forms():
-    # The Laplacian multiplies by 1/h^2 and the Verlet step by 1/(1 + (dt/2) a)
-    # in place of dividing: only the rounding differs.  Measured
-    # largest deviations, relative to max|ref|: 2.0e-16 on the Laplacian and
-    # 2.1e-13 after 40 steps (acc on radial-3, where the Laplacian of u's
-    # rounding is amplified by up to 4/h^2); complex fields agree exactly, as
-    # numpy divides a complex by a real through its reciprocal.  A wrong
-    # factor, such as 1/h or the undamped 1.0, is off by far more.
+    # The Laplacian multiplies by 1/h^2 and the Verlet step by factors of
+    # 1/(1 + (dt/2) a) in place of dividing, and it merges the two kicks: only
+    # the rounding differs from two-kick Verlet in the division form.  Measured
+    # largest deviations, relative to max|ref|: 2.0e-16 on the Laplacian, and
+    # after 40 steps 3.6e-15 (u), 3.4e-14 (v) and 2.2e-13 (acc on radial-3,
+    # where the Laplacian of u's rounding is amplified by up to 4/h^2).  A
+    # wrong factor, such as 1/h or the undamped 1.0, is off by far more.
     bound = 1e-12
 
     def assert_close(got, ref):
@@ -1817,9 +1890,121 @@ def test_reciprocal_forms_round_within_1e_12_of_the_division_forms():
             for k in range(40):
                 step_dt = dt if k % 3 else dt / 2
                 state = step_hyperbolic(state, coeff, step_dt)
-                want = _full_grid_verlet_step(*want, coeff, grid, step_dt, division=True)
-            for got, ref in zip((state.u, state.v, state.acc), want):
+                want = _two_kick_verlet_step(*want, coeff, grid, step_dt, division=True)
+            for got, ref in zip((state.u, state.velocity(), state.acc), want):
                 assert_close(got, ref)
+
+
+_TWO_KICK_CASES = {
+    "line": ("line", (-0.8, 0.5)),
+    "line-complex": ("line", (0.6 - 0.5j, -0.3 + 0.4j)),
+    "line-alpha-p3": ("line-alpha-p3", (-0.8, 0.5)),
+    "half-line-complex": ("half-line", (0.6 - 0.5j, -0.3 + 0.4j)),
+    "radial-3-v0": ("radial-3-no-origin-v0", (-0.8, 0.5)),
+    "polar": ("polar", (-0.8, 0.5)),
+    "polar-complex": ("polar", (0.6 - 0.5j, -0.3 + 0.4j)),
+}
+
+
+@pytest.mark.parametrize("case", list(_TWO_KICK_CASES))
+def test_merged_kick_stays_within_1e_12_of_two_kick_verlet(case):
+    # 200 steps as a run makes them: mostly at the current dt, with halvings (a
+    # trial thrown away and retried from the same state at half the step), and
+    # step-doubling probes (one step of 2*dt from the state two steps back)
+    # that sometimes pass and double dt.  Each state carries the two-kick
+    # reference's (u, v, acc) beside it.  Largest deviations measured, relative
+    # to max|ref|: 8.7e-15 (u, line), 4.5e-14 (v) and 2.8e-13 (acc, both
+    # line-complex), where the Laplacian amplifies u's rounding by up to 4/h^2.
+    name, (amp, g_amp) = _TWO_KICK_CASES[case]
+    grid, center, coeff = _VERLET_CASES[name]
+    limit = _grid_data(grid).wave_dt_limit
+    state = initial_state(EvolutionProblem(coeff, grid, InitialDataSpec(center, 1.5, 0.8, amp, g_amp)), limit / 4)
+    pair = (state, (state.u, state.v, None))
+    back1 = back2 = None
+    dt = limit / 4
+    worst = 0.0
+
+    def step(pair, dt):
+        got = step_hyperbolic(pair[0], coeff, dt)
+        want = _two_kick_verlet_step(*pair[1], coeff, grid, dt)
+        nonlocal worst
+        for a, b in zip((got.u, got.velocity(), got.acc), want):
+            worst = max(worst, float(np.max(np.abs(a - b)) / np.max(np.abs(b))))
+        return got, want
+
+    kinds = {"halving": 0, "probe": 0, "passed": 0}
+    for k in range(200):
+        if k % 13 == 5 and dt > limit / 16:  # a halving: the trial is thrown away
+            step(pair, dt)
+            dt /= 2
+            kinds["halving"] += 1
+        back2, back1, pair = back1, pair, step(pair, dt)
+        if k % 7 == 3 and back2 is not None and 2 * dt <= limit:
+            step(back2, 2 * dt)
+            kinds["probe"] += 1
+            if k % 14 == 3:
+                dt *= 2
+                kinds["passed"] += 1
+    assert all(kinds.values()) and worst > 0.0
+    assert worst <= 1e-12
+
+
+def test_steady_verlet_step_with_a_spare_allocates_less_than_one_field():
+    import tracemalloc
+
+    coeff = CoefficientSpec(tau=1, p=2.0, lam=1.0, a0=1.0)
+    grid = GridSpec("line", extent=200.0, num_points=10_001)
+    init = InitialDataSpec(center=0.0, width=1.0, epsilon=0.02, g_amplitude=1.0)
+    dt = _grid_data(grid).wave_dt_limit
+    back, state = None, initial_state(EvolutionProblem(coeff, grid, init), dt)
+    for _ in range(6000):  # the range spans the grid from about step 4,950 on
+        back, state = state, step_hyperbolic(state, coeff, dt, back if back and back.t else None)
+    assert (state.lo, state.hi) == (0, grid.num_points)
+    field = state.u.nbytes
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            back, state = state, step_hyperbolic(state, coeff, dt, back)
+            assert tracemalloc.get_traced_memory()[1] - base < field
+    finally:
+        tracemalloc.stop()
+    # without a spare the step allocates its three arrays
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step_hyperbolic(state, coeff, dt)
+        assert tracemalloc.get_traced_memory()[1] - base >= 3 * field
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("amp", [1.0, 1.0 - 0.5j], ids=["real", "complex"])
+def test_peak_at_p2_is_max_abs_at_every_accepted_step(monkeypatch, amp):
+    # the damped-wave run that halves and probes; at p = 2 the step reads
+    # max|u| off |u|^2, and the run tests growth with it in place of max_abs
+    grid = GridSpec("line", extent=60.0, num_points=1501)
+    init = InitialDataSpec(center=0.0, width=0.8, epsilon=3.0, amplitude=amp, g_amplitude=1.0)
+    controls = RunControls(threshold=1e6, t_max=50.0, dt_init=0.036 / 8)
+    original = solvers.step_hyperbolic
+    calls = []
+
+    def recording(state, coeff, dt, spare=None):
+        result = original(state, coeff, dt, spare)
+        calls.append((state, result, result.peak, max_abs(result.u[result.lo : result.hi])))
+        return result
+
+    monkeypatch.setattr(solvers, "step_hyperbolic", recording)
+    res = run_until_blowup(EvolutionProblem(DAMPED, grid, init), controls, observers=())
+    assert res.record.status == "blowup"
+    starts = {id(state) for state, *_ in calls} | {id(calls[-1][1])}
+    accepted = [(peak, want) for _, result, peak, want in calls if id(result) in starts]
+    assert len(accepted) == res.record.steps
+    assert all(peak is not None and peak == want for peak, want in accepted)
+    # a p other than 2 reports none: the run takes max_abs
+    state = initial_state(EvolutionProblem(CoefficientSpec(tau=1, p=3.0, a0=1.0), grid, init), 0.01)
+    assert step_hyperbolic(state, CoefficientSpec(tau=1, p=3.0, a0=1.0), 0.01).peak is None
 
 
 def test_verlet_step_computes_at_most_one_more_row_a_side_per_step(monkeypatch):
@@ -1829,9 +2014,9 @@ def test_verlet_step_computes_at_most_one_more_row_a_side_per_step(monkeypatch):
     asked = []
     laplacian = _GridData.laplacian
 
-    def recording_laplacian(self, u, lo=0, hi=None):
+    def recording_laplacian(self, u, lo=0, hi=None, out=None):
         asked.append(u.shape[0] if hi is None else hi - lo)
-        return laplacian(self, u, lo, hi)
+        return laplacian(self, u, lo, hi, out)
 
     monkeypatch.setattr(_GridData, "laplacian", recording_laplacian)
     coeff = CoefficientSpec(tau=1, p=2.0, lam=1.0, a0=1.0)
