@@ -104,7 +104,7 @@ def epsilon_violations(epsilons) -> list[str]:
 def _run_one(args) -> BlowupRecord:
     problem, controls = args
     try:
-        return run_until_blowup(problem, controls, observers=()).record
+        return run_until_blowup(problem, controls).record
     except RuntimeError as exc:  # e.g. the step budget: this epsilon alone fails
         return fault_record(problem, str(exc))
 

@@ -974,7 +974,8 @@ def fault_record(problem: EvolutionProblem, reason: str) -> BlowupRecord:
 class SnapshotStore:
     """A run observer that keeps a copy of each snapshot: every node at
     ``stride`` 1, otherwise every ``stride``-th node of the field flattened
-    in row-major order."""
+    in row-major order.  It is the one observer whose memory grows with the
+    run, so a run keeps its history only when the caller passes one."""
 
     def __init__(self, stride: int = 1):
         self.stride = stride
@@ -1015,7 +1016,7 @@ def extrapolate_lifespan(thresholds, crossings, p: float) -> float:
 
 
 def run_until_blowup(
-    problem: EvolutionProblem, controls: RunControls, observers=None
+    problem: EvolutionProblem, controls: RunControls, observers=()
 ) -> RunResult:
     """Integrate until max|u| crosses the blowup threshold, the horizon is
     reached, or the adaptive step collapses.
@@ -1050,11 +1051,11 @@ def run_until_blowup(
     arrays of states the run has retired (it keeps two, and while a probe
     may follow a trial leaves one for it), so an observer copies what it
     keeps (:class:`SnapshotStore` does; :class:`TraceAccumulator` keeps
-    only sums).  The default keeps every field (one full
-    :class:`SnapshotStore`).  The result holds the fields of the first
-    ``SnapshotStore`` among the observers; without one it holds only the
-    first and final fields, and ``snapshot_dt`` still caps the step, so the
-    record is the same.
+    only sums).  No observer changes the trajectory.  The result holds the
+    fields of the first ``SnapshotStore`` among the observers; without one,
+    as by default, it holds only the first and final fields, so a run's
+    memory does not grow with its length, and ``snapshot_dt`` still caps the
+    step, so the record is the same.
     """
     coeff = problem.coeff
     dt0 = controls.dt_init if controls.dt_init is not None else _default_dt(problem)
@@ -1084,7 +1085,7 @@ def run_until_blowup(
     def spare(keep=0):
         return spares.pop() if len(spares) > keep else None
 
-    observers = (SnapshotStore(),) if observers is None else tuple(observers)
+    observers = tuple(observers)
     snap_times = []
 
     caller_errors = np.geterr()
@@ -1245,10 +1246,10 @@ class TraceAccumulator:
 
     Called as ``acc(t, u)`` on each snapshot in time order, it keeps t and
     the snapshot's column: the grid quadratures of w * psi* and w * psi at
-    each radius.  A run can feed it as an observer, or :func:`functional_trace`
-    replay a run's stored snapshots into it.  :meth:`finish` integrates the
-    columns in time.  The cutoff is the run's own: power 2p' and
-    s = (<x>^(2-alpha) + t) / R with the problem's p and alpha.
+    each radius.  A run feeds it as an observer, so the trace costs no
+    stored field.  :meth:`finish` integrates the columns in time.  The
+    cutoff is the run's own: power 2p' and s = (<x>^(2-alpha) + t) / R with
+    the problem's p and alpha.
 
     Every cutoff is 0 where s >= 1, so a column evaluates and sums only the
     nodes with <x>^(2-alpha) + t below the largest radius, in grid order.
@@ -1320,20 +1321,3 @@ class TraceAccumulator:
             raise ValueError("snapshot density insufficient for the trace quadrature")
         return FunctionalTrace(radii=radii, shell_mass=y_full, mass=m_full)
 
-
-def functional_trace(result: RunResult, radii) -> FunctionalTrace:
-    """The trace at ``radii`` of the snapshots ``result`` stores (every node of
-    each), replayed through a :class:`TraceAccumulator`.  A snapshot that is not
-    a whole field, as from a ``SnapshotStore`` with a stride above 1, is an error."""
-    nodes = math.prod(_grid_data(result.problem.grid).shape)
-    for u in result.snapshots:
-        if u.size != nodes:
-            stride = -(-nodes // u.size)  # the smallest stride that keeps u.size nodes
-            raise ValueError(
-                f"snapshots hold {u.size} of the grid's {nodes} nodes, as a SnapshotStore "
-                f"with stride {stride} keeps: the trace needs every node (stride 1)"
-            )
-    acc = TraceAccumulator(result.problem, radii)
-    for t, u in zip(result.snapshot_times, result.snapshots):
-        acc(t, u)
-    return acc.finish()

@@ -160,11 +160,26 @@ class CriterionOutcome:
     bound: float  # lifespan_upper_bound(inputs)
 
 
-def causal_trace(result: sv.RunResult, count: int, top: float) -> lb.FunctionalTrace:
-    """The run's trace at ``count`` radii geometric from R1 to ``top`` times its lifespan."""
-    r1 = sv.first_admissible_radius(result.problem.init, result.problem.coeff.alpha)
-    radii = np.geomspace(r1, top * result.record.t_extrapolated, count)
-    return sv.functional_trace(result, radii)
+def causal_trace(
+    problem: sv.EvolutionProblem, controls: sv.RunControls, count: int, top: float
+) -> tuple[sv.RunResult, lb.FunctionalTrace]:
+    """The run and its trace at ``count`` radii geometric from R1 to ``top`` times
+    its lifespan T.
+
+    The radii need T, so the problem runs twice: once with no observer to
+    learn T, and once more with the trace streamed on those radii.  An
+    observer does not change the trajectory, so both runs are the same.
+    """
+    r1 = sv.first_admissible_radius(problem.init, problem.coeff.alpha)
+    t_life = sv.run_until_blowup(problem, controls).record.t_extrapolated
+    if not top * t_life > r1:
+        raise ValueError(
+            f"top * T = {top!r} * {t_life!r} = {top * t_life!r} does not exceed "
+            f"R1 = {r1!r}: no trace radius lies between them"
+        )
+    acc = sv.TraceAccumulator(problem, np.geomspace(r1, top * t_life, count))
+    result = sv.run_until_blowup(problem, controls, (acc,))
+    return result, acc.finish()
 
 
 def criterion_pipeline(result: sv.RunResult, trace: lb.FunctionalTrace) -> CriterionOutcome:

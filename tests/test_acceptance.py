@@ -22,7 +22,6 @@ from blowlab.solvers import (
     GridSpec,
     InitialDataSpec,
     RunControls,
-    run_until_blowup,
 )
 
 
@@ -139,10 +138,10 @@ def test_criterion_5_subcritical_heat_scaling(heat_sweep):
 def test_criterion_9_criterion_to_bound_pipeline():
     controls = RunControls(threshold=1e6, t_max=60.0, dt_init=2e-3, snapshot_dt=0.05)
     problem = EvolutionProblem(HEAT, HEAT_GRID, InitialDataSpec(0.0, 1.0, 0.5))
-    result = run_until_blowup(problem, controls)
+    result, trace = verify.causal_trace(problem, controls, 12, 0.95)
     t_sim = result.record.t_extrapolated
     assert result.record.status == "blowup"
-    outcome = verify.criterion_pipeline(result, verify.causal_trace(result, 12, 0.95))
+    outcome = verify.criterion_pipeline(result, trace)
     delta, c0, bound = outcome.inputs.delta, outcome.report.minimal_c0, outcome.bound
     ok = math.isfinite(c0) and bound >= t_sim
     _verdict(9, ok, f"delta {delta:.4f}, minimal C0 {c0:.3f}, bound {bound:.1f} "
@@ -214,11 +213,11 @@ def test_criterion_8_schrodinger_blowup():
     init = InitialDataSpec(0.0, 1.0, 1.0, amplitude=complex(0.0, -0.47))
     controls = RunControls(threshold=1e6, t_max=60.0, dt_init=0.01, snapshot_dt=0.04)
     problem = EvolutionProblem(coeff, grid, init)
-    result = run_until_blowup(problem, controls)
+    result, trace = verify.causal_trace(problem, controls, 7, 0.92)
     rec = result.record
     blowup_ok = rec.status == "blowup"
     hygiene = rec.boundary_max < 1e-8
-    report = verify.criterion_pipeline(result, verify.causal_trace(result, 7, 0.92)).report
+    report = verify.criterion_pipeline(result, trace).report
     req = report.required_c0
     finite = bool(np.all(np.isfinite(req)))
     dev = float(np.max(np.abs(req - req.mean())) / req.mean())

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from blowlab.solvers import (
     domain_for_grid,
     extrapolate_lifespan,
     first_admissible_radius,
-    functional_trace,
     grid_coordinates,
     initial_state,
     max_abs,
@@ -449,23 +449,32 @@ HEAT_BLOWUP = (
 
 @pytest.fixture(scope="module")
 def heat_blowup_run():
-    return run_until_blowup(*HEAT_BLOWUP)
+    return run_until_blowup(*HEAT_BLOWUP, (solvers.SnapshotStore(),))
+
+
+def _replay(result, radii):
+    """The trace of a run's stored fields, fed one at a time into a fresh
+    accumulator: what the same accumulator streamed as an observer must give."""
+    acc = solvers.TraceAccumulator(result.problem, radii)
+    for t, u in zip(result.snapshot_times, result.snapshots):
+        acc(t, u)
+    return acc.finish()
 
 
 def test_functional_trace_zero_field():
     grid = GridSpec("line", extent=20.0, num_points=401)
     init = InitialDataSpec(center=0.0, width=2.0, epsilon=1.0)
-    controls = RunControls(threshold=1e6, t_max=1.0, dt_init=2e-3, snapshot_dt=0.02)
-    res = run_until_blowup(EvolutionProblem(FREE_HEAT, grid, init), controls)
-    res.snapshots = [np.zeros_like(s) for s in res.snapshots]
-    tr = functional_trace(res, [4.0, 8.0, 16.0])
+    acc = solvers.TraceAccumulator(EvolutionProblem(FREE_HEAT, grid, init), [4.0, 8.0, 16.0])
+    for t in np.linspace(0.0, 1.0, 51):
+        acc(t, np.zeros(401))
+    tr = acc.finish()
     assert np.all(tr.shell_mass == 0.0) and np.all(tr.mass == 0.0)
 
 
 def test_functional_trace_masses_and_transform(heat_blowup_run):
     res = heat_blowup_run
     radii = np.geomspace(4.0, 0.9 * res.record.t_extrapolated, 8)
-    tr = functional_trace(res, radii)
+    tr = _replay(res, radii)
     assert np.all(np.diff(tr.mass) >= -1e-12)
     assert np.all(np.diff(tr.shell_mass) >= -1e-12)
     transform = integrate_shell_masses(tr)
@@ -473,7 +482,7 @@ def test_functional_trace_masses_and_transform(heat_blowup_run):
 
 
 def _full_cutoff_masses(result, fam, radii):
-    """functional_trace's masses with psi and psi* evaluated on every node: the
+    """The trace's masses with psi and psi* evaluated on every node: the
     reference.  Each product vanishes off the largest support, so each sum runs
     over that support's nodes in grid order, as the trace's does."""
     data = _grid_data(result.problem.grid)
@@ -502,7 +511,7 @@ def test_functional_trace_band_is_bitwise_the_full_cutoff(heat_blowup_run):
     bp = 1.0 + _grid_data(res.problem.grid).radius ** 2
     assert res.snapshot_times[0] == 0.0 and np.any(bp / radii[0] == 0.5)
     fam = CutoffFamily(R=2.0, p=2.0, alpha=0.0)
-    tr = functional_trace(res, radii)
+    tr = _replay(res, radii)
     shell_mass, mass = _full_cutoff_masses(res, fam, radii)
     assert np.array_equal(tr.shell_mass, shell_mass)
     assert np.array_equal(tr.mass, mass)
@@ -520,14 +529,14 @@ def test_trace_is_bitwise_the_full_cutoff_on_every_support(heat_blowup_run, case
     if case == "line":
         res = heat_blowup_run
     else:
-        res = run_until_blowup(*_polar_heat_run())
+        res = run_until_blowup(*_polar_heat_run(), (solvers.SnapshotStore(),))
     radii = np.array(radii)
     bp = 1.0 + _grid_data(res.problem.grid).radius ** 2
     # the largest support holds the whole grid on every snapshot, or misses part of it on all
     holds_all = np.max(bp) + res.snapshot_times[-1] < radii[-1]
     misses_some = np.max(bp) >= radii[-1]
     assert (holds_all, misses_some) == (edge, not edge)
-    tr = functional_trace(res, radii)
+    tr = _replay(res, radii)
     fam = CutoffFamily(R=radii[0], p=2.0, alpha=0.0)
     shell_mass, mass = _full_cutoff_masses(res, fam, radii)
     assert np.array_equal(tr.shell_mass, shell_mass)
@@ -541,37 +550,15 @@ def test_functional_trace_takes_the_cutoff_from_the_problem():
     problem = EvolutionProblem(
         coeff, GridSpec("line", extent=40.0, num_points=801), InitialDataSpec(0.0, 2.0, 0.5)
     )
-    res = run_until_blowup(problem, RunControls(threshold=1e6, t_max=3.0, snapshot_dt=0.05))
     radii = np.array([3.0, 5.0, 8.0])
-    tr = functional_trace(res, radii)
+    acc = solvers.TraceAccumulator(problem, radii)
+    controls = RunControls(threshold=1e6, t_max=3.0, snapshot_dt=0.05)
+    res = run_until_blowup(problem, controls, (solvers.SnapshotStore(), acc))
+    tr = acc.finish()
     shell_mass, mass = _full_cutoff_masses(res, CutoffFamily(R=3.0, p=3.0, alpha=0.5), radii)
     assert np.array_equal(tr.shell_mass, shell_mass)
     assert np.array_equal(tr.mass, mass)
     assert np.all(tr.shell_mass > 0.0)
-
-
-def test_functional_trace_flags_support_before_first_snapshot(heat_blowup_run):
-    res = heat_blowup_run
-    clipped_times = [t for t in res.snapshot_times if t > 8.0]
-    k = len(res.snapshot_times) - len(clipped_times)
-    import copy
-
-    res2 = copy.copy(res)
-    res2.snapshot_times = clipped_times
-    res2.snapshots = res.snapshots[k:]
-    with pytest.raises(ValueError):
-        functional_trace(res2, [4.0])
-
-
-def test_functional_trace_flags_sparse_snapshots(heat_blowup_run):
-    res = heat_blowup_run
-    import copy
-
-    res2 = copy.copy(res)
-    res2.snapshot_times = res.snapshot_times[::40]
-    res2.snapshots = res.snapshots[::40]
-    with pytest.raises(ValueError):
-        functional_trace(res2, np.geomspace(4.0, 12.0, 5))
 
 
 def _polar_heat_run():
@@ -588,7 +575,7 @@ def test_streamed_trace_is_bitwise_the_stored_trace(heat_blowup_run, case):
         radii = np.array([2.0, 4.0, 9.0, 0.9 * full.record.t_extrapolated])
     else:
         problem, controls = _polar_heat_run()
-        full = run_until_blowup(problem, controls)
+        full = run_until_blowup(problem, controls, (solvers.SnapshotStore(),))
         radii = np.array([20.0, 40.0, 80.0])
     store = solvers.SnapshotStore(stride=7)  # strides across the sector's rows
     acc = solvers.TraceAccumulator(problem, radii)
@@ -597,24 +584,11 @@ def test_streamed_trace_is_bitwise_the_stored_trace(heat_blowup_run, case):
     assert streamed.snapshot_times == full.snapshot_times
     assert streamed.snapshots is store.fields
     assert all(np.array_equal(s, f.reshape(-1)[::7]) for s, f in zip(store.fields, full.snapshots))
-    stored = functional_trace(full, radii)
+    stored = _replay(full, radii)
     trace = acc.finish()
     assert np.array_equal(trace.shell_mass, stored.shell_mass)
     assert np.array_equal(trace.mass, stored.mass)
     assert np.all(trace.mass > 0.0)
-
-
-@pytest.mark.parametrize("radii", [[2.5, 3.0], [20.0, 40.0]], ids=["inside", "past-the-end"])
-def test_functional_trace_rejects_strided_snapshots(radii):
-    # a strided store's flat indices either fall inside the strided array (wrong
-    # masses) or past its end (an IndexError): both are named as a stride
-    problem, controls = _polar_heat_run()
-    store = solvers.SnapshotStore(stride=7)
-    res = run_until_blowup(problem, controls, observers=(store,))
-    assert res.snapshots is store.fields and res.snapshots[0].size == 138  # of 60 x 16
-    with pytest.raises(ValueError, match="138 of the grid's 960 nodes") as err:
-        functional_trace(res, radii)
-    assert "stride 7" in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -626,27 +600,22 @@ def test_functional_trace_rejects_strided_snapshots(radii):
     ],
 )
 def test_streamed_trace_raises_what_the_stored_trace_raises(heat_blowup_run, case, message):
+    # the stored run cut three ways, fed into the accumulator: too few
+    # snapshots, all of them after the cutoff's support, or every 40th only
     import copy
 
     res = copy.copy(heat_blowup_run)
     radii = [4.0]
     if case == "too-few":
         keep = slice(0, 3)
-    elif case == "clipped":  # the clipped-time case of the stored trace
+    elif case == "clipped":
         keep = slice(sum(t <= 8.0 for t in res.snapshot_times), None)
-    else:  # the sparse-snapshot case
+    else:
         keep, radii = slice(None, None, 40), np.geomspace(4.0, 12.0, 5)
     res.snapshot_times = res.snapshot_times[keep]
     res.snapshots = res.snapshots[keep]
-    with pytest.raises(ValueError) as stored:
-        functional_trace(res, radii)
-    acc = solvers.TraceAccumulator(res.problem, radii)
-    for t, u in zip(res.snapshot_times, res.snapshots):
-        acc(t, u)
-    with pytest.raises(ValueError) as streamed:
-        acc.finish()
-    assert message in str(stored.value)
-    assert str(streamed.value) == str(stored.value)
+    with pytest.raises(ValueError, match=message):
+        _replay(res, radii)
 
 
 @pytest.mark.parametrize("case", ["line", "polar-sector"])
@@ -670,19 +639,50 @@ def test_trace_accumulator_alone_finishes_the_trace(case):
     assert np.all(trace.mass > 0.0)
 
 
+HALF_LINE_HEAT = (
+    EvolutionProblem(
+        CoefficientSpec(tau=0, p=1.5, lam=1.0, a_phase=0.0),
+        GridSpec("half-line", extent=100.0, num_points=501),
+        InitialDataSpec(1.2, 1.0, 0.1),
+    ),
+    RunControls(threshold=1e6, t_max=400.0, snapshot_dt=0.5),
+)
+
+
 def test_criterion_pipeline_takes_theta_from_the_half_line_cone():
     # gamma = 1 on the half line: theta = 1/(p-1) - (1 + 1)/2 = 1, not the full-line 1.5
-    coeff = CoefficientSpec(tau=0, p=1.5, lam=1.0, a_phase=0.0)
-    grid = GridSpec("half-line", extent=100.0, num_points=501)
-    problem = EvolutionProblem(coeff, grid, InitialDataSpec(1.2, 1.0, 0.1))
-    result = run_until_blowup(problem, RunControls(threshold=1e6, t_max=400.0, snapshot_dt=0.5))
+    result, trace = verify.causal_trace(*HALF_LINE_HEAT, 6, 0.95)
     assert result.record.status == "blowup"
-    trace = verify.causal_trace(result, 6, 0.95)
     outcome = verify.criterion_pipeline(result, trace)
     assert outcome.inputs.theta == 1.0 / (1.5 - 1.0) - 1.0
     assert outcome.inputs.r1 == trace.radii[0] and np.array_equal(outcome.report.radii, trace.radii)
     assert outcome.inputs.c0 == outcome.report.minimal_c0
     assert math.isfinite(outcome.bound) and outcome.bound >= result.record.t_extrapolated
+
+
+def test_causal_trace_is_bitwise_the_replay_of_the_stored_run():
+    problem, controls = HALF_LINE_HEAT
+    result, trace = verify.causal_trace(problem, controls, 6, 0.95)
+    full = run_until_blowup(problem, controls, (solvers.SnapshotStore(),))
+    r1 = first_admissible_radius(problem.init, problem.coeff.alpha)
+    radii = np.geomspace(r1, 0.95 * full.record.t_extrapolated, 6)
+    replayed = _replay(full, radii)
+    assert result.record == full.record
+    assert result.snapshot_times == [0.0, full.snapshot_times[-1]]  # no field kept
+    assert np.array_equal(trace.radii, radii)
+    assert np.array_equal(trace.shell_mass, replayed.shell_mass)
+    assert np.array_equal(trace.mass, replayed.mass)
+
+
+def test_causal_trace_names_a_lifespan_below_r1():
+    # criterion 9's line at eps 1.0: T = 4.159, so 0.95 T falls below R1 = 4
+    problem = EvolutionProblem(
+        HEAT, GridSpec("line", extent=180.0, num_points=9001), InitialDataSpec(0.0, 1.0, 1.0)
+    )
+    controls = RunControls(threshold=1e6, t_max=60.0, dt_init=2e-3, snapshot_dt=0.05)
+    message = r"top \* T = 0\.95 \* 4\.1586\d* = 3\.9506\d* does not exceed R1 = 4\.0:"
+    with pytest.raises(ValueError, match=message):
+        verify.causal_trace(problem, controls, 12, 0.95)
 
 
 def test_criterion_pipeline_rejects_a_trace_above_the_log2_shell_bound(heat_blowup_run):
@@ -699,7 +699,7 @@ def test_quarter_plane_step_count_survives_radial_refinement():
     for num_points in (200, 400):
         grid = GridSpec("polar-sector", 100.0, num_points, omega=math.pi / 2, num_angles=24)
         problem = EvolutionProblem(coeff, grid, InitialDataSpec(3.0, 2.0, 0.04))
-        res = run_until_blowup(problem, RunControls(), observers=())
+        res = run_until_blowup(problem, RunControls())
         assert res.record.status == "blowup"
         steps.append(res.record.steps)
     assert max(steps) <= 1.25 * min(steps), steps
@@ -710,7 +710,7 @@ def test_boundary_max_reads_only_the_truncation_wall():
     grid = GridSpec("half-line", extent=200.0, num_points=5001)
     init = InitialDataSpec(center=3.0, width=1.0, epsilon=0.3)
     controls = RunControls(t_max=400.0, dt_init=2e-3)
-    res = run_until_blowup(EvolutionProblem(HEAT, grid, init), controls, observers=())
+    res = run_until_blowup(EvolutionProblem(HEAT, grid, init), controls)
     u = res.snapshots[-1]
     assert res.record.status == "blowup"
     assert abs(u[1]) > 1e-4
@@ -1097,7 +1097,7 @@ def _assert_fields_above_the_floor(config, controls):
     imaginary part either zero or at least 2^-511, so |u|^2 holds no subnormal
     and no zero where u is nonzero."""
     cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs", config))
-    res = run_until_blowup(cfg.problem, controls)
+    res = run_until_blowup(cfg.problem, controls, (solvers.SnapshotStore(),))
     assert res.record.status == "survived"
     assert len(res.snapshots) > 5
     for u in res.snapshots[1:]:  # the initial bump is not a solve's output
@@ -1160,7 +1160,7 @@ def test_step_stays_on_the_ladder_under_its_caps(monkeypatch):
     grid = GridSpec("line", extent=80.0, num_points=2001)
     init = InitialDataSpec(center=0.0, width=1.0, epsilon=0.5)
     controls = RunControls(threshold=1e6, t_max=60.0, dt_init=2e-3, snapshot_dt=0.05)
-    res = run_until_blowup(EvolutionProblem(HEAT, grid, init), controls)
+    res = run_until_blowup(EvolutionProblem(HEAT, grid, init), controls, (solvers.SnapshotStore(),))
     assert res.record.status == "blowup"
     dts = [dt for _, dt in calls]
     assert all(_on_ladder(dt, 2e-3) and dt <= 0.05 for dt in dts)
@@ -1499,12 +1499,31 @@ def test_sweep_path_holds_no_snapshots_and_keeps_the_record():
     init = InitialDataSpec(center=0.0, width=1.0, epsilon=0.5)
     controls = RunControls(threshold=1e6, t_max=60.0, dt_init=2e-3, snapshot_dt=0.05)
     problem = EvolutionProblem(HEAT, grid, init)
-    full = run_until_blowup(problem, controls)
-    lean = run_until_blowup(problem, controls, observers=())
+    full = run_until_blowup(problem, controls, (solvers.SnapshotStore(),))
+    lean = run_until_blowup(problem, controls)
     assert lean.record == full.record
     assert lean.snapshot_times == [0.0, full.snapshot_times[-1]]
     assert np.array_equal(lean.snapshots[-1], full.snapshots[-1])
     assert len(full.snapshots) > 100
+
+
+def test_run_without_observers_holds_its_end_points_only():
+    # about 300 snapshot crossings, yet the run allocates only a few fields at its peak
+    import tracemalloc
+
+    problem, controls = HEAT_BLOWUP
+    run_until_blowup(problem, replace(controls, t_max=0.01))  # the grid's cached data
+    field = 8 * problem.grid.num_points  # bytes of one real field
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = run_until_blowup(problem, controls)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.record.t_final / controls.snapshot_dt > 250
+    assert res.snapshot_times == [0.0, res.record.t_final] and len(res.snapshots) == 2
+    assert peak < 32 * field
 
 
 def test_run_logs_its_step_control(caplog):
@@ -1625,7 +1644,7 @@ def test_damped_wave_run_steps_into_retired_states(monkeypatch):
     for step in (recording, ignoring):
         monkeypatch.setattr(solvers, "step_hyperbolic", step)
         # no SnapshotStore: the result holds the run's own first and final arrays
-        runs.append(run_until_blowup(problem, controls, observers=()))
+        runs.append(run_until_blowup(problem, controls))
     res, fresh = runs
     assert res.record.status == "blowup"
     assert repr(res.record) == repr(fresh.record)
@@ -1996,7 +2015,7 @@ def test_peak_at_p2_is_max_abs_at_every_accepted_step(monkeypatch, amp):
         return result
 
     monkeypatch.setattr(solvers, "step_hyperbolic", recording)
-    res = run_until_blowup(EvolutionProblem(DAMPED, grid, init), controls, observers=())
+    res = run_until_blowup(EvolutionProblem(DAMPED, grid, init), controls)
     assert res.record.status == "blowup"
     starts = {id(state) for state, *_ in calls} | {id(calls[-1][1])}
     accepted = [(peak, want) for _, result, peak, want in calls if id(result) in starts]
