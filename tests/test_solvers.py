@@ -561,6 +561,25 @@ def test_functional_trace_takes_the_cutoff_from_the_problem():
     assert np.all(tr.shell_mass > 0.0)
 
 
+def test_functional_trace_flags_support_before_first_snapshot(heat_blowup_run):
+    res = heat_blowup_run
+    acc = solvers.TraceAccumulator(res.problem, [4.0])
+    for t, u in zip(res.snapshot_times, res.snapshots):
+        if t > 8.0:
+            acc(t, u)
+    with pytest.raises(ValueError):
+        acc.finish()
+
+
+def test_functional_trace_flags_sparse_snapshots(heat_blowup_run):
+    res = heat_blowup_run
+    acc = solvers.TraceAccumulator(res.problem, np.geomspace(4.0, 12.0, 5))
+    for t, u in zip(res.snapshot_times[::40], res.snapshots[::40]):
+        acc(t, u)
+    with pytest.raises(ValueError):
+        acc.finish()
+
+
 def _polar_heat_run():
     grid = GridSpec("polar-sector", extent=10.0, num_points=60, omega=math.pi, num_angles=16)
     problem = EvolutionProblem(HEAT, grid, InitialDataSpec(center=4.0, width=2.0, epsilon=2.0))
