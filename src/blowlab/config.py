@@ -55,10 +55,15 @@ class RunConfig:
             bad.extend(("sweep_epsilons", msg) for msg in epsilon_violations(self.sweep_epsilons))
         if not self.slope_tolerance > 0:
             bad.append(("slope_tolerance", "must be positive"))
-        if self.trace_radii is not None and not all(r > 0 for r in self.trace_radii):
-            bad.append(("trace_radii", "entries must be positive"))
-        if self.trace_radii is not None and not self.controls.snapshot_dt > 0:
-            bad.append(("controls.snapshot_dt", "must be positive when trace_radii are set"))
+        if (radii := self.trace_radii) is not None:
+            if not radii:
+                bad.append(("trace_radii", "must hold at least one radius"))
+            if not all(r > 0 for r in radii):
+                bad.append(("trace_radii", "entries must be positive"))
+            if any(b <= a for a, b in zip(radii, radii[1:])):
+                bad.append(("trace_radii", "must be strictly increasing"))
+            if not self.controls.snapshot_dt > 0:
+                bad.append(("controls.snapshot_dt", "must be positive when trace_radii are set"))
         if bad:
             raise SpecError(bad)
 

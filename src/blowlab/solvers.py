@@ -35,10 +35,11 @@ is exactly zero outside its 1-d solve window, so the next step, the run's
 growth test and the trace columns skip the nodes that hold only zeros, with
 the bits of the full-grid arithmetic.  A velocity-Verlet step widens the
 rows that can be nonzero by one on each side and computes only those, so a
-wave run from a compact bump sweeps only the stencil's cone around it.  It
-writes into the arrays of a state the run has retired and into one scratch
-array per grid, and at p = 2 the run's growth test reads max|u| off the
-step's |u|^2.
+wave run from a compact bump sweeps only the stencil's cone around it.  Both
+steps take a state the run has retired and write into its arrays (the
+Crank-Nicolson step builds its right-hand side in the retired ``u``), the
+Verlet step also into one scratch array per grid, and at p = 2 the run's
+growth test reads max|u| off the Verlet step's |u|^2.
 
 Blowup runs step on the dyadic ladder dt_init * 2^k: a step that grows
 max|u| by more than the growth limit is halved, and a step-doubling probe
@@ -70,7 +71,7 @@ from blowlab.cone_geometry import (
     foreign_fields,
     make_domain,
 )
-from blowlab.cutoffs import CutoffFamily, psi_of_s
+from blowlab.cutoffs import CutoffFamily, bracket_power, psi_of_s
 from blowlab.lifespan_bounds import FunctionalTrace
 
 GEOMETRIES = ("line", "half-line", "radial", "polar-sector")
@@ -688,10 +689,11 @@ class FieldState:
     from the rows it computed.  Outside the range of a state that a step
     returned, every array holds +0.0; the initial state may hold -0.0 there.
 
-    A velocity-Verlet step may write into the arrays ``u``, ``vh`` and
-    ``acc`` of a *spare*: a tau=1 state that a step returned (so the +0.0
-    holds outside its range), on the same grid and dtype, that no one reads
-    again.  The spare is void once lent: its arrays belong to the result.
+    A step may write into the arrays of a *spare*: a state that a step of the
+    same scheme returned (so the +0.0 holds outside its range), on the same
+    grid and dtype, that no one reads again.  A Crank-Nicolson step writes
+    into its ``u``, a velocity-Verlet step into its ``u``, ``vh`` and
+    ``acc``.  The spare is void once lent: its arrays belong to the result.
     """
 
     grid: GridSpec
@@ -738,7 +740,9 @@ def initial_state(problem: EvolutionProblem, dt: float) -> FieldState:
     return FieldState(grid=grid, u=u, v=v, t=0.0, dt=dt, lo=lo, hi=hi)
 
 
-def step_parabolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> FieldState:
+def step_parabolic(
+    state: FieldState, coeff: CoefficientSpec, dt: float, spare: FieldState | None = None
+) -> FieldState:
     """One Crank-Nicolson step of u_t = a^{-1}(Lap u + lambda |u|^p).
 
     Diffusion carries weight 1/2 on both time levels; the source is frozen
@@ -756,33 +760,36 @@ def step_parabolic(state: FieldState, coeff: CoefficientSpec, dt: float) -> Fiel
     zeros outside the window; they are +0.0, as c_half (of positive real
     part) times +0.0 is.  On the 1-d grids each part of the new field is
     +0.0 or at least 2^-511.
+
+    ``spare`` lends its ``u`` as the right-hand side, cleared outside
+    [lo-1, hi+1) as in ``step_hyperbolic``, so the solve writes the new field there.
     """
     if coeff.tau != 0:
         raise ValueError("parabolic step requires tau=0")
     data = _grid_data(state.grid)
-    ainv = complex(np.exp(-1j * coeff.zeta))
-    lam = complex(coeff.lam)
+    ainv, lam = complex(np.exp(-1j * coeff.zeta)), complex(coeff.lam)
     if coeff.zeta == 0.0 and lam.imag == 0.0 and not np.iscomplexobj(state.u):
-        ainv_eff: complex | float = ainv.real
-        lam_eff: complex | float = lam.real
-    else:
-        ainv_eff = ainv
-        lam_eff = lam
+        ainv, lam = ainv.real, lam.real  # a real step
     u = state.u
     a, b = _reach(state.lo, state.hi, u.shape[0])
     near = u[a:b]
-    c_half = 0.5 * dt * ainv_eff
+    c_half = 0.5 * dt * ainv
     lap_u = data.laplacian(u, a, b)
-    half = lap_u + lam_eff * abs_power(near, coeff.p)
+    half = lap_u + lam * abs_power(near, coeff.p)
     half *= c_half
     half += near
-    rhs = np.zeros(u.shape, dtype=half.dtype)
+    if spare is None:
+        rhs = np.zeros(u.shape, dtype=half.dtype)
+    else:
+        rhs = spare.u
+        if spare.lo < a or b < spare.hi:  # most often the spare's range lies inside [a, b)
+            _clear_outside(spare, a, b)
     part = rhs[a:b]
     np.multiply(c_half, lap_u, out=part)
     part += near
-    part += dt * ainv_eff * lam_eff * abs_power(half, coeff.p)
+    part += dt * ainv * lam * abs_power(half, coeff.p)
     del lap_u, half  # freed before the solve, where the step's memory peaks
-    u_new, lo, hi = data.solve_implicit(ainv_eff, dt, rhs)
+    u_new, lo, hi = data.solve_implicit(ainv, dt, rhs)
     return FieldState(grid=state.grid, u=u_new, v=None, t=state.t + dt, dt=dt, lo=lo, hi=hi)
 
 
@@ -838,9 +845,8 @@ def step_hyperbolic(
         u_new, vh_new, acc_new = (np.zeros(u.shape, u.dtype) for _ in range(3))
     else:
         u_new, vh_new, acc_new = spare.u, spare.vh, spare.acc
-        for lo, hi in ((spare.lo, a), (b, spare.hi)):
-            if lo < hi:  # most often the spare's range lies inside [a, b)
-                u_new[lo:hi] = vh_new[lo:hi] = acc_new[lo:hi] = 0.0
+        if spare.lo < a or b < spare.hi:  # most often the spare's range lies inside [a, b)
+            _clear_outside(spare, a, b)
     den, recip, decay, gain = data.damping_factors(coeff, dt)
     if isinstance(recip, np.ndarray):
         recip, decay, gain = recip[a:b], decay[a:b], gain[a:b]
@@ -890,6 +896,13 @@ def _acceleration(
 def _reach(lo: int, hi: int | None, n: int) -> tuple[int, int]:
     """The rows [lo-1, hi+1) within [0, n): what a three-point stencil reaches from [lo, hi)."""
     return max(lo - 1, 0), n if hi is None else min(hi + 1, n)
+
+
+def _clear_outside(spare: FieldState, a: int, b: int) -> None:
+    """Set the rows of the spare's range outside [a, b) to +0.0 in each of its arrays."""
+    for arr in (spare.u, spare.vh, spare.acc):
+        if arr is not None:
+            arr[spare.lo : a] = arr[b : spare.hi] = 0.0
 
 
 def _zero_boundary(data: _GridData, arr: np.ndarray) -> None:
@@ -949,39 +962,36 @@ class BlowupRecord:
     reason: str | None = None  # why a fault row has no result; not a CSV column
 
 
+def _record(problem: EvolutionProblem, **run) -> BlowupRecord:
+    """A record of ``problem``: the fields the problem fixes, and the run's results by keyword."""
+    c, h = problem.coeff, _grid_data(problem.grid).h
+    return BlowupRecord(problem.init.epsilon, c.p, c.tau, c.alpha, c.zeta, h=h, **run)
+
+
 def fault_record(problem: EvolutionProblem, reason: str) -> BlowupRecord:
     """The record of a run that raised ``RuntimeError``: status ``fault``,
     no crossings and NaN in every run result."""
-    coeff = problem.coeff
-    return BlowupRecord(
-        epsilon=problem.init.epsilon,
-        p=coeff.p,
-        tau=coeff.tau,
-        alpha=coeff.alpha,
-        zeta=coeff.zeta,
-        status="fault",
-        t_at_thresholds=(math.nan,) * len(RECORD_THRESHOLDS),
-        t_extrapolated=math.nan,
-        dt_final=math.nan,
-        h=_grid_data(problem.grid).h,
-        steps=math.nan,
-        t_final=math.nan,
-        boundary_max=math.nan,
-        reason=reason,
+    nan = math.nan
+    return _record(
+        problem, status="fault", t_at_thresholds=(nan,) * len(RECORD_THRESHOLDS),
+        t_extrapolated=nan, dt_final=nan, steps=nan, t_final=nan, boundary_max=nan, reason=reason,
     )
 
 
 class SnapshotStore:
-    """A run observer that keeps a copy of each snapshot: every node at
-    ``stride`` 1, otherwise every ``stride``-th node of the field flattened
-    in row-major order.  It is the one observer whose memory grows with the
+    """A run observer that keeps the time and a copy of each snapshot: every
+    node at ``stride`` 1, otherwise every ``stride``-th node of the field
+    flattened in row-major order.  It copies because the run's array is valid
+    only during the call.  It is the one observer whose memory grows with the
     run, so a run keeps its history only when the caller passes one."""
 
     def __init__(self, stride: int = 1):
         self.stride = stride
+        self.times: list = []
         self.fields: list = []
 
     def __call__(self, t: float, u: np.ndarray) -> None:
+        self.times.append(t)
         self.fields.append(u.copy() if self.stride == 1 else u.reshape(-1)[:: self.stride].copy())
 
 
@@ -991,13 +1001,6 @@ class RunResult:
     record: BlowupRecord
     snapshot_times: list
     snapshots: list
-
-
-def _default_dt(problem: EvolutionProblem) -> float:
-    h = _grid_data(problem.grid).h
-    if problem.coeff.tau == 1:
-        return 0.5 * h
-    return h * h
 
 
 def extrapolate_lifespan(thresholds, crossings, p: float) -> float:
@@ -1047,57 +1050,50 @@ def run_until_blowup(
     ``observers`` say what the run keeps.  Each is called as ``obs(t, u)``
     on every recorded snapshot: t = 0, each ``snapshot_dt`` crossing and the
     final field; ``u`` is the run's own array and must not be changed.  It
-    is valid only during the call: on tau=1 a later step writes into the
-    arrays of states the run has retired (it keeps two, and while a probe
-    may follow a trial leaves one for it), so an observer copies what it
-    keeps (:class:`SnapshotStore` does; :class:`TraceAccumulator` keeps
-    only sums).  No observer changes the trajectory.  The result holds the
-    fields of the first ``SnapshotStore`` among the observers; without one,
-    as by default, it holds only the first and final fields, so a run's
+    is valid only during the call: a later step writes into the arrays of
+    states the run has retired (it keeps two, and while a probe may follow
+    a trial leaves one for it), so an observer copies what it keeps
+    (:class:`SnapshotStore` does; :class:`TraceAccumulator` keeps only
+    sums).  No observer changes the trajectory.  The result holds the times
+    and fields of the first ``SnapshotStore`` among the observers; without
+    one, as by default, it holds only the first and final fields, so a run's
     memory does not grow with its length, and ``snapshot_dt`` still caps the
     step, so the record is the same.
     """
     coeff = problem.coeff
-    dt0 = controls.dt_init if controls.dt_init is not None else _default_dt(problem)
     data = _grid_data(problem.grid)
-    dt_cap = controls.t_max
-    if coeff.tau == 1:
-        dt0 = min(dt0, data.wave_dt_limit)
+    dt0, dt_cap = controls.dt_init, controls.t_max
+    if coeff.tau == 1:  # by default the first step is h/2, and the wave step limit caps each
+        dt0 = min(0.5 * data.h if dt0 is None else dt0, data.wave_dt_limit)
         dt_cap = min(dt_cap, data.wave_dt_limit)
+    elif dt0 is None:
+        dt0 = data.h * data.h
     if controls.snapshot_dt > 0:
         dt_cap = min(dt_cap, controls.snapshot_dt)
     state = start = initial_state(problem, dt0)
-    if coeff.tau == 1:
-        stepper = step_hyperbolic
-    else:
-
-        def stepper(state, coeff, dt, spare=None):  # the Crank-Nicolson step recycles nothing
-            return step_parabolic(state, coeff, dt)
-
-    spares = []  # up to two retired states, whose arrays the next Verlet steps write into
+    stepper = step_hyperbolic if coeff.tau == 1 else step_parabolic
+    spares = []  # up to two retired states, whose arrays the next steps write into
 
     def retire(old):
         # a state the run holds no more; the initial state is kept, since its u is the
         # run's first field
-        if coeff.tau == 1 and old is not None and old is not start and len(spares) < 2:
+        if old is not None and old is not start and len(spares) < 2:
             spares.append(old)
 
     def spare(keep=0):
         return spares.pop() if len(spares) > keep else None
 
     observers = tuple(observers)
-    snap_times = []
-
     caller_errors = np.geterr()
 
     def observe(t, u):
-        snap_times.append(t)
         with np.errstate(**caller_errors):
             for obs in observers:
                 obs(t, u)
 
     first = state.u
     observe(0.0, first)
+    observed = 0.0  # the time of the last snapshot
     next_snap = controls.snapshot_dt if controls.snapshot_dt > 0 else math.inf
 
     dt_floor = 1e-3 * controls.threshold ** (1.0 - coeff.p)
@@ -1152,6 +1148,7 @@ def run_until_blowup(
             m_prev = m_new
             if state.t >= next_snap:
                 observe(state.t, state.u)
+                observed = state.t
                 next_snap += controls.snapshot_dt
             if m_new >= controls.threshold:
                 status = "blowup"
@@ -1184,11 +1181,11 @@ def run_until_blowup(
         "dt %r..%r",
         problem.init.epsilon, status, state.t, steps, halvings, passed, failed, dt_lo, dt_hi,
     )
-    if snap_times[-1] != state.t:
+    if observed != state.t:
         observe(state.t, state.u)
     store = next((obs for obs in observers if isinstance(obs, SnapshotStore)), None)
     if store is not None:
-        snaps = store.fields
+        snap_times, snaps = store.times, store.fields
     else:  # the run's end points only
         snap_times, snaps = [0.0], [first]
         if state.t != 0.0:
@@ -1199,20 +1196,9 @@ def run_until_blowup(
     t_ext = math.nan
     if status == "blowup":
         t_ext = extrapolate_lifespan(RECORD_THRESHOLDS, crossings, coeff.p)
-    record = BlowupRecord(
-        epsilon=problem.init.epsilon,
-        p=coeff.p,
-        tau=coeff.tau,
-        alpha=coeff.alpha,
-        zeta=coeff.zeta,
-        status=status,
-        t_at_thresholds=tuple(crossings),
-        t_extrapolated=t_ext,
-        dt_final=state.dt,
-        h=data.h,
-        steps=steps,
-        t_final=state.t,
-        boundary_max=boundary,
+    record = _record(
+        problem, status=status, t_at_thresholds=tuple(crossings), t_extrapolated=t_ext,
+        dt_final=state.dt, steps=steps, t_final=state.t, boundary_max=boundary,
     )
     return RunResult(problem=problem, record=record, snapshot_times=snap_times, snapshots=snaps)
 
@@ -1263,7 +1249,7 @@ class TraceAccumulator:
         self.fam = CutoffFamily(R=1.0, p=coeff.p, alpha=coeff.alpha)  # psi_of_s reads no R
         self.radii = np.asarray(radii, dtype=float)
         self.r_max = float(np.max(self.radii))
-        bp = ((1.0 + data.radius**2) ** ((2.0 - coeff.alpha) / 2.0)).reshape(-1)
+        bp = bracket_power(data.radius[..., None], coeff.alpha).reshape(-1)
         # the nodes in the largest support at the last t seen (t = 0 at first), as
         # flat indices in grid order, with their <x>^(2-alpha) and weighted volume
         self.near = np.flatnonzero(bp < self.r_max)

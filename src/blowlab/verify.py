@@ -171,7 +171,10 @@ def causal_trace(
     observer does not change the trajectory, so both runs are the same.
     """
     r1 = sv.first_admissible_radius(problem.init, problem.coeff.alpha)
-    t_life = sv.run_until_blowup(problem, controls).record.t_extrapolated
+    record = sv.run_until_blowup(problem, controls).record
+    if record.status != "blowup":
+        raise ValueError(f"the run ended {record.status} at t_final = {record.t_final!r}: no T")
+    t_life = record.t_extrapolated
     if not top * t_life > r1:
         raise ValueError(
             f"top * T = {top!r} * {t_life!r} = {top * t_life!r} does not exceed "

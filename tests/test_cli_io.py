@@ -171,6 +171,27 @@ def test_config_rejects_a_trace_without_snapshots(tmp_path):
     assert not (tmp_path / "out").exists()  # rejected before the run
 
 
+@pytest.mark.parametrize(
+    "radii, message",
+    [
+        ([], "must hold at least one radius"),
+        ([8.0, 4.0, 6.0], "must be strictly increasing"),
+        ([4.0, 4.0], "must be strictly increasing"),
+    ],
+    ids=["empty", "unordered", "repeated"],
+)
+def test_config_rejects_empty_or_unordered_trace_radii(tmp_path, radii, message):
+    raw = _heat_config(trace_radii=radii)
+    raw["controls"].update(t_max=5.0, snapshot_dt=0.05)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert err.value.errors == [f"trace_radii: {message}"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()  # rejected before the run
+
+
 def test_config_reports_every_rule_a_section_breaks():
     raw = _heat_config()
     del raw["problem"]["a_phase"]

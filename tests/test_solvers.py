@@ -704,6 +704,16 @@ def test_causal_trace_names_a_lifespan_below_r1():
         verify.causal_trace(problem, controls, 12, 0.95)
 
 
+def test_causal_trace_names_a_run_that_did_not_blow_up():
+    # the heat line at eps 0.1 outlives t_max = 3, so it has no lifespan T
+    problem = EvolutionProblem(
+        HEAT, GridSpec("line", extent=60.0, num_points=1201), InitialDataSpec(0.0, 1.0, 0.1)
+    )
+    controls = RunControls(threshold=1e6, t_max=3.0, snapshot_dt=0.05)
+    with pytest.raises(ValueError, match=r"the run ended survived at t_final = 3\.0\d*: no T$"):
+        verify.causal_trace(problem, controls, 12, 0.95)
+
+
 def test_criterion_pipeline_rejects_a_trace_above_the_log2_shell_bound(heat_blowup_run):
     # integral Y dr/r = log(10) * (1 + 1) / 2 * 2 > log(2) * M with Y = M = 1
     trace = FunctionalTrace(np.array([1.0, 10.0, 100.0]), np.ones(3), np.ones(3))
@@ -1518,8 +1528,10 @@ def test_sweep_path_holds_no_snapshots_and_keeps_the_record():
     init = InitialDataSpec(center=0.0, width=1.0, epsilon=0.5)
     controls = RunControls(threshold=1e6, t_max=60.0, dt_init=2e-3, snapshot_dt=0.05)
     problem = EvolutionProblem(HEAT, grid, init)
-    full = run_until_blowup(problem, controls, (solvers.SnapshotStore(),))
+    store = solvers.SnapshotStore()
+    full = run_until_blowup(problem, controls, (store,))
     lean = run_until_blowup(problem, controls)
+    assert full.snapshot_times == store.times and full.snapshots is store.fields
     assert lean.record == full.record
     assert lean.snapshot_times == [0.0, full.snapshot_times[-1]]
     assert np.array_equal(lean.snapshots[-1], full.snapshots[-1])
@@ -1641,14 +1653,11 @@ def test_damped_wave_run_evaluates_one_laplacian_per_step(monkeypatch):
     assert all(b[1] is a[0].acc for a, b in retries)
 
 
-def test_damped_wave_run_steps_into_retired_states(monkeypatch):
-    # the run of the test above, once as shipped and once with a step that
-    # ignores its spare and allocates every result
-    grid = GridSpec("line", extent=60.0, num_points=1501)
-    init = InitialDataSpec(center=0.0, width=0.8, epsilon=3.0, g_amplitude=1.0)
-    problem = EvolutionProblem(DAMPED, grid, init)
-    controls = RunControls(threshold=1e6, t_max=50.0, dt_init=0.036 / 8)
-    original = solvers.step_hyperbolic
+def _assert_run_steps_into_retired_states(monkeypatch, name, problem, controls):
+    """Run ``problem`` once as shipped and once with a stepper ``name`` that
+    ignores its spare and allocates every result, and check that the run lends
+    its retired states and keeps the bits."""
+    original = getattr(solvers, name)
     calls = []
 
     def recording(state, coeff, dt, spare=None):
@@ -1661,7 +1670,7 @@ def test_damped_wave_run_steps_into_retired_states(monkeypatch):
 
     runs = []
     for step in (recording, ignoring):
-        monkeypatch.setattr(solvers, "step_hyperbolic", step)
+        monkeypatch.setattr(solvers, name, step)
         # no SnapshotStore: the result holds the run's own first and final arrays
         runs.append(run_until_blowup(problem, controls))
     res, fresh = runs
@@ -1672,8 +1681,8 @@ def test_damped_wave_run_steps_into_retired_states(monkeypatch):
     # the initial state is never lent: its arrays keep their bytes
     start, want = calls[0][0], initial_state(problem, controls.dt_init)
     assert res.snapshots[0] is start.u
-    assert np.array_equal(_bits(start.u), _bits(want.u))
-    assert np.array_equal(_bits(start.v), _bits(want.v))
+    for got, ref in ((start.u, want.u), (start.v, want.v)):
+        assert (got is None and ref is None) or np.array_equal(_bits(got), _bits(ref))
     # every call's state and result is still held, so ids are unique here; a
     # result was accepted if a later call starts from it, or if it is the last
     starts = {id(state) for state, _, _ in calls} | {id(calls[-1][2])}
@@ -1699,6 +1708,34 @@ def test_damped_wave_run_steps_into_retired_states(monkeypatch):
     probes = sorted(set(range(len(calls))) - set(trials))
     assert len(probes) > 2 and all(calls[i][0].t < calls[i - 1][0].t for i in probes)
     assert all(calls[i][1] is not None for i in probes[1:])
+    return calls
+
+
+def test_damped_wave_run_steps_into_retired_states(monkeypatch):
+    # the run of the test above
+    grid = GridSpec("line", extent=60.0, num_points=1501)
+    init = InitialDataSpec(center=0.0, width=0.8, epsilon=3.0, g_amplitude=1.0)
+    problem = EvolutionProblem(DAMPED, grid, init)
+    controls = RunControls(threshold=1e6, t_max=50.0, dt_init=0.036 / 8)
+    _assert_run_steps_into_retired_states(monkeypatch, "step_hyperbolic", problem, controls)
+
+
+@pytest.mark.parametrize("case", ["real", "complex"])
+def test_crank_nicolson_run_steps_into_retired_states(monkeypatch, case):
+    # the heat line, and the focusing Schrodinger line of the shipped NLS
+    # config on a shorter grid; both halve and probe on their way to blowup
+    grid = GridSpec("line", extent=80.0, num_points=2001)
+    if case == "real":
+        problem = EvolutionProblem(HEAT, grid, InitialDataSpec(0.0, 1.0, 0.5))
+        dt0 = 2e-3
+    else:
+        problem = EvolutionProblem(NLS, grid, InitialDataSpec(0.0, 1.0, 1.0, amplitude=-0.47j))
+        dt0 = 0.01
+    controls = RunControls(threshold=1e6, t_max=60.0, dt_init=dt0)
+    calls = _assert_run_steps_into_retired_states(monkeypatch, "step_parabolic", problem, controls)
+    assert calls[0][0].u.dtype == (float if case == "real" else complex)
+    # a lent spare's u becomes the result's u: the step built its right-hand side there
+    assert all(result.u is spare.u for _, spare, result in calls if spare is not None)
 
 
 # -- the velocity-Verlet step is confined to the rows that can be nonzero -------
@@ -2016,6 +2053,61 @@ def test_steady_verlet_step_with_a_spare_allocates_less_than_one_field():
         assert tracemalloc.get_traced_memory()[1] - base >= 3 * field
     finally:
         tracemalloc.stop()
+
+
+def test_steady_crank_nicolson_step_with_a_spare_allocates_less_than_one_field():
+    import tracemalloc
+
+    # the shipped NLS grid: after 40 steps the range is about a seventh of the rows
+    grid = GridSpec("line", extent=700.0, num_points=35_001)
+    init = InitialDataSpec(center=0.0, width=1.0, epsilon=1.0, amplitude=-0.47j)
+    dt = 0.01
+    back, state = None, initial_state(EvolutionProblem(NLS, grid, init), dt)
+    for _ in range(40):  # the initial state is never lent
+        back, state = state, step_parabolic(state, NLS, dt, back if back and back.t else None)
+    assert state.hi - state.lo < grid.num_points // 4
+    field = state.u.nbytes
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            spare = back
+            back, state = state, step_parabolic(state, NLS, dt, spare)
+            assert state.u is spare.u and tracemalloc.get_traced_memory()[1] - base < field
+    finally:
+        tracemalloc.stop()
+    # without a spare the step allocates its right-hand side, a whole field
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step_parabolic(state, NLS, dt)
+        assert tracemalloc.get_traced_memory()[1] - base >= field
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("coeff", [HEAT, NLS], ids=["real", "complex"])
+def test_crank_nicolson_step_into_a_wider_spare_is_bitwise_a_fresh_step(coeff):
+    # a spare whose range reaches past the rows the step computes on both
+    # sides: those rows hold nonzero values that the step must clear
+    grid = GridSpec("line", extent=80.0, num_points=2001)
+    amp = 1.0 if coeff is HEAT else -0.47j
+    init = InitialDataSpec(center=0.0, width=1.0, epsilon=0.5, amplitude=amp)
+    dt = 0.01
+    state = initial_state(EvolutionProblem(coeff, grid, init), dt)
+    for k in range(40):
+        state = step_parabolic(state, coeff, dt)
+        if k == 2:
+            narrow = FieldState(grid, state.u.copy(), None, state.t, dt, lo=state.lo, hi=state.hi)
+    wide = state
+    a, b = narrow.lo - 1, narrow.hi + 1
+    assert wide.lo < a and b < wide.hi
+    assert max_abs(wide.u[wide.lo : a]) > 0.0 and max_abs(wide.u[b : wide.hi]) > 0.0
+    want = step_parabolic(narrow, coeff, dt)
+    got = step_parabolic(narrow, coeff, dt, wide)
+    assert got.u is wide.u and (got.lo, got.hi) == (want.lo, want.hi)
+    assert np.array_equal(_bits(got.u), _bits(want.u))
 
 
 @pytest.mark.parametrize("amp", [1.0, 1.0 - 0.5j], ids=["real", "complex"])
