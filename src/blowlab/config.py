@@ -289,18 +289,16 @@ def emit_snapshots(times, fields, points: np.ndarray, path: str) -> None:
     """
     time_stride = max(1, len(times) // 50)
     xs = [",".join(_fmt(c) for c in row) for row in np.asarray(points).tolist()]
-    # tolist() gives Python floats, whose repr is what _fmt writes for a float
-    columns = (
-        (_fmt(times[idx]), np.asarray(fields[idx]).reshape(-1).astype(complex))
-        for idx in range(0, len(times), time_stride)
-    )
-    lines = (
-        f"{t},{x},{re!r},{im!r}\n"
-        for t, z in columns
-        for x, re, im in zip(xs, z.real.tolist(), z.imag.tolist())
-    )
+
+    def column(idx):  # the lines of one time, as one string
+        t, z = _fmt(times[idx]), np.asarray(fields[idx]).reshape(-1).astype(complex)
+        # tolist() gives Python floats, whose repr is what _fmt writes for a float
+        rows = zip(xs, z.real.tolist(), z.imag.tolist())
+        return "".join([f"{t},{x},{re!r},{im!r}\n" for x, re, im in rows])
+
     header = ",".join(("t", *(f"x{i+1}" for i in range(len(points[0]))), "u_re", "u_im"))
-    _write_text(path, itertools.chain([header + "\n"], lines))
+    columns = map(column, range(0, len(times), time_stride))
+    _write_text(path, itertools.chain([header + "\n"], columns))
 
 
 def read_trace(path: str) -> FunctionalTrace:

@@ -37,16 +37,18 @@ the bits of the full-grid arithmetic.  A velocity-Verlet step widens the
 rows that can be nonzero by one on each side and computes only those, so a
 wave run from a compact bump sweeps only the stencil's cone around it.  Both
 steps take a state the run has retired and write into its arrays (the
-Crank-Nicolson step builds its right-hand side in the retired ``u``), the
-Verlet step also into one scratch array per grid, and at p = 2 the run's
-growth test reads max|u| off the Verlet step's |u|^2.
+Crank-Nicolson step builds its right-hand side in the retired ``u``) and
+into scratch arrays of the grid, one per dtype, so a steady step allocates
+no array; at p = 2 the run's growth test reads max|u| off the |u|^2 a step
+wrote, and the next Crank-Nicolson step takes its |u|^2 from there.
 
 Blowup runs step on the dyadic ladder dt_init * 2^k: a step that grows
 max|u| by more than the growth limit is halved, and a step-doubling probe
 (one step of 2*dt against two of dt) lets the quiet phase climb the ladder
 under the CFL, snapshot and horizon caps.  The implicit solve keeps the
-factorization of the current step, so a probe and the step after a failed
-probe each factor once more.  Runs record threshold crossing times T_M for
+factors of two rungs per grid, refactoring the one used longer ago in place,
+so a probe and the step after it factor nothing new; a run's factors go when
+it ends.  Runs record threshold crossing times T_M for
 M = 1e3..1e6 and extrapolate the lifespan through
 T_M = T_inf - c * M^{-(p-1)}, which is exact for the comparison equation
 u' = u^p and removes the dominant threshold bias.
@@ -56,12 +58,12 @@ from __future__ import annotations
 
 import logging
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import get_lapack_funcs
 
 from blowlab.cone_geometry import (
     ConeDomain,
@@ -73,6 +75,7 @@ from blowlab.cone_geometry import (
 )
 from blowlab.cutoffs import CutoffFamily, bracket_power, psi_of_s
 from blowlab.lifespan_bounds import FunctionalTrace
+from blowlab.tridiagonal import _NEGLIGIBLE, _WINDOW_MARGIN, _TridiagonalLU  # noqa: F401
 
 GEOMETRIES = ("line", "half-line", "radial", "polar-sector")
 RECORD_THRESHOLDS = (1e3, 1e4, 1e5, 1e6)  # the crossings every run records: the T_at_* columns
@@ -213,7 +216,9 @@ class _GridData:
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
-        self._factor = None  # (key, factors) of the current implicit matrix
+        self._factors = {}  # the factors of two implicit matrices by key, see ``_factors_for``
+        self._bands = None  # the Laplacian's bands along the radial (or line) axis
+        self._power_of = None  # a weak reference to the state whose |u|^2 ``real_work`` holds
         self._damp = None  # (key, factors) of the current damped-wave step
         g, n = spec.geometry, spec.num_points
         if g == "polar-sector":
@@ -350,6 +355,25 @@ class _GridData:
         |u|^p) into; its values mean nothing between steps."""
         return np.empty(self.shape)
 
+    @cached_property
+    def real_work(self) -> np.ndarray:
+        """A real array of the grid's shape that a Crank-Nicolson step writes
+        |u|^p into, and the real 1-d solve its flush; its values mean nothing
+        between steps, except |u|^2 for the state ``_power_of`` names."""
+        return np.empty(self.shape)
+
+    @cached_property
+    def complex_work(self) -> np.ndarray:
+        """A complex array of the grid's shape for a complex Crank-Nicolson
+        step's predictor and source, and the complex 1-d solve's flush."""
+        return np.empty(self.shape, complex)
+
+    @cached_property
+    def flags(self) -> np.ndarray:
+        """A flat bool array, one flag per node, that the real 1-d solve's
+        flush marks the negligible parts in."""
+        return np.empty(self.real_work.size, bool)
+
     # -- implicit machinery for the parabolic step ----------------------
 
     def _banded_diagonals(self):
@@ -358,12 +382,16 @@ class _GridData:
         2N (u_1 - u_0) / h^2 at an origin node.  ``lower[0]`` and
         ``upper[-1]`` couple to a wall or the origin and enter no matrix.
         The 1-d solve factors these bands; each sine mode of the polar sector
-        adds mu_k / r^2 to their diagonal."""
+        adds mu_k / r^2 to their diagonal.  Built once per grid: callers must
+        not write into them."""
+        if self._bands is not None:
+            return self._bands
         h2 = self.h * self.h
         r = self.axis_radius
         if r is None:
             m = self.spec.num_points - 2
-            return np.full(m, 1.0 / h2), np.full(m, -2.0 / h2), np.full(m, 1.0 / h2)
+            self._bands = np.full(m, 1.0 / h2), np.full(m, -2.0 / h2), np.full(m, 1.0 / h2)
+            return self._bands
         dim = self.cross_section.dim
         fac = (dim - 1) / (2.0 * self.h)
         diag = np.full(r.size, -2.0 / h2)
@@ -376,10 +404,47 @@ class _GridData:
         else:
             diag[0] = -2.0 * dim / h2
             upper[0] = 2.0 * dim / h2
-        return lower, diag, upper
+        self._bands = lower, diag, upper
+        return self._bands
+
+    @cached_property
+    def _unpivoted(self) -> tuple:
+        """0, 1, ..., m for the m nodes along the radial (or line) axis that the
+        implicit matrix couples, and m - 2 complex zeros: the node indices, the
+        ``ipiv`` and the ``du2`` that every factor without pivots shares."""
+        m = self._banded_diagonals()[1].size
+        return np.arange(m + 1, dtype=np.int32), np.zeros(m - 2, complex)
+
+    @property
+    def _factor(self) -> tuple:
+        """(key, factors) of the implicit matrix solved last; see ``_factors_for``."""
+        return next(reversed(self._factors.items()))
+
+    def _factors_for(self, key: tuple):
+        """The factors of I - (dt/2) * factor * Lap for ``key`` = (dt, factor,
+        dtype): one ``_TridiagonalLU`` on the 1-d grids, one per sine mode on
+        the polar sector.  Two slots are kept: a key that one holds reuses it,
+        and any other key refactors into the arrays of the slot used longer
+        ago.  A run's step moves on a dyadic ladder and stays on each rung for
+        many steps, so a step-doubling probe (one step of 2*dt) and the steps
+        after it, whether the probe failed or passed, factor nothing new."""
+        slots = self._factors  # key -> factors, the slot used longer ago first
+        if key in slots:
+            slots[key] = slots.pop(key)
+            return slots[key]
+        old = slots.pop(next(iter(slots))) if len(slots) == 2 else None
+        lus = [] if old is None else [old] if self.sine is None else old
+        dt, factor, dtype = key
+        if not lus or lus[0].dtype != dtype:  # the arrays do not fit: new ones
+            lus = [_TridiagonalLU(self._unpivoted, dtype) for _ in self.mode_shifts]
+        lower, diag, upper = self._banded_diagonals()
+        for lu, shift in zip(lus, self.mode_shifts):
+            lu.factor(lower, diag + shift, upper, 0.5 * dt * factor)
+        slots[key] = lus[0] if self.sine is None else lus
+        return slots[key]
 
     def solve_implicit(
-        self, factor: complex, dt: float, rhs: np.ndarray
+        self, factor: complex, dt: float, rhs: np.ndarray, rows: tuple | None = None
     ) -> tuple[np.ndarray, int, int]:
         """Solve (I - (dt/2) * factor * Lap) x = rhs on evolved nodes, in place.
 
@@ -391,28 +456,31 @@ class _GridData:
         in that dtype.  On the 1-d grids the solve writes only its window,
         outside which ``rhs`` holds zeros: they are left as they are, so a
         right-hand side with -0.0 there keeps it (one from ``step_parabolic``
-        holds +0.0 there).  Only the factorization of the current
-        ``(dt, factor)`` is kept: a run's step moves on a dyadic ladder and
-        stays on each rung for many steps, so its step-doubling probe (one
-        step of 2*dt) simply factors again, as does the step after it.
+        holds +0.0 there).  ``rows`` = (a, b), when given, promises that
+        ``rhs`` is zero outside rows [a, b), so the window is looked for
+        there only; it is the same window.  The factors come from one of the
+        grid's two slots (``_factors_for``), and the 1-d solve flushes
+        through the grid's ``real_work`` and ``flags`` (real) or
+        ``complex_work`` and ``real_work`` (complex).
         """
+        self._power_of = None  # the real flush writes into ``real_work``
         dtype = complex if np.iscomplexobj(rhs) or isinstance(factor, complex) else float
-        key = (dt, factor, dtype)
-        if self._factor is None or self._factor[0] != key:
-            self._factor = None  # released before the new factors are built
-            lower, diag, upper = self._banded_diagonals()
-            coef = 0.5 * dt * factor
-            lus = [_TridiagonalLU(lower, diag + s, upper, coef, dtype) for s in self.mode_shifts]
-            self._factor = (key, lus[0] if self.sine is None else lus)
+        factors = self._factors_for((dt, factor, dtype))
         out = np.ascontiguousarray(rhs, dtype=dtype)
         _zero_boundary(self, out)
         if self.sine is None:
-            start, stop = self._factor[1].solve(out[self.evolved])
             first = self.evolved.start  # the row of the first evolved node
+            b = out[self.evolved]
+            lo, hi = rows or (first, None)
+            # a complex flush takes |part| in the complex array and its flags in the real one's bytes
+            work = self.real_work if dtype is float else self.complex_work.view(np.float64)
+            flags = self.flags if dtype is float else self.real_work.view(bool)
+            scratch = work.reshape(-1), flags.reshape(-1)
+            start, stop = factors.solve(b, max(lo - first, 0), hi and hi - first, scratch)
             return out, first + start, first + stop
         # row k: sine mode k along the radius (Buzbee, Golub & Nielson, SINUM 7, 1970)
         coeffs = (self.sine @ rhs[self.evolved].T).astype(dtype, copy=False)
-        for lu, b in zip(self._factor[1], coeffs):
+        for lu, b in zip(factors, coeffs):
             lu.solve(b)
         out[self.evolved] = (self.sine @ coeffs).T
         return out, 0, rhs.shape[0]
@@ -430,143 +498,6 @@ class _GridData:
         diag = diag + self.mode_shifts[-1]
         (lowest,) = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
         return min(0.9 * self.h, 0.9 * 2.0 / math.sqrt(-lowest))
-
-
-# solution parts below this are zero: they would decay into subnormals, and as the
-# square root of the smallest normal double it keeps u*u (and |u|^p, p <= 2) normal
-_NEGLIGIBLE = 2.0**-511
-_WINDOW_MARGIN = 16  # extra nodes on each side of the provable window
-
-
-class _TridiagonalLU:
-    """LAPACK factors of ``I - coef * Lap`` on a 1-d grid.
-
-    A real symmetric positive definite matrix (the line and half line with a
-    real, forward ``coef``) is factored by ``?pttrf`` as L D L^T and solved by
-    ``?pttrs``, whose back substitution keeps the division off its serial
-    chain; every other matrix (radial grids, sine modes, complex factors,
-    backward diffusion) by ``?gttrf``/``?gttrs`` with partial pivoting.
-    ``solve`` overwrites the right-hand side, only on the index window
-    outside which the exact solution is provably below ``_NEGLIGIBLE``, and
-    returns that window; sweeping the far field instead decays into subnormal
-    numbers, which the CPU handles slowly.  It sets every solution part below
-    ``_NEGLIGIBLE`` = 2^-511 to +0.0, so no square of a part is subnormal.
-    Without pivoting the LU factors are L (unit lower, multipliers l_i) and U
-    (diagonal d_i, superdiagonal u_i).  For the unit vector e_j the forward
-    sweep is zero before j and decays by rho_l = max|l_i| per node after it;
-    the backward sweep decays by rho_u = max|u_i/d_i| per node.  So
-    |x_i| <= gain * rho^|i-j| with rho the larger rate and
-    gain = max(1/|d_i|) / (1 - rho_l * rho_u), and by linearity
-    |x_i| <= gain * m * max_j |b_j| * rho^|i-j| for m unknowns.  L D L^T is
-    the case u_i/d_i = l_i = e_i (the multipliers ``pttrf`` returns):
-    rho_l = rho_u = max|e_i| and gain = max(1/|d_i|) / (1 - rho^2).  Inside
-    the window the arithmetic is that of the full solve.  When ``gttrf``
-    pivoted or rho >= 1 the bound does not hold and the full range is solved.
-    """
-
-    def __init__(self, lower, diag, upper, coef, dtype):
-        dtype = np.dtype(dtype)
-        sub = (-coef * lower[1:]).astype(dtype)
-        d = (1.0 - coef * diag).astype(dtype)
-        sup = (-coef * upper[:-1]).astype(dtype)
-        self.pivoted = False
-        if dtype.kind == "f" and np.array_equal(sub, sup):
-            pttrf, self._pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=dtype)
-            d_ldl, e, info = pttrf(d, sub)
-            if info == 0:  # positive definite; otherwise LU below
-                self.factors = (d_ldl, e)
-                rho = float(np.max(np.abs(e)))
-                self._bound(d_ldl, rho, rho)
-                return
-        gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=dtype)
-        dl, d, du, du2, ipiv, info = gttrf(sub, d, sup)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular implicit matrix")
-        self.factors = (dl, d, du, du2, ipiv)
-        self.pivoted = bool(np.any(ipiv != np.arange(1, d.size + 1)))
-        self._bound(d, float(np.max(np.abs(dl))), float(np.max(np.abs(du / d[:-1]))))
-
-    def _bound(self, d, rho_l, rho_u):
-        """Set the decay rate and scale of the window bound, or ``decay`` None."""
-        rho = max(rho_l, rho_u, _NEGLIGIBLE)
-        self.decay = None  # no decay bound: solve the full range
-        if not self.pivoted and rho < 1.0:
-            self.decay = -math.log(rho)  # e-folds per node
-            gain = float(np.max(1.0 / np.abs(d))) / (1.0 - rho_l * rho_u)
-            self.log_scale = math.log(gain * d.size / _NEGLIGIBLE)
-            self.nodes = np.arange(d.size)
-
-    def _reach(self, mag):
-        """Nodes beyond which a right-hand side entry of magnitude ``mag``
-        contributes below ``_NEGLIGIBLE / m``; -inf for zero entries."""
-        # mag < 2**e, so e * ln 2 bounds log(mag); frexp is cheaper than log
-        _, e = np.frexp(mag)
-        return np.where(mag > 0.0, (e * math.log(2.0) + self.log_scale) / self.decay, -math.inf)
-
-    def window(self, b: np.ndarray) -> tuple[int, int]:
-        """The index range [start, stop) outside which the solution is negligible.
-
-        |b| is taken only within one peak reach of the outermost nonzero
-        entries, the only ones that can move the ends.  The reach may come
-        from any upper bound on max|b|: an entry past the true reach lies
-        farther inside than its own reach, so it never lowers ``start`` or
-        raises ``stop``.
-        """
-        m = b.size
-        if self.decay is None or (b[0] != 0.0 and b[-1] != 0.0):
-            return 0, m  # no bound, or the right-hand side already spans the grid
-        parts = b.view(np.float64)  # the real and imaginary parts of a complex b
-        per = parts.size // m
-        nonzero = parts != 0.0
-        first = int(np.argmax(nonzero))
-        if not nonzero[first]:
-            return 0, 0
-        last = nonzero.tobytes().rfind(1)  # a reversed argmax is slow on the negative stride
-        live = parts[first : last + 1]
-        top = float(max(live.max(), -live.min()))  # NaN propagates through both
-        if not math.isfinite(top):
-            return 0, m
-        lo, hi = first // per, last // per
-        _, e = math.frexp(top)  # top < 2**e
-        if per == 2:  # |b| <= sqrt(2) * top < 2**(e + 1/2)
-            e += 1
-        span = max(math.ceil((e * math.log(2.0) + self.log_scale) / self.decay), 0)
-        head = slice(lo, min(lo + span, hi) + 1)
-        tail = slice(max(hi - span, lo), hi + 1)
-        start = min(float(np.min(self.nodes[head] - self._reach(np.abs(b[head])))), lo)
-        stop = max(float(np.max(self.nodes[tail] + self._reach(np.abs(b[tail])))), hi)
-        return (
-            max(math.floor(start) - _WINDOW_MARGIN, 0),
-            min(math.ceil(stop) + 1 + _WINDOW_MARGIN, m),
-        )
-
-    def solve(self, b: np.ndarray) -> tuple[int, int]:
-        """Overwrite ``b[start:stop]`` with the solution for ``b`` and return the
-        range [start, stop) it solved.  Outside that range the solution is
-        negligible and ``b`` holds only zeros, which the solve leaves as they
-        are.  ``b`` is contiguous and of the factors' dtype, so LAPACK writes
-        into it."""
-        start, stop = self.window(b)
-        if stop - start < 3:  # gttrs needs du2 of length stop - start - 2 >= 1
-            start, stop = 0, b.size
-        x = b[start:stop]
-        if len(self.factors) == 2:  # L D L^T: (d, e)
-            d, e = self.factors
-            self._pttrs(d[start:stop], e[start : stop - 1], x, overwrite_b=True)
-        else:
-            dl, d, du, du2, ipiv = self.factors
-            self._gttrs(
-                dl[start : stop - 1],
-                d[start:stop],
-                du[start : stop - 1],
-                du2[start : stop - 2],
-                ipiv[start:stop] - start,
-                x,
-                overwrite_b=True,
-            )
-        parts = x.view(np.float64)
-        parts[np.abs(parts) < _NEGLIGIBLE] = 0.0
-        return start, stop
 
 
 @lru_cache(maxsize=64)
@@ -622,12 +553,17 @@ def bump_profile(s: np.ndarray) -> np.ndarray:
     return bump_kernel(s * s)
 
 
-def abs_power(u: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+def abs_power(
+    u: np.ndarray, p: float, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
     """|u|^p without a float power at p=2 and 3; numpy squares at p=4.  ``out``,
-    a real array of u's shape, receives it in place of a new one, to the same bits."""
+    a real array of u's shape, receives it in place of a new one, to the same
+    bits.  ``work``, another real array of that shape, receives the squares of
+    a complex u's imaginary parts in place of a temporary; it may be
+    ``u.imag`` itself when u is not read again."""
     if np.iscomplexobj(u):
         a2 = np.multiply(u.real, u.real, out=out)
-        a2 += u.imag * u.imag
+        a2 += np.multiply(u.imag, u.imag, out=work)
     else:
         a2 = np.multiply(u, u, out=out)
     if p == 2.0:
@@ -679,8 +615,11 @@ class FieldState:
     ``kick`` = (dt, 1 + (dt/2) a(x)) it was kicked for, which the next step
     of that dt takes as it is.  Its ``v`` is None until :meth:`velocity`
     rebuilds it.  ``peak`` is max|u| over [lo, hi) when the step that made
-    the state read it off |u|^2 (p = 2 and max|u| at least 2^-511), and None
-    otherwise.  A state continues under the coefficients that made it.
+    the state, of either scheme, read it off |u|^2 (p = 2 and max|u| at
+    least 2^-511), and None otherwise.  A state continues under the
+    coefficients that made it; code that changes its ``u`` in place steps
+    from a copy, since the next Crank-Nicolson step may take |u|^2 from the
+    grid's ``real_work``.
 
     ``u`` is exactly 0.0 outside the rows ``u[lo:hi]`` (every row by
     default), and for tau=1 so are ``v``, ``vh`` and ``acc``.
@@ -752,14 +691,24 @@ def step_parabolic(
     are computed, with the bits the full grid gives them.  The full grid
     adds each -0.0 of u to a +0.0 before it reaches the right-hand side,
     which gives +0.0, so the first step keeps its bits too.  numpy rounds c*z
-    and z*c differently for a complex scalar c, and rewrites c * temporary
-    as temporary *= c only for arrays of 256 KiB and more, so the products
-    with complex arrays fix their order (``half *= c``, ``np.multiply(c,
-    lap_u)``): a row's bits depend neither on the grid size nor on the range.
-    The solve overwrites the right-hand side with the new field, leaving its
-    zeros outside the window; they are +0.0, as c_half (of positive real
-    part) times +0.0 is.  On the 1-d grids each part of the new field is
-    +0.0 or at least 2^-511.
+    and z*c differently for a complex scalar c, so the products with complex
+    arrays fix their order (``half *= c``, ``np.multiply(c, lap)``): a row's
+    bits depend neither on the grid size nor on the range.  The solve
+    overwrites the right-hand side with the new field, leaving its zeros
+    outside the window; they are +0.0, as c_half (of positive real part)
+    times +0.0 is.  On the 1-d grids each part of the new field is +0.0 or
+    at least 2^-511.  A real field under complex coefficients is promoted
+    first, which gives the bits of promoting each product.
+
+    The step allocates no array of its own when it has a spare: the
+    Laplacian rows and then the right-hand side go into the spare's ``u``,
+    |u|^p, the predictor's |half|^p and, on a real step, the predictor and
+    the source go into the grid's ``real_work``, and on a complex step the
+    predictor and the source into its ``complex_work``.  At p = 2 the step
+    then writes |u_new|^2 over [lo-1, hi+1) of the new range into
+    ``real_work``, sets the result's ``peak`` from it as ``step_hyperbolic``
+    does, and the next step from that result takes |u|^2 from there, while
+    no other Crank-Nicolson step or solve on the grid has written there since.
 
     ``spare`` lends its ``u`` as the right-hand side, cleared outside
     [lo-1, hi+1) as in ``step_hyperbolic``, so the solve writes the new field there.
@@ -770,27 +719,48 @@ def step_parabolic(
     ainv, lam = complex(np.exp(-1j * coeff.zeta)), complex(coeff.lam)
     if coeff.zeta == 0.0 and lam.imag == 0.0 and not np.iscomplexobj(state.u):
         ainv, lam = ainv.real, lam.real  # a real step
-    u = state.u
+    dtype = type(ainv)
+    held, data._power_of = data._power_of, None
+    u = state.u.astype(dtype, copy=False)
     a, b = _reach(state.lo, state.hi, u.shape[0])
     near = u[a:b]
     c_half = 0.5 * dt * ainv
-    lap_u = data.laplacian(u, a, b)
-    half = lap_u + lam * abs_power(near, coeff.p)
-    half *= c_half
-    half += near
     if spare is None:
-        rhs = np.zeros(u.shape, dtype=half.dtype)
+        rhs = np.zeros(u.shape, dtype)
     else:
         rhs = spare.u
         if spare.lo < a or b < spare.hi:  # most often the spare's range lies inside [a, b)
             _clear_outside(spare, a, b)
-    part = rhs[a:b]
-    np.multiply(c_half, lap_u, out=part)
+    power = data.real_work[a:b]
+    half = power if dtype is float else data.complex_work[a:b]
+    imag = None if dtype is float else half.imag  # what abs_power may overwrite
+    if coeff.p != 2.0 or held is None or held() is not state:
+        abs_power(near, coeff.p, out=power, work=imag)
+    lap = data.laplacian(u, a, b, out=rhs[a:b])
+
+    def times(c, x):  # c * x into ``half``, which takes x first: numpy then needs no cast buffer
+        if x is not half:
+            np.copyto(half, x)
+        return np.multiply(c, half, out=half)
+
+    times(lam, power)
+    half += lap
+    half *= c_half
+    half += near
+    part = np.multiply(c_half, lap, out=lap)
     part += near
-    part += dt * ainv * lam * abs_power(half, coeff.p)
-    del lap_u, half  # freed before the solve, where the step's memory peaks
-    u_new, lo, hi = data.solve_implicit(ainv, dt, rhs)
-    return FieldState(grid=state.grid, u=u_new, v=None, t=state.t + dt, dt=dt, lo=lo, hi=hi)
+    part += times(dt * ainv * lam, abs_power(half, coeff.p, out=power, work=imag))
+    u_new, lo, hi = data.solve_implicit(ainv, dt, rhs, (a, b))
+    result = FieldState(grid=state.grid, u=u_new, v=None, t=state.t + dt, dt=dt, lo=lo, hi=hi)
+    if coeff.p == 2.0:
+        a, b = _reach(lo, hi, u.shape[0])
+        imag = None if dtype is float else data.complex_work[a:b].imag
+        square = abs_power(u_new[a:b], 2.0, out=data.real_work[a:b], work=imag)
+        top = float(np.maximum.reduce(square, axis=None))  # max|u|^2, as step_hyperbolic reads it
+        if top >= _NEGLIGIBLE * _NEGLIGIBLE:  # False for NaN too
+            result.peak = math.sqrt(top)
+        data._power_of = weakref.ref(result)
+    return result
 
 
 def step_hyperbolic(
@@ -1054,11 +1024,15 @@ def run_until_blowup(
     states the run has retired (it keeps two, and while a probe may follow
     a trial leaves one for it), so an observer copies what it keeps
     (:class:`SnapshotStore` does; :class:`TraceAccumulator` keeps only
-    sums).  No observer changes the trajectory.  The result holds the times
-    and fields of the first ``SnapshotStore`` among the observers; without
-    one, as by default, it holds only the first and final fields, so a run's
-    memory does not grow with its length, and ``snapshot_dt`` still caps the
-    step, so the record is the same.
+    sums).  No observer changes the trajectory; one that changed ``u`` would
+    also void the |u|^2 that the next Crank-Nicolson step takes from the
+    grid's ``real_work``.  The result holds the times and fields of the first
+    ``SnapshotStore`` among the observers, and the run drops the initial
+    state once no step needs it; without one, as by default, it holds only
+    the first and final fields, so a run's memory does not grow with its
+    length, and ``snapshot_dt`` still caps the step, so the record is the
+    same.  The growth test takes max|u| from a step's ``peak`` when it has
+    one, and a probe is compared over the union of the two fields' ranges.
     """
     coeff = problem.coeff
     data = _grid_data(problem.grid)
@@ -1070,20 +1044,21 @@ def run_until_blowup(
         dt0 = data.h * data.h
     if controls.snapshot_dt > 0:
         dt_cap = min(dt_cap, controls.snapshot_dt)
-    state = start = initial_state(problem, dt0)
+    state = initial_state(problem, dt0)
     stepper = step_hyperbolic if coeff.tau == 1 else step_parabolic
     spares = []  # up to two retired states, whose arrays the next steps write into
 
     def retire(old):
-        # a state the run holds no more; the initial state is kept, since its u is the
-        # run's first field
-        if old is not None and old is not start and len(spares) < 2:
+        # a state the run holds no more; never the initial state (the one at t = 0),
+        # which may hold -0.0 outside its range and whose u may be the run's first field
+        if old is not None and old.t != 0.0 and len(spares) < 2:
             spares.append(old)
 
     def spare(keep=0):
         return spares.pop() if len(spares) > keep else None
 
     observers = tuple(observers)
+    store = next((obs for obs in observers if isinstance(obs, SnapshotStore)), None)
     caller_errors = np.geterr()
 
     def observe(t, u):
@@ -1091,8 +1066,8 @@ def run_until_blowup(
             for obs in observers:
                 obs(t, u)
 
-    first = state.u
-    observe(0.0, first)
+    first = state.u if store is None else None  # a store keeps its own copy
+    observe(0.0, state.u)
     observed = 0.0  # the time of the last snapshot
     next_snap = controls.snapshot_dt if controls.snapshot_dt > 0 else math.inf
 
@@ -1158,8 +1133,10 @@ def run_until_blowup(
             big = None
             if run >= wait and trial.dt == dt and 2.0 * dt <= dt_cap:
                 big = stepper(back2, coeff, 2.0 * dt, spare())
-                # each comparison is False for a non-finite probe
-                ok = max_abs(big.u - state.u) <= _RTOL * m_new
+                # both fields are +0.0 outside the union of their ranges; each
+                # comparison is False for a non-finite probe
+                lo, hi = min(big.lo, state.lo), max(big.hi, state.hi)
+                ok = max_abs(big.u[lo:hi] - state.u[lo:hi]) <= _RTOL * m_new
                 if ok and coeff.tau == 1:
                     v = state.velocity()
                     ok = max_abs(big.velocity() - v) <= _RTOL * max_abs(v)
@@ -1176,6 +1153,8 @@ def run_until_blowup(
             retire(back2)
             retire(big)
 
+    # the next run starts on its own rungs: a finished run leaves no factors in the grid cache
+    data._factors.clear()
     logger.debug(
         "eps %r: %s at t %r; %d steps accepted, %d halvings, probes %d passed / %d failed, "
         "dt %r..%r",
@@ -1183,7 +1162,6 @@ def run_until_blowup(
     )
     if observed != state.t:
         observe(state.t, state.u)
-    store = next((obs for obs in observers if isinstance(obs, SnapshotStore)), None)
     if store is not None:
         snap_times, snaps = store.times, store.fields
     else:  # the run's end points only

@@ -1109,16 +1109,65 @@ def test_symmetric_solve_on_the_shipped_heat_grid():
     assert differs  # pttrs and gttrs round differently here, so the LDL^T path is what ran
 
 
-def test_implicit_solve_keeps_one_factorization():
+def _count_factorizations(monkeypatch):
+    """A list that gains the coefficient of every implicit matrix factored from now on."""
+    built = []
+    factor = solvers._TridiagonalLU.factor
+
+    def counting(self, lower, diag, upper, coef):
+        built.append(coef)
+        return factor(self, lower, diag, upper, coef)
+
+    monkeypatch.setattr(solvers._TridiagonalLU, "factor", counting)
+    return built
+
+
+@pytest.mark.parametrize("factor", [1.0, _SCHRODINGER_FACTOR], ids=["real", "complex"])
+def test_alternating_rungs_factor_twice_with_the_bits_of_fresh_solves(monkeypatch, factor):
+    # a run's step and its step-doubling probe: dt and 2*dt, over and over
+    built = _count_factorizations(monkeypatch)
     grid = GridSpec("line", extent=60.0, num_points=1201)
     data = _GridData(grid)
+    rhs = 0.8 * bump_profile(data.coords)
+    got = [data.solve_implicit(factor, dt, rhs.copy()) for dt in (0.01, 0.02) * 4]
+    assert len(built) == 2  # each rung is factored once, into its own slot
+    fresh = [_GridData(grid).solve_implicit(factor, dt, rhs.copy()) for dt in (0.01, 0.02)]
+    for k, (x, lo, hi) in enumerate(got):
+        want, want_lo, want_hi = fresh[k % 2]
+        assert np.array_equal(_bits(x), _bits(want)) and (lo, hi) == (want_lo, want_hi)
+
+
+def test_a_third_rung_refactors_into_the_older_slot(monkeypatch):
+    built = _count_factorizations(monkeypatch)
+    data = _GridData(GridSpec("line", extent=60.0, num_points=1201))
     rhs = bump_profile(data.coords)
-    for k in range(4):  # the halvings of a run
-        data.solve_implicit(1.0, 0.01 / 2**k, rhs)
-    key, lu = data._factor
-    assert key == (0.01 / 8, 1.0, float)
-    data.solve_implicit(1.0, 0.01 / 8, rhs)
-    assert data._factor[1] is lu
+    data.solve_implicit(1.0, 0.01, rhs.copy())
+    old = data._factor[1]
+    data.solve_implicit(1.0, 0.02, rhs.copy())
+    kept = data._factor[1]
+    data.solve_implicit(1.0, 0.01, rhs.copy())  # 0.02 is now the slot used longer ago
+    assert len(built) == 2 and data._factor[1] is old
+    x, lo, hi = data.solve_implicit(1.0, 0.04, rhs.copy())
+    assert len(built) == 3
+    new = data._factor[1]
+    assert list(data._factors) == [(0.01, 1.0, float), (0.04, 1.0, float)]
+    # the new rung's factors live in the arrays of the 0.02 rung, not in new ones
+    assert all(np.shares_memory(a, b) for a, b in zip(new.factors, kept.factors))
+    assert data._factors[0.01, 1.0, float] is old
+    want, want_lo, want_hi = _GridData(data.spec).solve_implicit(1.0, 0.04, rhs.copy())
+    assert np.array_equal(_bits(x), _bits(want)) and (lo, hi) == (want_lo, want_hi)
+
+
+def test_shipped_nls_run_builds_at_most_18_factorizations(monkeypatch):
+    # one factor per rung the run visits, where a single factor slot built 77:
+    # each failed probe factored 2*dt, and the step after it dt again
+    built = _count_factorizations(monkeypatch)
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs", "schrodinger_blowup.json"))
+    res = run_until_blowup(cfg.problem, cfg.controls)
+    assert res.record.status == "blowup"
+    assert 0 < len(built) <= 18
+    assert len(set(built)) == len(built)  # no rung was factored twice
+    assert not _grid_data(cfg.problem.grid)._factors  # released when the run ends
 
 
 def _assert_fields_above_the_floor(config, controls):
@@ -1348,6 +1397,33 @@ def test_window_is_bitwise_the_full_magnitude_rule(grid, factor, dt):
         assert lu.window(b)[0] < 100 - solvers._WINDOW_MARGIN
 
 
+@pytest.mark.parametrize("factor", [1.0, complex(np.exp(0.5j * math.pi))], ids=["real", "complex"])
+def test_window_scanned_in_the_given_rows_is_the_window_of_every_row(factor):
+    # the rows [lo, hi) promise zeros outside them: any such rows give the window
+    # the whole right-hand side gives
+    data = _GridData(GridSpec("line", extent=60.0, num_points=1201))
+    dtype = complex if isinstance(factor, complex) else float
+    data.solve_implicit(factor, 0.1, np.zeros(data.shape, dtype=dtype))
+    lu = data._factor[1]
+    m = lu.nodes.size
+    rng = np.random.default_rng(12)
+    narrow = 0
+    for b in _window_cases(m, dtype, rng):
+        rows = np.flatnonzero(b)
+        first, last = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (m // 2, m // 2)
+        lo, hi = int(rng.integers(0, first + 1)), int(rng.integers(last, m + 1))
+        assert lu.window(b, lo, hi) == lu.window(b) == _window_by_full_magnitude(lu, b)
+        narrow += hi - lo < m
+    assert narrow > 100
+    # the solve takes the rows in grid coordinates, its evolved nodes starting at row 1
+    rhs = np.zeros(data.shape, dtype=dtype)
+    rhs[500:540] = 0.8
+    want, want_lo, want_hi = data.solve_implicit(factor, 1e-3, rhs.copy())
+    assert 0 < want_lo and want_hi < data.shape[0]  # not clamped: a row less would move it
+    got, lo, hi = data.solve_implicit(factor, 1e-3, rhs.copy(), (500, 540))
+    assert np.array_equal(_bits(got), _bits(want)) and (lo, hi) == (want_lo, want_hi)
+
+
 def test_laplacian_rows_are_bitwise_the_full_laplacian_rows():
     grids = [
         GridSpec("line", 20.0, 101),
@@ -1431,9 +1507,9 @@ def test_complex_step_bits_do_not_depend_on_the_grid_size(monkeypatch):
     seen = []
     original = _GridData.solve_implicit
 
-    def capture(self, factor, dt, rhs):
+    def capture(self, factor, dt, rhs, *args):
         seen.append(rhs.copy())
-        return original(self, factor, dt, rhs)
+        return original(self, factor, dt, rhs, *args)
 
     monkeypatch.setattr(_GridData, "solve_implicit", capture)
     for n in (16001, 17001):
@@ -1505,24 +1581,6 @@ def test_an_overflowing_trial_step_warns_nothing():
     assert status == "stalled" and float(dt_final) < 0.01  # the trial steps overflowed and halved
 
 
-def test_probe_refactoring_repeats_the_solves(monkeypatch):
-    built = []
-
-    class Counting(solvers._TridiagonalLU):
-        def __init__(self, *args):
-            built.append(args[3])
-            super().__init__(*args)
-
-    monkeypatch.setattr(solvers, "_TridiagonalLU", Counting)
-    data = _GridData(GridSpec("line", extent=60.0, num_points=1201))
-    rhs = bump_profile(data.coords)
-    first = [data.solve_implicit(1.0, dt, rhs.copy())[0] for dt in (0.01, 0.02)]
-    again = [data.solve_implicit(1.0, dt, rhs.copy())[0] for dt in (0.01, 0.02)]
-    assert len(built) == 4  # one cached factorization: each change of dt factors again
-    assert all(np.array_equal(a, b) for a, b in zip(first, again))
-    assert data._factor[0] == (0.02, 1.0, float)
-
-
 def test_sweep_path_holds_no_snapshots_and_keeps_the_record():
     grid = GridSpec("line", extent=80.0, num_points=2001)
     init = InitialDataSpec(center=0.0, width=1.0, epsilon=0.5)
@@ -1536,6 +1594,26 @@ def test_sweep_path_holds_no_snapshots_and_keeps_the_record():
     assert lean.snapshot_times == [0.0, full.snapshot_times[-1]]
     assert np.array_equal(lean.snapshots[-1], full.snapshots[-1])
     assert len(full.snapshots) > 100
+
+
+def test_run_with_a_store_drops_its_initial_field():
+    # a SnapshotStore keeps its own copy of the first field, so the run lets
+    # the initial state go once no step needs it
+    import gc
+    import weakref
+
+    problem, controls = HEAT_BLOWUP
+    seen = []
+
+    def watch(t, u):
+        if not seen:
+            seen.append(weakref.ref(u))
+        elif len(seen) == 1 and t > 1.0:
+            gc.collect()
+            seen.append(seen[0]() is None)
+
+    res = run_until_blowup(problem, controls, (solvers.SnapshotStore(), watch))
+    assert res.record.status == "blowup" and seen[1:] == [True]
 
 
 def test_run_without_observers_holds_its_end_points_only():
@@ -2085,6 +2163,118 @@ def test_steady_crank_nicolson_step_with_a_spare_allocates_less_than_one_field()
         assert tracemalloc.get_traced_memory()[1] - base >= field
     finally:
         tracemalloc.stop()
+
+
+def test_steady_crank_nicolson_step_at_a_held_rung_allocates_less_than_an_eighth_of_a_field():
+    import tracemalloc
+
+    # the NLS grid of the test above: the factors of the rung are held, and the
+    # step's rows, its predictor, |half|^2 and its source go into the grid's scratch
+    grid = GridSpec("line", extent=700.0, num_points=35_001)
+    init = InitialDataSpec(center=0.0, width=1.0, epsilon=1.0, amplitude=-0.47j)
+    dt = 0.01
+    back, state = None, initial_state(EvolutionProblem(NLS, grid, init), dt)
+    for _ in range(40):
+        back, state = state, step_parabolic(state, NLS, dt, back if back and back.t else None)
+    field = state.u.nbytes
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            spare = back
+            back, state = state, step_parabolic(state, NLS, dt, spare)
+            assert state.u is spare.u and tracemalloc.get_traced_memory()[1] - base < field / 8
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("coeff", [HEAT, NLS], ids=["real", "complex"])
+def test_crank_nicolson_step_takes_u_squared_from_the_step_before(monkeypatch, coeff):
+    # at p = 2 a step leaves |u_new|^2 in ``real_work`` and the next step from
+    # its result reads it there; a step from any other state, or after a solve
+    # wrote ``real_work``, computes |u|^2 again, with the same bits
+    grid = GridSpec("line", extent=80.0, num_points=2001)
+    amp = 1.0 if coeff is HEAT else -0.47j
+    problem = EvolutionProblem(coeff, grid, InitialDataSpec(0.0, 1.0, 0.5, amplitude=amp))
+    dt = 0.01
+    start = initial_state(problem, dt)
+    first = step_parabolic(start, coeff, dt)
+    second = step_parabolic(first, coeff, dt)
+    copy = FieldState(grid, first.u.copy(), None, first.t, dt, lo=first.lo, hi=first.hi)
+    want = step_parabolic(copy, coeff, dt)  # from a state whose |u|^2 no step wrote
+    assert np.array_equal(_bits(second.u), _bits(want.u)) and second.peak == want.peak
+    powers = []
+    original = solvers.abs_power
+
+    def counting(u, p, out=None, work=None):
+        powers.append(u.shape[0])
+        return original(u, p, out, work)
+
+    monkeypatch.setattr(solvers, "abs_power", counting)
+    again = step_parabolic(want, coeff, dt)
+    assert len(powers) == 2  # |half|^2 and |u_new|^2: |u|^2 came from the step before
+    del powers[:]
+    step_parabolic(first, coeff, dt)  # ``real_work`` holds |u|^2 of ``again``, not of ``first``
+    assert len(powers) == 3
+    last = step_parabolic(again, coeff, dt)
+    data = _grid_data(grid)
+    data.solve_implicit(1.0, dt, bump_profile(data.coords))  # its flush writes ``real_work``
+    del powers[:]
+    got = step_parabolic(last, coeff, dt)
+    assert len(powers) == 3
+    ref = FieldState(grid, last.u.copy(), None, last.t, dt, lo=last.lo, hi=last.hi)
+    assert np.array_equal(_bits(got.u), _bits(step_parabolic(ref, coeff, dt).u))
+
+
+@pytest.mark.parametrize("case", ["real", "complex"])
+def test_crank_nicolson_peak_at_p2_is_max_abs_at_every_accepted_step(monkeypatch, case):
+    # the runs of test_crank_nicolson_run_steps_into_retired_states, which halve
+    # and probe: the run tests growth with ``peak`` and calls max_abs only to
+    # compare a probe, over the union of the two fields' ranges
+    grid = GridSpec("line", extent=80.0, num_points=2001)
+    if case == "real":
+        coeff, init, dt0 = HEAT, InitialDataSpec(0.0, 1.0, 0.5), 2e-3
+    else:
+        coeff, init, dt0 = NLS, InitialDataSpec(0.0, 1.0, 1.0, amplitude=-0.47j), 0.01
+    controls = RunControls(threshold=1e6, t_max=60.0, dt_init=dt0)
+    original = solvers.step_parabolic
+    calls, compared = [], []
+
+    def recording(state, coeff, dt, spare=None):
+        result = original(state, coeff, dt, spare)
+        calls.append((state, result, result.peak, max_abs(result.u)))
+        return result
+
+    def recording_max_abs(u):
+        compared.append(u.shape[0])
+        return max_abs(u)
+
+    monkeypatch.setattr(solvers, "step_parabolic", recording)
+    monkeypatch.setattr(solvers, "max_abs", recording_max_abs)
+    res = run_until_blowup(EvolutionProblem(coeff, grid, init), controls)
+    assert res.record.status == "blowup"
+    starts = {id(state) for state, *_ in calls} | {id(calls[-1][1])}
+    accepted = [i for i, (_, result, *_) in enumerate(calls) if id(result) in starts]
+    assert len(accepted) == res.record.steps
+    assert all(calls[i][2] is not None and calls[i][2] == calls[i][3] for i in accepted)
+    trials, current = [], calls[0][0]
+    for i, (state, result, *_) in enumerate(calls):
+        if state is current:
+            trials.append(i)
+        if i in accepted:
+            current = result
+    probes = [i for i in range(len(calls)) if i not in trials]
+    assert len(probes) > 2 and len(trials) > len(accepted)  # the run probed and halved
+    # one max_abs per probe, the initial state's aside, each over the union of the ranges
+    assert len(compared) == 1 + len(probes)
+    for i, rows in zip(probes, compared[1:]):
+        state, big = calls[i - 1][1], calls[i][1]
+        assert rows == max(big.hi, state.hi) - min(big.lo, state.lo)
+    # a p other than 2 reports none: the run takes max_abs
+    cubic = replace(coeff, p=3.0)
+    state = initial_state(EvolutionProblem(cubic, grid, init), 0.01)
+    assert original(state, cubic, 0.01).peak is None
 
 
 @pytest.mark.parametrize("coeff", [HEAT, NLS], ids=["real", "complex"])
