@@ -2,17 +2,11 @@
 
 The equation is  tau * u_tt - Lap(u) + a(x) * u_t = lambda * |u|^p  with
 homogeneous Dirichlet walls on a truncated domain.  tau=0 runs a
-Crank-Nicolson step for  u_t = a^{-1} (Lap u + lambda |u|^p)  with the source
-evaluated explicitly at a predicted half step (heat for a=1, free or forced
-Schrodinger for a=+-i, Ginzburg-Landau phases in between).  tau=1 runs
-velocity Verlet with the damping term folded in implicitly (time centered),
-which keeps the damping unconditionally stable under the grid's wave step
-limit (0.9 h on the line and half line, less near the radial origin).  It is
-stepped as leapfrog: a state carries the velocity half a step ahead, and a
-step drifts u, evaluates the acceleration and kicks once, merging Verlet's
-second half kick with the next step's first (Hairer, Lubich & Wanner, Acta
-Numerica 12, 2003).  The velocity at a state's own time is rebuilt only when
-a halving or a probe changes dt or a probe compares velocities.
+Crank-Nicolson step for  u_t = a^{-1} (Lap u + lambda |u|^p)  (heat for a=1,
+free or forced Schrodinger for a=+-i, Ginzburg-Landau phases in between).
+tau=1 runs the trapezoidal rule on (u, u_t), Newmark's average-acceleration
+scheme, with the damping time centered: one implicit solve per step, stable
+at any dt.  Both take the source explicitly at a predicted half step.
 
 Geometries: the full line, the half line, radially symmetric N-dimensional
 space (optionally with the origin excluded for Dirichlet cones or the
@@ -21,37 +15,33 @@ Each grid is one geometry record (``_GridData``), the only code that reads
 ``GridSpec.geometry``; the operators, the initial data, the weight Phi and
 ``boundary_max`` read its fields.  The radial (or line) bands of the
 Laplacian give the implicit solve, one system per angular sine mode on the
-polar sector, and the wave step limit.  The explicit stencil, written out,
-scales by their 1/h^2, and the damped-wave step by cached factors of
-1 + (dt/2) a(x), so a Verlet step on the line or half line divides at no node.
-The implicit solve factors a real symmetric positive definite matrix (real
-heat on the line and half line) as L D L^T with LAPACK ``?pttrf``/``?pttrs``,
-and every other one with ``?gttrf``/``?gttrs``.
+polar sector, where the damped wave's 1 + (dt/2) a(x) depends on the radius
+only.  The explicit stencil, written out, scales by their 1/h^2.  The
+implicit solve factors a real symmetric positive definite matrix (real heat
+and every real damped wave on the line and half line) as L D L^T with
+LAPACK ``?pttrf``/``?pttrs``, and every other one with ``?gttrf``/``?gttrs``.
 
 The implicit solve overwrites the right-hand side the step built.  The 1-d
 solve sets every real and imaginary part below 2^-511 to zero, so the square
-of a part never underflows into a subnormal number.  A Crank-Nicolson field
-is exactly zero outside its 1-d solve window, so the next step, the run's
-growth test and the trace columns skip the nodes that hold only zeros, with
-the bits of the full-grid arithmetic.  A velocity-Verlet step widens the
-rows that can be nonzero by one on each side and computes only those, so a
-wave run from a compact bump sweeps only the stencil's cone around it.  Both
-steps take a state the run has retired and write into its arrays (the
-Crank-Nicolson step builds its right-hand side in the retired ``u``) and
-into scratch arrays of the grid, one per dtype, so a steady step allocates
-no array; at p = 2 the run's growth test reads max|u| off the |u|^2 a step
+of a part never underflows into a subnormal number.  A field is exactly zero
+outside its 1-d solve window, so the next step, the run's growth test and
+the trace columns skip the nodes that hold only zeros, with the bits of the
+full-grid arithmetic.  Both steps take a state the run has retired and write
+into its arrays (the right-hand side goes into the retired ``u``) and into
+scratch arrays of the grid, one per dtype, so a steady step allocates no
+array; at p = 2 the run's growth test reads max|u| off the |u|^2 a step
 wrote, and the next Crank-Nicolson step takes its |u|^2 from there.
 
 Blowup runs step on the dyadic ladder dt_init * 2^k: a step that grows
 max|u| by more than the growth limit is halved, and a step-doubling probe
 (one step of 2*dt against two of dt) lets the quiet phase climb the ladder
-under the CFL, snapshot and horizon caps.  The implicit solve keeps the
-factors of two rungs per grid, refactoring the one used longer ago in place,
-so a probe and the step after it factor nothing new; a run's factors go when
-it ends.  Runs record threshold crossing times T_M for
-M = 1e3..1e6 and extrapolate the lifespan through
-T_M = T_inf - c * M^{-(p-1)}, which is exact for the comparison equation
-u' = u^p and removes the dominant threshold bias.
+under the snapshot and horizon caps.  The implicit solve keeps the factors
+of two rungs per grid, refactoring the one used longer ago in place, so a
+probe and the step after it factor nothing new; a run's factors go when it
+ends.  Runs record threshold crossing times T_M for M = 1e3..1e6 and
+extrapolate the lifespan through T_M = T_inf - c * M^{-rate}, the blowup
+rate of the comparison equation: rate p - 1 for u' = u^p (tau=0) and
+(p - 1)/2 for u'' = u^p (tau=1, where the damping is of lower order).
 """
 
 from __future__ import annotations
@@ -63,7 +53,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from blowlab.cone_geometry import (
     ConeDomain,
@@ -219,7 +208,7 @@ class _GridData:
         self._factors = {}  # the factors of two implicit matrices by key, see ``_factors_for``
         self._bands = None  # the Laplacian's bands along the radial (or line) axis
         self._power_of = None  # a weak reference to the state whose |u|^2 ``real_work`` holds
-        self._damp = None  # (key, factors) of the current damped-wave step
+        self._damp = None  # (key, D) of the current damped-wave step, see ``damping_diagonal``
         g, n = spec.geometry, spec.num_points
         if g == "polar-sector":
             na = spec.num_angles
@@ -334,38 +323,27 @@ class _GridData:
             out[:, 0] = out[:, -1] = 0.0
         return out
 
-    def damping_factors(self, coeff: CoefficientSpec, dt: float) -> tuple:
-        """(den, recip, decay, gain) of a damped-wave step: den = 1 + (dt/2) a(x),
-        recip = 1/den, and the merged kick's decay = recip^2 and gain =
-        (dt/2) (1 + den).  Kept for the current ``(coeff, dt)`` only, as the
-        implicit factorization is.  A profile that is the same at every node
-        gives scalars, which multiply the field to the same bits."""
+    def damping_diagonal(self, coeff: CoefficientSpec, dt: float):
+        """D = 1 + (dt/2) a(x) of a damped-wave step on the grid's nodes: a
+        float when a(x) is the same at every node.  Kept for the current
+        ``(coeff, dt)`` only."""
         key = (coeff, dt)
         if self._damp is None or self._damp[0] != key:
             den = 1.0 + 0.5 * dt * coeff.damping(self.radius)
-            if np.all(den == den.flat[0]):
-                den = float(den.flat[0])
-            recip = 1.0 / den
-            self._damp = (key, (den, recip, recip * recip, 0.5 * dt * (1.0 + den)))
+            self._damp = key, float(den.flat[0]) if np.all(den == den.flat[0]) else den
         return self._damp[1]
 
     @cached_property
-    def square(self) -> np.ndarray:
-        """A real array of the grid's shape that a Verlet step writes |u|^2 (or
-        |u|^p) into; its values mean nothing between steps."""
-        return np.empty(self.shape)
-
-    @cached_property
     def real_work(self) -> np.ndarray:
-        """A real array of the grid's shape that a Crank-Nicolson step writes
-        |u|^p into, and the real 1-d solve its flush; its values mean nothing
-        between steps, except |u|^2 for the state ``_power_of`` names."""
+        """A real array of the grid's shape that a step writes |u|^p and
+        |u_new|^2 into, and the real 1-d solve its flush; its values mean
+        nothing between steps, except |u|^2 for the state ``_power_of`` names."""
         return np.empty(self.shape)
 
     @cached_property
     def complex_work(self) -> np.ndarray:
-        """A complex array of the grid's shape for a complex Crank-Nicolson
-        step's predictor and source, and the complex 1-d solve's flush."""
+        """A complex array of the grid's shape for a complex step's predictor
+        and source, and the complex 1-d solve's flush."""
         return np.empty(self.shape, complex)
 
     @cached_property
@@ -374,7 +352,7 @@ class _GridData:
         flush marks the negligible parts in."""
         return np.empty(self.real_work.size, bool)
 
-    # -- implicit machinery for the parabolic step ----------------------
+    # -- implicit machinery ----------------------------------------------
 
     def _banded_diagonals(self):
         """(lower, diag, upper) of the Laplacian along the radial (or line)
@@ -415,15 +393,12 @@ class _GridData:
         m = self._banded_diagonals()[1].size
         return np.arange(m + 1, dtype=np.int32), np.zeros(m - 2, complex)
 
-    @property
-    def _factor(self) -> tuple:
-        """(key, factors) of the implicit matrix solved last; see ``_factors_for``."""
-        return next(reversed(self._factors.items()))
-
     def _factors_for(self, key: tuple):
-        """The factors of I - (dt/2) * factor * Lap for ``key`` = (dt, factor,
-        dtype): one ``_TridiagonalLU`` on the 1-d grids, one per sine mode on
-        the polar sector.  Two slots are kept: a key that one holds reuses it,
+        """The factors of D - (dt/2) * factor * Lap for ``key`` = (dt, factor,
+        dtype, damped), with D = 1 when ``damped`` is None and the
+        ``damping_diagonal`` of the tau=1 coefficients ``damped`` otherwise:
+        one ``_TridiagonalLU`` on the 1-d grids, one per sine mode on the polar
+        sector.  Two slots are kept: a key that one holds reuses it,
         and any other key refactors into the arrays of the slot used longer
         ago.  A run's step moves on a dyadic ladder and stays on each rung for
         many steps, so a step-doubling probe (one step of 2*dt) and the steps
@@ -434,19 +409,30 @@ class _GridData:
             return slots[key]
         old = slots.pop(next(iter(slots))) if len(slots) == 2 else None
         lus = [] if old is None else [old] if self.sine is None else old
-        dt, factor, dtype = key
+        dt, factor, dtype, damped = key
         if not lus or lus[0].dtype != dtype:  # the arrays do not fit: new ones
             lus = [_TridiagonalLU(self._unpivoted, dtype) for _ in self.mode_shifts]
+        ident = 1.0 if damped is None else self.damping_diagonal(damped, dt)
+        if isinstance(ident, np.ndarray):  # along the axis: D depends on the radius only
+            ident = ident[self.evolved]
+            ident = ident[:, 0] if ident.ndim == 2 else ident
         lower, diag, upper = self._banded_diagonals()
         for lu, shift in zip(lus, self.mode_shifts):
-            lu.factor(lower, diag + shift, upper, 0.5 * dt * factor)
+            lu.factor(lower, diag + shift, upper, 0.5 * dt * factor, ident)
         slots[key] = lus[0] if self.sine is None else lus
         return slots[key]
 
     def solve_implicit(
-        self, factor: complex, dt: float, rhs: np.ndarray, rows: tuple | None = None
+        self,
+        factor: complex,
+        dt: float,
+        rhs: np.ndarray,
+        rows: tuple | None = None,
+        damped: CoefficientSpec | None = None,
     ) -> tuple[np.ndarray, int, int]:
-        """Solve (I - (dt/2) * factor * Lap) x = rhs on evolved nodes, in place.
+        """Solve (D - (dt/2) * factor * Lap) x = rhs on evolved nodes, in place:
+        D = 1 for Crank-Nicolson, and the damped wave's D = 1 + (dt/2) a(x)
+        for the tau=1 coefficients ``damped``.
 
         Returns x and the rows [lo, hi) outside which x is +0.0: the solve
         window on the 1-d grids, every row on the polar sector.  ``rhs`` and x
@@ -465,7 +451,7 @@ class _GridData:
         """
         self._power_of = None  # the real flush writes into ``real_work``
         dtype = complex if np.iscomplexobj(rhs) or isinstance(factor, complex) else float
-        factors = self._factors_for((dt, factor, dtype))
+        factors = self._factors_for((dt, factor, dtype, damped))
         out = np.ascontiguousarray(rhs, dtype=dtype)
         _zero_boundary(self, out)
         if self.sine is None:
@@ -484,20 +470,6 @@ class _GridData:
             lu.solve(b)
         out[self.evolved] = (self.sine @ coeffs).T
         return out, 0, rhs.shape[0]
-
-    @cached_property
-    def wave_dt_limit(self) -> float:
-        """min(0.9 h, 0.9 * 2/sqrt(rho)): velocity-Verlet is stable for dt <= 2/sqrt(rho), rho
-        the Laplacian's spectral radius, minus the lowest eigenvalue of the last (most negative)
-        sine mode's symmetrized bands.  Line, half-line and origin-free radial grids keep 0.9 h.
-        Up to N = 3 the symmetrization is exact; from N = 4 on the band product next to the
-        origin is negative, and clipping it to 0 makes the limit conservative (smaller)."""
-        lower, diag, upper = self._banded_diagonals()
-        # the dim-3 product next to the origin is zero but rounds slightly below it
-        off = np.sqrt(np.maximum(lower[1:] * upper[:-1], 0.0))
-        diag = diag + self.mode_shifts[-1]
-        (lowest,) = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-        return min(0.9 * self.h, 0.9 * 2.0 / math.sqrt(-lowest))
 
 
 @lru_cache(maxsize=64)
@@ -604,35 +576,25 @@ class EvolutionProblem:
 class FieldState:
     """The field at time t, with the step dt that continues it.
 
-    ``acc`` caches Lap u + lambda |u|^p (boundary rows zeroed) for a tau=1
-    state; ``step_hyperbolic`` fills it in when it is None and sets it on
-    the states it returns.  It depends on u and the coefficients alone, so
-    code that changes ``u`` in place must reset it to None.
-
-    ``v`` is the velocity at t on the initial state.  A velocity-Verlet
-    step returns a state that carries the velocity half a step ahead
-    instead: ``vh`` = (v + (dt/2) acc) / (1 + (dt/2) a(x)) for the step
-    ``kick`` = (dt, 1 + (dt/2) a(x)) it was kicked for, which the next step
-    of that dt takes as it is.  Its ``v`` is None until :meth:`velocity`
-    rebuilds it.  ``peak`` is max|u| over [lo, hi) when the step that made
-    the state, of either scheme, read it off |u|^2 (p = 2 and max|u| at
-    least 2^-511), and None otherwise.  A state continues under the
-    coefficients that made it; code that changes its ``u`` in place steps
-    from a copy, since the next Crank-Nicolson step may take |u|^2 from the
-    grid's ``real_work``.
+    ``v`` is the velocity u_t at t for tau=1 and None for tau=0.  ``peak`` is
+    max|u| over [lo, hi) when the step that made the state read it off
+    |u|^2 (p = 2 and max|u| at least 2^-511), and None otherwise.  A state
+    continues under the coefficients that made it; code that changes its
+    ``u`` in place steps from a copy, since the next Crank-Nicolson step may
+    take |u|^2 from the grid's ``real_work``.
 
     ``u`` is exactly 0.0 outside the rows ``u[lo:hi]`` (every row by
-    default), and for tau=1 so are ``v``, ``vh`` and ``acc``.
-    ``initial_state`` sets the range from the bump's nonzero rows, a
-    Crank-Nicolson step from its solve window and a velocity-Verlet step
-    from the rows it computed.  Outside the range of a state that a step
-    returned, every array holds +0.0; the initial state may hold -0.0 there.
+    default), and for tau=1 so is ``v``.  ``initial_state`` sets the range
+    from the bump's nonzero rows, and a step from its solve window (joined,
+    for tau=1, with the rows the step computed).  Outside the range of a
+    state that a step returned, every array holds +0.0; the initial state
+    may hold -0.0 there.
 
     A step may write into the arrays of a *spare*: a state that a step of the
     same scheme returned (so the +0.0 holds outside its range), on the same
-    grid and dtype, that no one reads again.  A Crank-Nicolson step writes
-    into its ``u``, a velocity-Verlet step into its ``u``, ``vh`` and
-    ``acc``.  The spare is void once lent: its arrays belong to the result.
+    grid and dtype, that no one reads again.  A step writes into its ``u``
+    and, for tau=1, its ``v``.  The spare is void once lent: its arrays
+    belong to the result.
     """
 
     grid: GridSpec
@@ -640,22 +602,9 @@ class FieldState:
     v: np.ndarray | None
     t: float
     dt: float
-    acc: np.ndarray | None = None
     lo: int = 0
     hi: int | None = None
-    vh: np.ndarray | None = None
-    kick: tuple | None = None
     peak: float | None = None
-
-    def velocity(self) -> np.ndarray | None:
-        """The velocity at t: ``v``, rebuilt from ``vh`` as vh * (1 + (dt/2) a(x))
-        - (dt/2) acc on a state a Verlet step returned, and kept."""
-        if self.v is None and self.vh is not None:
-            dt, den = self.kick
-            v = self.vh * den
-            v -= (0.5 * dt) * self.acc
-            self.v = v
-        return self.v
 
 
 def _bump(data: _GridData, init: InitialDataSpec) -> np.ndarray:
@@ -706,12 +655,12 @@ def step_parabolic(
     the source go into the grid's ``real_work``, and on a complex step the
     predictor and the source into its ``complex_work``.  At p = 2 the step
     then writes |u_new|^2 over [lo-1, hi+1) of the new range into
-    ``real_work``, sets the result's ``peak`` from it as ``step_hyperbolic``
-    does, and the next step from that result takes |u|^2 from there, while
-    no other Crank-Nicolson step or solve on the grid has written there since.
+    ``real_work`` and sets the result's ``peak`` from it (``_peak``), and the
+    next step from that result takes |u|^2 from there, while no other step
+    or solve on the grid has written there since.
 
     ``spare`` lends its ``u`` as the right-hand side, cleared outside
-    [lo-1, hi+1) as in ``step_hyperbolic``, so the solve writes the new field there.
+    [lo-1, hi+1), so the solve writes the new field there.
     """
     if coeff.tau != 0:
         raise ValueError("parabolic step requires tau=0")
@@ -753,114 +702,88 @@ def step_parabolic(
     u_new, lo, hi = data.solve_implicit(ainv, dt, rhs, (a, b))
     result = FieldState(grid=state.grid, u=u_new, v=None, t=state.t + dt, dt=dt, lo=lo, hi=hi)
     if coeff.p == 2.0:
-        a, b = _reach(lo, hi, u.shape[0])
-        imag = None if dtype is float else data.complex_work[a:b].imag
-        square = abs_power(u_new[a:b], 2.0, out=data.real_work[a:b], work=imag)
-        top = float(np.maximum.reduce(square, axis=None))  # max|u|^2, as step_hyperbolic reads it
-        if top >= _NEGLIGIBLE * _NEGLIGIBLE:  # False for NaN too
-            result.peak = math.sqrt(top)
+        result.peak = _peak(data, u_new, *_reach(lo, hi, u.shape[0]))
         data._power_of = weakref.ref(result)
     return result
+
+
+def _peak(data: _GridData, u: np.ndarray, a: int, b: int) -> float | None:
+    """max|u| over rows [a, b), read off the |u|^2 this writes into the grid's
+    ``real_work`` there, when it is at least 2^-511: there sqrt(fl(x^2)) = |x|
+    holds exactly, so it is max_abs's value.  None otherwise, NaN included."""
+    imag = None if u.dtype.kind == "f" else data.complex_work[a:b].imag
+    square = abs_power(u[a:b], 2.0, out=data.real_work[a:b], work=imag)
+    top = float(np.maximum.reduce(square, axis=None))
+    return math.sqrt(top) if top >= _NEGLIGIBLE * _NEGLIGIBLE else None
 
 
 def step_hyperbolic(
     state: FieldState, coeff: CoefficientSpec, dt: float, spare: FieldState | None = None
 ) -> FieldState:
-    """One velocity-Verlet step of u_tt = Lap u + lambda |u|^p - a(x) u_t.
+    """One trapezoidal step of u_tt = Lap u + lambda |u|^p - a(x) u_t.
 
-    The damping enters the time-centered average (1 + (dt/2) a) v; the wave
-    part requires dt <= ``wave_dt_limit``.  With D = 1 / (1 + (dt/2) a) the
-    step is leapfrog: u' = u + dt vh, acc' = Lap u' + lambda |u'|^p and one
-    merged kick vh' = D^2 (vh + (dt/2)(1 + 1/D) acc'), which is velocity
-    Verlet's second kick D (vh + (dt/2) acc') followed by the next step's
-    first, D (v' + (dt/2) acc').  The state's ``vh`` is taken as it is when
-    it was kicked for this dt; otherwise (the initial state, or a dt that a
-    halving or a probe changed) the step kicks the velocity at t, which
-    ``FieldState.velocity`` rebuilds.  The acceleration depends on u and
-    not on dt, so a retry at half the step or a step-doubling probe reuses
-    the state's ``acc``: one Laplacian and one nonlinearity per step.  A
-    state without ``acc`` (the initial one) gets it filled in here, and its
-    range widened by the row on each side that the Laplacian reaches.
+    The trapezoidal rule on (u, v), Newmark's average-acceleration scheme
+    (Newmark, J. Eng. Mech. Div. ASCE 85, 1959), with the source frozen at
+    the predictor u + (dt/2) v as in ``step_parabolic``.  With
+    D = 1 + (dt/2) a(x) it solves
 
-    u, vh and acc are 0.0 outside rows [lo, hi) (u and v of either sign on
-    the initial state, +0.0 on a state a step returned), so u_new is +0.0
-    there too, and acc_new and vh_new are +0.0 outside [lo-1, hi+1).  The
-    step computes only those rows, with the bits the full grid gives them
-    (a sum written as a product with ``out=`` and then ``+=`` adds the same
-    two terms), and returns them as its range.  The full grid adds each
-    -0.0 of the initial u and v to a +0.0 ((dt/2)*acc, then dt*vh) before
-    it reaches a result, which gives +0.0, so the first step keeps its bits too.
+        (D - (dt^2/4) Lap) u' = D u + dt v + (dt^2/4) Lap u
+                                + (dt^2/2) lambda |u + (dt/2) v|^p
 
-    ``spare``, a state that a step returned and that the caller holds no
-    more, lends its arrays to the result in place of three new full-grid
-    ones: the rows of its range outside [lo-1, hi+1) are set to +0.0, so
-    the result holds the bits a fresh array would.  |u'|^p goes into the
-    grid's one ``square`` array, so a step with a spare allocates no array
-    on the line and half line at p = 2.
+    and sets v' = (2/dt) (u' - u) - v.  The step is second order and stable
+    at any dt: undamped and linear, it conserves |v|^2 - <u, Lap u>.
+
+    u and v are 0.0 outside rows [lo, hi) (of either sign on the initial
+    state, +0.0 on a state a step returned), so the right-hand side is +0.0
+    outside [lo-1, hi+1): only those rows are computed, with the bits the full
+    grid gives them, and the solve window holds every nonzero row of u'.  v'
+    is computed on the union of the two ranges, which is the result's range.
+    The full grid adds each -0.0 of the initial u and v to a +0.0 before it
+    reaches a result, which gives +0.0, so the first step keeps its bits too.
+
+    ``spare`` lends its ``u`` as the right-hand side, which the solve
+    overwrites with u', and its ``v`` for v' and the terms D u and dt v; the
+    rows of its range outside [lo-1, hi+1) are set to +0.0.  The predictor
+    and its |.|^p go into the grid's ``real_work`` (and ``complex_work`` for
+    a complex field), so a step with a spare allocates no array.  At p = 2
+    the step sets the result's ``peak`` as ``step_parabolic`` does.
     """
     if coeff.tau != 1:
         raise ValueError("hyperbolic step requires tau=1")
     data = _grid_data(state.grid)
-    if dt > data.wave_dt_limit:
-        raise ValueError(f"CFL violation: dt={dt} exceeds the limit {data.wave_dt_limit}")
-    u = state.u
+    u, v = state.u, state.v
     lam = coeff.lam if u.dtype.kind == "c" else coeff.lam.real
-    n = u.shape[0]
-    if state.acc is None:
-        state.lo, state.hi = _reach(state.lo, state.hi, n)
-        state.acc = np.zeros(u.shape, u.dtype)
-        _acceleration(data, u, lam, coeff.p, state.lo, state.hi, state.acc)
-    a, b = _reach(state.lo, state.hi, n)
+    a, b = _reach(state.lo, state.hi, u.shape[0])
     if spare is None:
-        u_new, vh_new, acc_new = (np.zeros(u.shape, u.dtype) for _ in range(3))
+        rhs, v_new = np.zeros(u.shape, u.dtype), np.zeros(u.shape, u.dtype)
     else:
-        u_new, vh_new, acc_new = spare.u, spare.vh, spare.acc
+        rhs, v_new = spare.u, spare.v
         if spare.lo < a or b < spare.hi:  # most often the spare's range lies inside [a, b)
             _clear_outside(spare, a, b)
-    den, recip, decay, gain = data.damping_factors(coeff, dt)
-    if isinstance(recip, np.ndarray):
-        recip, decay, gain = recip[a:b], decay[a:b], gain[a:b]
-    if state.kick is not None and state.kick[0] == dt:
-        vh = state.vh[a:b]
-    else:  # kick the velocity at t by half a step
-        vh = np.multiply(0.5 * dt, state.acc[a:b])
-        vh += state.velocity()[a:b]
-        vh *= recip
-    rows = np.multiply(dt, vh, out=u_new[a:b])
-    rows += u[a:b]
-    _zero_boundary(data, u_new)
-    peak = _acceleration(data, u_new, lam, coeff.p, a, b, acc_new)
-    part = vh_new[a:b]
-    np.multiply(gain, acc_new[a:b], out=part)
-    part += vh
-    part *= decay
-    _zero_boundary(data, vh_new)
-    return FieldState(
-        state.grid, u_new, None, state.t + dt, dt, acc_new, a, b, vh_new, (dt, den), peak
-    )
-
-
-def _acceleration(
-    data: _GridData, u: np.ndarray, lam, p: float, lo: int, hi: int, out: np.ndarray
-) -> float | None:
-    """Lap u + lam * |u|^p written into rows [lo, hi) of ``out``, whose walls are
-    then zeroed.  At p = 2 returns max|u| over those rows as sqrt(max |u|^2)
-    when that is at least 2^-511, where sqrt(fl(x^2)) = |x| holds exactly, so
-    it is max_abs's value; otherwise None."""
-    power = abs_power(u[lo:hi], p, out=data.square[lo:hi])
-    peak = None
-    if p == 2.0:
-        top = float(np.maximum.reduce(power, axis=None))
-        if top >= _NEGLIGIBLE * _NEGLIGIBLE:  # False for NaN too
-            peak = math.sqrt(top)
-    if isinstance(lam, complex):
-        power = lam * power
-    elif lam != 1.0:  # a real 1.0 * x is x
-        power *= lam
-    rows = data.laplacian(u, lo, hi, out=out[lo:hi])
-    rows += power
-    _zero_boundary(data, out)
-    return peak
+    near, vel, term = u[a:b], v[a:b], v_new[a:b]
+    den = data.damping_diagonal(coeff, dt)
+    if isinstance(den, np.ndarray):
+        den = den[a:b]
+    power = data.real_work[a:b]
+    half = power if u.dtype.kind == "f" else data.complex_work[a:b]
+    np.multiply(0.5 * dt, vel, out=half)
+    half += near
+    abs_power(half, coeff.p, out=power, work=None if half is power else half.imag)
+    if half is not power:
+        np.copyto(half, power)
+    source = np.multiply(0.5 * dt * dt * lam, half, out=half)
+    lap = data.laplacian(u, a, b, out=rhs[a:b])
+    lap *= 0.25 * dt * dt
+    lap += np.multiply(den, near, out=term)
+    lap += np.multiply(dt, vel, out=term)
+    lap += source
+    u_new, lo, hi = data.solve_implicit(0.5 * dt, dt, rhs, (a, b), coeff)
+    lo, hi = min(lo, a), max(hi, b)
+    rows = np.subtract(u_new[lo:hi], u[lo:hi], out=v_new[lo:hi])
+    rows *= 2.0 / dt
+    rows -= v[lo:hi]
+    peak = _peak(data, u_new, lo, hi) if coeff.p == 2.0 else None
+    return FieldState(state.grid, u_new, v_new, state.t + dt, dt, lo, hi, peak)
 
 
 def _reach(lo: int, hi: int | None, n: int) -> tuple[int, int]:
@@ -870,7 +793,7 @@ def _reach(lo: int, hi: int | None, n: int) -> tuple[int, int]:
 
 def _clear_outside(spare: FieldState, a: int, b: int) -> None:
     """Set the rows of the spare's range outside [a, b) to +0.0 in each of its arrays."""
-    for arr in (spare.u, spare.vh, spare.acc):
+    for arr in (spare.u, spare.v):
         if arr is not None:
             arr[spare.lo : a] = arr[b : spare.hi] = 0.0
 
@@ -885,11 +808,13 @@ class RunControls:
     """Blowup-run policy: the verdict threshold, horizons and the step control.
 
     The threshold must be one of ``RECORD_THRESHOLDS``, the crossings that
-    every run records.  The step takes only the values ``dt_init * 2^k``: it
-    halves when a step grows max|u| by more than 20% or turns non-finite,
-    and doubles when a step-doubling probe finds the local error within 1e-5
-    relative to max|u|.  ``max_steps`` bounds the accepted steps; rejected
-    (halved) attempts and probes do not count against it.
+    every run records.  The step takes only the values ``dt_init * 2^k``
+    (``dt_init`` defaults to h^2 for tau=0 and h/2 for tau=1): it halves when
+    a step grows max|u| by more than 20% or turns non-finite, and doubles
+    when a step-doubling probe finds the local error within 1e-5 relative to
+    max|u| (and for tau=1 max|v|); no stability limit caps it.  ``max_steps``
+    bounds the accepted steps; rejected (halved) attempts and probes do not
+    count against it.
     """
 
     threshold: float = 1e6
@@ -973,19 +898,25 @@ class RunResult:
     snapshots: list
 
 
-def extrapolate_lifespan(thresholds, crossings, p: float) -> float:
-    """Least-squares fit of T_M = T_inf - c * M^{-(p-1)} over recorded
-    crossings; exact for the comparison equation u' = u^p."""
+def extrapolate_lifespan(thresholds, crossings, rate: float) -> tuple[float, float]:
+    """(T_inf, c) of the least-squares fit T_M = T_inf - c * M^-rate over the
+    recorded crossings; one crossing gives (T_M, NaN) and none NaN for both.
+
+    The fit is exact for the equation a run follows near its blowup.  A
+    tau=0 run follows u' = lambda u^p: rate p - 1 and c = 1/((p-1) |lambda|).
+    A damped wave follows u'' = lambda u^p, since the damping is of lower
+    order there: rate (p - 1)/2 and c = sqrt((p+1)/(2 lambda)) * 2/(p-1),
+    sqrt(6) at p = 2 and lambda = 1."""
     pts = [(m, t) for m, t in zip(thresholds, crossings) if math.isfinite(t)]
     if not pts:
-        return math.nan
+        return math.nan, math.nan
     if len(pts) == 1:
-        return pts[0][1]
-    x = np.array([m ** (-(p - 1.0)) for m, _ in pts])
+        return pts[0][1], math.nan
+    x = np.array([m ** (-rate) for m, _ in pts])
     t = np.array([t for _, t in pts])
     design = np.stack([np.ones_like(x), -x], axis=1)
     sol, *_ = np.linalg.lstsq(design, t, rcond=None)
-    return float(sol[0])
+    return float(sol[0]), float(sol[1])
 
 
 def run_until_blowup(
@@ -1009,13 +940,14 @@ def run_until_blowup(
     steps use 2*dt and the wait before the next probe is back to 2 steps;
     otherwise the wait doubles, up to 32 steps, for every run.  The probe
     result is discarded, so the trajectory is made of ordinary steps only.
-    No probe passes the cap min(wave_dt_limit for tau=1, snapshot_dt when
-    positive, t_max), and a halving lowers the cap to the halved step: from
-    then on the growth limit, not the local error, bounds dt, so a run
-    whose first halving comes early keeps the halved step through any later
-    quiet phase.  The crossing times of every ``RECORD_THRESHOLDS`` entry
-    are recorded by log-linear interpolation and extrapolated to the
-    lifespan estimate.
+    Both steps are stable at any dt, so the only cap on a probe is
+    min(snapshot_dt when positive, t_max), and a halving lowers the cap to
+    the halved step: from then on the growth limit, not the local error,
+    bounds dt, so a run whose first halving comes early keeps the halved
+    step through any later quiet phase.  The crossing times of every
+    ``RECORD_THRESHOLDS`` entry are recorded by log-linear interpolation and
+    extrapolated to the lifespan estimate at the equation's blowup rate
+    (``extrapolate_lifespan``).
 
     ``observers`` say what the run keeps.  Each is called as ``obs(t, u)``
     on every recorded snapshot: t = 0, each ``snapshot_dt`` crossing and the
@@ -1037,11 +969,8 @@ def run_until_blowup(
     coeff = problem.coeff
     data = _grid_data(problem.grid)
     dt0, dt_cap = controls.dt_init, controls.t_max
-    if coeff.tau == 1:  # by default the first step is h/2, and the wave step limit caps each
-        dt0 = min(0.5 * data.h if dt0 is None else dt0, data.wave_dt_limit)
-        dt_cap = min(dt_cap, data.wave_dt_limit)
-    elif dt0 is None:
-        dt0 = data.h * data.h
+    if dt0 is None:
+        dt0 = 0.5 * data.h if coeff.tau == 1 else data.h * data.h
     if controls.snapshot_dt > 0:
         dt_cap = min(dt_cap, controls.snapshot_dt)
     state = initial_state(problem, dt0)
@@ -1138,8 +1067,8 @@ def run_until_blowup(
                 lo, hi = min(big.lo, state.lo), max(big.hi, state.hi)
                 ok = max_abs(big.u[lo:hi] - state.u[lo:hi]) <= _RTOL * m_new
                 if ok and coeff.tau == 1:
-                    v = state.velocity()
-                    ok = max_abs(big.velocity() - v) <= _RTOL * max_abs(v)
+                    v = state.v[lo:hi]
+                    ok = max_abs(big.v[lo:hi] - v) <= _RTOL * max_abs(v)
                 run = 0
                 if ok:
                     state.dt = 2.0 * dt
@@ -1173,7 +1102,8 @@ def run_until_blowup(
     boundary = float(np.max(np.abs(state.u[data.truncation_adjacent])))
     t_ext = math.nan
     if status == "blowup":
-        t_ext = extrapolate_lifespan(RECORD_THRESHOLDS, crossings, coeff.p)
+        rate = (coeff.p - 1.0) / (1 + coeff.tau)  # u' = u^p, or u'' = u^p for a wave
+        t_ext, _ = extrapolate_lifespan(RECORD_THRESHOLDS, crossings, rate)
     record = _record(
         problem, status=status, t_at_thresholds=tuple(crossings), t_extrapolated=t_ext,
         dt_final=state.dt, steps=steps, t_final=state.t, boundary_max=boundary,

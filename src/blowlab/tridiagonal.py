@@ -1,5 +1,5 @@
-"""LAPACK factors of the implicit Crank-Nicolson matrix on a 1-d grid, and the
-window of rows outside which its solution is negligible.
+"""LAPACK factors of an implicit step's matrix on a 1-d grid, and the window of
+rows outside which its solution is negligible.
 
 A grid's factors live in ``solvers._GridData``, which refactors them in place
 as a run moves from rung to rung; this module holds one factorization and its
@@ -22,7 +22,8 @@ _WINDOW_MARGIN = 16  # extra nodes on each side of the provable window
 
 
 class _TridiagonalLU:
-    """LAPACK factors of ``I - coef * Lap`` on a 1-d grid.
+    """LAPACK factors of ``ident - coef * Lap`` on a 1-d grid, with ``ident`` 1.0
+    (Crank-Nicolson) or a positive diagonal (the damped wave's 1 + (dt/2) a).
 
     A real symmetric positive definite matrix (the line and half line with a
     real, forward ``coef``) is factored by ``?pttrf`` as L D L^T and solved by
@@ -59,13 +60,14 @@ class _TridiagonalLU:
         self._unpivoted = zeros.view(dtype)[: m - 2], counting[1:]  # du2 and ipiv
         self.sub, self.d, self.sup = (np.empty(k, dtype) for k in (m - 1, m, m - 1))
 
-    def factor(self, lower, diag, upper, coef) -> None:
-        """Factor ``I - coef * Lap`` for the bands (lower, diag, upper) in place."""
+    def factor(self, lower, diag, upper, coef, ident=1.0) -> None:
+        """Factor ``ident - coef * Lap`` for the bands (lower, diag, upper) in
+        place; ``ident`` is a scalar or one value per node."""
         sub, d = self.sub, self.d
 
-        def bands():  # the subdiagonal and diagonal of I - coef * Lap
+        def bands():  # the subdiagonal and diagonal of ident - coef * Lap
             np.multiply(-coef, lower[1:], out=sub)
-            np.subtract(1.0, np.multiply(coef, diag, out=d), out=d)
+            np.subtract(ident, np.multiply(coef, diag, out=d), out=d)
 
         self.factors = ()  # gttrf's du2 and ipiv are released before it returns new ones
         np.multiply(-coef, upper[:-1], out=d[:-1])  # the superdiagonal, for the symmetry test
