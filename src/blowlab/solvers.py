@@ -179,7 +179,7 @@ class GridSpec:
 
 
 class _GridData:
-    """The geometry record of one grid spec: mesh arrays, walls and operators.
+    """The geometry record of one grid spec: mesh arrays and operators.
 
     The constructor is the one place that reads ``spec.geometry``; the
     operators, the initial data, the weight and the run read these fields:
@@ -187,8 +187,7 @@ class _GridData:
     - ``h``, ``coords``, ``radius``, ``vol`` and ``shape`` (plus ``h_theta``
       on the polar sector);
     - ``evolved``, the index of the unknowns (radius by angle on the sector);
-    - ``walls``, the indices of the Dirichlet walls, and
-      ``truncation_adjacent``, the nodes next to the wall that truncates the
+    - ``truncation_adjacent``, the nodes next to the wall that truncates the
       domain (both ends of the line, the outer radius, the outer arc);
     - ``origin_wall``, whether the origin is a Dirichlet wall (a wall node on
       the half line, a ghost node off the radial and polar grids), and
@@ -208,6 +207,7 @@ class _GridData:
         self._factors = {}  # the factors of two implicit matrices by key, see ``_factors_for``
         self._bands = None  # the Laplacian's bands along the radial (or line) axis
         self._power_of = None  # a weak reference to the state whose |u|^2 ``real_work`` holds
+        self._damping = None  # (coeff, a(x)) of the last damped-wave coefficients, see below
         self._damp = None  # (key, D) of the current damped-wave step, see ``damping_diagonal``
         g, n = spec.geometry, spec.num_points
         if g == "polar-sector":
@@ -220,8 +220,7 @@ class _GridData:
             self.radius = self.signed_radius = rr
             self.vol = rr * self.h * self.h_theta
             self.shape = (n, na)
-            self.evolved = np.s_[:-1, 1:-1]
-            self.walls = (-1, np.s_[:, 0], np.s_[:, -1])  # the arc and the two rays
+            self.evolved = np.s_[:-1, 1:-1]  # the arc and the two rays are walls
             self.truncation_adjacent = -2  # the row next to the arc
             self.origin_wall = True
             self.support_limit = spec.extent
@@ -251,20 +250,20 @@ class _GridData:
                 self.coords = self.h * np.arange(1, n + 1)
             self.radius = self.coords.copy()
             self.axis_radius = self.radius[:-1]
-            area = 2.0 * math.pi ** (spec.dim / 2.0) / math.gamma(spec.dim / 2.0)
-            self.vol = area * self.radius ** (spec.dim - 1) * self.h
             self.evolved = slice(0, -1)
-            self.walls = (-1,)
             self.truncation_adjacent = -2
             if spec.dim > 1:
                 kind = "full-sphere"
-            else:
+                area = 2.0 * math.pi ** (spec.dim / 2.0) / math.gamma(spec.dim / 2.0)
+                self.vol = area * self.radius ** (spec.dim - 1) * self.h
+            else:  # the half line, or the line folded onto r >= 0: r > 0 stands for +r and -r
                 kind = "half-line" if self.origin_wall else "full-line"
+                self.vol = np.full(n, self.h if self.origin_wall else 2.0 * self.h)
+                self.vol[0] = self.h
             self.cross_section = CrossSectionSpec(kind, spec.dim)
         else:  # the line and the half line: walls at both ends
             self.h = spec.extent / (n - 1)
             self.evolved = slice(1, -1)
-            self.walls = (0, -1)
             self.vol = np.full(n, self.h)
             if g == "line":
                 self.origin_wall = False
@@ -325,12 +324,14 @@ class _GridData:
 
     def damping_diagonal(self, coeff: CoefficientSpec, dt: float):
         """D = 1 + (dt/2) a(x) of a damped-wave step on the grid's nodes: a
-        float when a(x) is the same at every node.  Kept for the current
-        ``(coeff, dt)`` only."""
+        float when a(x) is the same at every node.  a(x) is evaluated once per
+        ``coeff`` and D kept for the current ``(coeff, dt)`` only."""
         key = (coeff, dt)
         if self._damp is None or self._damp[0] != key:
-            den = 1.0 + 0.5 * dt * coeff.damping(self.radius)
-            self._damp = key, float(den.flat[0]) if np.all(den == den.flat[0]) else den
+            if self._damping is None or self._damping[0] != coeff:
+                a = coeff.damping(self.radius)
+                self._damping = coeff, float(a.flat[0]) if np.all(a == a.flat[0]) else a
+            self._damp = key, 1.0 + 0.5 * dt * self._damping[1]
         return self._damp[1]
 
     @cached_property
@@ -434,42 +435,38 @@ class _GridData:
         D = 1 for Crank-Nicolson, and the damped wave's D = 1 + (dt/2) a(x)
         for the tau=1 coefficients ``damped``.
 
-        Returns x and the rows [lo, hi) outside which x is +0.0: the solve
-        window on the 1-d grids, every row on the polar sector.  ``rhs`` and x
-        live on the full grid; boundary entries are set to zero.  x is ``rhs``
-        itself, overwritten, when ``rhs`` is contiguous and of the solve's
-        dtype (complex for a complex ``factor``), and otherwise a copy of it
-        in that dtype.  On the 1-d grids the solve writes only its window,
-        outside which ``rhs`` holds zeros: they are left as they are, so a
-        right-hand side with -0.0 there keeps it (one from ``step_parabolic``
-        holds +0.0 there).  ``rows`` = (a, b), when given, promises that
-        ``rhs`` is zero outside rows [a, b), so the window is looked for
-        there only; it is the same window.  The factors come from one of the
-        grid's two slots (``_factors_for``), and the 1-d solve flushes
-        through the grid's ``real_work`` and ``flags`` (real) or
-        ``complex_work`` and ``real_work`` (complex).
+        ``rhs`` is a C-contiguous array of the grid's shape, complex when
+        ``factor`` is, and +0.0 on the walls.  The solve runs in its dtype and
+        overwrites its evolved nodes with x; it copies and promotes nothing,
+        and writes no wall.  Returns x (``rhs`` itself) and the rows [lo, hi)
+        outside which x is +0.0: the solve window on the 1-d grids, every row
+        on the polar sector.  On the 1-d grids the solve writes only its
+        window, outside which ``rhs`` holds +0.0.  ``rows`` = (a, b), when
+        given, promises that ``rhs`` is zero outside rows [a, b), so the
+        window is looked for there only; it is the same window.  The factors
+        come from one of the grid's two slots (``_factors_for``), and the 1-d
+        solve flushes through the grid's ``real_work`` and ``flags`` (real)
+        or ``complex_work`` and ``real_work`` (complex).
         """
         self._power_of = None  # the real flush writes into ``real_work``
-        dtype = complex if np.iscomplexobj(rhs) or isinstance(factor, complex) else float
-        factors = self._factors_for((dt, factor, dtype, damped))
-        out = np.ascontiguousarray(rhs, dtype=dtype)
-        _zero_boundary(self, out)
+        factors = self._factors_for((dt, factor, rhs.dtype, damped))
         if self.sine is None:
             first = self.evolved.start  # the row of the first evolved node
-            b = out[self.evolved]
+            b = rhs[self.evolved]
             lo, hi = rows or (first, None)
             # a complex flush takes |part| in the complex array and its flags in the real one's bytes
-            work = self.real_work if dtype is float else self.complex_work.view(np.float64)
-            flags = self.flags if dtype is float else self.real_work.view(bool)
+            real = rhs.dtype.kind == "f"
+            work = self.real_work if real else self.complex_work.view(np.float64)
+            flags = self.flags if real else self.real_work.view(bool)
             scratch = work.reshape(-1), flags.reshape(-1)
             start, stop = factors.solve(b, max(lo - first, 0), hi and hi - first, scratch)
-            return out, first + start, first + stop
+            return rhs, first + start, first + stop
         # row k: sine mode k along the radius (Buzbee, Golub & Nielson, SINUM 7, 1970)
-        coeffs = (self.sine @ rhs[self.evolved].T).astype(dtype, copy=False)
+        coeffs = self.sine @ rhs[self.evolved].T
         for lu, b in zip(factors, coeffs):
             lu.solve(b)
-        out[self.evolved] = (self.sine @ coeffs).T
-        return out, 0, rhs.shape[0]
+        rhs[self.evolved] = (self.sine @ coeffs).T
+        return rhs, 0, rhs.shape[0]
 
 
 @lru_cache(maxsize=64)
@@ -568,6 +565,8 @@ class EvolutionProblem:
         # v0/|x| needs the origin to be a Dirichlet ghost off the grid (radial, polar)
         if self.coeff.v0 is not None and not (data.origin_wall and data.radius.min() > 0.0):
             bad.append(("grid", "singular damping needs a grid that excludes the origin"))
+        if self.coeff.tau == 0 and self.init.g_amplitude != 0:
+            bad.append(("init", "g_amplitude must be 0: only tau=1 takes an initial velocity"))
         if bad:
             raise SpecError(bad)
 
@@ -583,18 +582,15 @@ class FieldState:
     ``u`` in place steps from a copy, since the next Crank-Nicolson step may
     take |u|^2 from the grid's ``real_work``.
 
-    ``u`` is exactly 0.0 outside the rows ``u[lo:hi]`` (every row by
-    default), and for tau=1 so is ``v``.  ``initial_state`` sets the range
-    from the bump's nonzero rows, and a step from its solve window (joined,
-    for tau=1, with the rows the step computed).  Outside the range of a
-    state that a step returned, every array holds +0.0; the initial state
-    may hold -0.0 there.
+    ``u`` is +0.0 outside the rows ``u[lo:hi]`` (every row by default) and
+    on the walls, and for tau=1 so is ``v``.  ``initial_state`` sets the
+    range from the bump's nonzero rows, and a step from its solve window
+    (joined, for tau=1, with the rows the step computed).
 
-    A step may write into the arrays of a *spare*: a state that a step of the
-    same scheme returned (so the +0.0 holds outside its range), on the same
-    grid and dtype, that no one reads again.  A step writes into its ``u``
-    and, for tau=1, its ``v``.  The spare is void once lent: its arrays
-    belong to the result.
+    A step may write into the arrays of a *spare*: a state of the same
+    scheme, the initial one included, on the same grid and dtype, that no
+    one reads again.  A step writes into its ``u`` and, for tau=1, its
+    ``v``.  The spare is void once lent: its arrays belong to the result.
     """
 
     grid: GridSpec
@@ -618,11 +614,12 @@ def initial_state(problem: EvolutionProblem, dt: float) -> FieldState:
     real = coeff.is_real() and init.amplitude.imag == 0 and init.g_amplitude.imag == 0
     dtype = float if real else complex
     amp = init.amplitude.real if real else init.amplitude
-    u = (init.epsilon * amp * prof).astype(dtype)
+    # + 0.0 turns the -0.0 of a negative or complex amplitude into +0.0, as a step's zeros are
+    u = (init.epsilon * amp * prof + 0.0).astype(dtype)
     v = None
     if coeff.tau == 1:
         g_amp = init.g_amplitude.real if real else init.g_amplitude
-        v = (init.epsilon * g_amp * prof).astype(dtype)
+        v = (init.epsilon * g_amp * prof + 0.0).astype(dtype)
     rows = np.flatnonzero(prof.reshape(len(prof), -1).any(axis=1))
     lo, hi = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, None)
     return FieldState(grid=grid, u=u, v=v, t=0.0, dt=dt, lo=lo, hi=hi)
@@ -634,12 +631,9 @@ def step_parabolic(
     """One Crank-Nicolson step of u_t = a^{-1}(Lap u + lambda |u|^p).
 
     Diffusion carries weight 1/2 on both time levels; the source is frozen
-    at an explicit half-step predictor.  u is 0.0 outside rows [lo, hi) (of
-    either sign on the initial state, +0.0 on a state a step returned), so
+    at an explicit half-step predictor.  u is +0.0 outside rows [lo, hi), so
     the right-hand side is +0.0 outside rows [lo-1, hi+1): only those rows
-    are computed, with the bits the full grid gives them.  The full grid
-    adds each -0.0 of u to a +0.0 before it reaches the right-hand side,
-    which gives +0.0, so the first step keeps its bits too.  numpy rounds c*z
+    are computed, with the bits the full grid gives them.  numpy rounds c*z
     and z*c differently for a complex scalar c, so the products with complex
     arrays fix their order (``half *= c``, ``np.multiply(c, lap)``): a row's
     bits depend neither on the grid size nor on the range.  The solve
@@ -733,13 +727,10 @@ def step_hyperbolic(
     and sets v' = (2/dt) (u' - u) - v.  The step is second order and stable
     at any dt: undamped and linear, it conserves |v|^2 - <u, Lap u>.
 
-    u and v are 0.0 outside rows [lo, hi) (of either sign on the initial
-    state, +0.0 on a state a step returned), so the right-hand side is +0.0
+    u and v are +0.0 outside rows [lo, hi), so the right-hand side is +0.0
     outside [lo-1, hi+1): only those rows are computed, with the bits the full
     grid gives them, and the solve window holds every nonzero row of u'.  v'
     is computed on the union of the two ranges, which is the result's range.
-    The full grid adds each -0.0 of the initial u and v to a +0.0 before it
-    reaches a result, which gives +0.0, so the first step keeps its bits too.
 
     ``spare`` lends its ``u`` as the right-hand side, which the solve
     overwrites with u', and its ``v`` for v' and the terms D u and dt v; the
@@ -796,11 +787,6 @@ def _clear_outside(spare: FieldState, a: int, b: int) -> None:
     for arr in (spare.u, spare.v):
         if arr is not None:
             arr[spare.lo : a] = arr[b : spare.hi] = 0.0
-
-
-def _zero_boundary(data: _GridData, arr: np.ndarray) -> None:
-    for wall in data.walls:
-        arr[wall] = 0.0
 
 
 @dataclass(frozen=True)
@@ -959,12 +945,12 @@ def run_until_blowup(
     sums).  No observer changes the trajectory; one that changed ``u`` would
     also void the |u|^2 that the next Crank-Nicolson step takes from the
     grid's ``real_work``.  The result holds the times and fields of the first
-    ``SnapshotStore`` among the observers, and the run drops the initial
-    state once no step needs it; without one, as by default, it holds only
-    the first and final fields, so a run's memory does not grow with its
-    length, and ``snapshot_dt`` still caps the step, so the record is the
-    same.  The growth test takes max|u| from a step's ``peak`` when it has
-    one, and a probe is compared over the union of the two fields' ranges.
+    ``SnapshotStore`` among the observers; without one, as by default, it
+    holds only a copy of the first field and the final one, so a run's
+    memory does not grow with its length, and ``snapshot_dt`` still caps the
+    step, so the record is the same.  The growth test takes max|u| from a
+    step's ``peak`` when it has one, and a probe is compared over the union
+    of the two fields' ranges.
     """
     coeff = problem.coeff
     data = _grid_data(problem.grid)
@@ -977,10 +963,8 @@ def run_until_blowup(
     stepper = step_hyperbolic if coeff.tau == 1 else step_parabolic
     spares = []  # up to two retired states, whose arrays the next steps write into
 
-    def retire(old):
-        # a state the run holds no more; never the initial state (the one at t = 0),
-        # which may hold -0.0 outside its range and whose u may be the run's first field
-        if old is not None and old.t != 0.0 and len(spares) < 2:
+    def retire(old):  # a state the run holds no more
+        if old is not None and len(spares) < 2:
             spares.append(old)
 
     def spare(keep=0):
@@ -995,7 +979,7 @@ def run_until_blowup(
             for obs in observers:
                 obs(t, u)
 
-    first = state.u if store is None else None  # a store keeps its own copy
+    first = state.u.copy() if store is None else None  # a store keeps its own copy
     observe(0.0, state.u)
     observed = 0.0  # the time of the last snapshot
     next_snap = controls.snapshot_dt if controls.snapshot_dt > 0 else math.inf

@@ -58,7 +58,10 @@ class _TridiagonalLU:
         self.dtype = np.dtype(dtype)
         m = self.nodes.size
         self._unpivoted = zeros.view(dtype)[: m - 2], counting[1:]  # du2 and ipiv
-        self.sub, self.d, self.sup = (np.empty(k, dtype) for k in (m - 1, m, m - 1))
+        self.sub, self.d = np.empty(m - 1, dtype), np.empty(m, dtype)
+        # the superdiagonal, which only gttrf reads: every complex matrix takes
+        # gttrf, and a real one makes it when it first does
+        self.sup = np.empty(m - 1, dtype) if self.dtype.kind == "c" else None
 
     def factor(self, lower, diag, upper, coef, ident=1.0) -> None:
         """Factor ``ident - coef * Lap`` for the bands (lower, diag, upper) in
@@ -70,12 +73,9 @@ class _TridiagonalLU:
             np.subtract(ident, np.multiply(coef, diag, out=d), out=d)
 
         self.factors = ()  # gttrf's du2 and ipiv are released before it returns new ones
-        np.multiply(-coef, upper[:-1], out=d[:-1])  # the superdiagonal, for the symmetry test
-        np.multiply(-coef, lower[1:], out=sub)
-        symmetric = self.dtype.kind == "f" and np.array_equal(sub, d[:-1])
         bands()
         self.pivoted = False
-        if symmetric:
+        if self.dtype.kind == "f" and np.array_equal(lower[1:], upper[:-1]):  # symmetric
             pttrf, self._pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=self.dtype)
             if pttrf(d, sub, overwrite_d=1, overwrite_e=1)[2] == 0:  # positive definite: d > 0
                 self.factors = (d, sub)
@@ -83,6 +83,8 @@ class _TridiagonalLU:
                 self._bound(rho, rho, float(d.min()))
                 return
             bands()  # pttrf stopped part way: LU below
+        if self.sup is None:
+            self.sup = np.empty_like(sub)
         np.multiply(-coef, upper[:-1], out=self.sup)
         gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=self.dtype)
         *lu_bands, du2, ipiv, info = gttrf(
@@ -106,20 +108,19 @@ class _TridiagonalLU:
             gain = (1.0 / d_min) / (1.0 - rho_l * rho_u)
             self.log_scale = math.log(gain * self.nodes.size / _NEGLIGIBLE)
 
-    def _reach(self, mag, in_place=False):
-        """Nodes beyond which a right-hand side entry of magnitude ``mag``
-        contributes below ``_NEGLIGIBLE / m``; -inf for zero entries.
-        ``in_place`` writes them over the array ``mag``."""
+    def _reach(self, mag):
+        """Overwrite the array ``mag`` with the nodes beyond which a right-hand
+        side entry of that magnitude contributes below ``_NEGLIGIBLE / m``;
+        -inf for zero entries."""
         zero = ~np.greater(mag, 0.0)  # NaN too
         # mag < 2**e, so e * ln 2 bounds log(mag); frexp is cheaper than log
         _, e = np.frexp(mag)
-        reach = mag if in_place else np.empty(np.shape(mag))
-        np.copyto(reach, e)  # as a float, without the buffer of a mixed-type product
-        reach *= math.log(2.0)
-        reach += self.log_scale
-        reach /= self.decay
-        np.copyto(reach, -math.inf, where=zero)
-        return reach
+        np.copyto(mag, e)  # as a float, without the buffer of a mixed-type product
+        mag *= math.log(2.0)
+        mag += self.log_scale
+        mag /= self.decay
+        np.copyto(mag, -math.inf, where=zero)
+        return mag
 
     def window(self, b: np.ndarray, lo: int = 0, hi: int | None = None) -> tuple[int, int]:
         """The index range [start, stop) outside which the solution is negligible.
@@ -155,10 +156,10 @@ class _TridiagonalLU:
         tail = slice(max(hi - span, lo), hi + 1)
         # each in one array: |b|, then its reach, then node -+ reach
         mag = np.abs(b[head])
-        self._reach(mag, in_place=True)
+        self._reach(mag)
         start = min(float(np.min(np.subtract(self.nodes[head], mag, out=mag))), lo)
         mag = np.abs(b[tail])
-        self._reach(mag, in_place=True)
+        self._reach(mag)
         stop = max(float(np.max(np.add(self.nodes[tail], mag, out=mag))), hi)
         return (
             max(math.floor(start) - _WINDOW_MARGIN, 0),

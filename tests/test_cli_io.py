@@ -171,6 +171,20 @@ def test_config_rejects_a_trace_without_snapshots(tmp_path):
     assert not (tmp_path / "out").exists()  # rejected before the run
 
 
+@pytest.mark.parametrize("g_amplitude", [5.0, [0.0, 1.0]], ids=["real", "complex"])
+def test_config_rejects_an_initial_velocity_without_tau_1(tmp_path, capsys, g_amplitude):
+    # a tau=0 run has no u_t(0): a nonzero g_amplitude is an error, not ignored
+    raw = _heat_config()
+    raw["problem"]["initial"]["g_amplitude"] = g_amplitude
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "problem.initial: g_amplitude must be 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before the run
+    raw["problem"]["initial"]["g_amplitude"] = 0.0
+    config_from_dict(raw)  # zero is the default, and valid
+
+
 @pytest.mark.parametrize(
     "radii, message",
     [

@@ -436,12 +436,54 @@ def test_weighted_initial_mass_polar_sector():
     f = bump_profile((r - 2.0) / 1.0) * ang**2
     phi = r ** (math.pi / omega) * ang  # gamma = pi/omega on a planar sector
     vol = r * h * h_theta
-    mass = weighted_initial_mass(EvolutionProblem(HEAT, grid, init))
+    mass = weighted_initial_mass(EvolutionProblem(HEAT, grid, replace(init, g_amplitude=0.0)))
     assert mass == pytest.approx(0.5 * float(np.sum(f * phi * vol)), rel=1e-12)
     damped = CoefficientSpec(tau=1, p=2.0, lam=1.0, a0=1.0, alpha=0.5)
     a = (1.0 + r**2) ** -0.25
     direct = 0.5 * float(np.sum((0.3 * f + a * f) * phi * vol))
     assert weighted_initial_mass(EvolutionProblem(damped, grid, init)) == pytest.approx(direct, rel=1e-12)
+
+
+def test_one_dimensional_radial_weights_are_those_of_the_line_and_half_line():
+    # without the origin the radial N = 1 grid is the half line's minus its
+    # wall node; with it, the line folded at 0, whose origin node counts once
+    heat = CoefficientSpec(tau=0, p=1.5, a_phase=0.0)
+    half_line = GridSpec("radial", 100.0, 500, dim=1, include_origin=False)
+    pairs = [
+        (half_line, GridSpec("half-line", 100.0, 501), 3.0),
+        (GridSpec("radial", 100.0, 501, dim=1), GridSpec("line", 200.0, 1001), 0.0),
+    ]
+    for radial, line, center in pairs:
+        init = InitialDataSpec(center, 1.0, 0.1)
+        problems = [EvolutionProblem(heat, grid, init) for grid in (radial, line)]
+        masses = [weighted_initial_mass(pr) for pr in problems]
+        assert masses[0] == pytest.approx(masses[1], rel=1e-13)
+        columns = []
+        for pr in problems:
+            acc = solvers.TraceAccumulator(pr, [6.0, 9.0])
+            acc(0.0, initial_state(pr, 1.0).u)
+            columns.append(acc.m_cols[0])
+        assert np.allclose(columns[0], columns[1], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("tau", [0, 1], ids=["heat", "damped-wave"])
+@pytest.mark.parametrize("amplitude", [-1.0, -0.3 - 0.5j], ids=["negative", "complex"])
+def test_initial_state_holds_no_negative_zero(tau, amplitude):
+    # eps * amplitude * B is -0.0 where B is 0.0: the initial state holds +0.0
+    # there, as every field a step returns does
+    coeff = HEAT if tau == 0 else DAMPED
+    g_amplitude = 0.0 if tau == 0 else amplitude
+    grids = [
+        (GridSpec("line", 20.0, 201), 0.0),
+        (GridSpec("polar-sector", 6.0, 40, omega=2.0, num_angles=12), 3.0),
+    ]
+    for grid, center in grids:
+        init = InitialDataSpec(center, 1.0, 0.5, amplitude=amplitude, g_amplitude=g_amplitude)
+        state = initial_state(EvolutionProblem(coeff, grid, init), 0.01)
+        for arr in (state.u, state.v):
+            if arr is not None:
+                parts = arr.view(np.float64)
+                assert np.any(parts != 0.0) and not np.any(np.signbit(parts[parts == 0.0]))
 
 
 def test_polar_bump_is_symmetric_about_the_bisector():
@@ -870,7 +912,7 @@ def test_polar_heat_stays_real():
 def test_implicit_operator_matches_the_explicit_laplacian(grid):
     data = _GridData(grid)
     u = np.random.default_rng(7).normal(size=data.shape)
-    solvers._zero_boundary(data, u)
+    _zero_walls(data, u)
     want = data.laplacian(u)[data.evolved]
     ue = u[data.evolved]
     if ue.ndim == 2:
@@ -881,6 +923,19 @@ def test_implicit_operator_matches_the_explicit_laplacian(grid):
         got[1:] += lower[1:] * ue[:-1]
         got[:-1] += upper[:-1] * ue[1:]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _walls(data):
+    """The indices of the grid's Dirichlet walls: both ends of the line and half
+    line, the outer radius, and the sector's arc and two rays."""
+    if data.sine is not None:
+        return (-1, np.s_[:, 0], np.s_[:, -1])
+    return (-1,) if data.evolved.start == 0 else (0, -1)
+
+
+def _zero_walls(data, arr):
+    for wall in _walls(data):
+        arr[wall] = 0.0
 
 
 def _polar_csr_laplacian(data):
@@ -905,17 +960,16 @@ def _polar_csr_laplacian(data):
 )
 def test_sine_mode_solve_matches_the_csr_reference(grid, factor):
     data = _GridData(grid)
-    rhs = np.random.default_rng(3).normal(size=data.shape)
-    solvers._zero_boundary(data, rhs)
-    dtype = complex if isinstance(factor, complex) else float
+    rhs = np.random.default_rng(3).normal(size=data.shape).astype(type(factor))
+    _zero_walls(data, rhs)
     for dt in (1e-3, 0.05, 2.0):
         want = _reference_solve(data, factor, dt, rhs)[data.evolved]
         got, lo, hi = data.solve_implicit(factor, dt, rhs.copy())
         assert (lo, hi) == (0, grid.num_points)  # the sine-mode solve has no window
-        assert got.dtype == dtype
+        assert got.dtype == rhs.dtype
         assert np.max(np.abs(got[data.evolved] - want)) <= 1e-13 * np.max(np.abs(want))
         got[data.evolved] = 0.0
-        assert np.all(got == 0.0)  # the walls stay pinned
+        assert _all_positive_zero(got)  # the solve writes no wall
 
 
 def _banded_reference(data, factor, dt, rhs):
@@ -1004,13 +1058,6 @@ def test_windowed_solve_matches_banded_reference(grid, coeff):
         state = step_parabolic(state, coeff, state.dt)
 
 
-def _strided_copy(a):
-    """A copy of ``a`` that is not contiguous, so the solve cannot write into it."""
-    holder = np.zeros(a.shape + (2,), a.dtype)
-    holder[..., 0] = a
-    return holder[..., 0]
-
-
 _SCHRODINGER_FACTOR = complex(np.exp(0.5j * math.pi))
 
 
@@ -1033,27 +1080,53 @@ _SCHRODINGER_FACTOR = complex(np.exp(0.5j * math.pi))
 def test_implicit_solve_overwrites_its_right_hand_side(grid, center, factor, amp):
     data = _GridData(grid)
     rhs = amp * bump_profile((data.signed_radius - center) / 1.5) * data.angular**2
-    for wall in data.walls:
-        rhs[wall] = 7.0  # the solve pins the walls to zero
+    # a complex solve takes a complex right-hand side: the caller promotes a
+    # real one, as step_parabolic promotes a real field
+    rhs = rhs.astype(type(factor))
     given = rhs.copy()
     dt = 0.005
-    strided = _strided_copy(rhs)
-    want, want_lo, want_hi = data.solve_implicit(factor, dt, strided)
-    assert want is not strided and np.array_equal(_bits(strided), _bits(given))
     got, lo, hi = data.solve_implicit(factor, dt, rhs)
-    assert got.dtype == (complex if isinstance(factor, complex) else float)
-    if got.dtype == rhs.dtype:
-        assert got is rhs  # the right-hand side's own array, overwritten
-    else:
-        assert np.array_equal(_bits(rhs), _bits(given))  # a real rhs is left as it was
-    assert np.array_equal(_bits(got), _bits(want)) and (lo, hi) == (want_lo, want_hi)
+    assert got is rhs  # the right-hand side's own array, overwritten
     assert _all_positive_zero(got[:lo]) and _all_positive_zero(got[hi:])
-    for wall in data.walls:
-        assert _all_positive_zero(got[wall])
+    for wall in _walls(data):
+        assert _all_positive_zero(got[wall])  # +0.0 there in the right-hand side, and kept
     if grid.geometry == "line":
         assert 0 < lo and hi < grid.num_points  # the window leaves rows on both sides
     ref = _reference_solve(data, factor, dt, given)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_complex_solve_rejects_a_real_right_hand_side():
+    # the solve takes the right-hand side's own array and dtype: it neither
+    # copies nor promotes, so a complex factor cannot enter a real array
+    data = _GridData(GridSpec("line", extent=60.0, num_points=1201))
+    rhs = 0.8 * bump_profile(data.coords)
+    given = rhs.copy()
+    with pytest.raises(TypeError, match="cast"):
+        data.solve_implicit(_SCHRODINGER_FACTOR, 0.005, rhs)
+    assert np.array_equal(_bits(rhs), _bits(given))
+
+
+def test_ldlt_factors_hold_no_superdiagonal():
+    # ?pttrs reads (d, e) only: the shipped heat and wave grids keep no third
+    # band in either slot, while the LU factors of a radial grid keep theirs
+    heat, wave = (
+        parse_config(os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.json"))
+        for name in ("heat_subcritical", "damped_wave_subcritical")
+    )
+    cases = [
+        (heat.problem.grid, heat.controls.dt_init, None, True),
+        (wave.problem.grid, wave.controls.dt_init, wave.problem.coeff, True),
+        (GridSpec("radial", extent=60.0, num_points=1201, dim=3), 0.01, None, False),
+    ]
+    for grid, dt, damped, ldlt in cases:
+        data = _GridData(grid)
+        for rung in (dt, 2.0 * dt):  # a step's rung and its probe's, as in a run
+            factor = 1.0 if damped is None else 0.5 * rung  # as step_hyperbolic
+            data.solve_implicit(factor, rung, np.zeros(data.shape), None, damped)
+        assert len(data._factors) == 2
+        for lu in data._factors.values():
+            assert _is_ldlt(lu) == ldlt and (lu.sup is None) == ldlt
 
 
 def test_pivoting_factor_solves_the_full_range():
@@ -1093,7 +1166,7 @@ def _is_ldlt(lu):
 )
 def test_implicit_solve_picks_its_lapack_pair_from_the_bands(grid, factor, ldlt):
     data = _GridData(grid)
-    data.solve_implicit(factor, 0.01, np.zeros(data.shape))
+    data.solve_implicit(factor, 0.01, np.zeros(data.shape, type(factor)))
     lus = _solved_last(data) if data.sine is not None else [_solved_last(data)]
     assert [_is_ldlt(lu) for lu in lus] == [ldlt] * len(lus)
 
@@ -1152,7 +1225,7 @@ def test_alternating_rungs_factor_twice_with_the_bits_of_fresh_solves(monkeypatc
     built = _count_factorizations(monkeypatch)
     grid = GridSpec("line", extent=60.0, num_points=1201)
     data = _GridData(grid)
-    rhs = 0.8 * bump_profile(data.coords)
+    rhs = (0.8 * bump_profile(data.coords)).astype(type(factor))
     got = [data.solve_implicit(factor, dt, rhs.copy()) for dt in (0.01, 0.02) * 4]
     assert len(built) == 2  # each rung is factored once, into its own slot
     fresh = [_GridData(grid).solve_implicit(factor, dt, rhs.copy()) for dt in (0.01, 0.02)]
@@ -1174,10 +1247,11 @@ def test_a_third_rung_refactors_into_the_older_slot(monkeypatch):
     x, lo, hi = data.solve_implicit(1.0, 0.04, rhs.copy())
     assert len(built) == 3
     new = _solved_last(data)
-    assert list(data._factors) == [(0.01, 1.0, float, None), (0.04, 1.0, float, None)]
+    real = np.dtype(float)
+    assert list(data._factors) == [(0.01, 1.0, real, None), (0.04, 1.0, real, None)]
     # the new rung's factors live in the arrays of the 0.02 rung, not in new ones
     assert all(np.shares_memory(a, b) for a, b in zip(new.factors, kept.factors))
-    assert data._factors[0.01, 1.0, float, None] is old
+    assert data._factors[0.01, 1.0, real, None] is old
     want, want_lo, want_hi = _GridData(data.spec).solve_implicit(1.0, 0.04, rhs.copy())
     assert np.array_equal(_bits(x), _bits(want)) and (lo, hi) == (want_lo, want_hi)
 
@@ -1319,11 +1393,15 @@ def _window_by_full_magnitude(lu, b):
     nonzero = mag > 0.0
     lo = int(np.argmax(nonzero))
     hi = m - 1 - int(np.argmax(nonzero[::-1]))
-    span = max(math.ceil(float(lu._reach(peak))), 0)
+
+    def reach(mag):  # ``_reach`` writes over its argument: give it a copy
+        return lu._reach(np.array(mag, dtype=float))
+
+    span = max(math.ceil(float(reach(peak))), 0)
     head = slice(lo, min(lo + span, hi) + 1)
     tail = slice(max(hi - span, lo), hi + 1)
-    start = min(float(np.min(lu.nodes[head] - lu._reach(mag[head]))), lo)
-    stop = max(float(np.max(lu.nodes[tail] + lu._reach(mag[tail]))), hi)
+    start = min(float(np.min(lu.nodes[head] - reach(mag[head]))), lo)
+    stop = max(float(np.max(lu.nodes[tail] + reach(mag[tail]))), hi)
     margin = solvers._WINDOW_MARGIN
     return max(math.floor(start) - margin, 0), min(math.ceil(stop) + 1 + margin, m)
 
@@ -1605,23 +1683,21 @@ def test_sweep_path_holds_no_snapshots_and_keeps_the_record():
 
 
 def test_run_with_a_store_drops_its_initial_field():
-    # a SnapshotStore keeps its own copy of the first field, so the run lets
-    # the initial state go once no step needs it
-    import gc
-    import weakref
-
+    # a SnapshotStore keeps its own copy of the first field, and the run lends
+    # the initial state's u to a later step as it lends any retired state's
     problem, controls = HEAT_BLOWUP
     seen = []
 
     def watch(t, u):
         if not seen:
-            seen.append(weakref.ref(u))
-        elif len(seen) == 1 and t > 1.0:
-            gc.collect()
-            seen.append(seen[0]() is None)
+            seen.append(u)
+        elif u is seen[0]:
+            seen.append(t)
 
-    res = run_until_blowup(problem, controls, (solvers.SnapshotStore(), watch))
-    assert res.record.status == "blowup" and seen[1:] == [True]
+    store = solvers.SnapshotStore()
+    res = run_until_blowup(problem, controls, (store, watch))
+    assert res.record.status == "blowup" and len(seen) > 1  # a later snapshot in that array
+    assert np.array_equal(_bits(store.fields[0]), _bits(initial_state(problem, 1.0).u))
 
 
 def test_run_without_observers_holds_its_end_points_only():
@@ -1684,10 +1760,68 @@ def test_damped_wave_run_evaluates_one_laplacian_per_step(monkeypatch):
     assert counts == {"laplacian": len(calls), "abs_power": 2 * len(calls)}
 
 
+def test_shipped_damped_wave_run_evaluates_the_damping_once(monkeypatch):
+    # a(x) once per coefficients and grid; D = 1 + (dt/2) a(x) from it on each
+    # rung, where every probe's rung and the step after it evaluated a(x) anew
+    evaluated = []
+    damping = CoefficientSpec.damping
+
+    def counting(self, radius):
+        evaluated.append(radius.size)
+        return damping(self, radius)
+
+    monkeypatch.setattr(CoefficientSpec, "damping", counting)
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs", "damped_wave_subcritical.json"))
+    data = _grid_data(cfg.problem.grid)
+    for cache in ("_damping", "_damp"):  # as on a grid no run has used
+        monkeypatch.setattr(data, cache, None)
+    res = run_until_blowup(cfg.problem, cfg.controls)
+    assert res.record.status == "blowup" and res.record.steps == 2343
+    assert evaluated == [cfg.problem.grid.num_points]
+    # D keeps its bits: a float when a(x) is uniform, an array otherwise
+    decaying = CoefficientSpec(tau=1, p=2.0, lam=1.0, a0=1.0, alpha=0.5)
+    for coeff in (cfg.problem.coeff, decaying, cfg.problem.coeff):
+        for dt in (0.018, 0.036, 0.018, 1e-3):
+            want = 1.0 + 0.5 * dt * damping(coeff, data.radius)
+            got = data.damping_diagonal(coeff, dt)
+            assert (type(got) is float) == (coeff.alpha == 0.0)
+            assert np.array_equal(_bits(np.broadcast_to(got, want.shape)), _bits(want))
+    assert len(evaluated) == 3  # each change of coefficients evaluates a(x) once
+
+
+_WALL_GRIDS = {
+    "line": (GridSpec("line", 40.0, 401), 0.0),
+    "half-line": (GridSpec("half-line", 40.0, 401), 4.0),
+    "radial-3": (GridSpec("radial", 40.0, 401, dim=3), 0.0),
+    "radial-3-no-origin": (GridSpec("radial", 40.0, 401, dim=3, include_origin=False), 4.0),
+    "polar": (GridSpec("polar-sector", 8.0, 40, omega=2.0, num_angles=12), 4.0),
+}
+
+
+@pytest.mark.parametrize("coeff", [HEAT, DAMPED], ids=["heat", "damped-wave"])
+@pytest.mark.parametrize("case", list(_WALL_GRIDS))
+def test_run_hands_its_observers_fields_that_are_positive_zero_on_the_walls(case, coeff):
+    # no code zeroes the walls: the initial data, the Laplacian and the solve
+    # each leave +0.0 there, also under a negative amplitude
+    grid, center = _WALL_GRIDS[case]
+    data = _grid_data(grid)
+    init = InitialDataSpec(center, 1.5, 2.0, amplitude=-1.0)
+    seen = []
+
+    def watch(t, u):
+        seen.append(t)
+        for wall in _walls(data):
+            assert _all_positive_zero(u[wall]), (t, wall)
+
+    controls = RunControls(threshold=1e3, t_max=4.0, snapshot_dt=0.25)
+    run_until_blowup(EvolutionProblem(coeff, grid, init), controls, (watch,))
+    assert len(seen) > 4
+
+
 def _assert_run_steps_into_retired_states(monkeypatch, name, problem, controls):
     """Run ``problem`` once as shipped and once with a stepper ``name`` that
     ignores its spare and allocates every result, and check that the run lends
-    its retired states and keeps the bits."""
+    its retired states, the initial one included, and keeps the bits."""
     original = getattr(solvers, name)
     calls = []
 
@@ -1709,11 +1843,11 @@ def _assert_run_steps_into_retired_states(monkeypatch, name, problem, controls):
     assert repr(res.record) == repr(fresh.record)
     for got, want in zip(res.snapshots, fresh.snapshots):
         assert np.array_equal(_bits(got), _bits(want))
-    # the initial state is never lent: its arrays keep their bytes
+    # the run's first field is a copy: the initial state is lent like any other
     start, want = calls[0][0], initial_state(problem, controls.dt_init)
-    assert res.snapshots[0] is start.u
-    for got, ref in ((start.u, want.u), (start.v, want.v)):
-        assert (got is None and ref is None) or np.array_equal(_bits(got), _bits(ref))
+    assert res.snapshots[0] is not start.u
+    assert np.array_equal(_bits(res.snapshots[0]), _bits(want.u))
+    assert any(spare is start for _, spare, _ in calls)
     # every call's state and result is still held, so ids are unique here; a
     # result was accepted if a later call starts from it, or if it is the last
     starts = {id(state) for state, _, _ in calls} | {id(calls[-1][2])}
@@ -1867,12 +2001,12 @@ def test_windowed_wave_step_is_bitwise_the_full_grid_step(case, amp, g_amp):
     spare = kept = None
     for k in range(40):
         step_dt = dt if k % 3 else dt / 2
-        # from the third step on, each step writes into the arrays of the state
-        # two steps back; the initial state is never lent
+        # from the second step on, each step writes into the arrays of the state
+        # two steps back, the initial one included
         new = step_hyperbolic(state, coeff, step_dt, spare)
         if spare is not None:
             assert new.u is spare.u and new.v is spare.v
-        spare = state if k else None
+        spare = state
         state = new
         want = _full_grid_wave_step(*want, coeff, grid, step_dt)
         assert_matches(state, want)
@@ -1921,7 +2055,7 @@ def test_steady_wave_step_with_a_spare_allocates_less_than_one_field():
     dt = 0.018
     back, state = None, initial_state(EvolutionProblem(coeff, grid, init), dt)
     for _ in range(3000):  # until the range spans the grid
-        back, state = state, step_hyperbolic(state, coeff, dt, back if back and back.t else None)
+        back, state = state, step_hyperbolic(state, coeff, dt, back)
         if (state.lo, state.hi) == (0, grid.num_points):
             break
     assert (state.lo, state.hi) == (0, grid.num_points)
@@ -1954,8 +2088,8 @@ def test_steady_crank_nicolson_step_with_a_spare_allocates_less_than_one_field()
     init = InitialDataSpec(center=0.0, width=1.0, epsilon=1.0, amplitude=-0.47j)
     dt = 0.01
     back, state = None, initial_state(EvolutionProblem(NLS, grid, init), dt)
-    for _ in range(40):  # the initial state is never lent
-        back, state = state, step_parabolic(state, NLS, dt, back if back and back.t else None)
+    for _ in range(40):
+        back, state = state, step_parabolic(state, NLS, dt, back)
     assert state.hi - state.lo < grid.num_points // 4
     field = state.u.nbytes
     tracemalloc.start()
@@ -1988,7 +2122,7 @@ def test_steady_crank_nicolson_step_at_a_held_rung_allocates_less_than_an_eighth
     dt = 0.01
     back, state = None, initial_state(EvolutionProblem(NLS, grid, init), dt)
     for _ in range(40):
-        back, state = state, step_parabolic(state, NLS, dt, back if back and back.t else None)
+        back, state = state, step_parabolic(state, NLS, dt, back)
     field = state.u.nbytes
     tracemalloc.start()
     try:
