@@ -24,7 +24,6 @@ The package has seven layers:
 from blowlab.cone_geometry import (
     ConeDomain,
     CrossSectionSpec,
-    WeightPhi,
     cap_eigenvalue,
     fujita_threshold,
     gamma_root,
@@ -37,7 +36,6 @@ from blowlab.lifespan_bounds import BoundInputs, FunctionalTrace, lifespan_upper
 __all__ = [
     "ConeDomain",
     "CrossSectionSpec",
-    "WeightPhi",
     "cap_eigenvalue",
     "fujita_threshold",
     "gamma_root",

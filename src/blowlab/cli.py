@@ -32,7 +32,6 @@ from blowlab.config import (
     emit_trace,
     parse_config,
     snapshot_node_stride,
-    spec_from_dict,
 )
 from blowlab.experiments import regime_verdict
 from blowlab.experiments import sweep as run_sweep
@@ -45,18 +44,13 @@ from blowlab.solvers import (
 )
 
 
-# the eigen flags that --spec-json replaces, by their argparse dest
+# the eigen flags by their argparse dest, which is the spec's field
 _SPEC_FLAGS = {"kind": "--kind", "dim": "--N", "omega": "--omega", "theta0": "--theta0", "k": "--k"}
 
 
 def _spec_from_args(args) -> cg.CrossSectionSpec:
-    if args.spec_json:
-        given = [flag for dest, flag in _SPEC_FLAGS.items() if getattr(args, dest) is not None]
-        if given:
-            raise ValueError(f"--spec-json replaces {', '.join(given)}: give one form, not both")
-        return spec_from_dict(cg.CrossSectionSpec, json.loads(args.spec_json), "spec")
     if args.kind is None or args.dim is None:
-        raise ValueError("eigen needs --kind and --N (or --spec-json)")
+        raise ValueError("eigen needs --kind and --N")
     try:
         return cg.CrossSectionSpec(
             kind=args.kind, dim=args.dim, omega=args.omega, theta0=args.theta0, k=args.k
@@ -247,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     eig.add_argument("--omega", type=float)
     eig.add_argument("--theta0", type=float)
     eig.add_argument("--k", type=int)
-    eig.add_argument("--spec-json", help='JSON like {"kind": ..., "N": ...}')
     eig.set_defaults(func=_cmd_eigen)
 
     bnd = sub.add_parser("bound", help="closed-form lifespan bounds")

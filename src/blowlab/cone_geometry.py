@@ -7,9 +7,10 @@ fixes the homogeneity exponent ``gamma`` (positive root of
 ``Phi(x) = |x|^gamma * phi(x/|x|)``, which vanishes on the cone boundary and
 satisfies the Euler identity ``x . grad(Phi) = gamma * Phi``.
 
-Supported cross-sections: full sphere, half/full line (N=1), planar sector,
-spherical cap (N=3), and products of half-spaces with a full factor.  All
-but the cap have closed forms.  The cap's first mode is the Legendre function
+Supported cross-sections: full sphere (N>=2), half/full line (N=1), planar
+sector (N=2), spherical cap (N=3), and products of half-spaces with a full
+factor (N>=2), so N=1 is the half or the full line only.  All but the cap
+have closed forms.  The cap's first mode is the Legendre function
 ``P_nu(cos theta)``, and its eigenvalue ``nu(nu+1)`` is the first root of
 ``P_nu(cos theta0)`` in the degree nu.
 """
@@ -60,7 +61,7 @@ class CrossSectionSpec:
     ``dim`` is the ambient spatial dimension N.  ``omega`` is the opening
     angle of a planar sector (radians, 0 < omega <= 2*pi), ``theta0`` the
     polar angle of a spherical cap (0 < theta0 < pi), ``k`` the number of
-    half-space factors (0 <= k <= N).
+    half-space factors (0 <= k <= N, with N >= 2).
     """
 
     kind: str
@@ -77,8 +78,8 @@ class CrossSectionSpec:
             bad.append(("dim", "dimension must be >= 1"))
         elif self.kind in FIXED_DIM and self.dim != FIXED_DIM[self.kind]:
             bad.append(("dim", f"{self.kind} requires N={FIXED_DIM[self.kind]}"))
-        elif self.kind == "full-sphere" and self.dim < 2:
-            bad.append(("dim", "full-sphere requires N>=2 (use full-line for N=1)"))
+        elif self.kind in ("full-sphere", "half-space-product") and self.dim < 2:
+            bad.append(("dim", f"{self.kind} requires N>=2 (use full-line or half-line for N=1)"))
         if self.kind == "planar-sector" and (
             self.omega is None or not 0.0 < self.omega <= 2.0 * math.pi
         ):
@@ -235,21 +236,6 @@ class ConeDomain:
         raise ValueError(kind)
 
 
-@dataclass(frozen=True)
-class WeightPhi:
-    """The harmonic weight Phi(x) = |x|^gamma * phi(x/|x|).
-
-    For N=1 the rule degenerates to Phi(x)=x on the half-line and Phi=1 on
-    the full line (constant positive harmonic; the zero weight would
-    annihilate every weighted functional).
-    """
-
-    domain: ConeDomain
-
-    def __call__(self, x: np.ndarray) -> float:
-        return phi_eval(self, x)
-
-
 def gamma_root(dim: int, lambda_sigma: float) -> float:
     """Positive root of ``g^2 + (N-2)g - lambda_sigma = 0``.
 
@@ -384,22 +370,18 @@ def make_domain(spec: CrossSectionSpec) -> ConeDomain:
         return ConeDomain(spec, lam, nu, CapProfile(spec.theta0, nu))
     if kind == "half-space-product":
         k = spec.k
-        if dim == 1:
-            # degenerate to the N=1 cases
-            return make_domain(CrossSectionSpec("half-line" if k == 1 else "full-line", 1))
-        lam = float(k * (dim - 2 + k))
-        return ConeDomain(spec, lam, float(k), ProductProfile(k))
+        return ConeDomain(spec, float(k * (dim - 2 + k)), float(k), ProductProfile(k))
     raise ValueError(kind)
 
 
-def phi_eval(w: WeightPhi, x) -> float:
-    """Evaluate the harmonic weight at a point of the closed cone.
+def phi_eval(dom: ConeDomain, x) -> float:
+    """The harmonic weight |x|^gamma * phi(x/|x|) of ``dom`` at x in the closed cone.
 
     The half-space product uses the exact polynomial x_1*...*x_k (its angular
     part w_1*...*w_k is kept unnormalized so that the weight is the familiar
-    coordinate product); the other kinds carry sup-normalized profiles.
+    coordinate product); the other kinds carry sup-normalized profiles.  On
+    the half-line Phi(x)=x; on the full line Phi=1, the positive constant.
     """
-    dom = w.domain
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (dom.dim,):
         raise ValueError(f"point has shape {x.shape}, expected ({dom.dim},)")
@@ -412,14 +394,13 @@ def phi_eval(w: WeightPhi, x) -> float:
     return r**dom.gamma * ang
 
 
-def harmonic_residual(w: WeightPhi, x, h: float) -> tuple[float, float]:
+def harmonic_residual(dom: ConeDomain, x, h: float) -> tuple[float, float]:
     """Centered-difference residuals of harmonicity and the Euler identity.
 
     Returns ``(|Lap_h Phi(x)|, |x . grad_h Phi(x) - gamma*Phi(x)|)``; both
     are O(h^2) for smooth profiles.  The full stencil must stay inside the
     cone.
     """
-    dom = w.domain
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if h <= 0:
         raise ValueError("stencil size must be positive")
@@ -430,14 +411,14 @@ def harmonic_residual(w: WeightPhi, x, h: float) -> tuple[float, float]:
             xs[i] += s * h
             if not dom.contains(xs):
                 raise ValueError("stencil leaves the cone; move the point inward")
-    center = phi_eval(w, x)
+    center = phi_eval(dom, x)
     lap = 0.0
     euler = 0.0
     for i in range(n):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        fp, fm = phi_eval(w, xp), phi_eval(w, xm)
+        fp, fm = phi_eval(dom, xp), phi_eval(dom, xm)
         lap += (fp - 2.0 * center + fm) / (h * h)
         euler += x[i] * (fp - fm) / (2.0 * h)
     return abs(lap), abs(euler - dom.gamma * center)

@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from blowlab.cone_geometry import CrossSectionSpec, SpecError
+from blowlab.cone_geometry import SpecError
 from blowlab.experiments import SweepResult, epsilon_violations
 from blowlab.lifespan_bounds import FunctionalTrace
 from blowlab.solvers import (
@@ -74,7 +74,6 @@ _JSON_NAMES = {
     RunConfig: {"sweep_epsilons": "sweep.epsilons", "slope_tolerance": "sweep.slope_tolerance"},
     EvolutionProblem: {"coeff": None, "init": "initial"},
     CoefficientSpec: {"lam": "lambda"},
-    CrossSectionSpec: {"dim": "N"},
 }
 
 _EXPECTED = {
@@ -171,21 +170,13 @@ def _section(cls, value, path: str, errors: list):
     return spec
 
 
-def spec_from_dict(cls, raw, path: str = ""):
-    """Build the dataclass ``cls`` from parsed JSON, collecting every violation.
-
-    ``path`` prefixes the field paths in the error messages.
-    """
-    errors: list[str] = []
-    spec = _section(cls, raw, path, errors)
-    if errors:
-        raise ConfigError(errors)
-    return spec
-
-
 def config_from_dict(raw: dict) -> RunConfig:
     """Validate a parsed JSON object, collecting every violation."""
-    return spec_from_dict(RunConfig, raw)
+    errors: list[str] = []
+    cfg = _section(RunConfig, raw, "", errors)
+    if errors:
+        raise ConfigError(errors)
+    return cfg
 
 
 def parse_config(path: str) -> RunConfig:

@@ -8,9 +8,9 @@ tau=1 runs the trapezoidal rule on (u, u_t), Newmark's average-acceleration
 scheme, with the damping time centered: one implicit solve per step, stable
 at any dt.  Both take the source explicitly at a predicted half step.
 
-Geometries: the full line, the half line, radially symmetric N-dimensional
-space (optionally with the origin excluded for Dirichlet cones or the
-singular damping a = V0/|x|), and a planar sector in polar coordinates.
+Geometries: the full line and the half line (N = 1), radially symmetric
+space of N >= 2 dimensions (optionally with the origin excluded for Dirichlet
+cones or the singular damping a = V0/|x|), and a planar sector in polars.
 Each grid is one geometry record (``_GridData``), the only code that reads
 ``GridSpec.geometry``; the operators, the initial data, the weight Phi and
 ``boundary_max`` read its fields.  The radial (or line) bands of the
@@ -141,7 +141,8 @@ class GridSpec:
 
     ``extent`` is the full length for the line and the outer radius
     otherwise; ``num_points`` counts nodes along the line/radius including
-    Dirichlet boundaries.  Radial grids drop the origin node when
+    Dirichlet boundaries.  ``dim`` is the radial grid's N, at least 2; the
+    other geometries take no ``dim``.  Radial grids drop the origin node when
     ``include_origin`` is false (Dirichlet cones, singular damping).
     """
 
@@ -161,18 +162,15 @@ class GridSpec:
             bad.append(("extent", "must be positive"))
         if self.num_points < 8:
             bad.append(("num_points", "need at least 8 nodes"))
-        if self.dim < 1:
-            bad.append(("dim", "must be a positive integer"))
-        elif self.geometry in ("line", "half-line") and self.dim != 1:
-            bad.append(("dim", f"{self.geometry} is one-dimensional"))
-        elif self.geometry == "polar-sector" and self.dim not in (1, 2):
-            bad.append(("dim", "polar sector is two-dimensional"))
+        if self.geometry == "radial" and self.dim < 2:
+            bad.append(("dim", "radial requires N>=2 (N=1 is the line or the half-line)"))
         if self.geometry == "polar-sector":
             if self.omega is None or not 0.0 < self.omega <= 2.0 * math.pi:
                 bad.append(("omega", "polar sector needs an opening angle in (0, 2*pi]"))
             if self.num_angles < 6:
                 bad.append(("num_angles", "polar sector needs at least 6 angular nodes"))
-        homes = {"omega": "polar-sector", "num_angles": "polar-sector", "include_origin": "radial"}
+        homes = {"dim": "radial", "include_origin": "radial"}
+        homes.update(omega="polar-sector", num_angles="polar-sector")
         bad.extend(foreign_fields(self, self.geometry, homes))
         if bad:
             raise SpecError(bad)
@@ -198,8 +196,9 @@ class _GridData:
     - ``signed_radius`` and ``angular``: the initial bump is
       B((signed_radius - center) / width) * angular**2 and the harmonic
       weight is radius**gamma * angular, where ``angular`` is the
-      cross-section profile (1.0 on the one-dimensional grids);
-    - ``cross_section``, the :class:`CrossSectionSpec` of the cone.
+      cross-section profile (1.0 on the line, half line and radial grids);
+    - ``cross_section``, the :class:`CrossSectionSpec` of the cone (on a
+      radial grid the full sphere of its N >= 2).
     """
 
     def __init__(self, spec: GridSpec):
@@ -252,15 +251,9 @@ class _GridData:
             self.axis_radius = self.radius[:-1]
             self.evolved = slice(0, -1)
             self.truncation_adjacent = -2
-            if spec.dim > 1:
-                kind = "full-sphere"
-                area = 2.0 * math.pi ** (spec.dim / 2.0) / math.gamma(spec.dim / 2.0)
-                self.vol = area * self.radius ** (spec.dim - 1) * self.h
-            else:  # the half line, or the line folded onto r >= 0: r > 0 stands for +r and -r
-                kind = "half-line" if self.origin_wall else "full-line"
-                self.vol = np.full(n, self.h if self.origin_wall else 2.0 * self.h)
-                self.vol[0] = self.h
-            self.cross_section = CrossSectionSpec(kind, spec.dim)
+            area = 2.0 * math.pi ** (spec.dim / 2.0) / math.gamma(spec.dim / 2.0)
+            self.vol = area * self.radius ** (spec.dim - 1) * self.h
+            self.cross_section = CrossSectionSpec("full-sphere", spec.dim)
         else:  # the line and the half line: walls at both ends
             self.h = spec.extent / (n - 1)
             self.evolved = slice(1, -1)
@@ -1102,6 +1095,8 @@ def weighted_initial_mass(problem: EvolutionProblem) -> float:
     weak formulation extracts).  tau=1: eps * integral((g + a f) Phi).
     """
     grid, init, coeff = problem.grid, problem.init, problem.coeff
+    if coeff.tau == 0 and coeff.lam == 0:
+        raise ValueError("lambda: the tau=0 initial mass divides by lambda, which is 0")
     data = _grid_data(grid)
     phi = weight_values(grid)
     prof = _bump(data, init)

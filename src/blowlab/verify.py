@@ -100,10 +100,10 @@ def hardy(seed: int, count: int, orders) -> list:
 
 def residual_ratios(spec: cg.CrossSectionSpec, x, h0: float) -> tuple[float, float]:
     """Laplacian and Euler residuals at step h0 over those at h0/2."""
-    w = cg.WeightPhi(cg.make_domain(spec))
+    dom = cg.make_domain(spec)
     x = np.asarray(x, dtype=float)
-    lap_c, euler_c = cg.harmonic_residual(w, x, h0)
-    lap_f, euler_f = cg.harmonic_residual(w, x, h0 / 2)
+    lap_c, euler_c = cg.harmonic_residual(dom, x, h0)
+    lap_f, euler_f = cg.harmonic_residual(dom, x, h0 / 2)
     return lap_c / lap_f, euler_c / euler_f
 
 
@@ -115,9 +115,9 @@ class HarmonicMeasures:
 
 
 def harmonic() -> HarmonicMeasures:
-    quarter = cg.WeightPhi(cg.make_domain(cg.CrossSectionSpec("half-space-product", 2, k=2)))
+    quarter = cg.make_domain(cg.CrossSectionSpec("half-space-product", 2, k=2))
     lap, _ = cg.harmonic_residual(quarter, np.array([1.0, 2.0]), 0.01)
-    half = cg.WeightPhi(cg.make_domain(cg.CrossSectionSpec("half-line", 1)))
+    half = cg.make_domain(cg.CrossSectionSpec("half-line", 1))
     _, euler = cg.harmonic_residual(half, np.array([2.0]), 0.25)
     orders = [
         (spec.kind, *residual_ratios(spec, point, h0))

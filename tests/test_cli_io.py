@@ -1,7 +1,9 @@
+import itertools
 import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -392,24 +394,56 @@ def test_cli_verify_hardy_needs_a_field(count, capsys):
     assert "--count" in err and "PASS" not in out
 
 
-def test_cli_eigen_spec_json_names_bad_fields(capsys):
-    sector = '{"kind": "planar-sector", "N": 2, "omega": 0.7853981633974483}'
-    assert main(["eigen", "--spec-json", sector]) == 0
+def test_cli_eigen_names_each_bad_flag(capsys):
+    assert main(["eigen", "--kind", "planar-sector", "--N", "2", "--omega", "0.7853981633974483"]) == 0
     assert "lambda_sigma: 16.0" in capsys.readouterr().out
-    assert main(["eigen", "--spec-json", '{"N": 2}']) == 1
-    assert "spec.kind: missing" in capsys.readouterr().err
-    misspelled = '{"kind": "planar-sector", "N": 2, "omgea": 0.7853981633974483}'
-    assert main(["eigen", "--spec-json", misspelled]) == 1
-    assert "spec.omgea: unknown key" in capsys.readouterr().err
-    wrong_dim = '{"kind": "planar-sector", "N": 3, "omega": 1}'
-    assert main(["eigen", "--spec-json", wrong_dim]) == 1
-    assert "spec.N: planar-sector requires N=2" in capsys.readouterr().err
-    full_cap = '{"kind": "spherical-cap", "N": 3, "theta0": 3.141592653589793}'
-    assert main(["eigen", "--spec-json", full_cap]) == 1
-    assert "spec.theta0:" in capsys.readouterr().err
-    foreign = '{"kind": "full-sphere", "N": 3, "k": 2}'
-    assert main(["eigen", "--spec-json", foreign]) == 1
-    assert "spec.k: full-sphere takes no k" in capsys.readouterr().err
+    for flags, named in [
+        (["--N", "2"], "error: eigen needs --kind and --N"),
+        (["--kind", "planar-sector", "--N", "2", "--omgea", "0.78"], "unrecognized arguments: --omgea"),
+        (["--kind", "planar-sector", "--N", "3", "--omega", "1"], "error: --N: planar-sector requires N=2"),
+        (["--kind", "spherical-cap", "--N", "3", "--theta0", "3.141592653589793"], "error: --theta0:"),
+        (["--kind", "full-sphere", "--N", "3", "--k", "2"], "error: --k: full-sphere takes no k"),
+    ]:
+        assert main(["eigen", *flags]) == 1
+        assert named in capsys.readouterr().err
+
+
+def _radial_config(include_origin):
+    raw = _heat_config()
+    raw["problem"]["grid"] = {
+        "geometry": "radial", "extent": 10.0, "num_points": 101, "dim": 3,
+        "include_origin": include_origin,
+    }
+    raw["problem"]["initial"]["center"] = 0.0 if include_origin else 5.0
+    return raw
+
+
+@pytest.mark.parametrize("make, dim, named", [
+    (lambda: _radial_config(True), 1, "problem.grid.dim: radial requires N>=2"),
+    (lambda: _radial_config(False), 1, "problem.grid.dim: radial requires N>=2"),
+    (_polar_config, 2, "problem.grid.dim: polar-sector takes no dim (only radial does)"),
+], ids=["radial-1", "radial-1-no-origin", "polar-sector-dim-2"])
+def test_cli_rejects_a_second_spelling_of_a_grid(tmp_path, capsys, make, dim, named):
+    # N = 1 is the line or the half line, and the polar sector's N is always 2
+    raw = make()
+    config_from_dict(raw)  # valid before the edit
+    raw["problem"]["grid"]["dim"] = dim
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "record.csv").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["eigen", "--kind", "half-space-product", "--N", "1", "--k", "1"],
+     "error: --N: half-space-product requires N>=2"),
+    (["eigen", "--spec-json", '{"kind": "full-line", "N": 1}'],
+     "unrecognized arguments: --spec-json"),
+], ids=["half-space-product-N-1", "spec-json"])
+def test_cli_eigen_rejects_a_second_spelling_of_a_cone(capsys, argv, named):
+    assert main(argv) == 1
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, named", [
@@ -712,12 +746,6 @@ def test_cli_rejects_a_prefix_of_a_flag(capsys, argv, named):
     assert err.startswith("error: blowlab") and named in err
 
 
-def test_cli_eigen_spec_json_excludes_the_spec_flags(capsys):
-    spec = '{"kind": "full-line", "N": 1}'
-    assert main(["eigen", "--spec-json", spec, "--N", "3", "--k", "2"]) == 1
-    assert "--spec-json replaces --N, --k" in capsys.readouterr().err
-
-
 def test_cli_runtime_fault_exits_2(tmp_path, capsys):
     raw = _heat_config()
     raw["controls"]["max_steps"] = 3  # exhaust the step budget mid-run
@@ -799,3 +827,61 @@ def test_formats_config_example_has_exactly_the_config_keys():
         where, got, expected = sections.pop()
         assert set(got) == set(expected), ".".join(where) or "top level"
         sections.extend(((*where, k), got[k], v) for k, v in expected.items() if v is not None)
+
+
+def test_cli_simulate_without_lambda_gives_no_bound_and_keeps_the_trace(tmp_path, capsys):
+    # the tau = 0 initial mass divides by lambda: a run with lambda = 0 has no
+    # bound, which criterion.json says, and its trace is written all the same
+    raw = _heat_config(trace_radii=[4.0, 5.0, 6.0])
+    raw["problem"]["lambda"] = 0.0
+    raw["problem"]["grid"]["num_points"] = 601
+    raw["problem"]["initial"]["epsilon"] = 0.5
+    raw["controls"] = {"threshold": 1e6, "t_max": 5.0, "snapshot_dt": 0.05}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "status: survived" in out and "criterion: no bound: lambda:" in out
+    verdict = json.loads((tmp_path / "criterion.json").read_text())
+    assert verdict["reason"].startswith("lambda:") and verdict["bound_ge_T"] is False
+    assert all(verdict[k] is None for k in ("delta", "R1", "theta", "minimal_C0", "bound"))
+    assert read_trace(str(tmp_path / "trace.csv")).radii.tolist() == [4.0, 5.0, 6.0]
+
+
+_README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+
+def _readme_block(after: str, fence: str) -> str:
+    """The first ``fence`` code block of README.md after the line ``after``."""
+    text = open(_README, encoding="utf-8").read()
+    rest = text[text.index(after + "\n") :]
+    start = rest.index(fence + "\n") + len(fence) + 1
+    return rest[start : rest.index("```", start)]
+
+
+def _expansions(line: str):
+    """Every command a usage line stands for: each [...] part given and left
+    out, and each a|b token as a and as b."""
+    m = re.search(r"\[([^\[\]]*)\]", line)
+    if m:
+        for part in (m.group(1), ""):
+            yield from _expansions(line[: m.start()] + part + line[m.end() :])
+        return
+    yield from map(list, itertools.product(*(tok.split("|") for tok in shlex.split(line))))
+
+
+def test_readme_command_lines_parse():
+    lines = [ln for ln in _readme_block("## Command line", "```sh").splitlines() if ln.startswith("blowlab ")]
+    assert len(lines) >= 7
+    argvs = [argv for line in lines for argv in _expansions(line)]
+    assert ["blowlab", "verify", "harmonic"] in argvs
+    assert ["blowlab", "verify", "hardy", "--seed", "0", "--count", "200"] in argvs
+    assert ["blowlab", "verify", "hardy"] in argvs
+    for argv in argvs:
+        args = build_parser().parse_args(argv[1:])  # a usage error raises ValueError
+        assert callable(args.func), argv
+
+
+def test_readme_minimal_sweep_config_is_valid():
+    cfg = config_from_dict(json.loads(_readme_block("A minimal sweep config:", "```json")))
+    assert cfg.sweep_epsilons == (0.25, 0.35, 0.5, 0.7, 1.0)

@@ -14,7 +14,6 @@ from blowlab.cone_geometry import (
     BRENT_RTOL_MIN,
     BumpField,
     CrossSectionSpec,
-    WeightPhi,
     brent_root,
     cap_eigenvalue,
     fujita_threshold,
@@ -83,6 +82,9 @@ def test_make_domain_rejects_bad_specs():
         make_domain(CrossSectionSpec("spherical-cap", 3, theta0=0.0))
     with pytest.raises(ValueError):
         make_domain(CrossSectionSpec("half-space-product", 2, k=5))
+    for k in (0, 1):  # N = 1 is spelled full-line or half-line, as for the full sphere
+        with pytest.raises(ValueError, match="dim: half-space-product requires N>=2"):
+            make_domain(CrossSectionSpec("half-space-product", 1, k=k))
     with pytest.raises(ValueError):
         make_domain(CrossSectionSpec("no-such-kind", 2))
 
@@ -294,50 +296,50 @@ def test_cli_import_loads_no_ode_solver_or_interpolant():
 
 
 def test_phi_eval_quarter_plane_product():
-    w = WeightPhi(make_domain(CrossSectionSpec("half-space-product", 2, k=2)))
-    assert phi_eval(w, [1.0, 1.0]) == pytest.approx(1.0)
-    assert phi_eval(w, [2.0, 3.0]) == pytest.approx(6.0)
+    dom = make_domain(CrossSectionSpec("half-space-product", 2, k=2))
+    assert phi_eval(dom, [1.0, 1.0]) == pytest.approx(1.0)
+    assert phi_eval(dom, [2.0, 3.0]) == pytest.approx(6.0)
     with pytest.raises(ValueError):
-        phi_eval(w, [-1.0, 1.0])
+        phi_eval(dom, [-1.0, 1.0])
 
 
 def test_phi_eval_line_cases():
-    half = WeightPhi(make_domain(CrossSectionSpec("half-line", 1)))
+    half = make_domain(CrossSectionSpec("half-line", 1))
     assert phi_eval(half, [3.0]) == pytest.approx(3.0)
     assert phi_eval(half, [0.0]) == 0.0
     with pytest.raises(ValueError):
         phi_eval(half, [-0.5])
 
-    full = WeightPhi(make_domain(CrossSectionSpec("full-line", 1)))
+    full = make_domain(CrossSectionSpec("full-line", 1))
     assert phi_eval(full, [-2.0]) == 1.0
     assert phi_eval(full, [0.0]) == 1.0
 
 
 def test_phi_eval_full_sphere_constant():
-    w = WeightPhi(make_domain(CrossSectionSpec("full-sphere", 2)))
+    dom = make_domain(CrossSectionSpec("full-sphere", 2))
     for x in ([0.3, -0.4], [5.0, 1.0], [0.0, 0.0]):
-        assert phi_eval(w, x) == pytest.approx(1.0)
+        assert phi_eval(dom, x) == pytest.approx(1.0)
 
 
 def test_phi_boundary_zero():
-    sector = WeightPhi(make_domain(CrossSectionSpec("planar-sector", 2, omega=2.0)))
+    sector = make_domain(CrossSectionSpec("planar-sector", 2, omega=2.0))
     assert phi_eval(sector, [1.5, 0.0]) == pytest.approx(0.0, abs=1e-14)
-    cap = WeightPhi(make_domain(CrossSectionSpec("spherical-cap", 3, theta0=1.0)))
+    cap = make_domain(CrossSectionSpec("spherical-cap", 3, theta0=1.0))
     edge = [math.sin(1.0), 0.0, math.cos(1.0)]
     assert phi_eval(cap, edge) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_harmonic_residual_exact_for_bilinear():
-    w = WeightPhi(make_domain(CrossSectionSpec("half-space-product", 2, k=2)))
+    dom = make_domain(CrossSectionSpec("half-space-product", 2, k=2))
     for h in (0.1, 0.01):
-        lap, euler = harmonic_residual(w, [1.0, 2.0], h)
+        lap, euler = harmonic_residual(dom, [1.0, 2.0], h)
         assert lap < 1e-10
         assert euler < 1e-10
 
 
 def test_harmonic_residual_half_line_euler_exact():
-    w = WeightPhi(make_domain(CrossSectionSpec("half-line", 1)))
-    lap, euler = harmonic_residual(w, [2.0], 0.25)
+    dom = make_domain(CrossSectionSpec("half-line", 1))
+    lap, euler = harmonic_residual(dom, [2.0], 0.25)
     assert lap == pytest.approx(0.0, abs=1e-13)
     assert euler == pytest.approx(0.0, abs=1e-13)
 
@@ -360,9 +362,9 @@ def test_harmonic_residual_second_order(spec, point, h0):
 
 
 def test_harmonic_residual_rejects_stencil_outside():
-    w = WeightPhi(make_domain(CrossSectionSpec("half-space-product", 2, k=2)))
+    dom = make_domain(CrossSectionSpec("half-space-product", 2, k=2))
     with pytest.raises(ValueError):
-        harmonic_residual(w, [0.05, 1.0], 0.1)
+        harmonic_residual(dom, [0.05, 1.0], 0.1)
 
 
 def test_hardy_ratio_radial_bump_full_sphere():

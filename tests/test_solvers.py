@@ -97,12 +97,17 @@ def test_grid_validation():
         (dict(geometry="line", include_origin=False), "include_origin"),
         (dict(geometry="polar-sector", omega=2.0, num_angles=40, include_origin=False), "include_origin"),
         (dict(geometry="polar-sector", dim=3, omega=2.0, num_angles=40), "dim"),
+        # each cone has one spelling: N = 1 is the line or the half line; only radial takes dim
+        (dict(geometry="polar-sector", dim=2, omega=2.0, num_angles=40), "dim"),
+        (dict(geometry="half-line", dim=2), "dim"),
+        (dict(geometry="radial", dim=1), "dim"),
+        (dict(geometry="radial", dim=1, include_origin=False), "dim"),
+        (dict(geometry="radial", dim=0), "dim"),
     ]:
         with pytest.raises(SpecError) as err:
             GridSpec(extent=10.0, num_points=100, **spec)
         assert [name for name, _ in err.value.violations][0] == field
     assert GridSpec("radial", 10.0, 100, dim=3, include_origin=False).include_origin is False
-    assert GridSpec("polar-sector", 10.0, 100, dim=2, omega=2.0, num_angles=40).dim == 2
     with pytest.raises(ValueError):
         EvolutionProblem(
             HEAT,
@@ -442,28 +447,6 @@ def test_weighted_initial_mass_polar_sector():
     a = (1.0 + r**2) ** -0.25
     direct = 0.5 * float(np.sum((0.3 * f + a * f) * phi * vol))
     assert weighted_initial_mass(EvolutionProblem(damped, grid, init)) == pytest.approx(direct, rel=1e-12)
-
-
-def test_one_dimensional_radial_weights_are_those_of_the_line_and_half_line():
-    # without the origin the radial N = 1 grid is the half line's minus its
-    # wall node; with it, the line folded at 0, whose origin node counts once
-    heat = CoefficientSpec(tau=0, p=1.5, a_phase=0.0)
-    half_line = GridSpec("radial", 100.0, 500, dim=1, include_origin=False)
-    pairs = [
-        (half_line, GridSpec("half-line", 100.0, 501), 3.0),
-        (GridSpec("radial", 100.0, 501, dim=1), GridSpec("line", 200.0, 1001), 0.0),
-    ]
-    for radial, line, center in pairs:
-        init = InitialDataSpec(center, 1.0, 0.1)
-        problems = [EvolutionProblem(heat, grid, init) for grid in (radial, line)]
-        masses = [weighted_initial_mass(pr) for pr in problems]
-        assert masses[0] == pytest.approx(masses[1], rel=1e-13)
-        columns = []
-        for pr in problems:
-            acc = solvers.TraceAccumulator(pr, [6.0, 9.0])
-            acc(0.0, initial_state(pr, 1.0).u)
-            columns.append(acc.m_cols[0])
-        assert np.allclose(columns[0], columns[1], rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("tau", [0, 1], ids=["heat", "damped-wave"])
@@ -901,13 +884,13 @@ def test_polar_heat_stays_real():
     [
         GridSpec("line", 20.0, 201),
         GridSpec("half-line", 20.0, 201),
-        GridSpec("radial", 20.0, 201, dim=1),
+        GridSpec("radial", 20.0, 201, dim=2),
         GridSpec("radial", 20.0, 201, dim=3),
-        GridSpec("radial", 20.0, 201, dim=1, include_origin=False),
+        GridSpec("radial", 20.0, 201, dim=2, include_origin=False),
         GridSpec("radial", 20.0, 201, dim=3, include_origin=False),
         GridSpec("polar-sector", 6.0, 40, omega=2.0, num_angles=30),
     ],
-    ids=["line", "half-line", "radial-1", "radial-3", "radial-1-no-origin", "radial-3-no-origin", "polar"],
+    ids=["line", "half-line", "radial-2", "radial-3", "radial-2-no-origin", "radial-3-no-origin", "polar"],
 )
 def test_implicit_operator_matches_the_explicit_laplacian(grid):
     data = _GridData(grid)
@@ -1158,11 +1141,11 @@ def _is_ldlt(lu):
         (GridSpec("line", extent=60.0, num_points=1201), complex(np.exp(-0.5j * math.pi)), False),
         (GridSpec("line", extent=60.0, num_points=1201), 1.0 + 0.0j, False),
         (GridSpec("radial", extent=60.0, num_points=1201, dim=3), 1.0, False),
-        (GridSpec("radial", extent=60.0, num_points=1201, dim=1), 1.0, False),
+        (GridSpec("radial", extent=60.0, num_points=1201, dim=2), 1.0, False),
         (GridSpec("radial", extent=60.0, num_points=1201, dim=3, include_origin=False), 1.0, False),
         (GridSpec("polar-sector", 6.0, 60, omega=2.0, num_angles=40), 1.0, False),
     ],
-    ids=["line", "half-line", "complex", "complex-real-part", "radial", "radial-1", "radial-no-origin", "polar"],
+    ids=["line", "half-line", "complex", "complex-real-part", "radial", "radial-2", "radial-no-origin", "polar"],
 )
 def test_implicit_solve_picks_its_lapack_pair_from_the_bands(grid, factor, ldlt):
     data = _GridData(grid)
@@ -1269,9 +1252,10 @@ def test_shipped_nls_run_builds_at_most_18_factorizations(monkeypatch):
 
 
 def _assert_fields_above_the_floor(config, controls):
-    """Every Crank-Nicolson field of a run on a shipped config has each real and
-    imaginary part either zero or at least 2^-511, so |u|^2 holds no subnormal
-    and no zero where u is nonzero."""
+    """Every field u of a run on a shipped config, which both steps write through
+    the 1-d implicit solve and its flush, has each real and imaginary part either
+    zero or at least 2^-511, so |u|^2 holds no subnormal and no zero where u is
+    nonzero."""
     cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs", config))
     res = run_until_blowup(cfg.problem, controls, (solvers.SnapshotStore(),))
     assert res.record.status == "survived"
@@ -1293,6 +1277,12 @@ def test_nls_run_leaves_no_subnormal_field():
 def test_heat_run_leaves_no_subnormal_field():
     controls = RunControls(threshold=1e6, t_max=0.5, dt_init=0.002, snapshot_dt=0.05)
     _assert_fields_above_the_floor("heat_subcritical.json", controls)
+
+
+def test_damped_wave_run_leaves_no_subnormal_field():
+    # the trapezoidal step solves for u' and flushes it as Crank-Nicolson does
+    controls = RunControls(threshold=1e6, t_max=2.0, dt_init=0.018, snapshot_dt=0.2)
+    _assert_fields_above_the_floor("damped_wave_subcritical.json", controls)
 
 
 # -- step control: the dyadic ladder and its step-doubling probe --------------
