@@ -13,7 +13,11 @@ space of N >= 2 dimensions (optionally with the origin excluded for Dirichlet
 cones or the singular damping a = V0/|x|), and a planar sector in polars.
 Each grid is one geometry record (``_GridData``), the only code that reads
 ``GridSpec.geometry``; the operators, the initial data, the weight Phi and
-``boundary_max`` read its fields.  The radial (or line) bands of the
+``boundary_max`` read its fields.  The coefficients depend on |x| only, so a
+line run whose bump is centred at 0 keeps an even field: on a line with an
+odd node count the run steps the folded record, the line's nodes from the
+left wall to x = 0 with a reflecting row at x = 0, and unfolds each field it
+shows into the full line.  Only rounding differs from stepping the line.  The radial (or line) bands of the
 Laplacian give the implicit solve, one system per angular sine mode on the
 polar sector, where the damped wave's 1 + (dt/2) a(x) depends on the radius
 only.  The explicit stencil, written out, scales by their 1/h^2.  The
@@ -176,6 +180,13 @@ class GridSpec:
             raise SpecError(bad)
 
 
+@dataclass(frozen=True)
+class _FoldedLine:
+    """The key of a centred line's folded record (see ``_GridData``)."""
+
+    line: GridSpec
+
+
 class _GridData:
     """The geometry record of one grid spec: mesh arrays and operators.
 
@@ -198,10 +209,21 @@ class _GridData:
       weight is radius**gamma * angular, where ``angular`` is the
       cross-section profile (1.0 on the line, half line and radial grids);
     - ``cross_section``, the :class:`CrossSectionSpec` of the cone (on a
-      radial grid the full sphere of its N >= 2).
+      radial grid the full sphere of its N >= 2);
+    - ``folded``, whether the record is a line's folded half.
+
+    The key ``_FoldedLine(spec)`` of a line with an odd ``num_points`` gives
+    its folded record: the line's own first (n+1)/2 nodes, from the left
+    wall to the node at x = 0, which is the last row.  An even field, which
+    a run of a bump centred at 0 keeps, needs only these: the x = 0 row
+    reflects, 2 (u[-2] - u[-1]) / h^2, and the field on the full line is
+    ``concatenate((u, u[-2::-1]))``.  Every other field is the line's own,
+    cut to the half; ``spec`` is the line's.
     """
 
-    def __init__(self, spec: GridSpec):
+    def __init__(self, spec: GridSpec | _FoldedLine):
+        self.folded = isinstance(spec, _FoldedLine)
+        spec = spec.line if self.folded else spec
         self.spec = spec
         self._factors = {}  # the factors of two implicit matrices by key, see ``_factors_for``
         self._bands = None  # the Laplacian's bands along the radial (or line) axis
@@ -272,6 +294,13 @@ class _GridData:
                 self.truncation_adjacent = -2
                 self.cross_section = CrossSectionSpec("half-line", 1)
         self.signed_radius = self.coords
+        if self.folded:  # rows 0..(n-1)/2 of the line: its left wall, then x = 0 last
+            k = n // 2 + 1
+            self.shape = (k,)
+            self.coords = self.signed_radius = self.coords[:k]
+            self.radius, self.vol = self.radius[:k], self.vol[:k]
+            self.evolved = slice(1, None)
+            self.truncation_adjacent = 1
 
     # -- Laplacian -----------------------------------------------------
 
@@ -291,8 +320,8 @@ class _GridData:
         i0, i1 = max(lo, 1), min(hi, n - 1)  # the rows with two neighbours
         if lo < i0:
             out[: i0 - lo] = 0.0  # row 0: a wall, or the origin row set below
-        if i1 < hi:
-            out[i1 - lo :] = 0.0  # row n-1, a wall
+        if i1 < hi:  # row n-1: a wall, or the folded line's x = 0, reflecting
+            out[i1 - lo :] = (u[-2] - u[-1]) * (2.0 / h2) if self.folded else 0.0
         inner = out[i0 - lo : i1 - lo]
         np.multiply(u[i0:i1], 2.0, out=inner)
         np.subtract(u[i0 - 1 : i1 - 1], inner, out=inner)
@@ -353,16 +382,21 @@ class _GridData:
         axis, per evolved node: u'' + ((N-1)/r) u', with the symmetric row
         2N (u_1 - u_0) / h^2 at an origin node.  ``lower[0]`` and
         ``upper[-1]`` couple to a wall or the origin and enter no matrix.
-        The 1-d solve factors these bands; each sine mode of the polar sector
-        adds mu_k / r^2 to their diagonal.  Built once per grid: callers must
-        not write into them."""
+        The folded line's x = 0 row is halved, (u_{-2} - u_{-1}) / h^2, which
+        makes the bands symmetric; the solve halves that row's identity and
+        right-hand side with it.  The 1-d solve factors these bands; each sine
+        mode of the polar sector adds mu_k / r^2 to their diagonal.  Built
+        once per grid: callers must not write into them."""
         if self._bands is not None:
             return self._bands
         h2 = self.h * self.h
         r = self.axis_radius
         if r is None:
-            m = self.spec.num_points - 2
-            self._bands = np.full(m, 1.0 / h2), np.full(m, -2.0 / h2), np.full(m, 1.0 / h2)
+            m = self.coords[self.evolved].size
+            lower, diag, upper = np.full(m, 1.0 / h2), np.full(m, -2.0 / h2), np.full(m, 1.0 / h2)
+            if self.folded:
+                diag[-1] = -1.0 / h2
+            self._bands = lower, diag, upper
             return self._bands
         dim = self.cross_section.dim
         fac = (dim - 1) / (2.0 * self.h)
@@ -411,6 +445,9 @@ class _GridData:
             ident = ident[self.evolved]
             ident = ident[:, 0] if ident.ndim == 2 else ident
         lower, diag, upper = self._banded_diagonals()
+        if self.folded:  # the halved x = 0 row
+            ident = np.full(diag.size, ident)
+            ident[-1] *= 0.5
         for lu, shift in zip(lus, self.mode_shifts):
             lu.factor(lower, diag + shift, upper, 0.5 * dt * factor, ident)
         slots[key] = lus[0] if self.sine is None else lus
@@ -446,6 +483,8 @@ class _GridData:
         if self.sine is None:
             first = self.evolved.start  # the row of the first evolved node
             b = rhs[self.evolved]
+            if self.folded:  # the halved x = 0 row
+                b[-1] *= 0.5
             lo, hi = rows or (first, None)
             # a complex flush takes |part| in the complex array and its flags in the real one's bytes
             real = rhs.dtype.kind == "f"
@@ -463,7 +502,7 @@ class _GridData:
 
 
 @lru_cache(maxsize=64)
-def _grid_data(spec: GridSpec) -> _GridData:
+def _grid_data(spec: GridSpec | _FoldedLine) -> _GridData:
     return _GridData(spec)
 
 
@@ -584,9 +623,12 @@ class FieldState:
     scheme, the initial one included, on the same grid and dtype, that no
     one reads again.  A step writes into its ``u`` and, for tau=1, its
     ``v``.  The spare is void once lent: its arrays belong to the result.
+
+    ``grid`` is a GridSpec, or the ``_FoldedLine`` of a centred line run,
+    whose state holds the line's rows 0..(n-1)/2.
     """
 
-    grid: GridSpec
+    grid: GridSpec | _FoldedLine
     u: np.ndarray
     v: np.ndarray | None
     t: float
@@ -602,7 +644,12 @@ def _bump(data: _GridData, init: InitialDataSpec) -> np.ndarray:
 
 
 def initial_state(problem: EvolutionProblem, dt: float) -> FieldState:
-    grid, init, coeff = problem.grid, problem.init, problem.coeff
+    return _initial_state(problem, problem.grid, dt)
+
+
+def _initial_state(problem: EvolutionProblem, grid: GridSpec | _FoldedLine, dt: float):
+    """The initial state on ``grid``: the problem's, or its folded line."""
+    init, coeff = problem.init, problem.coeff
     prof = _bump(_grid_data(grid), init)
     real = coeff.is_real() and init.amplitude.imag == 0 and init.g_amplitude.imag == 0
     dtype = float if real else complex
@@ -928,9 +975,14 @@ def run_until_blowup(
     extrapolated to the lifespan estimate at the equation's blowup rate
     (``extrapolate_lifespan``).
 
+    A line with an odd node count and the bump centred at 0 is stepped on
+    its folded half (``_stepped_grid``): the field stays even, and observers,
+    the result and the record see the full line, unfolded.
+
     ``observers`` say what the run keeps.  Each is called as ``obs(t, u)``
     on every recorded snapshot: t = 0, each ``snapshot_dt`` crossing and the
-    final field; ``u`` is the run's own array and must not be changed.  It
+    final field; ``u`` is the run's own array, or on a folded run the one
+    line array it unfolds each snapshot into, and must not be changed.  It
     is valid only during the call: a later step writes into the arrays of
     states the run has retired (it keeps two, and while a probe may follow
     a trial leaves one for it), so an observer copies what it keeps
@@ -946,13 +998,20 @@ def run_until_blowup(
     of the two fields' ranges.
     """
     coeff = problem.coeff
-    data = _grid_data(problem.grid)
+    grid = _stepped_grid(problem)
+    data = _grid_data(grid)
     dt0, dt_cap = controls.dt_init, controls.t_max
     if dt0 is None:
         dt0 = 0.5 * data.h if coeff.tau == 1 else data.h * data.h
     if controls.snapshot_dt > 0:
         dt_cap = min(dt_cap, controls.snapshot_dt)
-    state = initial_state(problem, dt0)
+    state = _initial_state(problem, grid, dt0)
+    # a folded run unfolds each field that observers or the result see into one line array
+    line = np.empty(problem.grid.num_points, state.u.dtype) if data.folded else None
+
+    def seen(u):  # the field on the problem's grid
+        return u if line is None else np.concatenate((u, u[-2::-1]), out=line)
+
     stepper = step_hyperbolic if coeff.tau == 1 else step_parabolic
     spares = []  # up to two retired states, whose arrays the next steps write into
 
@@ -968,11 +1027,13 @@ def run_until_blowup(
     caller_errors = np.geterr()
 
     def observe(t, u):
-        with np.errstate(**caller_errors):
-            for obs in observers:
-                obs(t, u)
+        if observers:
+            u = seen(u)
+            with np.errstate(**caller_errors):
+                for obs in observers:
+                    obs(t, u)
 
-    first = state.u.copy() if store is None else None  # a store keeps its own copy
+    first = seen(state.u).copy() if store is None else None  # a store keeps its own copy
     observe(0.0, state.u)
     observed = 0.0  # the time of the last snapshot
     next_snap = controls.snapshot_dt if controls.snapshot_dt > 0 else math.inf
@@ -1074,7 +1135,7 @@ def run_until_blowup(
         snap_times, snaps = [0.0], [first]
         if state.t != 0.0:
             snap_times.append(state.t)
-            snaps.append(state.u)
+            snaps.append(seen(state.u))
 
     boundary = float(np.max(np.abs(state.u[data.truncation_adjacent])))
     t_ext = math.nan
@@ -1086,6 +1147,15 @@ def run_until_blowup(
         dt_final=state.dt, steps=steps, t_final=state.t, boundary_max=boundary,
     )
     return RunResult(problem=problem, record=record, snapshot_times=snap_times, snapshots=snaps)
+
+
+def _stepped_grid(problem: EvolutionProblem) -> GridSpec | _FoldedLine:
+    """The grid a run steps: the folded line of a line with an odd node count
+    and the bump centred at 0, whose field stays even, or the problem's grid."""
+    grid = problem.grid
+    if grid.geometry == "line" and problem.init.center == 0.0 and grid.num_points % 2:
+        return _FoldedLine(grid)
+    return grid
 
 
 def weighted_initial_mass(problem: EvolutionProblem) -> float:

@@ -830,12 +830,25 @@ def test_formats_config_example_has_exactly_the_config_keys():
 
 
 def test_cli_simulate_without_lambda_gives_no_bound_and_keeps_the_trace(tmp_path, capsys):
-    # the tau = 0 initial mass divides by lambda: a run with lambda = 0 has no
+    _assert_no_bound_without_lambda(tmp_path, capsys, tau=0)
+
+
+def test_cli_simulate_of_a_linear_damped_wave_gives_no_bound(tmp_path, capsys):
+    # it used to print and write the finite bound 267.29 with reason null
+    _assert_no_bound_without_lambda(tmp_path, capsys, tau=1)
+
+
+def _assert_no_bound_without_lambda(tmp_path, capsys, tau):
+    # with lambda = 0 the equation has no source to blow up on: a run has no
     # bound, which criterion.json says, and its trace is written all the same
     raw = _heat_config(trace_radii=[4.0, 5.0, 6.0])
     raw["problem"]["lambda"] = 0.0
     raw["problem"]["grid"]["num_points"] = 601
     raw["problem"]["initial"]["epsilon"] = 0.5
+    if tau == 1:  # the linear damped wave: a0 1, g_amplitude 1
+        del raw["problem"]["a_phase"]
+        raw["problem"].update(tau=1, a0=1.0)
+        raw["problem"]["initial"]["g_amplitude"] = 1.0
     raw["controls"] = {"threshold": 1e6, "t_max": 5.0, "snapshot_dt": 0.05}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))

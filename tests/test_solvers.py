@@ -889,8 +889,12 @@ def test_polar_heat_stays_real():
         GridSpec("radial", 20.0, 201, dim=2, include_origin=False),
         GridSpec("radial", 20.0, 201, dim=3, include_origin=False),
         GridSpec("polar-sector", 6.0, 40, omega=2.0, num_angles=30),
+        solvers._FoldedLine(GridSpec("line", 20.0, 201)),
     ],
-    ids=["line", "half-line", "radial-2", "radial-3", "radial-2-no-origin", "radial-3-no-origin", "polar"],
+    ids=[
+        "line", "half-line", "radial-2", "radial-3", "radial-2-no-origin", "radial-3-no-origin",
+        "polar", "folded-line",
+    ],
 )
 def test_implicit_operator_matches_the_explicit_laplacian(grid):
     data = _GridData(grid)
@@ -905,15 +909,20 @@ def test_implicit_operator_matches_the_explicit_laplacian(grid):
         got = diag * ue
         got[1:] += lower[1:] * ue[:-1]
         got[:-1] += upper[:-1] * ue[1:]
+        if data.folded:  # the bands hold the x = 0 row halved
+            assert np.array_equal(lower[1:], upper[:-1])
+            got[-1] *= 2.0
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _walls(data):
     """The indices of the grid's Dirichlet walls: both ends of the line and half
-    line, the outer radius, and the sector's arc and two rays."""
+    line, the folded line's left end, the outer radius, and the sector's arc
+    and two rays."""
     if data.sine is not None:
         return (-1, np.s_[:, 0], np.s_[:, -1])
-    return (-1,) if data.evolved.start == 0 else (0, -1)
+    ev = data.evolved
+    return (0,) * (ev.start == 1) + (-1,) * (ev.stop == -1)
 
 
 def _zero_walls(data, arr):
@@ -1507,6 +1516,7 @@ def test_laplacian_rows_are_bitwise_the_full_laplacian_rows():
         GridSpec("radial", 20.0, 101, dim=2),
         GridSpec("radial", 20.0, 101, dim=3, include_origin=False),
         GridSpec("polar-sector", 6.0, 30, omega=2.0, num_angles=12),
+        solvers._FoldedLine(GridSpec("line", 20.0, 101)),
     ]
     rng = np.random.default_rng(5)
     for grid in grids:
@@ -1550,19 +1560,21 @@ def _full_grid_step(state, coeff, dt):
         (GridSpec("radial", 40.0, 801, dim=3), 0.0),
         (GridSpec("radial", 40.0, 801, dim=3, include_origin=False), 6.0),
         (GridSpec("polar-sector", 10.0, 80, omega=2.0, num_angles=12), 5.0),
+        (solvers._FoldedLine(GridSpec("line", 40.0, 801)), 0.0),
     ],
     ids=[
-        "line", "half-line", "radial-2", "radial-2-no-origin", "radial-3", "radial-3-no-origin", "polar"
+        "line", "half-line", "radial-2", "radial-2-no-origin", "radial-3", "radial-3-no-origin",
+        "polar", "folded-line",
     ],
 )
 def test_windowed_step_is_bitwise_the_full_grid_step(grid, center, coeff):
     amp = 0.6 if coeff is HEAT else 0.6 - 0.5j
     init = InitialDataSpec(center, 1.5, 0.8, amp)
-    state = initial_state(EvolutionProblem(coeff, grid, init), 0.01)
+    state, line = _start(coeff, grid, init, 0.01)
     # the initial state has the tightest range: rows lo and hi - 1 hold nonzero values
     rows = np.flatnonzero(np.any(state.u.reshape(len(state.u), -1) != 0.0, axis=1))
     assert (state.lo, state.hi) == (int(rows[0]), int(rows[-1]) + 1)
-    assert state.lo > 0 or grid.geometry == "radial"
+    assert state.lo > 0 or line.geometry == "radial"
     for _ in range(5):
         got = step_parabolic(state, coeff, state.dt)
         want, lo, hi = _full_grid_step(state, coeff, state.dt)
@@ -1570,9 +1582,15 @@ def test_windowed_step_is_bitwise_the_full_grid_step(grid, center, coeff):
         assert np.array_equal(_bits(got.u), _bits(want))
         assert (got.lo, got.hi) == (lo, hi)
         assert _all_positive_zero(got.u[: got.lo]) and _all_positive_zero(got.u[got.hi :])
-        if grid.geometry == "polar-sector":
+        if line.geometry == "polar-sector":
             assert (got.lo, got.hi) == (0, grid.num_points)
         state = got
+
+
+def _start(coeff, grid, init, dt):
+    """The initial state on ``grid``, a GridSpec or a folded line, and the GridSpec."""
+    line = grid.line if isinstance(grid, solvers._FoldedLine) else grid
+    return solvers._initial_state(EvolutionProblem(coeff, line, init), grid, dt), line
 
 
 def test_complex_step_bits_do_not_depend_on_the_grid_size(monkeypatch):
@@ -1672,22 +1690,26 @@ def test_sweep_path_holds_no_snapshots_and_keeps_the_record():
     assert len(full.snapshots) > 100
 
 
-def test_run_with_a_store_drops_its_initial_field():
+def _unfolded(u):
+    """The full-line field of a folded line's rows 0..(n-1)/2."""
+    return np.concatenate((u, u[-2::-1]))
+
+
+def test_run_with_a_store_drops_its_initial_field(monkeypatch):
     # a SnapshotStore keeps its own copy of the first field, and the run lends
-    # the initial state's u to a later step as it lends any retired state's
+    # the initial state's u to a later step as it lends any retired state's;
+    # the centred line steps its folded half, and the store sees it unfolded
     problem, controls = HEAT_BLOWUP
-    seen = []
-
-    def watch(t, u):
-        if not seen:
-            seen.append(u)
-        elif u is seen[0]:
-            seen.append(t)
-
+    calls = _recording(monkeypatch, "step_parabolic")
     store = solvers.SnapshotStore()
-    res = run_until_blowup(problem, controls, (store, watch))
-    assert res.record.status == "blowup" and len(seen) > 1  # a later snapshot in that array
-    assert np.array_equal(_bits(store.fields[0]), _bits(initial_state(problem, 1.0).u))
+    res = run_until_blowup(problem, controls, (store,))
+    first = calls[0][0].u  # the initial state's array
+    seen = [state.t for state, _ in calls if state.u is first and state.t > 0.0]
+    assert res.record.status == "blowup" and len(seen) > 0  # a later state in that array
+    grid = solvers._stepped_grid(problem)
+    assert grid == solvers._FoldedLine(problem.grid) and calls[0][0].grid == grid
+    want = _unfolded(solvers._initial_state(problem, grid, 1.0).u)
+    assert np.array_equal(_bits(store.fields[0]), _bits(want))
 
 
 def test_run_without_observers_holds_its_end_points_only():
@@ -1762,12 +1784,13 @@ def test_shipped_damped_wave_run_evaluates_the_damping_once(monkeypatch):
 
     monkeypatch.setattr(CoefficientSpec, "damping", counting)
     cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs", "damped_wave_subcritical.json"))
-    data = _grid_data(cfg.problem.grid)
+    data = _grid_data(solvers._stepped_grid(cfg.problem))  # the centred line's folded half
+    assert data.folded
     for cache in ("_damping", "_damp"):  # as on a grid no run has used
         monkeypatch.setattr(data, cache, None)
     res = run_until_blowup(cfg.problem, cfg.controls)
     assert res.record.status == "blowup" and res.record.steps == 2343
-    assert evaluated == [cfg.problem.grid.num_points]
+    assert evaluated == [cfg.problem.grid.num_points // 2 + 1]
     # D keeps its bits: a float when a(x) is uniform, an array otherwise
     decaying = CoefficientSpec(tau=1, p=2.0, lam=1.0, a0=1.0, alpha=0.5)
     for coeff in (cfg.problem.coeff, decaying, cfg.problem.coeff):
@@ -1833,10 +1856,13 @@ def _assert_run_steps_into_retired_states(monkeypatch, name, problem, controls):
     assert repr(res.record) == repr(fresh.record)
     for got, want in zip(res.snapshots, fresh.snapshots):
         assert np.array_equal(_bits(got), _bits(want))
-    # the run's first field is a copy: the initial state is lent like any other
-    start, want = calls[0][0], initial_state(problem, controls.dt_init)
+    # the run's first field is a copy: the initial state is lent like any other;
+    # a centred line steps its folded half, and its snapshots are unfolded
+    grid = solvers._stepped_grid(problem)
+    start, want = calls[0][0], solvers._initial_state(problem, grid, controls.dt_init)
+    assert grid == solvers._FoldedLine(problem.grid) and start.grid == grid
     assert res.snapshots[0] is not start.u
-    assert np.array_equal(_bits(res.snapshots[0]), _bits(want.u))
+    assert np.array_equal(_bits(res.snapshots[0]), _bits(_unfolded(want.u)))
     assert any(spare is start for _, spare, _ in calls)
     # every call's state and result is still held, so ids are unique here; a
     # result was accepted if a later call starts from it, or if it is the last
@@ -1903,6 +1929,8 @@ def _division_laplacian(data, u):
     h2 = data.h * data.h
     out = np.zeros_like(u)
     out[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h2
+    if data.folded:  # x = 0, whose neighbours are both row n-2
+        out[-1] = 2.0 * (u[-2] - u[-1]) / h2
     r = data.axis_radius
     if r is None:
         return out
@@ -1970,6 +1998,10 @@ _WAVE_CASES = {
         GridSpec("polar-sector", 10.0, 80, omega=2.0, num_angles=12), 5.0,
         CoefficientSpec(tau=1, p=2.0, v0=1.0),
     ),
+    "folded-line-alpha": (
+        solvers._FoldedLine(GridSpec("line", 40.0, 801)), 0.0,
+        CoefficientSpec(tau=1, p=2.0, lam=1.0, a0=1.0, alpha=0.5),
+    ),
 }
 
 
@@ -1979,7 +2011,7 @@ def test_windowed_wave_step_is_bitwise_the_full_grid_step(case, amp, g_amp):
     grid, center, coeff = _WAVE_CASES[case]
     init = InitialDataSpec(center, 1.5, 0.8, amp, g_amp)
     dt = 0.01
-    state = initial_state(EvolutionProblem(coeff, grid, init), dt)
+    state, line = _start(coeff, grid, init, dt)
     assert state.u.dtype == (float if isinstance(amp, float) else complex)
 
     def assert_matches(state, want):
@@ -2004,7 +2036,8 @@ def test_windowed_wave_step_is_bitwise_the_full_grid_step(case, amp, g_amp):
             kept = FieldState(grid, state.u.copy(), state.v.copy(), state.t, dt, state.lo, state.hi)
             kept_want = want
     assert max_abs(state.u) > 0.0
-    if grid.geometry != "polar-sector":  # the sector's range is every row
+    # the sector's range is every row, and the folded line's reaches its last
+    if line.geometry != "polar-sector" and grid is line:
         # a spare whose range is wider than the rows the step computes: the
         # rows of its range past them get nonzero values that the step must clear
         b = kept.hi + 1
@@ -2026,6 +2059,7 @@ def test_reciprocal_forms_round_within_1e_12_of_the_division_forms():
         GridSpec("radial", 20.0, 101, dim=2),
         GridSpec("radial", 20.0, 101, dim=3, include_origin=False),
         GridSpec("polar-sector", 6.0, 30, omega=2.0, num_angles=12),
+        solvers._FoldedLine(GridSpec("line", 20.0, 101)),
     ]
     rng = np.random.default_rng(5)
     for grid in grids:
@@ -2262,3 +2296,93 @@ def test_peak_at_p2_is_max_abs_at_every_accepted_step(monkeypatch, amp):
     # a p other than 2 reports none: the run takes max_abs
     state = initial_state(EvolutionProblem(CoefficientSpec(tau=1, p=3.0, a0=1.0), grid, init), 0.01)
     assert step_hyperbolic(state, CoefficientSpec(tau=1, p=3.0, a0=1.0), 0.01).peak is None
+
+
+# -- a centred line steps its folded half ------------------------------------
+
+_FOLD_CASES = {
+    "heat": (
+        HEAT, GridSpec("line", 80.0, 1601), InitialDataSpec(0.0, 1.0, 0.5),
+        RunControls(threshold=1e6, t_max=60.0, dt_init=2e-3, snapshot_dt=0.05),
+        (0.5, 0.6, 0.7, 0.85, 1.0),
+    ),
+    "damped-wave": (
+        CoefficientSpec(tau=1, p=2.0, lam=1.0, a0=1.0, alpha=0.5), GridSpec("line", 60.0, 1201),
+        InitialDataSpec(0.0, 1.0, 0.5, g_amplitude=1.0),
+        RunControls(threshold=1e6, t_max=100.0, dt_init=0.0125, snapshot_dt=0.05),
+        (0.4, 0.5, 0.6, 0.8, 1.0),
+    ),
+    "nls": (
+        NLS, GridSpec("line", 80.0, 2001), InitialDataSpec(0.0, 1.0, 1.0, amplitude=-0.47j),
+        RunControls(threshold=1e6, t_max=60.0, dt_init=0.01, snapshot_dt=0.04),
+        (0.8, 0.9, 1.0, 1.1, 1.25),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_FOLD_CASES))
+def test_folded_run_is_the_full_line_run_to_rounding(monkeypatch, case):
+    # the folded half solves the full line's equations with its x = 0 row
+    # halved: only rounding moves, so every step count stays and every
+    # lifespan, the sweep's slope, C0 and the bound agree to 1e-12 relative
+    coeff, grid, init, controls, epsilons = _FOLD_CASES[case]
+    problem = EvolutionProblem(coeff, grid, init)
+
+    def outcome():
+        found = sweep(problem, epsilons, controls)
+        result, trace = verify.causal_trace(problem, controls, 12, 0.95)
+        return found, result.record, verify.criterion_pipeline(result, trace)
+
+    assert solvers._stepped_grid(problem) == solvers._FoldedLine(grid)
+    folded = outcome()
+    monkeypatch.setattr(solvers, "_stepped_grid", lambda problem: problem.grid)
+    full = outcome()
+
+    def close(got, want):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    (found, run, crit), (found_full, run_full, crit_full) = folded, full
+    assert found.fit_status == found_full.fit_status == "ok"
+    for got, want in zip(found.records + [run], found_full.records + [run_full]):
+        assert got.status == want.status == "blowup" and got.steps == want.steps
+        for t_got, t_want in zip(got.t_at_thresholds, want.t_at_thresholds):
+            close(t_got, t_want)
+        close(got.t_extrapolated, want.t_extrapolated)
+        close(got.boundary_max, want.boundary_max)
+    close(found.power_fit.slope, found_full.power_fit.slope)
+    close(crit.inputs.c0, crit_full.inputs.c0)
+    close(crit.bound, crit_full.bound)
+
+
+@pytest.mark.parametrize(
+    "grid, center",
+    [(GridSpec("line", 80.0, 2001), 0.5), (GridSpec("line", 80.0, 2000), 0.0)],
+    ids=["off-centre", "even-count"],
+)
+def test_off_centre_and_even_count_lines_step_the_full_line(monkeypatch, grid, center):
+    problem = EvolutionProblem(HEAT, grid, InitialDataSpec(center, 1.0, 0.5))
+    controls = RunControls(threshold=1e6, t_max=60.0, dt_init=2e-3, snapshot_dt=0.05)
+    assert solvers._stepped_grid(problem) is grid
+    calls = _recording(monkeypatch, "step_parabolic")
+    seen = []
+    res = run_until_blowup(problem, controls, (lambda t, u: seen.append(u),))
+    assert res.record.status == "blowup"
+    assert all(state.grid is grid and state.u.shape == (grid.num_points,) for state, _ in calls)
+    assert seen[0] is calls[0][0].u  # observers get the run's own arrays
+
+
+def test_folded_run_shows_its_observers_one_line_array():
+    # every snapshot is unfolded into one array of the line, which the result
+    # keeps as its final field; the first field is a copy
+    problem, controls = HEAT_BLOWUP
+    seen = []
+
+    def watch(t, u):
+        seen.append(u)
+        assert u.shape == (problem.grid.num_points,)
+        assert np.array_equal(_bits(u), _bits(u[::-1]))  # even: the mirror image is exact
+
+    res = run_until_blowup(problem, controls, (watch,))
+    assert res.record.status == "blowup" and len(seen) > 100
+    assert all(u is seen[0] for u in seen) and res.snapshots[-1] is seen[0]
+    assert res.snapshots[0] is not seen[0] and res.snapshots[0].shape == seen[0].shape
