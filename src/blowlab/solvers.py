@@ -17,10 +17,11 @@ Each grid is one geometry record (``_GridData``), the only code that reads
 line run whose bump is centred at 0 keeps an even field: on a line with an
 odd node count the run steps the folded record, the line's nodes from the
 left wall to x = 0 with a reflecting row at x = 0, and unfolds each field it
-shows into the full line.  Only rounding differs from stepping the line.  The radial (or line) bands of the
-Laplacian give the implicit solve, one system per angular sine mode on the
-polar sector, where the damped wave's 1 + (dt/2) a(x) depends on the radius
-only.  The explicit stencil, written out, scales by their 1/h^2.  The
+shows into the full line.  Only rounding differs from stepping the line.  The
+radial (or line) bands of the Laplacian give the implicit solve; on the polar
+sector, where the damped wave's 1 + (dt/2) a(x) depends on the radius only,
+the angular sine modes' bands, laid end to end with zero couplings, make it
+one system.  The explicit stencil, written out, scales by their 1/h^2.  The
 implicit solve factors a real symmetric positive definite matrix (real heat
 and every real damped wave on the line and half line) as L D L^T with
 LAPACK ``?pttrf``/``?pttrs``, and every other one with ``?gttrf``/``?gttrs``.
@@ -252,11 +253,10 @@ class _GridData:
             self.cross_section = CrossSectionSpec("planar-sector", 2, omega=spec.omega)
             k = np.arange(1, na - 1)  # the interior angles' sine modes; ``sine`` is its own inverse
             self.sine = math.sqrt(2.0 / (na - 1)) * np.sin(math.pi * np.outer(k, k) / (na - 1))
-            mu = -((2.0 / self.h_theta) * np.sin(0.5 * math.pi * k / (na - 1))) ** 2
-            self.mode_shifts = mu[:, None] / self.axis_radius**2
+            self.mu = -((2.0 / self.h_theta) * np.sin(0.5 * math.pi * k / (na - 1))) ** 2
             return
         # one-dimensional grids: the branches below override these defaults
-        self.sine, self.mode_shifts = None, np.zeros(1)  # one mode, unshifted
+        self.sine = None
         self.shape = (n,)
         self.angular = 1.0
         self.support_limit = spec.extent
@@ -359,20 +359,20 @@ class _GridData:
     @cached_property
     def real_work(self) -> np.ndarray:
         """A real array of the grid's shape that a step writes |u|^p and
-        |u_new|^2 into, and the real 1-d solve its flush; its values mean
+        |u_new|^2 into, and the real solve its flush; its values mean
         nothing between steps, except |u|^2 for the state ``_power_of`` names."""
         return np.empty(self.shape)
 
     @cached_property
     def complex_work(self) -> np.ndarray:
         """A complex array of the grid's shape for a complex step's predictor
-        and source, and the complex 1-d solve's flush."""
+        and source, and the complex solve's flush."""
         return np.empty(self.shape, complex)
 
     @cached_property
     def flags(self) -> np.ndarray:
-        """A flat bool array, one flag per node, that the real 1-d solve's
-        flush marks the negligible parts in."""
+        """A flat bool array, one flag per node, that the real solve's flush
+        marks the negligible parts in."""
         return np.empty(self.real_work.size, bool)
 
     # -- implicit machinery ----------------------------------------------
@@ -384,9 +384,10 @@ class _GridData:
         ``upper[-1]`` couple to a wall or the origin and enter no matrix.
         The folded line's x = 0 row is halved, (u_{-2} - u_{-1}) / h^2, which
         makes the bands symmetric; the solve halves that row's identity and
-        right-hand side with it.  The 1-d solve factors these bands; each sine
-        mode of the polar sector adds mu_k / r^2 to their diagonal.  Built
-        once per grid: callers must not write into them."""
+        right-hand side with it.  On the polar sector each sine mode k adds
+        mu_k / r^2 to the diagonal, and the modes lie end to end, mode-major,
+        with zero couplings: one system.  Built once per grid: callers must
+        not write into them."""
         if self._bands is not None:
             return self._bands
         h2 = self.h * self.h
@@ -410,23 +411,27 @@ class _GridData:
         else:
             diag[0] = -2.0 * dim / h2
             upper[0] = 2.0 * dim / h2
+        if self.sine is not None:  # the sine modes end to end, uncoupled
+            lower, upper = np.tile(lower, self.mu.size), np.tile(upper, self.mu.size)
+            lower[:: r.size] = upper[r.size - 1 :: r.size] = 0.0
+            diag = (diag + self.mu[:, None] / r**2).reshape(-1)
         self._bands = lower, diag, upper
         return self._bands
 
     @cached_property
     def _unpivoted(self) -> tuple:
-        """0, 1, ..., m for the m nodes along the radial (or line) axis that the
-        implicit matrix couples, and m - 2 complex zeros: the node indices, the
-        ``ipiv`` and the ``du2`` that every factor without pivots shares."""
+        """0, 1, ..., m for the m rows of the implicit matrix, and m - 2 complex
+        zeros: the node indices, the ``ipiv`` and the ``du2`` that every factor
+        without pivots shares."""
         m = self._banded_diagonals()[1].size
         return np.arange(m + 1, dtype=np.int32), np.zeros(m - 2, complex)
 
-    def _factors_for(self, key: tuple):
+    def _factors_for(self, key: tuple) -> _TridiagonalLU:
         """The factors of D - (dt/2) * factor * Lap for ``key`` = (dt, factor,
         dtype, damped), with D = 1 when ``damped`` is None and the
         ``damping_diagonal`` of the tau=1 coefficients ``damped`` otherwise:
-        one ``_TridiagonalLU`` on the 1-d grids, one per sine mode on the polar
-        sector.  Two slots are kept: a key that one holds reuses it,
+        one ``_TridiagonalLU`` of the bands, the polar sector's stacked sine
+        modes included.  Two slots are kept: a key that one holds reuses it,
         and any other key refactors into the arrays of the slot used longer
         ago.  A run's step moves on a dyadic ladder and stays on each rung for
         many steps, so a step-doubling probe (one step of 2*dt) and the steps
@@ -435,23 +440,20 @@ class _GridData:
         if key in slots:
             slots[key] = slots.pop(key)
             return slots[key]
-        old = slots.pop(next(iter(slots))) if len(slots) == 2 else None
-        lus = [] if old is None else [old] if self.sine is None else old
+        lu = slots.pop(next(iter(slots))) if len(slots) == 2 else None
         dt, factor, dtype, damped = key
-        if not lus or lus[0].dtype != dtype:  # the arrays do not fit: new ones
-            lus = [_TridiagonalLU(self._unpivoted, dtype) for _ in self.mode_shifts]
+        if lu is None or lu.dtype != dtype:  # the arrays do not fit: new ones
+            lu = _TridiagonalLU(self._unpivoted, dtype)
         ident = 1.0 if damped is None else self.damping_diagonal(damped, dt)
-        if isinstance(ident, np.ndarray):  # along the axis: D depends on the radius only
-            ident = ident[self.evolved]
-            ident = ident[:, 0] if ident.ndim == 2 else ident
+        if isinstance(ident, np.ndarray):  # one value per row, in the bands' order
+            ident = ident[self.evolved].T.reshape(-1)
         lower, diag, upper = self._banded_diagonals()
         if self.folded:  # the halved x = 0 row
             ident = np.full(diag.size, ident)
             ident[-1] *= 0.5
-        for lu, shift in zip(lus, self.mode_shifts):
-            lu.factor(lower, diag + shift, upper, 0.5 * dt * factor, ident)
-        slots[key] = lus[0] if self.sine is None else lus
-        return slots[key]
+        lu.factor(lower, diag, upper, 0.5 * dt * factor, ident)
+        slots[key] = lu
+        return lu
 
     def solve_implicit(
         self,
@@ -474,31 +476,29 @@ class _GridData:
         window, outside which ``rhs`` holds +0.0.  ``rows`` = (a, b), when
         given, promises that ``rhs`` is zero outside rows [a, b), so the
         window is looked for there only; it is the same window.  The factors
-        come from one of the grid's two slots (``_factors_for``), and the 1-d
+        come from one of the grid's two slots (``_factors_for``), and the
         solve flushes through the grid's ``real_work`` and ``flags`` (real)
         or ``complex_work`` and ``real_work`` (complex).
         """
         self._power_of = None  # the real flush writes into ``real_work``
-        factors = self._factors_for((dt, factor, rhs.dtype, damped))
-        if self.sine is None:
-            first = self.evolved.start  # the row of the first evolved node
-            b = rhs[self.evolved]
-            if self.folded:  # the halved x = 0 row
-                b[-1] *= 0.5
-            lo, hi = rows or (first, None)
-            # a complex flush takes |part| in the complex array and its flags in the real one's bytes
-            real = rhs.dtype.kind == "f"
-            work = self.real_work if real else self.complex_work.view(np.float64)
-            flags = self.flags if real else self.real_work.view(bool)
-            scratch = work.reshape(-1), flags.reshape(-1)
-            start, stop = factors.solve(b, max(lo - first, 0), hi and hi - first, scratch)
-            return rhs, first + start, first + stop
-        # row k: sine mode k along the radius (Buzbee, Golub & Nielson, SINUM 7, 1970)
-        coeffs = self.sine @ rhs[self.evolved].T
-        for lu, b in zip(factors, coeffs):
-            lu.solve(b)
-        rhs[self.evolved] = (self.sine @ coeffs).T
-        return rhs, 0, rhs.shape[0]
+        lu = self._factors_for((dt, factor, rhs.dtype, damped))
+        # a complex flush takes |part| in the complex array and its flags in the real one's bytes
+        real = rhs.dtype.kind == "f"
+        work = self.real_work if real else self.complex_work.view(np.float64)
+        flags = self.flags if real else self.real_work.view(bool)
+        scratch = work.reshape(-1), flags.reshape(-1)
+        if self.sine is not None:  # row k: sine mode k (Buzbee, Golub & Nielson, SINUM 7, 1970)
+            coeffs = self.sine @ rhs[self.evolved].T
+            lu.solve(coeffs.reshape(-1), 0, None, scratch)
+            rhs[self.evolved] = (self.sine @ coeffs).T
+            return rhs, 0, rhs.shape[0]
+        first = self.evolved.start  # the row of the first evolved node
+        b = rhs[self.evolved]
+        if self.folded:  # the halved x = 0 row
+            b[-1] *= 0.5
+        lo, hi = rows or (first, None)
+        start, stop = lu.solve(b, max(lo - first, 0), hi and hi - first, scratch)
+        return rhs, first + start, first + stop
 
 
 @lru_cache(maxsize=64)

@@ -1,4 +1,4 @@
-"""LAPACK factors of an implicit step's matrix on a 1-d grid, and the window of
+"""LAPACK factors of an implicit step's tridiagonal matrix, and the window of
 rows outside which its solution is negligible.
 
 A grid's factors live in ``solvers._GridData``, which refactors them in place
@@ -22,14 +22,16 @@ _WINDOW_MARGIN = 16  # extra nodes on each side of the provable window
 
 
 class _TridiagonalLU:
-    """LAPACK factors of ``ident - coef * Lap`` on a 1-d grid, with ``ident`` 1.0
-    (Crank-Nicolson) or a positive diagonal (the damped wave's 1 + (dt/2) a).
+    """LAPACK factors of ``ident - coef * Lap`` on a 1-d grid or the polar sector's
+    stacked sine modes, with ``ident`` 1.0 (Crank-Nicolson) or a positive
+    diagonal (the damped wave's 1 + (dt/2) a).
 
     A real symmetric positive definite matrix (the line and half line with a
     real, forward ``coef``) is factored by ``?pttrf`` as L D L^T and solved by
     ``?pttrs``, whose back substitution keeps the division off its serial
     chain; every other matrix (radial grids, sine modes, complex factors,
-    backward diffusion) by ``?gttrf``/``?gttrs`` with partial pivoting.
+    backward diffusion) by ``?gttrf``/``?gttrs`` with partial pivoting, which
+    never crosses the zero coupling between two modes.
     :meth:`factor` fills the bands into this object's arrays and factors them
     there, so refactoring for another ``coef`` allocates no band.  Without
     pivots ``gttrf`` returns ``du2`` = 0 and ``ipiv`` = 1, 2, ..., m, so
@@ -166,9 +168,7 @@ class _TridiagonalLU:
             min(math.ceil(stop) + 1 + _WINDOW_MARGIN, m),
         )
 
-    def solve(
-        self, b: np.ndarray, lo: int = 0, hi: int | None = None, scratch=None
-    ) -> tuple[int, int]:
+    def solve(self, b: np.ndarray, lo: int, hi: int | None, scratch: tuple) -> tuple[int, int]:
         """Overwrite ``b[start:stop]`` with the solution for ``b`` and return the
         range [start, stop) it solved.  Outside that range the solution is
         negligible and ``b`` holds only zeros, which the solve leaves as they
@@ -198,7 +198,7 @@ class _TridiagonalLU:
                 overwrite_b=True,
             )
         parts = x.view(np.float64)
-        mag, small = (a[: parts.size] for a in scratch) if scratch else (None, None)
-        small = np.less(np.abs(parts, out=mag), _NEGLIGIBLE, out=small)
+        mag, small = (a[: parts.size] for a in scratch)
+        np.less(np.abs(parts, out=mag), _NEGLIGIBLE, out=small)
         np.copyto(parts, 0.0, where=small)
         return start, stop

@@ -191,11 +191,11 @@ def criterion_pipeline(result: sv.RunResult, trace: lb.FunctionalTrace) -> Crite
     theta is ``1/(p-1) - (N + gamma - alpha)/2`` of the run's cone, delta the
     weighted initial mass, R1 the first admissible radius.  Raises ValueError
     when the trace breaks ``integral Y dr/r <= log 2 * M`` or the run has no
-    bound (lambda = 0, theta < 0, a trace that ends before R1).
+    bound (lambda = 0, or <= 0 for tau = 1; theta < 0; a trace that ends before R1).
     """
     problem, coeff = result.problem, result.problem.coeff
-    if coeff.lam == 0:
-        raise ValueError("lambda: the bound needs the source lambda |u|^p, and lambda is 0")
+    if coeff.lam == 0 or (coeff.tau == 1 and not coeff.lam.real > 0):
+        raise ValueError(f"lambda: the bound needs lambda != 0, and > 0 for tau = 1; lambda is {coeff.lam:g}")
     lb.integrate_shell_masses(trace)
     dom = sv.domain_for_grid(problem.grid)
     theta = cg.bound_theta(dom.dim, dom.gamma, coeff.alpha, coeff.p)

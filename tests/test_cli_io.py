@@ -838,11 +838,17 @@ def test_cli_simulate_of_a_linear_damped_wave_gives_no_bound(tmp_path, capsys):
     _assert_no_bound_without_lambda(tmp_path, capsys, tau=1)
 
 
-def _assert_no_bound_without_lambda(tmp_path, capsys, tau):
-    # with lambda = 0 the equation has no source to blow up on: a run has no
-    # bound, which criterion.json says, and its trace is written all the same
+def test_cli_simulate_of_a_defocusing_damped_wave_gives_no_bound(tmp_path, capsys):
+    # it used to print and write the finite bound 614.77 with reason null
+    _assert_no_bound_without_lambda(tmp_path, capsys, tau=1, lam=-1.0)
+
+
+def _assert_no_bound_without_lambda(tmp_path, capsys, tau, lam=0.0):
+    # with lambda = 0 the equation has no source to blow up on, and the damped
+    # wave's bound needs a focusing one (lambda > 0): a run has no bound, which
+    # criterion.json says, and its trace is written all the same
     raw = _heat_config(trace_radii=[4.0, 5.0, 6.0])
-    raw["problem"]["lambda"] = 0.0
+    raw["problem"]["lambda"] = lam
     raw["problem"]["grid"]["num_points"] = 601
     raw["problem"]["initial"]["epsilon"] = 0.5
     if tau == 1:  # the linear damped wave: a0 1, g_amplitude 1

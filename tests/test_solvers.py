@@ -901,17 +901,20 @@ def test_implicit_operator_matches_the_explicit_laplacian(grid):
     u = np.random.default_rng(7).normal(size=data.shape)
     _zero_walls(data, u)
     want = data.laplacian(u)[data.evolved]
-    ue = u[data.evolved]
+    ue = x = u[data.evolved]
     if ue.ndim == 2:
         got = (_polar_csr_laplacian(data) @ ue.reshape(-1)).reshape(ue.shape)
-    else:
-        lower, diag, upper = data._banded_diagonals()
-        got = diag * ue
-        got[1:] += lower[1:] * ue[:-1]
-        got[:-1] += upper[:-1] * ue[1:]
-        if data.folded:  # the bands hold the x = 0 row halved
-            assert np.array_equal(lower[1:], upper[:-1])
-            got[-1] *= 2.0
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        x = (data.sine @ ue.T).reshape(-1)  # the sine coefficients, mode-major as the bands
+    lower, diag, upper = data._banded_diagonals()
+    got = diag * x
+    got[1:] += lower[1:] * x[:-1]
+    got[:-1] += upper[:-1] * x[1:]
+    if data.folded:  # the bands hold the x = 0 row halved
+        assert np.array_equal(lower[1:], upper[:-1])
+        got[-1] *= 2.0
+    if ue.ndim == 2:
+        got = (data.sine @ got.reshape(-1, ue.shape[0])).T
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -932,13 +935,16 @@ def _zero_walls(data, arr):
 
 def _polar_csr_laplacian(data):
     """The sector's Laplacian over its evolved nodes in row-major order, assembled
-    as kron(D_r, I) + kron(diag(1/r^2), D_theta): the reference of the sine-mode solve."""
-    lower, diag, upper = data._banded_diagonals()
+    as kron(D_r, I) + kron(diag(1/r^2), D_theta) from the mesh alone: the
+    reference of the stacked sine-mode solve."""
+    r, h = data.axis_radius, data.h
     na = data.spec.num_angles - 2
-    ht2 = data.h_theta * data.h_theta
-    d_r = diags([lower[1:], diag, upper[:-1]], [-1, 0, 1])
+    h2, ht2 = h * h, data.h_theta * data.h_theta
+    # u_rr + u_r / r: 1/h^2 -+ 1/(2 h r) off the diagonal, -2/h^2 on it
+    off = 1.0 / (2.0 * h * r)
+    d_r = diags([1.0 / h2 - off[1:], np.full(r.size, -2.0 / h2), 1.0 / h2 + off[:-1]], [-1, 0, 1])
     d_theta = diags([1.0 / ht2, -2.0 / ht2, 1.0 / ht2], [-1, 0, 1], shape=(na, na))
-    return (kron(d_r, identity(na)) + kron(diags(1.0 / data.axis_radius**2), d_theta)).tocsr()
+    return (kron(d_r, identity(na)) + kron(diags(1.0 / r**2), d_theta)).tocsr()
 
 
 @pytest.mark.parametrize("factor", [1.0, complex(np.exp(0.5j * math.pi))], ids=["real", "complex"])
@@ -1159,8 +1165,7 @@ def _is_ldlt(lu):
 def test_implicit_solve_picks_its_lapack_pair_from_the_bands(grid, factor, ldlt):
     data = _GridData(grid)
     data.solve_implicit(factor, 0.01, np.zeros(data.shape, type(factor)))
-    lus = _solved_last(data) if data.sine is not None else [_solved_last(data)]
-    assert [_is_ldlt(lu) for lu in lus] == [ldlt] * len(lus)
+    assert _is_ldlt(_solved_last(data)) == ldlt
 
 
 def test_symmetric_solve_on_the_shipped_heat_grid():
@@ -1211,15 +1216,29 @@ def _count_factorizations(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("factor", [1.0, _SCHRODINGER_FACTOR], ids=["real", "complex"])
-def test_alternating_rungs_factor_twice_with_the_bits_of_fresh_solves(monkeypatch, factor):
+_LINE_1201 = GridSpec("line", extent=60.0, num_points=1201)
+_SECTOR_60 = GridSpec("polar-sector", 6.0, 60, omega=2.0, num_angles=40)
+
+
+@pytest.mark.parametrize(
+    "grid, center, factor",
+    [
+        (_LINE_1201, 0.0, 1.0),
+        (_LINE_1201, 0.0, _SCHRODINGER_FACTOR),
+        (_SECTOR_60, 3.0, 1.0),
+        (_SECTOR_60, 3.0, _SCHRODINGER_FACTOR),
+    ],
+    ids=["real", "complex", "polar-real", "polar-complex"],
+)
+def test_alternating_rungs_factor_twice_with_the_bits_of_fresh_solves(monkeypatch, grid, center, factor):
     # a run's step and its step-doubling probe: dt and 2*dt, over and over
     built = _count_factorizations(monkeypatch)
-    grid = GridSpec("line", extent=60.0, num_points=1201)
     data = _GridData(grid)
-    rhs = (0.8 * bump_profile(data.coords)).astype(type(factor))
+    rhs = (0.8 * bump_profile(data.signed_radius - center) * data.angular**2).astype(type(factor))
     got = [data.solve_implicit(factor, dt, rhs.copy()) for dt in (0.01, 0.02) * 4]
-    assert len(built) == 2  # each rung is factored once, into its own slot
+    # each rung is factored once, into its own slot: on the sector too, whose
+    # sine modes are one stacked system
+    assert len(built) == 2
     fresh = [_GridData(grid).solve_implicit(factor, dt, rhs.copy()) for dt in (0.01, 0.02)]
     for k, (x, lo, hi) in enumerate(got):
         want, want_lo, want_hi = fresh[k % 2]
@@ -1367,14 +1386,15 @@ def test_window_of_a_zero_or_non_finite_right_hand_side():
     assert lu.window(zero) == (0, 0)
     negative = np.full(m, -0.0)
     assert lu.window(negative) == (0, 0)
-    assert lu.solve(negative) == (0, m)  # an empty window solves the full range
+    scratch = np.empty(m), np.empty(m, bool)
+    assert lu.solve(negative, 0, None, scratch) == (0, m)  # an empty window solves the full range
     assert _all_positive_zero(negative)  # and the flush leaves +0.0
     for peak in (np.inf, -np.inf, np.nan):
         b = np.zeros(m)
         b[m // 2] = peak
         assert lu.window(b) == (0, m)
         # the flush of negligible parts keeps NaN and inf: no entry is zeroed
-        assert lu.solve(b) == (0, m)
+        assert lu.solve(b, 0, None, scratch) == (0, m)
         assert not np.any(np.isfinite(b))
 
 
