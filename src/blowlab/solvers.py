@@ -420,11 +420,11 @@ class _GridData:
 
     @cached_property
     def _unpivoted(self) -> tuple:
-        """0, 1, ..., m for the m rows of the implicit matrix, and m - 2 complex
-        zeros: the node indices, the ``ipiv`` and the ``du2`` that every factor
-        without pivots shares."""
+        """1, 2, ..., m for the m rows of the implicit matrix, and m - 2 complex
+        zeros: the ``ipiv`` and the ``du2`` that every factor without pivots
+        shares."""
         m = self._banded_diagonals()[1].size
-        return np.arange(m + 1, dtype=np.int32), np.zeros(m - 2, complex)
+        return np.arange(1, m + 1, dtype=np.int32), np.zeros(m - 2, complex)
 
     def _factors_for(self, key: tuple) -> _TridiagonalLU:
         """The factors of D - (dt/2) * factor * Lap for ``key`` = (dt, factor,
@@ -594,6 +594,8 @@ class EvolutionProblem:
             bad.append(("init", "initial data support must lie strictly inside the domain"))
         if data.origin_wall and self.init.center - self.init.width <= 0.0:
             bad.append(("init", "initial data support must stay off the origin wall"))
+        if not np.any(_bump(data, self.init)):
+            bad.append(("init", "initial data support must hold a grid node"))
         # v0/|x| needs the origin to be a Dirichlet ghost off the grid (radial, polar)
         if self.coeff.v0 is not None and not (data.origin_wall and data.radius.min() > 0.0):
             bad.append(("grid", "singular damping needs a grid that excludes the origin"))

@@ -49,17 +49,18 @@ class _TridiagonalLU:
     gain = max(1/|d_i|) / (1 - rho_l * rho_u), and by linearity
     |x_i| <= gain * m * max_j |b_j| * rho^|i-j| for m unknowns.  L D L^T is
     the case u_i/d_i = l_i = e_i (the multipliers ``pttrf`` returns):
-    rho_l = rho_u = max|e_i| and gain = max(1/|d_i|) / (1 - rho^2).  Inside
-    the window the arithmetic is that of the full solve.  When ``gttrf``
-    pivoted or rho >= 1 the bound does not hold and the full range is solved.
+    rho_l = rho_u = max|e_i| and gain = max(1/|d_i|) / (1 - rho^2).  So b_j
+    moves x_i by ``_NEGLIGIBLE`` / m or more only while |b_j| * reach_table[k]
+    > 1 at k = |i-j|, with each factor's reach_table[k] = gain * m * rho^k /
+    ``_NEGLIGIBLE``.  Inside the window the arithmetic is the full solve's.
+    When ``gttrf`` pivoted or rho >= 1 the bound does not hold: the full range.
     """
 
     def __init__(self, unpivoted: tuple, dtype):
-        counting, zeros = unpivoted  # the grid's arrays
-        self.nodes = counting[:-1]  # 0, 1, ..., m-1
+        ipiv, zeros = unpivoted  # the grid's arrays
+        self.size = m = ipiv.size  # the rows
         self.dtype = np.dtype(dtype)
-        m = self.nodes.size
-        self._unpivoted = zeros.view(dtype)[: m - 2], counting[1:]  # du2 and ipiv
+        self._unpivoted = zeros.view(dtype)[: m - 2], ipiv  # du2 and ipiv
         self.sub, self.d = np.empty(m - 1, dtype), np.empty(m, dtype)
         # the superdiagonal, which only gttrf reads: every complex matrix takes
         # gttrf, and a real one makes it when it first does
@@ -100,29 +101,22 @@ class _TridiagonalLU:
         self._bound(float(np.max(np.abs(sub))), rho_u, float(np.min(np.abs(d))))
 
     def _bound(self, rho_l, rho_u, d_min):
-        """Set the decay rate and scale of the window bound, or ``decay`` None.
-        ``d_min`` is min|d_i|: 1 / d_min is max(1/|d_i|), as division rounds
-        monotonically."""
+        """Set the decay rate and scale of the window bound and its reach table,
+        or ``decay`` None.  ``d_min`` is min|d_i|: 1 / d_min is max(1/|d_i|), as
+        division rounds monotonically."""
         rho = max(rho_l, rho_u, _NEGLIGIBLE)
         self.decay = None  # no decay bound: solve the full range
         if not self.pivoted and rho < 1.0:
-            self.decay = -math.log(rho)  # e-folds per node
+            self.decay = decay = -math.log(rho)  # e-folds per node
             gain = (1.0 / d_min) / (1.0 - rho_l * rho_u)
-            self.log_scale = math.log(gain * self.nodes.size / _NEGLIGIBLE)
-
-    def _reach(self, mag):
-        """Overwrite the array ``mag`` with the nodes beyond which a right-hand
-        side entry of that magnitude contributes below ``_NEGLIGIBLE / m``;
-        -inf for zero entries."""
-        zero = ~np.greater(mag, 0.0)  # NaN too
-        # mag < 2**e, so e * ln 2 bounds log(mag); frexp is cheaper than log
-        _, e = np.frexp(mag)
-        np.copyto(mag, e)  # as a float, without the buffer of a mixed-type product
-        mag *= math.log(2.0)
-        mag += self.log_scale
-        mag /= self.decay
-        np.copyto(mag, -math.inf, where=zero)
-        return mag
+            self.log_scale = log_scale = math.log(gain * self.size / _NEGLIGIBLE)
+            # reach_table[k] = exp(log_scale - decay * k); no finite |b| < 2**1025,
+            # complex ones included, reaches past its end
+            n = int(min((1025 * math.log(2.0) + log_scale) / decay + 2.0, self.size))
+            table = self.reach_table = np.arange(n, dtype=np.float64)
+            table *= -decay
+            table += log_scale
+            np.exp(table, out=table)
 
     def window(self, b: np.ndarray, lo: int = 0, hi: int | None = None) -> tuple[int, int]:
         """The index range [start, stop) outside which the solution is negligible.
@@ -132,7 +126,10 @@ class _TridiagonalLU:
         taken only within one peak reach of the outermost nonzero entries, the
         only ones that can move the ends.  The reach may come from any upper
         bound on max|b|: an entry past the true reach lies farther inside than
-        its own reach, so it never lowers ``start`` or raises ``stop``.
+        its own reach, so it never lowers ``start`` or raises ``stop``.  Each
+        end takes one product with the reach table and one max: ``start`` =
+        lo - log(max_k |b_{lo+k}| reach_table[k]) / decay, at most lo, and
+        ``stop`` its mirror image.
         """
         m = b.size
         if self.decay is None or (b[0] != 0.0 and b[-1] != 0.0):
@@ -150,22 +147,22 @@ class _TridiagonalLU:
         if not math.isfinite(top):
             return 0, m
         lo, hi = first // per, last // per
-        _, e = math.frexp(top)  # top < 2**e
-        if per == 2:  # |b| <= sqrt(2) * top < 2**(e + 1/2)
-            e += 1
-        span = max(math.ceil((e * math.log(2.0) + self.log_scale) / self.decay), 0)
-        head = slice(lo, min(lo + span, hi) + 1)
-        tail = slice(max(hi - span, lo), hi + 1)
-        # each in one array: |b|, then its reach, then node -+ reach
-        mag = np.abs(b[head])
-        self._reach(mag)
-        start = min(float(np.min(np.subtract(self.nodes[head], mag, out=mag))), lo)
-        mag = np.abs(b[tail])
-        self._reach(mag)
-        stop = max(float(np.max(np.add(self.nodes[tail], mag, out=mag))), hi)
+        # no entry of |b| <= sqrt(per) * top reaches farther inward than ``span`` nodes
+        span = max(math.ceil((math.log(top) + math.log(per) / 2 + self.log_scale) / self.decay), 0)
+        # |b| from each end inward, times the table: the entry k nodes in from an
+        # end reaches log(|b| * reach_table[k]) / decay nodes past that end
+        head = np.abs(b[lo : min(lo + span, hi) + 1])
+        head *= self.reach_table[: head.size]
+        tail = np.abs(b[max(hi - span, lo) : hi + 1])
+        tail *= self.reach_table[tail.size - 1 :: -1]
+        # a product past the largest float (or NaN) reaches the full range on its side
+        lead, trail = (
+            math.log(peak) / self.decay if 0.0 < peak < math.inf else m
+            for peak in (float(head.max()), float(tail.max()))
+        )
         return (
-            max(math.floor(start) - _WINDOW_MARGIN, 0),
-            min(math.ceil(stop) + 1 + _WINDOW_MARGIN, m),
+            max(math.floor(min(lo - lead, lo)) - _WINDOW_MARGIN, 0),
+            min(math.ceil(max(hi + trail, hi)) + 1 + _WINDOW_MARGIN, m),
         )
 
     def solve(self, b: np.ndarray, lo: int, hi: int | None, scratch: tuple) -> tuple[int, int]:

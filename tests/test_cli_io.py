@@ -187,6 +187,23 @@ def test_config_rejects_an_initial_velocity_without_tau_1(tmp_path, capsys, g_am
     config_from_dict(raw)  # zero is the default, and valid
 
 
+@pytest.mark.parametrize("tau", [0, 1], ids=["heat", "damped-wave"])
+def test_config_rejects_a_bump_that_holds_no_grid_node(tmp_path, capsys, tau):
+    # the support (0.029, 0.031) lies between the nodes 0.0 and 0.1005: the
+    # run used to fail on its empty row range and exit 2
+    raw = _heat_config()
+    raw["problem"]["grid"].update(extent=20.0, num_points=200)
+    raw["problem"]["initial"].update(center=0.03, width=0.001, epsilon=0.5)
+    if tau == 1:
+        del raw["problem"]["a_phase"]
+        raw["problem"].update(tau=1, a0=1.0)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "problem.initial: initial data support must hold a grid node" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before the run
+
+
 @pytest.mark.parametrize(
     "radii, message",
     [

@@ -970,16 +970,25 @@ def test_sine_mode_solve_matches_the_csr_reference(grid, factor):
         assert _all_positive_zero(got)  # the solve writes no wall
 
 
-def _banded_reference(data, factor, dt, rhs):
-    """The implicit solve through ``solve_banded`` over every evolved node."""
+def _banded_reference(data, factor, dt, rhs, ident=1.0):
+    """The implicit solve of (ident - (dt/2) factor Lap) x = rhs through
+    ``solve_banded`` over every evolved node.  ``ident`` is 1.0, or the damped
+    wave's D = 1 + (dt/2) a(x) with one value per evolved node.  The folded
+    line's bands hold its x = 0 row halved, so that row's ident and right-hand
+    side are halved with it."""
     lower, diag, upper = data._banded_diagonals()
     coef = 0.5 * dt * factor
+    ident = np.array(np.broadcast_to(ident, diag.shape))
     ab = np.zeros((3, diag.size), dtype=complex if isinstance(factor, complex) else rhs.dtype)
+    b = rhs[data.evolved].astype(ab.dtype)
+    if data.folded:
+        ident[-1] *= 0.5
+        b[-1] *= 0.5
     ab[0, 1:] = -coef * upper[:-1]
-    ab[1, :] = 1.0 - coef * diag
+    ab[1, :] = ident - coef * diag
     ab[2, :-1] = -coef * lower[1:]
     out = np.zeros(rhs.shape, dtype=ab.dtype)
-    out[data.evolved] = solve_banded((1, 1), ab, rhs[data.evolved])
+    out[data.evolved] = solve_banded((1, 1), ab, b)
     return out
 
 
@@ -1018,7 +1027,10 @@ def _subnormal_parts(u):
 _BITWISE_ABOVE = 1e50 * solvers._NEGLIGIBLE  # the windowed solve keeps the bits above this
 
 
-@pytest.mark.parametrize("coeff", [HEAT, NLS], ids=["real", "complex"])
+_DAMPED_VARYING = CoefficientSpec(tau=1, p=2.0, lam=1.0, a0=1.0, alpha=0.5)  # D varies by row
+
+
+@pytest.mark.parametrize("coeff", [HEAT, NLS, _DAMPED_VARYING], ids=["real", "complex", "damped-wave"])
 @pytest.mark.parametrize(
     "grid",
     [
@@ -1026,34 +1038,55 @@ _BITWISE_ABOVE = 1e50 * solvers._NEGLIGIBLE  # the windowed solve keeps the bits
         GridSpec("half-line", extent=200.0, num_points=4001),
         GridSpec("radial", extent=200.0, num_points=4001, dim=3),
         GridSpec("radial", extent=200.0, num_points=4001, dim=3, include_origin=False),
+        solvers._FoldedLine(GridSpec("line", extent=200.0, num_points=4001)),
     ],
-    ids=["line", "half-line", "radial", "radial-no-origin"],
+    ids=["line", "half-line", "radial", "radial-no-origin", "folded-line"],
 )
 def test_windowed_solve_matches_banded_reference(grid, coeff):
     data = _GridData(grid)
-    amp = 0.8 if coeff is HEAT else 0.3 - 0.47j
-    u = amp * bump_profile((data.coords - 50.0) / 1.0)
-    state = FieldState(grid=grid, u=u, v=None, t=0.0, dt=0.01)
-    factor = complex(np.exp(-1j * coeff.zeta)) if coeff is NLS else 1.0  # as step_parabolic
+    amp = 0.3 - 0.47j if coeff is NLS else 0.8
+    center = 0.0 if data.folded else 50.0  # the folded line's last row is x = 0
+    u = amp * bump_profile((data.coords - center) / 1.0)
+    damped = coeff if coeff.tau == 1 else None
+    state = FieldState(grid=grid, u=u, v=None if damped is None else np.zeros_like(u), t=0.0, dt=0.01)
     for step in range(6):
+        dt, ident = state.dt, 1.0
+        if damped is not None:  # as step_hyperbolic
+            factor = 0.5 * dt
+            ident = 1.0 + 0.5 * dt * coeff.damping(data.radius[data.evolved])
+        else:  # as step_parabolic
+            factor = complex(np.exp(-1j * coeff.zeta)) if coeff is NLS else 1.0
         rhs = state.u
-        got, lo, hi = data.solve_implicit(factor, state.dt, rhs.copy())
-        ref = _banded_reference(data, factor, state.dt, rhs)
-        big = np.abs(ref) > _BITWISE_ABOVE
-        assert np.array_equal(got[big], ref[big])
-        assert np.max(np.abs(got - ref)) < 10.0 * _BITWISE_ABOVE
+        got, lo, hi = data.solve_implicit(factor, dt, rhs.copy(), None, damped)
+        ref = _banded_reference(data, factor, dt, rhs, ident)
+        lu = _solved_last(data)
+        b = rhs[data.evolved].astype(lu.dtype)
+        if data.folded:  # the solve halves the x = 0 row
+            b[-1] *= 0.5
+        full = np.zeros_like(got)  # the same factors over the full range
+        full[data.evolved], _ = (lu._pttrs if _is_ldlt(lu) else lu._gttrs)(*lu.factors, b)
+        big = np.abs(full) > _BITWISE_ABOVE
+        assert np.array_equal(got[big], full[big])
+        assert np.max(np.abs(got - full)) < 10.0 * _BITWISE_ABOVE
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        if damped is None:  # with D = 1 the reference rounds as the solve does
+            big = np.abs(ref) > _BITWISE_ABOVE
+            assert np.array_equal(got[big], ref[big])
         assert _subnormal_parts(got) == 0
-        start, stop = _solved_last(data).window(rhs[data.evolved])
+        start, stop = lu.window(b)
         assert (lo, hi) == (data.evolved.start + start, data.evolved.start + stop)
         assert _all_positive_zero(got[:lo]) and _all_positive_zero(got[hi:])
         outside = np.abs(ref[data.evolved])
         outside[start:stop] = 0.0
         assert np.all(outside < solvers._NEGLIGIBLE)
-        if step == 0 and grid.geometry != "radial":
+        if step == 0 and data.spec.geometry != "radial":
             # the window leaves out most of the grid; on radial grids the rows
             # next to the origin decay slowly and the bound spans the grid
             assert stop - start < 0.8 * rhs.size
-        state = step_parabolic(state, coeff, state.dt)
+        if damped is None:
+            state = step_parabolic(state, coeff, dt)
+        else:
+            state = step_hyperbolic(state, coeff, dt)
 
 
 _SCHRODINGER_FACTOR = complex(np.exp(0.5j * math.pi))
@@ -1381,7 +1414,7 @@ def test_window_of_a_zero_or_non_finite_right_hand_side():
     data.solve_implicit(1.0, 0.01, bump_profile(data.coords))
     lu = _solved_last(data)
     assert lu.decay is not None  # the window bound holds for this factor
-    m = lu.nodes.size
+    m = lu.size
     zero = np.zeros(m)
     assert lu.window(zero) == (0, 0)
     negative = np.full(m, -0.0)
@@ -1399,30 +1432,36 @@ def test_window_of_a_zero_or_non_finite_right_hand_side():
 
 
 def _window_by_full_magnitude(lu, b):
-    """The solve window from |b| over every entry: the reference of ``_TridiagonalLU.window``."""
+    """The solve window by its rule in the log domain over every entry, the
+    reference of ``_TridiagonalLU.window``: entry j reaches
+    (log|b_j| + log_scale) / decay nodes to each side, and where one would
+    reach past an end by more than log(largest float) / decay nodes (so its
+    product with the reach table overflows) the window spans that side."""
     m = b.size
     if lu.decay is None or (b[0] != 0.0 and b[-1] != 0.0):
         return 0, m
-    mag = np.abs(b)
-    peak = float(np.max(mag))
-    if peak == 0.0:
+    rows = np.flatnonzero(b)
+    if rows.size == 0:
         return 0, 0
-    if not math.isfinite(peak):
+    if not np.all(np.isfinite(b)):
         return 0, m
-    nonzero = mag > 0.0
-    lo = int(np.argmax(nonzero))
-    hi = m - 1 - int(np.argmax(nonzero[::-1]))
-
-    def reach(mag):  # ``_reach`` writes over its argument: give it a copy
-        return lu._reach(np.array(mag, dtype=float))
-
-    span = max(math.ceil(float(reach(peak))), 0)
-    head = slice(lo, min(lo + span, hi) + 1)
-    tail = slice(max(hi - span, lo), hi + 1)
-    start = min(float(np.min(lu.nodes[head] - reach(mag[head]))), lo)
-    stop = max(float(np.max(lu.nodes[tail] + reach(mag[tail]))), hi)
+    lo, hi = int(rows[0]), int(rows[-1])
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.abs(b)) + lu.log_scale  # -inf at zero entries
+    past = [float(np.max(log_mag - lu.decay * np.abs(np.arange(m) - end))) for end in (lo, hi)]
+    lead, trail = (m if e > math.log(np.finfo(float).max) else e / lu.decay for e in past)
     margin = solvers._WINDOW_MARGIN
-    return max(math.floor(start) - margin, 0), min(math.ceil(stop) + 1 + margin, m)
+    return (
+        max(math.floor(min(lo - lead, lo)) - margin, 0),
+        min(math.ceil(max(hi + trail, hi)) + 1 + margin, m),
+    )
+
+
+def _near_window(got, want):
+    """Whether the window ``got`` is ``want`` to a node at each end: where the
+    reach lies within rounding of a whole node, the table's rounding may move
+    its floor or ceil by one."""
+    return abs(got[0] - want[0]) <= 1 and abs(got[1] - want[1]) <= 1
 
 
 def _window_cases(m, dtype, rng):
@@ -1462,6 +1501,7 @@ def _window_cases(m, dtype, rng):
     return cases
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # huge |b| times the table
 @pytest.mark.parametrize("dt", [0.01, 0.1])
 @pytest.mark.parametrize(
     "grid, factor",
@@ -1480,28 +1520,37 @@ def test_window_is_bitwise_the_full_magnitude_rule(grid, factor, dt):
     assert lu.decay is not None
     # the real line factor is the symmetric one (pttrs); the others are LU (gttrs)
     assert _is_ldlt(lu) == (grid.geometry == "line" and dtype is float)
-    m = lu.nodes.size
+    m = lu.size
     seen = set()
-    for b in _window_cases(m, dtype, np.random.default_rng(11)):
-        got = lu.window(b)
-        assert got == _window_by_full_magnitude(lu, b)
+    cases = _window_cases(m, dtype, np.random.default_rng(11))
+    exact = 0
+    for b in cases:
+        got, want = lu.window(b), _window_by_full_magnitude(lu, b)
+        # the table rounds: a reach within rounding of a whole node may move by one
+        assert _near_window(got, want)
+        exact += got == want
         seen.add(got == (0, m))
+    assert exact >= len(cases) - 2
     assert seen == {True, False}  # both full and narrow windows occur
     if dtype is complex and dt == 0.1:
-        # |b| one binary exponent above its larger part, at a distance that only
-        # the reach of |b| (not of the part) spans: it moves the window's start
+        # |b| = sqrt(2) |part| at a distance that only the reach of |b| (not of
+        # its larger part) spans: it moves the window's start
         ln2 = math.log(2.0)
         for exp2 in range(-1020, 0):
             reach_part = (exp2 * ln2 + lu.log_scale) / lu.decay
-            if reach_part > 0.0 and math.ceil(reach_part) + 2 < reach_part + ln2 / lu.decay:
+            d = math.floor(reach_part) + 1
+            if reach_part > 0.0 and min(d - reach_part, reach_part + 0.5 * ln2 / lu.decay - d) > 0.01:
                 break
+        else:
+            raise AssertionError("no distance that only |b| spans")
         b = np.zeros(m, dtype=complex)
         b[100] = 5e-324
-        b[101 + math.ceil(reach_part)] = 0.75 * 2.0**exp2 * (1.0 + 1.0j)
+        b[100 + d] = 2.0**exp2 * (1.0 + 1.0j)
         assert lu.window(b) == _window_by_full_magnitude(lu, b)
         assert lu.window(b)[0] < 100 - solvers._WINDOW_MARGIN
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # huge |b| times the table
 @pytest.mark.parametrize("factor", [1.0, complex(np.exp(0.5j * math.pi))], ids=["real", "complex"])
 def test_window_scanned_in_the_given_rows_is_the_window_of_every_row(factor):
     # the rows [lo, hi) promise zeros outside them: any such rows give the window
@@ -1510,14 +1559,15 @@ def test_window_scanned_in_the_given_rows_is_the_window_of_every_row(factor):
     dtype = complex if isinstance(factor, complex) else float
     data.solve_implicit(factor, 0.1, np.zeros(data.shape, dtype=dtype))
     lu = _solved_last(data)
-    m = lu.nodes.size
+    m = lu.size
     rng = np.random.default_rng(12)
     narrow = 0
     for b in _window_cases(m, dtype, rng):
         rows = np.flatnonzero(b)
         first, last = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (m // 2, m // 2)
         lo, hi = int(rng.integers(0, first + 1)), int(rng.integers(last, m + 1))
-        assert lu.window(b, lo, hi) == lu.window(b) == _window_by_full_magnitude(lu, b)
+        assert lu.window(b, lo, hi) == lu.window(b)
+        assert _near_window(lu.window(b), _window_by_full_magnitude(lu, b))  # the table rounds
         narrow += hi - lo < m
     assert narrow > 100
     # the solve takes the rows in grid coordinates, its evolved nodes starting at row 1
