@@ -663,8 +663,7 @@ def _initial_state(problem: EvolutionProblem, grid: GridSpec | _FoldedLine, dt: 
         g_amp = init.g_amplitude.real if real else init.g_amplitude
         v = (init.epsilon * g_amp * prof + 0.0).astype(dtype)
     rows = np.flatnonzero(prof.reshape(len(prof), -1).any(axis=1))
-    lo, hi = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, None)
-    return FieldState(grid=grid, u=u, v=v, t=0.0, dt=dt, lo=lo, hi=hi)
+    return FieldState(grid=grid, u=u, v=v, t=0.0, dt=dt, lo=int(rows[0]), hi=int(rows[-1]) + 1)
 
 
 def step_parabolic(

@@ -65,6 +65,7 @@ class _TridiagonalLU:
         # the superdiagonal, which only gttrf reads: every complex matrix takes
         # gttrf, and a real one makes it when it first does
         self.sup = np.empty(m - 1, dtype) if self.dtype.kind == "c" else None
+        self.reach_table = np.empty(m)  # ``window`` fills it only as far as a reach needs
 
     def factor(self, lower, diag, upper, coef, ident=1.0) -> None:
         """Factor ``ident - coef * Lap`` for the bands (lower, diag, upper) in
@@ -101,22 +102,16 @@ class _TridiagonalLU:
         self._bound(float(np.max(np.abs(sub))), rho_u, float(np.min(np.abs(d))))
 
     def _bound(self, rho_l, rho_u, d_min):
-        """Set the decay rate and scale of the window bound and its reach table,
-        or ``decay`` None.  ``d_min`` is min|d_i|: 1 / d_min is max(1/|d_i|), as
-        division rounds monotonically."""
+        """Set the decay rate and scale of the window bound and mark its reach
+        table empty, or set ``decay`` None.  ``d_min`` is min|d_i|: 1 / d_min is
+        max(1/|d_i|), as division rounds monotonically."""
         rho = max(rho_l, rho_u, _NEGLIGIBLE)
         self.decay = None  # no decay bound: solve the full range
         if not self.pivoted and rho < 1.0:
-            self.decay = decay = -math.log(rho)  # e-folds per node
+            self.decay = -math.log(rho)  # e-folds per node
             gain = (1.0 / d_min) / (1.0 - rho_l * rho_u)
-            self.log_scale = log_scale = math.log(gain * self.size / _NEGLIGIBLE)
-            # reach_table[k] = exp(log_scale - decay * k); no finite |b| < 2**1025,
-            # complex ones included, reaches past its end
-            n = int(min((1025 * math.log(2.0) + log_scale) / decay + 2.0, self.size))
-            table = self.reach_table = np.arange(n, dtype=np.float64)
-            table *= -decay
-            table += log_scale
-            np.exp(table, out=table)
+            self.log_scale = math.log(gain * self.size / _NEGLIGIBLE)
+            self.reach_filled = 0  # entries of the reach table valid for this decay
 
     def window(self, b: np.ndarray, lo: int = 0, hi: int | None = None) -> tuple[int, int]:
         """The index range [start, stop) outside which the solution is negligible.
@@ -149,6 +144,12 @@ class _TridiagonalLU:
         lo, hi = first // per, last // per
         # no entry of |b| <= sqrt(per) * top reaches farther inward than ``span`` nodes
         span = max(math.ceil((math.log(top) + math.log(per) / 2 + self.log_scale) / self.decay), 0)
+        need = min(span + 1, m)
+        if need > self.reach_filled:  # reach_table[k] = exp(log_scale - decay*k), in place
+            table = np.multiply(np.arange(need), -self.decay, out=self.reach_table[:need])
+            table += self.log_scale
+            np.exp(table, out=table)
+            self.reach_filled = need
         # |b| from each end inward, times the table: the entry k nodes in from an
         # end reaches log(|b| * reach_table[k]) / decay nodes past that end
         head = np.abs(b[lo : min(lo + span, hi) + 1])
