@@ -14,7 +14,6 @@ or the functional form via model selection (critical regime).
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -139,6 +138,10 @@ def sweep(
         for e in eps_sorted
     ]
     if jobs > 1:
+        # imported here: the process pool brings multiprocessing, socket and subprocess,
+        # which no one-job command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         # the fork start method launches every worker up front: no more than there are tasks
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             records = list(pool.map(_run_one, tasks))

@@ -6,14 +6,46 @@ as a run moves from rung to rung; this module holds one factorization and its
 solve.  The window bound and the flush of negligible parts keep every part of
 a solution either +0.0 or at least 2^-511, so no square of a part is
 subnormal.
+
+The LAPACK routines come from scipy's compiled wrappers, the extension
+``scipy.linalg._flapack``, loaded from its file: importing it by name would
+first run the ``scipy`` and ``scipy.linalg`` packages, which load numpy's
+f2py, testing, ma, random and polynomial and cost a short command more than
+its work.  They are the routines ``scipy.linalg.lapack.get_lapack_funcs``
+picks (prefix ``d`` for float64, ``z`` for complex128), so every solve keeps
+its bits; a later ``import scipy.linalg`` reuses the registered extension.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
+
+
+def _load_flapack():
+    """scipy's ``linalg._flapack`` extension, loaded without its packages' ``__init__``."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        (root,) = importlib.util.find_spec("scipy").submodule_search_locations
+        finder = FileFinder(os.path.join(root, "linalg"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+_FLAPACK = _load_flapack()
+_PREFIX = {np.dtype(np.float64): "d", np.dtype(np.complex128): "z"}  # get_lapack_funcs' rule
+
+
+def _lapack(dtype, *names):
+    """The ``_flapack`` routines ``names`` for arrays of ``dtype``."""
+    return tuple(getattr(_FLAPACK, _PREFIX[dtype] + name) for name in names)
 
 # solution parts below this are zero: they would decay into subnormals, and as the
 # square root of the smallest normal double it keeps u*u (and |u|^p, p <= 2) normal
@@ -80,7 +112,7 @@ class _TridiagonalLU:
         bands()
         self.pivoted = False
         if self.dtype.kind == "f" and np.array_equal(lower[1:], upper[:-1]):  # symmetric
-            pttrf, self._pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=self.dtype)
+            pttrf, self._pttrs = _lapack(self.dtype, "pttrf", "pttrs")
             if pttrf(d, sub, overwrite_d=1, overwrite_e=1)[2] == 0:  # positive definite: d > 0
                 self.factors = (d, sub)
                 rho = float(max(sub.max(), -sub.min()))  # max|e| with no temporary, as max_abs
@@ -90,7 +122,7 @@ class _TridiagonalLU:
         if self.sup is None:
             self.sup = np.empty_like(sub)
         np.multiply(-coef, upper[:-1], out=self.sup)
-        gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=self.dtype)
+        gttrf, self._gttrs = _lapack(self.dtype, "gttrf", "gttrs")
         *lu_bands, du2, ipiv, info = gttrf(
             sub, d, self.sup, overwrite_dl=1, overwrite_d=1, overwrite_du=1
         )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
-from scipy.special import hyp2f1, jn_zeros
+from scipy.special import jn_zeros
 
 from blowlab import cone_geometry, lifespan_bounds
 from blowlab.cone_geometry import (
@@ -168,20 +168,29 @@ def test_cap_eigenvalue_near_the_full_sphere_against_mpmath(theta0):
         assert mp.legenp(lo, 0, z, type=2) > 0 > mp.legenp(hi, 0, z, type=2)
 
 
-def test_legendre_keeps_its_bits_up_to_the_hemisphere_and_continues_past_it():
+def test_legendre_series_matches_mpmath_up_to_the_hemisphere_and_continues_past_it():
     import mpmath as mp
 
+    def ferrers(nu, theta):
+        with mp.workdps(30):
+            return [float(mp.legenp(nu, 0, mp.cos(mp.mpf(float(t))), type=2)) for t in theta]
+
     assert cap_eigenvalue(math.pi / 2) == 2.0
-    theta = np.linspace(0.0, math.pi / 2, 7)
-    for nu in (0.4, 1.0, 2.7):
-        direct = hyp2f1(-nu, nu + 1.0, 1.0, np.sin(0.5 * theta) ** 2)
-        assert np.array_equal(cone_geometry._legendre_p(nu, theta), direct)
+    # up to pi/2 the series in sin^2(theta/2): within 1e-15 of the Ferrers function, for
+    # fixed degrees and for the cap's own degree on the cap, where the root search and
+    # the profile evaluate it
+    grid = np.linspace(0.0, math.pi / 2, 7)
+    cases = [(nu, grid) for nu in (0.4, 1.0, 2.7)]
+    for theta0 in np.linspace(0.05, 3.1, 40):
+        lam = cap_eigenvalue(theta0)
+        nu = (math.sqrt(1.0 + 4.0 * lam) - 1.0) / 2.0
+        cases.append((nu, np.append(grid[grid < theta0], min(theta0, math.pi / 2))))
+    for nu, theta in cases:
+        assert np.allclose(cone_geometry._legendre_p(nu, theta), ferrers(nu, theta), rtol=0.0, atol=1e-15)
     # past pi/2 the 1 - z series: within 1e-15 of the Ferrers function, up to theta = pi
     theta = np.array([1.58, 2.0, 2.6, 3.0, 3.14159])
     for nu in (0.05, 0.5, 0.95):
-        with mp.workdps(30):
-            ref = [float(mp.legenp(nu, 0, mp.cos(mp.mpf(t)), type=2)) for t in theta]
-        assert np.allclose(cone_geometry._legendre_p(nu, theta), ref, rtol=0.0, atol=1e-15)
+        assert np.allclose(cone_geometry._legendre_p(nu, theta), ferrers(nu, theta), rtol=0.0, atol=1e-15)
 
 
 def test_make_domain_solves_the_cap_once(monkeypatch):
@@ -279,11 +288,16 @@ def test_brent_root_raises_when_it_runs_out_of_iterations():
 
 
 def test_cli_import_loads_no_ode_solver_or_interpolant():
-    # scipy.optimize would also bring scipy.sparse, scipy.fft and scipy.spatial
+    # the one scipy module a command loads is the LAPACK extension: scipy.optimize would
+    # also bring scipy.sparse, scipy.fft and scipy.spatial, and the scipy and scipy.linalg
+    # packages numpy's f2py, testing, ma, random and polynomial; the process pool, which
+    # brings multiprocessing, loads only for a sweep with more than one job
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    forbidden = [["scipy", name] for name in ("integrate", "interpolate", "optimize", "sparse")]
-    loaded = f"print(sorted(m for m in sys.modules if m.split('.')[:2] in {forbidden}))"
+    loaded = (
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')"
+        " or m == 'concurrent.futures.process'))"
+    )
     probe = f"import sys, blowlab.cli; {loaded}; import blowlab.verify; {loaded}"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -292,7 +306,8 @@ def test_cli_import_loads_no_ode_solver_or_interpolant():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]  # after blowlab.cli, then blowlab.verify
+    # after blowlab.cli, then blowlab.verify
+    assert proc.stdout.splitlines() == ["['scipy.linalg._flapack']"] * 2
 
 
 def test_phi_eval_quarter_plane_product():

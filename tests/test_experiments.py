@@ -208,7 +208,7 @@ def test_sweep_starts_no_more_workers_than_epsilons(monkeypatch, jobs, eps, pool
         sizes.append(max_workers)
         return contextlib.nullcontext(SimpleNamespace(map=map))
 
-    monkeypatch.setattr("blowlab.experiments.ProcessPoolExecutor", pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool)
     controls = RunControls(threshold=1e6, t_max=0.01, dt_init=2.5e-3)
     result = sweep(_small_problem(), eps, controls, jobs=jobs)
     assert sizes == pools

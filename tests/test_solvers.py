@@ -1202,6 +1202,35 @@ def test_implicit_solve_picks_its_lapack_pair_from_the_bands(grid, factor, ldlt)
     assert _is_ldlt(_solved_last(data)) == ldlt
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+def test_tridiagonal_routines_give_the_bits_of_scipys_lapack_funcs(dtype):
+    # blowlab loads scipy's LAPACK extension from its file, and scipy.linalg is
+    # imported after it in this process: both must resolve the same routines
+    from blowlab.tridiagonal import _lapack
+
+    rng = np.random.default_rng(3)
+    m, dtype = 50, np.dtype(dtype)
+
+    def draw(n):
+        x = rng.standard_normal(n)
+        return x + 1j * rng.standard_normal(n) if dtype.kind == "c" else x
+
+    d, e, b = 4.0 + rng.random(m), draw(m - 1), draw(m).astype(dtype)
+    names = ("pttrf", "pttrs", "gttrf", "gttrs")
+    results = []
+    for pttrf, pttrs, gttrf, gttrs in (_lapack(dtype, *names), get_lapack_funcs(names, dtype=dtype)):
+        d_f, e_f, info = pttrf(d, e)
+        assert info == 0
+        x_ldlt, info = pttrs(d_f, e_f, b)
+        assert info == 0
+        *lu, info = gttrf(e.astype(dtype), d.astype(dtype), e.conj().astype(dtype))
+        assert info == 0
+        x_lu, info = gttrs(*lu, b)
+        assert info == 0
+        results.append([a.tobytes() for a in (d_f, e_f, x_ldlt, *lu, x_lu)])
+    assert results[0] == results[1]
+
+
 def test_symmetric_solve_on_the_shipped_heat_grid():
     cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs", "heat_subcritical.json"))
     dt = cfg.controls.dt_init
