@@ -210,7 +210,10 @@ def _shell(R: float, alpha: float, dim: int, n_s: int, n_pos: int, tail_decades:
     span = 1.0 - lo
     base = lo + span * (np.arange(1, n_s) / n_s)
     tail = 1.0 - span * np.logspace(-tail_decades, -1, 8 * tail_decades)
-    s_vals = np.unique(np.concatenate([base, tail]))
+    # sorted, repeats dropped: np.unique would import numpy.ma (about 20 ms) to ask
+    # whether the array is masked
+    s_vals = np.sort(np.concatenate([base, tail]))
+    s_vals = s_vals[np.append(True, s_vals[1:] != s_vals[:-1])]
     ss = s_vals[(s_vals > lo) & (s_vals < 1.0)][:, None]
     a = alpha
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
