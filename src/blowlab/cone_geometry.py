@@ -144,7 +144,9 @@ def _legendre_p(nu, theta):
     each psi stepped by psi(x+1) = psi(x) + 1/x from psi(1) = -gamma,
     psi(1+nu) and psi(-nu) = psi(1+nu) + pi cot(pi nu) (DLMF 5.5.4).  z or w
     is at most 1/2 where a series does not terminate, so its terms fall at
-    least geometrically.  A float runs in Python floats, 20 times faster than
+    least geometrically, though at a large degree far past the cap angle
+    they first grow and cancel (as in hyp2f1); the cap evaluates P_nu only up
+    to its angle.  A float runs in Python floats, 20 times faster than
     numpy's 0-d arithmetic in ``cap_eigenvalue``'s root search.
     """
     if np.ndim(theta):

@@ -1204,8 +1204,8 @@ def test_implicit_solve_picks_its_lapack_pair_from_the_bands(grid, factor, ldlt)
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
 def test_tridiagonal_routines_give_the_bits_of_scipys_lapack_funcs(dtype):
-    # blowlab loads scipy's LAPACK extension from its file, and scipy.linalg is
-    # imported after it in this process: both must resolve the same routines
+    # blowlab loads scipy's LAPACK extension from its file; in a full run blowlab is
+    # imported first, so scipy.linalg then finds the extension blowlab registered
     from blowlab.tridiagonal import _lapack
 
     rng = np.random.default_rng(3)
