@@ -13,6 +13,7 @@ tests the criterion inequality on simulated traces.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,7 @@ def lifespan_upper_bound(b: BoundInputs) -> float:
         return math.inf
 
 
+_LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)  # normal floats
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(120)
 
 
@@ -89,14 +91,23 @@ def ode_saturation_oracle(b: BoundInputs) -> float:
     rho(RR) = integral_{R1}^{RR} r^((p-1)theta - 1) dr (log-substituted
     quadrature plus root bracketing; no closed-form antiderivative is used).
 
-    The march resolution is 1e-4 of the saturation scale; it and its half
-    must agree to 1e-6 relative, otherwise the step is reported as too
-    coarse.
+    The march resolution is 1e-4 of the saturation scale v0 / slope, with
+    v0 = (log2*delta)^(1-p); it and its half must agree to 1e-6 relative,
+    otherwise the step is reported as too coarse.  v0, slope and the scale
+    must be normal floats, or the march overflows or takes zero steps.
     """
     if b.delta == 0:
         raise ValueError("saturation needs a positive delta")
     if math.isinf(b.c0):
         raise ValueError("saturation needs a finite c0")
+    log_v0 = (1.0 - b.p) * math.log(LOG2 * b.delta)
+    log_slope = math.log(b.p - 1.0) - b.p * (math.log(LOG2) + math.log(b.c0))
+    if not all(_LOG_MIN < x < _LOG_MAX for x in (log_v0, log_slope, log_v0 - log_slope)):
+        raise ValueError(
+            f"the saturation scale v0/slope = exp({log_v0 - log_slope:.6g}), with"
+            f" v0 = exp({log_v0:.6g}) and slope = exp({log_slope:.6g}), leaves the"
+            " range of normal floats"
+        )
     slope = (b.p - 1.0) * LOG2 ** (-b.p) * b.c0 ** (-b.p)
     v0 = (LOG2 * b.delta) ** (1.0 - b.p)
 

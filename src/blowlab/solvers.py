@@ -41,8 +41,8 @@ Blowup runs step on the dyadic ladder dt_init * 2^k: a step that grows
 max|u| by more than the growth limit is halved, and a step-doubling probe
 (one step of 2*dt against two of dt) lets the quiet phase climb the ladder
 under the snapshot and horizon caps.  The implicit solve keeps the factors
-of two rungs per grid, refactoring the one used longer ago in place, so a
-probe and the step after it factor nothing new; a run's factors go when it
+of two rungs per grid, a new rung's in place of the one used longer ago, so
+a probe and the step after it factor nothing new; a run's factors go when it
 ends.  Runs record threshold crossing times T_M for M = 1e3..1e6 and
 extrapolate the lifespan through T_M = T_inf - c * M^{-rate}, the blowup
 rate of the comparison equation: rate p - 1 for u' = u^p (tau=0) and
@@ -62,6 +62,7 @@ import numpy as np
 from blowlab.cone_geometry import (
     ConeDomain,
     CrossSectionSpec,
+    SectorProfile,
     SpecError,
     bump_kernel,
     foreign_fields,
@@ -227,7 +228,6 @@ class _GridData:
         spec = spec.line if self.folded else spec
         self.spec = spec
         self._factors = {}  # the factors of two implicit matrices by key, see ``_factors_for``
-        self._bands = None  # the Laplacian's bands along the radial (or line) axis
         self._power_of = None  # a weak reference to the state whose |u|^2 ``real_work`` holds
         self._damping = None  # (coeff, a(x)) of the last damped-wave coefficients, see below
         self._damp = None  # (key, D) of the current damped-wave step, see ``damping_diagonal``
@@ -247,8 +247,7 @@ class _GridData:
             self.origin_wall = True
             self.support_limit = spec.extent
             self.axis_radius = r_nodes[:-1]
-            theta = np.arctan2(self.coords[..., 1], self.coords[..., 0]) % (2 * math.pi)
-            self.angular = np.sin(math.pi * theta / spec.omega)
+            self.angular = SectorProfile(spec.omega)(self.coords)
             self.angular[:, 0] = self.angular[:, -1] = 0.0
             self.cross_section = CrossSectionSpec("planar-sector", 2, omega=spec.omega)
             k = np.arange(1, na - 1)  # the interior angles' sine modes; ``sine`` is its own inverse
@@ -377,6 +376,7 @@ class _GridData:
 
     # -- implicit machinery ----------------------------------------------
 
+    @cached_property
     def _banded_diagonals(self):
         """(lower, diag, upper) of the Laplacian along the radial (or line)
         axis, per evolved node: u'' + ((N-1)/r) u', with the symmetric row
@@ -388,8 +388,6 @@ class _GridData:
         mu_k / r^2 to the diagonal, and the modes lie end to end, mode-major,
         with zero couplings: one system.  Built once per grid: callers must
         not write into them."""
-        if self._bands is not None:
-            return self._bands
         h2 = self.h * self.h
         r = self.axis_radius
         if r is None:
@@ -397,8 +395,7 @@ class _GridData:
             lower, diag, upper = np.full(m, 1.0 / h2), np.full(m, -2.0 / h2), np.full(m, 1.0 / h2)
             if self.folded:
                 diag[-1] = -1.0 / h2
-            self._bands = lower, diag, upper
-            return self._bands
+            return lower, diag, upper
         dim = self.cross_section.dim
         fac = (dim - 1) / (2.0 * self.h)
         diag = np.full(r.size, -2.0 / h2)
@@ -415,15 +412,14 @@ class _GridData:
             lower, upper = np.tile(lower, self.mu.size), np.tile(upper, self.mu.size)
             lower[:: r.size] = upper[r.size - 1 :: r.size] = 0.0
             diag = (diag + self.mu[:, None] / r**2).reshape(-1)
-        self._bands = lower, diag, upper
-        return self._bands
+        return lower, diag, upper
 
     @cached_property
     def _unpivoted(self) -> tuple:
         """1, 2, ..., m for the m rows of the implicit matrix, and m - 2 complex
         zeros: the ``ipiv`` and the ``du2`` that every factor without pivots
         shares."""
-        m = self._banded_diagonals()[1].size
+        m = self._banded_diagonals[1].size
         return np.arange(1, m + 1, dtype=np.int32), np.zeros(m - 2, complex)
 
     def _factors_for(self, key: tuple) -> _TridiagonalLU:
@@ -432,26 +428,26 @@ class _GridData:
         ``damping_diagonal`` of the tau=1 coefficients ``damped`` otherwise:
         one ``_TridiagonalLU`` of the bands, the polar sector's stacked sine
         modes included.  Two slots are kept: a key that one holds reuses it,
-        and any other key refactors into the arrays of the slot used longer
-        ago.  A run's step moves on a dyadic ladder and stays on each rung for
-        many steps, so a step-doubling probe (one step of 2*dt) and the steps
-        after it, whether the probe failed or passed, factor nothing new."""
+        and any other key drops the slot used longer ago and is factored
+        afresh.  A run's step moves on a dyadic ladder and stays on each rung
+        for many steps, so a step-doubling probe (one step of 2*dt) and the
+        steps after it, whether the probe failed or passed, factor nothing
+        new."""
         slots = self._factors  # key -> factors, the slot used longer ago first
         if key in slots:
             slots[key] = slots.pop(key)
             return slots[key]
-        lu = slots.pop(next(iter(slots))) if len(slots) == 2 else None
+        if len(slots) == 2:
+            del slots[next(iter(slots))]
         dt, factor, dtype, damped = key
-        if lu is None or lu.dtype != dtype:  # the arrays do not fit: new ones
-            lu = _TridiagonalLU(self._unpivoted, dtype)
         ident = 1.0 if damped is None else self.damping_diagonal(damped, dt)
         if isinstance(ident, np.ndarray):  # one value per row, in the bands' order
             ident = ident[self.evolved].T.reshape(-1)
-        lower, diag, upper = self._banded_diagonals()
+        lower, diag, upper = self._banded_diagonals
         if self.folded:  # the halved x = 0 row
             ident = np.full(diag.size, ident)
             ident[-1] *= 0.5
-        lu.factor(lower, diag, upper, 0.5 * dt * factor, ident)
+        lu = _TridiagonalLU(lower, diag, upper, 0.5 * dt * factor, ident, dtype, self._unpivoted)
         slots[key] = lu
         return lu
 

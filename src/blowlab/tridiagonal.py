@@ -1,11 +1,10 @@
 """LAPACK factors of an implicit step's tridiagonal matrix, and the window of
 rows outside which its solution is negligible.
 
-A grid's factors live in ``solvers._GridData``, which refactors them in place
-as a run moves from rung to rung; this module holds one factorization and its
-solve.  The window bound and the flush of negligible parts keep every part of
-a solution either +0.0 or at least 2^-511, so no square of a part is
-subnormal.
+A grid keeps the factors of two rungs in ``solvers._GridData`` and builds a
+new rung's afresh; this module holds one factorization and its solve.  The
+window bound and the flush of negligible parts keep every part of a solution
+either +0.0 or at least 2^-511, so no square of a part is subnormal.
 
 The LAPACK routines come from scipy's compiled wrappers, the extension
 ``scipy.linalg._flapack``, loaded from its file: importing it by name would
@@ -64,10 +63,9 @@ class _TridiagonalLU:
     chain; every other matrix (radial grids, sine modes, complex factors,
     backward diffusion) by ``?gttrf``/``?gttrs`` with partial pivoting, which
     never crosses the zero coupling between two modes.
-    :meth:`factor` fills the bands into this object's arrays and factors them
-    there, so refactoring for another ``coef`` allocates no band.  Without
-    pivots ``gttrf`` returns ``du2`` = 0 and ``ipiv`` = 1, 2, ..., m, so
-    such factors take the grid's arrays of these instead.
+    The constructor builds the bands and factors them.  Without pivots
+    ``gttrf`` returns ``du2`` = 0 and ``ipiv`` = 1, 2, ..., m, so such factors
+    take the grid's arrays of these instead.
     ``solve`` overwrites the right-hand side, only on the index window
     outside which the exact solution is provably below ``_NEGLIGIBLE``, and
     returns that window; sweeping the far field instead decays into subnormal
@@ -88,50 +86,38 @@ class _TridiagonalLU:
     When ``gttrf`` pivoted or rho >= 1 the bound does not hold: the full range.
     """
 
-    def __init__(self, unpivoted: tuple, dtype):
-        ipiv, zeros = unpivoted  # the grid's arrays
-        self.size = m = ipiv.size  # the rows
-        self.dtype = np.dtype(dtype)
-        self._unpivoted = zeros.view(dtype)[: m - 2], ipiv  # du2 and ipiv
-        self.sub, self.d = np.empty(m - 1, dtype), np.empty(m, dtype)
-        # the superdiagonal, which only gttrf reads: every complex matrix takes
-        # gttrf, and a real one makes it when it first does
-        self.sup = np.empty(m - 1, dtype) if self.dtype.kind == "c" else None
-        self.reach_table = np.empty(m)  # ``window`` fills it only as far as a reach needs
-
-    def factor(self, lower, diag, upper, coef, ident=1.0) -> None:
+    def __init__(self, lower, diag, upper, coef, ident, dtype, unpivoted: tuple):
         """Factor ``ident - coef * Lap`` for the bands (lower, diag, upper) in
-        place; ``ident`` is a scalar or one value per node."""
-        sub, d = self.sub, self.d
-
-        def bands():  # the subdiagonal and diagonal of ident - coef * Lap
-            np.multiply(-coef, lower[1:], out=sub)
-            np.subtract(ident, np.multiply(coef, diag, out=d), out=d)
-
-        self.factors = ()  # gttrf's du2 and ipiv are released before it returns new ones
-        bands()
+        ``dtype``; ``ident`` is a scalar or one value per node, and
+        ``unpivoted`` the grid's ``ipiv`` = 1, 2, ..., m and m - 2 complex zeros."""
+        self.size = m = diag.size  # the rows
+        self.dtype = dtype = np.dtype(dtype)
+        self.reach_table = np.empty(m)  # ``window`` fills it only as far as a reach needs
+        sub = np.multiply(-coef, lower[1:], out=np.empty(m - 1, dtype))
+        d = np.multiply(coef, diag, out=np.empty(m, dtype))
+        np.subtract(ident, d, out=d)
         self.pivoted = False
-        if self.dtype.kind == "f" and np.array_equal(lower[1:], upper[:-1]):  # symmetric
-            pttrf, self._pttrs = _lapack(self.dtype, "pttrf", "pttrs")
-            if pttrf(d, sub, overwrite_d=1, overwrite_e=1)[2] == 0:  # positive definite: d > 0
-                self.factors = (d, sub)
-                rho = float(max(sub.max(), -sub.min()))  # max|e| with no temporary, as max_abs
-                self._bound(rho, rho, float(d.min()))
+        if dtype.kind == "f" and np.array_equal(lower[1:], upper[:-1]):  # symmetric
+            pttrf, self._pttrs = _lapack(dtype, "pttrf", "pttrs")
+            ld, le, info = pttrf(d, sub)  # on copies: the bands stay for the LU below
+            if info == 0:  # positive definite: ld > 0
+                self.factors = (ld, le)
+                rho = float(max(le.max(), -le.min()))  # max|e| with no temporary, as max_abs
+                self._bound(rho, rho, float(ld.min()))
                 return
-            bands()  # pttrf stopped part way: LU below
-        if self.sup is None:
-            self.sup = np.empty_like(sub)
-        np.multiply(-coef, upper[:-1], out=self.sup)
-        gttrf, self._gttrs = _lapack(self.dtype, "gttrf", "gttrs")
-        *lu_bands, du2, ipiv, info = gttrf(
-            sub, d, self.sup, overwrite_dl=1, overwrite_d=1, overwrite_du=1
+        sup = np.multiply(-coef, upper[:-1], out=np.empty(m - 1, dtype))
+        gttrf, self._gttrs = _lapack(dtype, "gttrf", "gttrs")
+        dl, d, du, du2, ipiv, info = gttrf(
+            sub, d, sup, overwrite_dl=1, overwrite_d=1, overwrite_du=1
         )
         if info > 0:
             raise np.linalg.LinAlgError("singular implicit matrix")
-        self.pivoted = bool(np.any(ipiv != self._unpivoted[1]))
-        self.factors = (*lu_bands, *((du2, ipiv) if self.pivoted else self._unpivoted))
-        rho_u = float(np.max(np.abs(self.sup / d[:-1])))
-        self._bound(float(np.max(np.abs(sub))), rho_u, float(np.min(np.abs(d))))
+        self.pivoted = bool(np.any(ipiv != unpivoted[0]))
+        if not self.pivoted:  # du2 = 0 and ipiv = 1, 2, ..., m: the grid's arrays
+            du2, ipiv = unpivoted[1].view(dtype)[: m - 2], unpivoted[0]
+        self.factors = (dl, d, du, du2, ipiv)
+        rho_u = float(np.max(np.abs(du / d[:-1])))
+        self._bound(float(np.max(np.abs(dl))), rho_u, float(np.min(np.abs(d))))
 
     def _bound(self, rho_l, rho_u, d_min):
         """Set the decay rate and scale of the window bound and mark its reach

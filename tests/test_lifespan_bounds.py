@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from blowlab.cli import main
 from blowlab.cutoffs import CutoffFamily, psi_of_s, psi_star_of_s, star_tail_integral
 from blowlab.lifespan_bounds import (
     BoundInputs,
@@ -87,6 +88,32 @@ def test_bound_inputs_reject_non_finite_values():
     assert lifespan_upper_bound(b) == math.inf
     with pytest.raises(ValueError, match="finite c0"):
         ode_saturation_oracle(b)
+
+
+_PAST_THE_SCALE = [  # (delta, c0, theta, closed form) at p = 3
+    (1e-300, 1.0, 0.5, math.inf),  # v0 = (log2*delta)^(1-p) overflows
+    (1e-200, 1.0, 0.5, math.inf),
+    (1e-300, 1.0, 0.0, math.inf),
+    (1.0, 1e200, 0.5, math.inf),  # slope ~ C0^-p underflows to 0
+    (1e160, 1.0, 0.5, 1.0),  # v0 is subnormal: the march's step rounds to 0
+]
+
+
+@pytest.mark.parametrize("delta, c0, theta, closed", _PAST_THE_SCALE)
+def test_oracle_refuses_a_saturation_scale_past_the_float_range(delta, c0, theta, closed):
+    # the oracle's march cannot run, and says why
+    b = BoundInputs(delta=delta, c0=c0, r1=1.0, theta=theta, p=3.0)
+    assert lifespan_upper_bound(b) == closed
+    with pytest.raises(ValueError, match="saturation scale v0/slope"):
+        ode_saturation_oracle(b)
+
+
+def test_cli_bound_oracle_past_the_float_range_is_an_input_error(capsys):
+    args = "bound --delta 1e-300 --c0 1 --r1 1 --theta 0.5 --p 3 --oracle".split()
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == "bound (theta>0 branch): inf\nbound (theta=0 branch): inf\n"
+    assert err.startswith("error: the saturation scale v0/slope")
 
 
 def _box_trace(fam: CutoffFamily, radii: np.ndarray) -> FunctionalTrace:
