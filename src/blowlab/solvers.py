@@ -34,8 +34,13 @@ the trace columns skip the nodes that hold only zeros, with the bits of the
 full-grid arithmetic.  Both steps take a state the run has retired and write
 into its arrays (the right-hand side goes into the retired ``u``) and into
 scratch arrays of the grid, one per dtype, so a steady step allocates no
-array; at p = 2 the run's growth test reads max|u| off the |u|^2 a step
-wrote, and the next Crank-Nicolson step takes its |u|^2 from there.
+array.  Every step reports max|u| as its result's ``peak``, which the run's
+growth test reads: a real step on a 1-d grid takes it off the |u_new| of
+the solve's flush, any other step off the |u_new|^2 it writes (``_peak``).
+At p = 2 the next Crank-Nicolson step takes its |u|^2 from that pass.  What
+is constant on a rung (the scalars at dt, the damped wave's
+D = 1 + (dt/2) a(x), the factors with their LAPACK routine and flush
+scratch) is bound once per rung (``_Rung``), not on every call.
 
 Blowup runs step on the dyadic ladder dt_init * 2^k: a step that grows
 max|u| by more than the growth limit is halved, and a step-doubling probe
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -228,9 +234,9 @@ class _GridData:
         spec = spec.line if self.folded else spec
         self.spec = spec
         self._factors = {}  # the factors of two implicit matrices by key, see ``_factors_for``
+        self._rung = None  # the rung the last step bound, see ``rung``
         self._power_of = None  # a weak reference to the state whose |u|^2 ``real_work`` holds
         self._damping = None  # (coeff, a(x)) of the last damped-wave coefficients, see below
-        self._damp = None  # (key, D) of the current damped-wave step, see ``damping_diagonal``
         g, n = spec.geometry, spec.num_points
         if g == "polar-sector":
             na = spec.num_angles
@@ -346,14 +352,12 @@ class _GridData:
     def damping_diagonal(self, coeff: CoefficientSpec, dt: float):
         """D = 1 + (dt/2) a(x) of a damped-wave step on the grid's nodes: a
         float when a(x) is the same at every node.  a(x) is evaluated once per
-        ``coeff`` and D kept for the current ``(coeff, dt)`` only."""
-        key = (coeff, dt)
-        if self._damp is None or self._damp[0] != key:
-            if self._damping is None or self._damping[0] != coeff:
-                a = coeff.damping(self.radius)
-                self._damping = coeff, float(a.flat[0]) if np.all(a == a.flat[0]) else a
-            self._damp = key, 1.0 + 0.5 * dt * self._damping[1]
-        return self._damp[1]
+        ``coeff``; a run's steps read D off their rung (``_Rung``), which
+        computes it once per rung."""
+        if self._damping is None or self._damping[0] != coeff:
+            a = coeff.damping(self.radius)
+            self._damping = coeff, float(a.flat[0]) if np.all(a == a.flat[0]) else a
+        return 1.0 + 0.5 * dt * self._damping[1]
 
     @cached_property
     def real_work(self) -> np.ndarray:
@@ -447,9 +451,29 @@ class _GridData:
         if self.folded:  # the halved x = 0 row
             ident = np.full(diag.size, ident)
             ident[-1] *= 0.5
-        lu = _TridiagonalLU(lower, diag, upper, 0.5 * dt * factor, ident, dtype, self._unpivoted)
+        coef, scratch = 0.5 * dt * factor, self._scratch(dtype)
+        lu = _TridiagonalLU(lower, diag, upper, coef, ident, dtype, self._unpivoted, scratch)
         slots[key] = lu
         return lu
+
+    def _scratch(self, dtype) -> tuple:
+        """The flat arrays a solve's flush of ``dtype`` writes |part| and flags
+        into: ``real_work`` and ``flags`` for a real solve, and for a complex one
+        the parts of ``complex_work`` and the bytes of ``real_work``."""
+        if dtype.kind == "f":
+            return self.real_work.reshape(-1), self.flags
+        return self.complex_work.view(np.float64).reshape(-1), self.real_work.view(bool).reshape(-1)
+
+    def rung(self, coeff: CoefficientSpec, dt: float, kind: str) -> _Rung:
+        """The rung of a step of ``coeff`` and ``dt`` from a field of dtype kind
+        ``kind``: the one bound last when it is that rung, else a new one,
+        bound now, in its place.  A run stays on one rung for many steps and
+        leaves it only to halve, to probe, after a probe and for a last step
+        shortened to land on t_max."""
+        rung = self._rung
+        if rung is None or rung.coeff is not coeff or rung.dt != dt or rung.kind != kind:
+            rung = self._rung = _Rung(self, coeff, dt, kind)
+        return rung
 
     def solve_implicit(
         self,
@@ -472,20 +496,20 @@ class _GridData:
         window, outside which ``rhs`` holds +0.0.  ``rows`` = (a, b), when
         given, promises that ``rhs`` is zero outside rows [a, b), so the
         window is looked for there only; it is the same window.  The factors
-        come from one of the grid's two slots (``_factors_for``), and the
-        solve flushes through the grid's ``real_work`` and ``flags`` (real)
-        or ``complex_work`` and ``real_work`` (complex).
+        are the bound rung's (``rung``) when the key (dt, factor, dtype,
+        damped) is its, and otherwise come from one of the grid's two slots
+        (``_factors_for``).  The solve flushes through the grid's
+        ``real_work`` and ``flags`` (real) or ``complex_work`` and
+        ``real_work`` (complex): a real 1-d solve leaves |x| over its window
+        in ``real_work[:hi - lo]``, where ``_flushed_peak`` reads max|x|.
         """
         self._power_of = None  # the real flush writes into ``real_work``
-        lu = self._factors_for((dt, factor, rhs.dtype, damped))
-        # a complex flush takes |part| in the complex array and its flags in the real one's bytes
-        real = rhs.dtype.kind == "f"
-        work = self.real_work if real else self.complex_work.view(np.float64)
-        flags = self.flags if real else self.real_work.view(bool)
-        scratch = work.reshape(-1), flags.reshape(-1)
+        key = (dt, factor, rhs.dtype, damped)
+        rung = self._rung
+        lu = rung.lu if rung is not None and rung.key == key else self._factors_for(key)
         if self.sine is not None:  # row k: sine mode k (Buzbee, Golub & Nielson, SINUM 7, 1970)
             coeffs = self.sine @ rhs[self.evolved].T
-            lu.solve(coeffs.reshape(-1), 0, None, scratch)
+            lu.solve(coeffs.reshape(-1), 0, None)
             rhs[self.evolved] = (self.sine @ coeffs).T
             return rhs, 0, rhs.shape[0]
         first = self.evolved.start  # the row of the first evolved node
@@ -493,8 +517,41 @@ class _GridData:
         if self.folded:  # the halved x = 0 row
             b[-1] *= 0.5
         lo, hi = rows or (first, None)
-        start, stop = lu.solve(b, max(lo - first, 0), hi and hi - first, scratch)
+        start, stop = lu.solve(b, max(lo - first, 0), hi and hi - first)
         return rhs, first + start, first + stop
+
+
+class _Rung:
+    """The values each step of ``coeff`` at ``dt`` from fields of one dtype
+    kind reads on one grid, bound once when a run moves onto the rung
+    (``_GridData.rung``): the scalars at dt, the damped wave's D
+    (``damping_diagonal``), and the solve's key and factors, which carry their
+    LAPACK routine and flush scratch.  ``type`` is the step's dtype (a real
+    field under complex Crank-Nicolson coefficients is promoted); ``flushed``
+    marks a real step on a 1-d grid, whose peak comes off the solve's flush."""
+
+    def __init__(self, data: _GridData, coeff: CoefficientSpec, dt: float, kind: str):
+        self.coeff, self.dt, self.kind = coeff, dt, kind
+        if coeff.tau == 0:  # u_t = ainv (Lap u + lam |u|^p)
+            ainv, lam = complex(np.exp(-1j * coeff.zeta)), complex(coeff.lam)
+            if coeff.zeta == 0.0 and lam.imag == 0.0 and kind == "f":
+                ainv, lam = ainv.real, lam.real  # a real step
+            self.factor, self.lam, self.type = ainv, lam, type(ainv)
+            self.c_half = 0.5 * dt * ainv  # the predictor's and the diffusion's weight
+            self.c_source = dt * ainv * lam
+            damped = None
+        else:  # the trapezoidal step's weights, see ``step_hyperbolic``
+            self.type = float if kind == "f" else complex
+            lam = coeff.lam if kind == "c" else coeff.lam.real
+            self.factor = 0.5 * dt  # the solve's factor and the predictor's weight
+            self.c_source = 0.5 * dt * dt * lam
+            self.c_lap = 0.25 * dt * dt
+            self.rate = 2.0 / dt
+            self.den = data.damping_diagonal(coeff, dt)
+            damped = coeff
+        self.key = (dt, self.factor, np.dtype(self.type), damped)
+        self.lu = data._factors_for(self.key)
+        self.flushed = self.type is float and data.sine is None
 
 
 @lru_cache(maxsize=64)
@@ -558,7 +615,7 @@ def abs_power(
     bits.  ``work``, another real array of that shape, receives the squares of
     a complex u's imaginary parts in place of a temporary; it may be
     ``u.imag`` itself when u is not read again."""
-    if np.iscomplexobj(u):
+    if u.dtype.kind == "c":
         a2 = np.multiply(u.real, u.real, out=out)
         a2 += np.multiply(u.imag, u.imag, out=work)
     else:
@@ -572,7 +629,7 @@ def abs_power(
 
 def max_abs(u: np.ndarray) -> float:
     """max|u|; non-finite when u holds a NaN or an infinity."""
-    if np.iscomplexobj(u):
+    if u.dtype.kind == "c":
         return math.sqrt(float(np.max(u.real * u.real + u.imag * u.imag)))
     return float(max(u.max(), -u.min()))  # no |u| temporary; NaN propagates through both
 
@@ -606,8 +663,11 @@ class FieldState:
     """The field at time t, with the step dt that continues it.
 
     ``v`` is the velocity u_t at t for tau=1 and None for tau=0.  ``peak`` is
-    max|u| over [lo, hi) when the step that made the state read it off
-    |u|^2 (p = 2 and max|u| at least 2^-511), and None otherwise.  A state
+    max|u| over [lo, hi), bitwise ``max_abs``'s value, as the step that made
+    the state read it: off the |u| of its solve's flush for a real field on a
+    1-d grid (``_flushed_peak``), otherwise off the |u|^2 it wrote
+    (``_peak``).  It is None when max|u| is below 2^-511 or not a number, and
+    on the initial state.  A state
     continues under the coefficients that made it; code that changes its
     ``u`` in place steps from a copy, since the next Crank-Nicolson step may
     take |u|^2 from the grid's ``real_work``.
@@ -684,11 +744,13 @@ def step_parabolic(
     Laplacian rows and then the right-hand side go into the spare's ``u``,
     |u|^p, the predictor's |half|^p and, on a real step, the predictor and
     the source go into the grid's ``real_work``, and on a complex step the
-    predictor and the source into its ``complex_work``.  At p = 2 the step
-    then writes |u_new|^2 over [lo-1, hi+1) of the new range into
-    ``real_work`` and sets the result's ``peak`` from it (``_peak``), and the
+    predictor and the source into its ``complex_work``.  The result's
+    ``peak`` comes off the solve's flush on a real 1-d step and off
+    |u_new|^2 otherwise (see ``FieldState``).  At p = 2 the step leaves
+    |u_new|^2 over [lo-1, hi+1) of the new range in ``real_work``, and the
     next step from that result takes |u|^2 from there, while no other step
-    or solve on the grid has written there since.
+    or solve on the grid has written there since.  The scalars, the solve's
+    factor and the dtype come from the rung (``_GridData.rung``).
 
     ``spare`` lends its ``u`` as the right-hand side, cleared outside
     [lo-1, hi+1), so the solve writes the new field there.
@@ -696,15 +758,15 @@ def step_parabolic(
     if coeff.tau != 0:
         raise ValueError("parabolic step requires tau=0")
     data = _grid_data(state.grid)
-    ainv, lam = complex(np.exp(-1j * coeff.zeta)), complex(coeff.lam)
-    if coeff.zeta == 0.0 and lam.imag == 0.0 and not np.iscomplexobj(state.u):
-        ainv, lam = ainv.real, lam.real  # a real step
-    dtype = type(ainv)
+    u = state.u
+    rung = data.rung(coeff, dt, u.dtype.kind)
+    dtype = rung.type
+    if dtype is complex and rung.kind == "f":
+        u = u.astype(complex)  # a real field under complex coefficients
     held, data._power_of = data._power_of, None
-    u = state.u.astype(dtype, copy=False)
-    a, b = _reach(state.lo, state.hi, u.shape[0])
+    n = u.shape[0]
+    a, b = _reach(state.lo, state.hi, n)
     near = u[a:b]
-    c_half = 0.5 * dt * ainv
     if spare is None:
         rhs = np.zeros(u.shape, dtype)
     else:
@@ -717,31 +779,48 @@ def step_parabolic(
     if coeff.p != 2.0 or held is None or held() is not state:
         abs_power(near, coeff.p, out=power, work=imag)
     lap = data.laplacian(u, a, b, out=rhs[a:b])
-
-    def times(c, x):  # c * x into ``half``, which takes x first: numpy then needs no cast buffer
-        if x is not half:
-            np.copyto(half, x)
-        return np.multiply(c, half, out=half)
-
-    times(lam, power)
+    _times(rung.lam, power, half)
     half += lap
-    half *= c_half
+    half *= rung.c_half
     half += near
-    part = np.multiply(c_half, lap, out=lap)
+    part = np.multiply(rung.c_half, lap, out=lap)
     part += near
-    part += times(dt * ainv * lam, abs_power(half, coeff.p, out=power, work=imag))
-    u_new, lo, hi = data.solve_implicit(ainv, dt, rhs, (a, b))
-    result = FieldState(grid=state.grid, u=u_new, v=None, t=state.t + dt, dt=dt, lo=lo, hi=hi)
+    part += _times(rung.c_source, abs_power(half, coeff.p, out=power, work=imag), half)
+    u_new, lo, hi = data.solve_implicit(rung.factor, dt, rhs, (a, b))
+    result = FieldState(state.grid, u_new, None, state.t + dt, dt, lo, hi)
+    a, b = _reach(lo, hi, n)
+    if rung.flushed:
+        result.peak = _flushed_peak(data, hi - lo)
+        if coeff.p == 2.0:  # |u_new|^2 for the next step
+            abs_power(u_new[a:b], 2.0, out=data.real_work[a:b])
+    else:
+        result.peak = _peak(data, u_new, a, b)
     if coeff.p == 2.0:
-        result.peak = _peak(data, u_new, *_reach(lo, hi, u.shape[0]))
         data._power_of = weakref.ref(result)
     return result
+
+
+def _times(c, x, half):
+    """c * x into ``half``, which takes x first: numpy then needs no cast buffer."""
+    if x is not half:
+        np.copyto(half, x)
+    return np.multiply(c, half, out=half)
+
+
+def _flushed_peak(data: _GridData, n: int) -> float | None:
+    """max|x| of a real solve of n rows on a 1-d grid, read off the |x| that
+    its flush left in the grid's ``real_work[:n]``, when it is at least
+    2^-511: the flush kept every such part, so it is max_abs's value.  None
+    otherwise, NaN included."""
+    top = float(np.maximum.reduce(data.real_work[:n]))
+    return top if top >= _NEGLIGIBLE else None
 
 
 def _peak(data: _GridData, u: np.ndarray, a: int, b: int) -> float | None:
     """max|u| over rows [a, b), read off the |u|^2 this writes into the grid's
     ``real_work`` there, when it is at least 2^-511: there sqrt(fl(x^2)) = |x|
-    holds exactly, so it is max_abs's value.  None otherwise, NaN included."""
+    holds exactly, and a complex u's max_abs takes the same squares, so it is
+    max_abs's value.  None otherwise, NaN included."""
     imag = None if u.dtype.kind == "f" else data.complex_work[a:b].imag
     square = abs_power(u[a:b], 2.0, out=data.real_work[a:b], work=imag)
     top = float(np.maximum.reduce(square, axis=None))
@@ -773,14 +852,15 @@ def step_hyperbolic(
     overwrites with u', and its ``v`` for v' and the terms D u and dt v; the
     rows of its range outside [lo-1, hi+1) are set to +0.0.  The predictor
     and its |.|^p go into the grid's ``real_work`` (and ``complex_work`` for
-    a complex field), so a step with a spare allocates no array.  At p = 2
-    the step sets the result's ``peak`` as ``step_parabolic`` does.
+    a complex field), so a step with a spare allocates no array.  The step
+    sets the result's ``peak`` as ``step_parabolic`` does, and takes its
+    scalars and D from the rung (``_GridData.rung``).
     """
     if coeff.tau != 1:
         raise ValueError("hyperbolic step requires tau=1")
     data = _grid_data(state.grid)
     u, v = state.u, state.v
-    lam = coeff.lam if u.dtype.kind == "c" else coeff.lam.real
+    rung = data.rung(coeff, dt, u.dtype.kind)
     a, b = _reach(state.lo, state.hi, u.shape[0])
     if spare is None:
         rhs, v_new = np.zeros(u.shape, u.dtype), np.zeros(u.shape, u.dtype)
@@ -789,28 +869,28 @@ def step_hyperbolic(
         if spare.lo < a or b < spare.hi:  # most often the spare's range lies inside [a, b)
             _clear_outside(spare, a, b)
     near, vel, term = u[a:b], v[a:b], v_new[a:b]
-    den = data.damping_diagonal(coeff, dt)
+    den = rung.den
     if isinstance(den, np.ndarray):
         den = den[a:b]
     power = data.real_work[a:b]
-    half = power if u.dtype.kind == "f" else data.complex_work[a:b]
-    np.multiply(0.5 * dt, vel, out=half)
+    half = power if rung.type is float else data.complex_work[a:b]
+    np.multiply(rung.factor, vel, out=half)  # (dt/2) v
     half += near
     abs_power(half, coeff.p, out=power, work=None if half is power else half.imag)
     if half is not power:
         np.copyto(half, power)
-    source = np.multiply(0.5 * dt * dt * lam, half, out=half)
+    source = np.multiply(rung.c_source, half, out=half)
     lap = data.laplacian(u, a, b, out=rhs[a:b])
-    lap *= 0.25 * dt * dt
+    lap *= rung.c_lap
     lap += np.multiply(den, near, out=term)
     lap += np.multiply(dt, vel, out=term)
     lap += source
-    u_new, lo, hi = data.solve_implicit(0.5 * dt, dt, rhs, (a, b), coeff)
+    u_new, lo, hi = data.solve_implicit(rung.factor, dt, rhs, (a, b), coeff)
+    peak = _flushed_peak(data, hi - lo) if rung.flushed else _peak(data, u_new, lo, hi)
     lo, hi = min(lo, a), max(hi, b)
     rows = np.subtract(u_new[lo:hi], u[lo:hi], out=v_new[lo:hi])
-    rows *= 2.0 / dt
+    rows *= rung.rate
     rows -= v[lo:hi]
-    peak = _peak(data, u_new, lo, hi) if coeff.p == 2.0 else None
     return FieldState(state.grid, u_new, v_new, state.t + dt, dt, lo, hi, peak)
 
 
@@ -970,7 +1050,8 @@ def run_until_blowup(
     step through any later quiet phase.  The crossing times of every
     ``RECORD_THRESHOLDS`` entry are recorded by log-linear interpolation and
     extrapolated to the lifespan estimate at the equation's blowup rate
-    (``extrapolate_lifespan``).
+    (``extrapolate_lifespan``); as the thresholds ascend, an accepted step
+    is compared with the next one not yet crossed only.
 
     A line with an odd node count and the bump centred at 0 is stepped on
     its folded half (``_stepped_grid``): the field stays even, and observers,
@@ -991,9 +1072,15 @@ def run_until_blowup(
     holds only a copy of the first field and the final one, so a run's
     memory does not grow with its length, and ``snapshot_dt`` still caps the
     step, so the record is the same.  The growth test takes max|u| from a
-    step's ``peak`` when it has one, and a probe is compared over the union
-    of the two fields' ranges.
+    step's ``peak`` (see ``FieldState``) and calls ``max_abs`` only when a
+    step has none; a probe is compared over the union of the two fields'
+    ranges.  A step and its probe's 2*dt are two rungs, each bound once on
+    entry (``_GridData.rung``); the factors and the bound rung go when the
+    run ends.  The ``-v`` DEBUG line reports these counts, the stepper calls
+    (trials and probes) and the run's ``perf_counter`` wall time per call,
+    which goes into no output file.
     """
+    clock = time.perf_counter()
     coeff = problem.coeff
     grid = _stepped_grid(problem)
     data = _grid_data(grid)
@@ -1036,7 +1123,7 @@ def run_until_blowup(
     next_snap = controls.snapshot_dt if controls.snapshot_dt > 0 else math.inf
 
     dt_floor = 1e-3 * controls.threshold ** (1.0 - coeff.p)
-    steps = halvings = passed = failed = 0
+    steps = halvings = passed = failed = calls = 0
     dt_lo = dt_hi = dt0
     back1 = None  # the accepted state one step back
     run = 0  # accepted steps since the last probe
@@ -1045,6 +1132,8 @@ def run_until_blowup(
     with np.errstate(over="ignore", invalid="ignore"):
         m_prev = max_abs(state.u)
         crossings = [0.0 if m_prev >= mth else math.nan for mth in RECORD_THRESHOLDS]
+        crossed = sum(not math.isnan(t) for t in crossings)  # the thresholds are ascending
+        marks = RECORD_THRESHOLDS + (math.inf,)  # marks[crossed]: the next one to cross
         status = "blowup" if m_prev >= controls.threshold else None
         while status is None:
             if state.t >= controls.t_max:
@@ -1056,6 +1145,7 @@ def run_until_blowup(
             # while a probe may follow, the trial leaves it a spare
             keep = 1 if 2.0 * dt <= dt_cap else 0
             trial = stepper(state, coeff, min(dt, controls.t_max - state.t + 1e-15), spare(keep))
+            calls += 1
             m_new = trial.peak
             if m_new is None:
                 m_new = max_abs(trial.u[trial.lo : trial.hi])
@@ -1073,16 +1163,15 @@ def run_until_blowup(
                 retire(trial)
                 continue
             steps += 1
-            for i, mth in enumerate(RECORD_THRESHOLDS):
-                if math.isnan(crossings[i]) and m_new >= mth:
-                    if m_prev > 0 and m_new > m_prev:
-                        frac = (math.log(mth) - math.log(m_prev)) / (
-                            math.log(m_new) - math.log(m_prev)
-                        )
-                        frac = min(max(frac, 0.0), 1.0)
-                    else:
-                        frac = 1.0
-                    crossings[i] = state.t + frac * (trial.t - state.t)
+            while m_new >= marks[crossed]:
+                mth = marks[crossed]
+                if m_prev > 0 and m_new > m_prev:
+                    frac = (math.log(mth) - math.log(m_prev)) / (math.log(m_new) - math.log(m_prev))
+                    frac = min(max(frac, 0.0), 1.0)
+                else:
+                    frac = 1.0
+                crossings[crossed] = state.t + frac * (trial.t - state.t)
+                crossed += 1
             back2, back1, state = back1, state, trial
             m_prev = m_new
             if state.t >= next_snap:
@@ -1097,6 +1186,7 @@ def run_until_blowup(
             big = None
             if run >= wait and trial.dt == dt and 2.0 * dt <= dt_cap:
                 big = stepper(back2, coeff, 2.0 * dt, spare())
+                calls += 1
                 # both fields are +0.0 outside the union of their ranges; each
                 # comparison is False for a non-finite probe
                 lo, hi = min(big.lo, state.lo), max(big.hi, state.hi)
@@ -1119,10 +1209,12 @@ def run_until_blowup(
 
     # the next run starts on its own rungs: a finished run leaves no factors in the grid cache
     data._factors.clear()
+    data._rung = None
     logger.debug(
         "eps %r: %s at t %r; %d steps accepted, %d halvings, probes %d passed / %d failed, "
-        "dt %r..%r",
+        "dt %r..%r; %d stepper calls, %.1f us of run per call",
         problem.init.epsilon, status, state.t, steps, halvings, passed, failed, dt_lo, dt_hi,
+        calls, 1e6 * (time.perf_counter() - clock) / max(calls, 1),
     )
     if observed != state.t:
         observe(state.t, state.u)

@@ -50,6 +50,7 @@ def _lapack(dtype, *names):
 # square root of the smallest normal double it keeps u*u (and |u|^p, p <= 2) normal
 _NEGLIGIBLE = 2.0**-511
 _WINDOW_MARGIN = 16  # extra nodes on each side of the provable window
+_SCAN = 256  # parts scanned from each end of a right-hand side before the whole of it
 
 
 class _TridiagonalLU:
@@ -63,7 +64,9 @@ class _TridiagonalLU:
     chain; every other matrix (radial grids, sine modes, complex factors,
     backward diffusion) by ``?gttrf``/``?gttrs`` with partial pivoting, which
     never crosses the zero coupling between two modes.
-    The constructor builds the bands and factors them.  Without pivots
+    The constructor builds the bands and factors them, and binds what each
+    solve with the factors reads: the LAPACK solve routine and the grid's
+    flat scratch arrays for the flush.  Without pivots
     ``gttrf`` returns ``du2`` = 0 and ``ipiv`` = 1, 2, ..., m, so such factors
     take the grid's arrays of these instead.
     ``solve`` overwrites the right-hand side, only on the index window
@@ -86,12 +89,17 @@ class _TridiagonalLU:
     When ``gttrf`` pivoted or rho >= 1 the bound does not hold: the full range.
     """
 
-    def __init__(self, lower, diag, upper, coef, ident, dtype, unpivoted: tuple):
+    def __init__(self, lower, diag, upper, coef, ident, dtype, unpivoted: tuple, scratch: tuple):
         """Factor ``ident - coef * Lap`` for the bands (lower, diag, upper) in
-        ``dtype``; ``ident`` is a scalar or one value per node, and
-        ``unpivoted`` the grid's ``ipiv`` = 1, 2, ..., m and m - 2 complex zeros."""
+        ``dtype``; ``ident`` is a scalar or one value per node, ``unpivoted``
+        the grid's ``ipiv`` = 1, 2, ..., m and m - 2 complex zeros, and
+        ``scratch`` a flat float64 and a flat bool array with room for the
+        real and imaginary parts of m unknowns, which every solve's flush
+        writes its |part| and flags into in place of new arrays."""
         self.size = m = diag.size  # the rows
         self.dtype = dtype = np.dtype(dtype)
+        self.scratch = scratch
+        self._per = 1 if dtype.kind == "f" else 2  # float64 parts per unknown
         self.reach_table = np.empty(m)  # ``window`` fills it only as far as a reach needs
         sub = np.multiply(-coef, lower[1:], out=np.empty(m - 1, dtype))
         d = np.multiply(coef, diag, out=np.empty(m, dtype))
@@ -142,57 +150,81 @@ class _TridiagonalLU:
         its own reach, so it never lowers ``start`` or raises ``stop``.  Each
         end takes one product with the reach table and one max: ``start`` =
         lo - log(max_k |b_{lo+k}| reach_table[k]) / decay, at most lo, and
-        ``stop`` its mirror image.
+        ``stop`` its mirror image.  An end whose outermost nonzero entry lies
+        within ``_WINDOW_MARGIN`` nodes of the matrix's end is that end
+        whatever its reach, so it takes no product (the folded line's x = 0
+        row is nonzero at every step).  |part| of the nonzero rows goes into
+        ``scratch[0]``, which the solve's flush overwrites after it.
         """
         m = b.size
         if self.decay is None or (b[0] != 0.0 and b[-1] != 0.0):
             return 0, m  # no bound, or the right-hand side already spans the grid
-        parts = b.view(np.float64)  # the real and imaginary parts of a complex b
-        per = parts.size // m
-        nonzero = parts[lo * per : (m if hi is None else hi) * per] != 0.0
-        first = int(np.argmax(nonzero))
-        if not nonzero[first]:
-            return 0, 0
-        # a reversed argmax is slow on the negative stride
-        first, last = lo * per + first, lo * per + nonzero.tobytes().rfind(1)
-        live = parts[first : last + 1]
-        top = float(max(live.max(), -live.min()))  # NaN propagates through both
+        per = self._per
+        parts = b if per == 1 else b.view(np.float64)  # the real and imaginary parts of a complex b
+        a, z = lo * per, (m if hi is None else min(hi, m)) * per  # the parts that may be nonzero
+
+        def nonzero(i, j):  # a byte per part of parts[i:j], 1 where it is nonzero
+            return (parts[i:j] != 0.0).tobytes()
+
+        # the first and last nonzero parts lie most often a few nodes from a and z, so a
+        # short run from each end is scanned, by find and rfind in C, before the whole range
+        first = nonzero(a, min(a + _SCAN, z)).find(1)
+        if first < 0:
+            first = nonzero(a, z).find(1)
+            if first < 0:
+                return 0, 0
+        tail_from = max(z - _SCAN, a)
+        last = nonzero(tail_from, z).rfind(1)
+        last = tail_from + last if last >= 0 else a + nonzero(a, z).rfind(1)
+        lo, hi = (a + first) // per, last // per  # the first and last nonzero rows
+        end = hi + 1
+        head, tail = lo > _WINDOW_MARGIN, hi < m - 1 - _WINDOW_MARGIN  # the ends a reach can move
+        if not (head or tail):
+            return 0, m
+        # |part| goes into the flush's scratch, unused until the solve's flush: for a
+        # real b it is |b|, which the ends' products below then read
+        mags = np.abs(parts[lo * per : end * per], out=self.scratch[0][: (end - lo) * per])
+        top = float(np.maximum.reduce(mags))  # NaN stays NaN
         if not math.isfinite(top):
             return 0, m
-        lo, hi = first // per, last // per
         # no entry of |b| <= sqrt(per) * top reaches farther inward than ``span`` nodes
         span = max(math.ceil((math.log(top) + math.log(per) / 2 + self.log_scale) / self.decay), 0)
-        need = min(span + 1, m)
-        if need > self.reach_filled:  # reach_table[k] = exp(log_scale - decay*k), in place
-            table = np.multiply(np.arange(need), -self.decay, out=self.reach_table[:need])
+        k = min(span, hi - lo) + 1  # the entries within one reach of an end, that end's included
+        if k > self.reach_filled:  # reach_table[j] = exp(log_scale - decay*j), in place
+            table = np.multiply(np.arange(k), -self.decay, out=self.reach_table[:k])
             table += self.log_scale
             np.exp(table, out=table)
-            self.reach_filled = need
-        # |b| from each end inward, times the table: the entry k nodes in from an
-        # end reaches log(|b| * reach_table[k]) / decay nodes past that end
-        head = np.abs(b[lo : min(lo + span, hi) + 1])
-        head *= self.reach_table[: head.size]
-        tail = np.abs(b[max(hi - span, lo) : hi + 1])
-        tail *= self.reach_table[tail.size - 1 :: -1]
-        # a product past the largest float (or NaN) reaches the full range on its side
-        lead, trail = (
-            math.log(peak) / self.decay if 0.0 < peak < math.inf else m
-            for peak in (float(head.max()), float(tail.max()))
-        )
-        return (
-            max(math.floor(min(lo - lead, lo)) - _WINDOW_MARGIN, 0),
-            min(math.ceil(max(hi + trail, hi)) + 1 + _WINDOW_MARGIN, m),
-        )
+            self.reach_filled = k
 
-    def solve(self, b: np.ndarray, lo: int, hi: int | None, scratch: tuple) -> tuple[int, int]:
+        def reach(a, z, table):  # how far past its end the largest |b[a:z]| * table reaches
+            mag = mags[a - lo : z - lo] if per == 1 else np.abs(b[a:z])  # a complex entry's modulus
+            peak = float(np.maximum.reduce(np.multiply(mag, table, out=None if per == 1 else mag)))
+            # a product past the largest float (or NaN) reaches the full range on its side
+            return math.log(peak) / self.decay if 0.0 < peak < math.inf else m
+
+        # |b| from each end inward, times the table: the entry j nodes in from an
+        # end reaches log(|b| * reach_table[j]) / decay nodes past that end
+        start, stop = 0, m
+        if head:
+            lead = reach(lo, lo + k, self.reach_table[:k])
+            start = max(math.floor(min(lo - lead, lo)) - _WINDOW_MARGIN, 0)
+        if tail:
+            trail = reach(end - k, end, self.reach_table[k - 1 :: -1])
+            stop = min(math.ceil(max(hi + trail, hi)) + 1 + _WINDOW_MARGIN, m)
+        return start, stop
+
+    def solve(self, b: np.ndarray, lo: int, hi: int | None) -> tuple[int, int]:
         """Overwrite ``b[start:stop]`` with the solution for ``b`` and return the
         range [start, stop) it solved.  Outside that range the solution is
         negligible and ``b`` holds only zeros, which the solve leaves as they
         are.  ``b`` is contiguous and of the factors' dtype, so LAPACK writes
         into it; it is zero outside the entries [lo, hi), as in :meth:`window`.
-        ``scratch``, a flat float64 and a flat bool array with room for b's
-        real and imaginary parts, holds the flush's |part| and flags in place
-        of new arrays."""
+        The LAPACK routine and the flush's ``scratch`` were bound when the
+        factors were built.  The flush leaves |part| of each solved part,
+        taken before the parts below ``_NEGLIGIBLE`` were set to +0.0, in the
+        first (stop - start) * (1 for a real, 2 for a complex ``b``) entries of
+        ``scratch[0]``: on a real ``b`` their max is max|x|, the ``peak`` a
+        step reports, wherever it is at least ``_NEGLIGIBLE``."""
         start, stop = self.window(b, lo, hi)
         if stop - start < 3:  # gttrs needs du2 of length stop - start - 2 >= 1
             start, stop = 0, b.size
@@ -213,8 +245,9 @@ class _TridiagonalLU:
                 x,
                 overwrite_b=True,
             )
-        parts = x.view(np.float64)
-        mag, small = (a[: parts.size] for a in scratch)
+        n = (stop - start) * self._per
+        parts = x if self._per == 1 else x.view(np.float64)
+        mag, small = self.scratch[0][:n], self.scratch[1][:n]
         np.less(np.abs(parts, out=mag), _NEGLIGIBLE, out=small)
         np.copyto(parts, 0.0, where=small)
         return start, stop

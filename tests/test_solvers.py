@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -1445,15 +1446,14 @@ def test_window_of_a_zero_or_non_finite_right_hand_side():
     assert lu.window(zero) == (0, 0)
     negative = np.full(m, -0.0)
     assert lu.window(negative) == (0, 0)
-    scratch = np.empty(m), np.empty(m, bool)
-    assert lu.solve(negative, 0, None, scratch) == (0, m)  # an empty window solves the full range
+    assert lu.solve(negative, 0, None) == (0, m)  # an empty window solves the full range
     assert _all_positive_zero(negative)  # and the flush leaves +0.0
     for peak in (np.inf, -np.inf, np.nan):
         b = np.zeros(m)
         b[m // 2] = peak
         assert lu.window(b) == (0, m)
         # the flush of negligible parts keeps NaN and inf: no entry is zeroed
-        assert lu.solve(b, 0, None, scratch) == (0, m)
+        assert lu.solve(b, 0, None) == (0, m)
         assert not np.any(np.isfinite(b))
 
 
@@ -1605,6 +1605,74 @@ def test_window_scanned_in_the_given_rows_is_the_window_of_every_row(factor):
     assert 0 < want_lo and want_hi < data.shape[0]  # not clamped: a row less would move it
     got, lo, hi = data.solve_implicit(factor, 1e-3, rhs.copy(), (500, 540))
     assert np.array_equal(_bits(got), _bits(want)) and (lo, hi) == (want_lo, want_hi)
+
+
+def _window_by_scan(lu, b, lo, hi):
+    """The window by the plain scan: the whole rows [lo, hi) for the first and
+    last nonzero part, max|part| over them for the reach, and |b| times the
+    reach table within that reach of each end, whether or not an end lies
+    within the margin of the matrix's end."""
+    m = b.size
+    if lu.decay is None or (b[0] != 0.0 and b[-1] != 0.0):
+        return 0, m
+    per = 2 if b.dtype.kind == "c" else 1
+    parts = b.view(np.float64)
+    nonzero = np.flatnonzero(parts[lo * per : hi * per])
+    if nonzero.size == 0:
+        return 0, 0
+    first, last = lo * per + int(nonzero[0]), lo * per + int(nonzero[-1])
+    live = parts[first : last + 1]
+    top = float(max(live.max(), -live.min()))
+    if not math.isfinite(top):
+        return 0, m
+    lo, hi = first // per, last // per
+    span = max(math.ceil((math.log(top) + math.log(per) / 2 + lu.log_scale) / lu.decay), 0)
+    table = np.multiply(np.arange(min(span + 1, m)), -lu.decay)
+    table += lu.log_scale
+    np.exp(table, out=table)
+    head = np.abs(b[lo : min(lo + span, hi) + 1]) * table[: min(span, hi - lo) + 1]
+    tail = np.abs(b[max(hi - span, lo) : hi + 1]) * table[min(span, hi - lo) :: -1]
+    lead, trail = (
+        math.log(peak) / lu.decay if 0.0 < peak < math.inf else m
+        for peak in (float(head.max()), float(tail.max()))
+    )
+    margin = solvers._WINDOW_MARGIN
+    return (
+        max(math.floor(min(lo - lead, lo)) - margin, 0),
+        min(math.ceil(max(hi + trail, hi)) + 1 + margin, m),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # huge |b| times the table
+@pytest.mark.parametrize(
+    "grid, factor",
+    [
+        (GridSpec("line", extent=60.0, num_points=1201), 1.0),
+        (GridSpec("line", extent=60.0, num_points=1201), complex(np.exp(0.5j * math.pi))),
+        (GridSpec("radial", extent=60.0, num_points=1201, dim=3, include_origin=False), 1.0),
+    ],
+    ids=["real", "complex", "real-radial"],
+)
+def test_window_is_bitwise_the_window_of_the_plain_scan(grid, factor):
+    # the window scans a short run from each end, reads |b| once, and skips an
+    # end within the margin: every window is the plain scan's, bit for bit
+    data = _GridData(grid)
+    dtype = complex if isinstance(factor, complex) else float
+    data.solve_implicit(factor, 0.1, np.zeros(data.shape, dtype=dtype))
+    lu = _solved_last(data)
+    m = lu.size
+    rng = np.random.default_rng(13)
+    cases = _window_cases(m, dtype, rng)
+    for lo, hi in ((0, m), (30, m - 30), (m - 600, m)):  # zeros past a short run from each end
+        b = np.zeros(m, dtype=dtype)
+        b[lo + 300 : hi - 300] = 1e-3
+        cases.append(b)
+    for b in cases:
+        rows = np.flatnonzero(b)
+        first, last = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (m // 2, m // 2)
+        lo, hi = int(rng.integers(0, first + 1)), int(rng.integers(last, m + 1))
+        assert lu.window(b, lo, hi) == _window_by_scan(lu, b, lo, hi)
+        assert lu.window(b) == _window_by_scan(lu, b, 0, m)
 
 
 def test_laplacian_rows_are_bitwise_the_full_laplacian_rows():
@@ -1841,6 +1909,20 @@ def test_run_logs_its_step_control(caplog):
     assert "dt 1.220703125e-07..0.032" in line
 
 
+def test_run_logs_its_stepper_calls_and_wall_time_per_call(monkeypatch, caplog):
+    # trials and probes are counted; the time per call goes to the log only
+    calls = _recording(monkeypatch, "step_hyperbolic")
+    grid = GridSpec("line", extent=60.0, num_points=1501)
+    init = InitialDataSpec(center=0.0, width=0.8, epsilon=3.0, g_amplitude=1.0)
+    controls = RunControls(threshold=1e6, t_max=50.0, dt_init=0.036 / 8)
+    with caplog.at_level("DEBUG", logger="blowlab.solvers"):
+        res = run_until_blowup(EvolutionProblem(DAMPED, grid, init), controls)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "blowlab.solvers"]
+    assert len(calls) > res.record.steps
+    match = re.search(r"; (\d+) stepper calls, (\d+\.\d) us of run per call$", line)
+    assert match and int(match[1]) == len(calls) and float(match[2]) > 0.0
+
+
 # -- the damped-wave step in a run -------------------------------------------
 
 
@@ -1865,9 +1947,9 @@ def test_damped_wave_run_evaluates_one_laplacian_per_step(monkeypatch):
     res = run_until_blowup(EvolutionProblem(DAMPED, grid, init), controls)
     assert res.record.status == "blowup"
     assert len(calls) > res.record.steps  # halvings and probes ran
-    # per stepper call, one Laplacian of u, and at p = 2 |u + (dt/2) v|^2 and
-    # |u_new|^2, from which the step reads its peak
-    assert counts == {"laplacian": len(calls), "abs_power": 2 * len(calls)}
+    # per stepper call, one Laplacian of u and, at p = 2, |u + (dt/2) v|^2: a
+    # real step reads its peak off the solve's flush, with no |u_new|^2
+    assert counts == {"laplacian": len(calls), "abs_power": len(calls)}
 
 
 def test_shipped_damped_wave_run_evaluates_the_damping_once(monkeypatch):
@@ -1884,8 +1966,7 @@ def test_shipped_damped_wave_run_evaluates_the_damping_once(monkeypatch):
     cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs", "damped_wave_subcritical.json"))
     data = _grid_data(solvers._stepped_grid(cfg.problem))  # the centred line's folded half
     assert data.folded
-    for cache in ("_damping", "_damp"):  # as on a grid no run has used
-        monkeypatch.setattr(data, cache, None)
+    monkeypatch.setattr(data, "_damping", None)  # as on a grid no run has used
     res = run_until_blowup(cfg.problem, cfg.controls)
     assert res.record.status == "blowup" and res.record.steps == 2343
     assert evaluated == [cfg.problem.grid.num_points // 2 + 1]
@@ -2340,10 +2421,11 @@ def test_crank_nicolson_peak_at_p2_is_max_abs_at_every_accepted_step(monkeypatch
     for i, rows in zip(probes, compared[1:]):
         state, big = calls[i - 1][1], calls[i][1]
         assert rows == max(big.hi, state.hi) - min(big.lo, state.lo)
-    # a p other than 2 reports none: the run takes max_abs
+    # a p other than 2 reports its peak too
     cubic = replace(coeff, p=3.0)
     state = initial_state(EvolutionProblem(cubic, grid, init), 0.01)
-    assert original(state, cubic, 0.01).peak is None
+    result = original(state, cubic, 0.01)
+    assert result.peak is not None and result.peak == max_abs(result.u)
 
 
 @pytest.mark.parametrize("coeff", [HEAT, NLS], ids=["real", "complex"])
@@ -2391,9 +2473,64 @@ def test_peak_at_p2_is_max_abs_at_every_accepted_step(monkeypatch, amp):
     accepted = [(peak, want) for _, result, peak, want in calls if id(result) in starts]
     assert len(accepted) == res.record.steps
     assert all(peak is not None and peak == want for peak, want in accepted)
-    # a p other than 2 reports none: the run takes max_abs
-    state = initial_state(EvolutionProblem(CoefficientSpec(tau=1, p=3.0, a0=1.0), grid, init), 0.01)
-    assert step_hyperbolic(state, CoefficientSpec(tau=1, p=3.0, a0=1.0), 0.01).peak is None
+    # a p other than 2 reports its peak too
+    cubic = CoefficientSpec(tau=1, p=3.0, a0=1.0)
+    result = step_hyperbolic(initial_state(EvolutionProblem(cubic, grid, init), 0.01), cubic, 0.01)
+    assert result.peak is not None and result.peak == max_abs(result.u[result.lo : result.hi])
+
+
+_PEAK_GRIDS = {
+    "folded-line": (GridSpec("line", 40.0, 401), 0.0),
+    "half-line": (GridSpec("half-line", 40.0, 401), 4.0),
+    "radial-3": (GridSpec("radial", 40.0, 401, dim=3), 0.0),
+    "polar": (GridSpec("polar-sector", 8.0, 40, omega=2.0, num_angles=12), 4.0),
+}
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("tau", [0, 1], ids=["heat", "damped-wave"])
+@pytest.mark.parametrize("case", list(_PEAK_GRIDS))
+def test_real_peak_is_max_abs_at_every_accepted_step(monkeypatch, case, tau, p):
+    # a real field's peak comes off the 1-d solve's flush (off |u|^2 on the
+    # sector), and every accepted step's is max_abs of its rows, bitwise
+    grid, center = _PEAK_GRIDS[case]
+    if tau == 0:
+        coeff, name = replace(HEAT, p=p), "step_parabolic"
+    else:
+        coeff, name = replace(DAMPED, p=p), "step_hyperbolic"
+    init = InitialDataSpec(center, 1.5, 6.0)
+    problem = EvolutionProblem(coeff, grid, init)
+    assert (solvers._stepped_grid(problem) != grid) == (case == "folded-line")
+    original = getattr(solvers, name)
+    calls = []
+
+    def recording(state, coeff, dt, spare=None):
+        result = original(state, coeff, dt, spare)
+        calls.append((state, result, result.peak, max_abs(result.u[result.lo : result.hi])))
+        return result
+
+    monkeypatch.setattr(solvers, name, recording)
+    res = run_until_blowup(problem, RunControls(threshold=1e3, t_max=20.0))
+    assert res.record.status == "blowup" and res.record.steps > 10
+    starts = {id(state) for state, *_ in calls} | {id(calls[-1][1])}
+    accepted = [(peak, want) for _, result, peak, want in calls if id(result) in starts]
+    assert len(accepted) == res.record.steps
+    assert all(peak is not None and _bits(np.float64(peak)) == _bits(np.float64(want)) for peak, want in accepted)
+
+
+@pytest.mark.parametrize(
+    "which, eps, steps, t_ext",
+    [("damped_wave_subcritical", 0.2, 1495, 31.14114463409272), ("heat_subcritical", 1.0, 288, 4.15862944818901)],
+    ids=["wave", "heat"],
+)
+def test_shipped_trajectories_keep_their_steps_and_lifespan(which, eps, steps, t_ext):
+    # the shipped wave and heat configs at their largest sweep epsilon: a change
+    # that moves a trajectory moves these bits
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs", f"{which}.json"))
+    problem = replace(cfg.problem, init=replace(cfg.problem.init, epsilon=eps))
+    record = run_until_blowup(problem, cfg.controls).record
+    assert record.status == "blowup"
+    assert record.steps == steps and record.t_extrapolated == t_ext
 
 
 # -- a centred line steps its folded half ------------------------------------
