@@ -122,7 +122,7 @@ def ode_saturation_oracle(b: BoundInputs) -> float:
             if vals[-1] <= 0.0:
                 idx = int(np.argmax(vals <= 0.0))  # first step landing at or below 0
                 v_before = v - drop * idx
-                return rho + h * idx + h * v_before / drop
+                return rho + h * idx + h * (v_before / drop)  # h * v_before may overflow
             v = float(vals[-1])
             rho += h * block
 

@@ -116,6 +116,16 @@ def test_cli_bound_oracle_past_the_float_range_is_an_input_error(capsys):
     assert err.startswith("error: the saturation scale v0/slope")
 
 
+def test_cli_bound_oracle_at_a_tiny_delta_meets_the_closed_form(capsys):
+    # v0 = (log2 * delta)^(1-p) is about 2e199 here: the oracle's crossing divides
+    # before it multiplies by the step, so h * v_before does not overflow
+    args = "bound --delta 1e-100 --c0 1 --r1 1 --theta 0.5 --p 3 --oracle".split()
+    assert main(args) == 0
+    lines = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    closed, oracle = float(lines["bound (theta>0 branch)"]), float(lines["saturation oracle"])
+    assert math.isfinite(closed) and abs(oracle - closed) <= 1e-9 * closed
+
+
 def _box_trace(fam: CutoffFamily, radii: np.ndarray) -> FunctionalTrace:
     """Trace of w=1 on the box x in [0.5, 1.5], t in [0, 2] (1-d space)."""
     nx, nt = 240, 240
